@@ -46,7 +46,7 @@ from .weil import (
     weil_validate,
 )
 
-SCHEMA = "frobsplit/1"
+SCHEMA = "frobsplit/2"
 
 _DOMAIN_ERRORS = (
     CompositeModulus,
@@ -165,9 +165,8 @@ def _run_torus(ns):
         "regular_count_base": str(census.regular_count_base),
         "b_estimate": _frac(census.b_estimate),
         "subgroup_orders": {k: str(v) for k, v in sorted(census.subgroup_orders.items())},
-        "normalizer_order": None if census.normalizer_order is None else str(census.normalizer_order),
-        "weyl_order": None if census.weyl_order is None else str(census.weyl_order),
-        "weyl_stable_primes": census.weyl_stable_primes,
+        "normalizer_order": str(census.normalizer_order),
+        "weyl_order": str(census.weyl_order),
         "exceptional_field": census.exceptional_field,
         "generators": [_serialize_matrix(g) for g in torus.generators],
         "generator_similitudes": [g.similitude for g in torus.generators],

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
+from .finfield import CompositeModulus, is_prime, make_field, prime_divisors, subfield_degree
 from .groups import (
     BudgetExceeded,
     GroupDescriptor,
@@ -31,6 +32,7 @@ from .groups import (
     normalizer_census,
     pack_matrix,
     regular_torus_count,
+    unpack_matrix,
 )
 
 MAX_CLOSURE = 10**7
@@ -140,7 +142,9 @@ def cm_subfield_fraction(two_g: int, ell: int) -> Fraction:
     """
     if two_g < 2 or two_g % 2 != 0:
         raise ValueError("the extension degree must be an even number >= 2")
-    primes = _prime_divisors(two_g)
+    if not is_prime(ell):
+        raise CompositeModulus(f"{ell} is not prime")
+    primes = prime_divisors(two_g)
     count = 0
     for mask in range(1, 1 << len(primes)):
         d = two_g
@@ -153,23 +157,8 @@ def cm_subfield_fraction(two_g: int, ell: int) -> Fraction:
     return Fraction(count, ell**two_g - 1)
 
 
-def _prime_divisors(n: int):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def cm_subfield_fraction_exhaustive(two_g: int, ell: int) -> Fraction:
     """The same fraction by per-element subfield-degree counting."""
-    from .finfield import make_field, subfield_degree
-
     if ell**two_g > 10**6:
         raise BudgetExceeded("field too large for exhaustive subfield counting")
     field = make_field(ell, two_g)
@@ -365,8 +354,8 @@ def goursat_verify(factors, generators) -> GoursatReport:
 def random_generator_tuples(factors, rng: random.Random, count: int = 2, max_tries: int = 200):
     """Draw `count` random generator tuples, retrying until every projection
     is surjective; returns GroupElement tuples."""
-    from .groups import GroupElement, unpack_matrix
-
+    if count < 1:
+        raise ValueError("need at least one generator tuple")
     factors = list(factors)
     groups_packed = [enumerate_group_packed(d, "derived") for d in factors]
     pgs = [_packed_group(d) for d in factors]
@@ -388,4 +377,6 @@ def random_generator_tuples(factors, rng: random.Random, count: int = 2, max_tri
                     elems.append(GroupElement(d, unpack_matrix(d, comp), pg.similitude(comp)))
                 out.append(tuple(elems))
             return out
-    raise RuntimeError("could not find surjective generators within the retry cap")
+    raise BudgetExceeded(
+        f"no {count} generator tuples with surjective projections within the retry cap of {max_tries} draws"
+    )

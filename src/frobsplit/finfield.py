@@ -59,6 +59,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_divisors(n: int):
+    """The distinct primes dividing n, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # dense polynomials over GF(p), used only to find the canonical modulus
 
@@ -113,19 +127,6 @@ def _p_gcd(a, b, p):
     return a
 
 
-def _prime_factors(n: int):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _minus_x_mod(a, p):
     """a - x with coefficients reduced mod p."""
     sub = list(a) + [0] * (2 - len(a))
@@ -140,7 +141,7 @@ def _is_irreducible(f, p) -> bool:
         return False
     if _minus_x_mod(_p_powmod_x(p**k, f, p), p):
         return False
-    for r in _prime_factors(k):
+    for r in prime_divisors(k):
         g = _p_gcd(_minus_x_mod(_p_powmod_x(p ** (k // r), f, p), p), f, p)
         if len(g) != 1:
             return False

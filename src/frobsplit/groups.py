@@ -18,6 +18,15 @@ form is preserved on the nose:
   GF(ell^r)* and the other through the similitude-twisted inverse conjugate
   (order (ell^r - 1)(ell - 1), generated by two elements).
 
+The normalizer census is a closed form: |W| = |N(T)/T| is 2r in family C
+and r in family A at every ell.  A regular t in T has C_G(t) = T, so W
+acts simply on the G-conjugates of t inside T; by Lang's theorem these are
+the elements of T with the characteristic polynomial of t, which are its
+Galois conjugates (2r over GF(ell), r over GF(ell^2), or s conjugates times
+the block swap for the dual-pair torus of rank 2s).  Enumeration of N(T)
+is kept only as normalizer_census_oracle, the test oracle that certifies
+the closed form on small groups.
+
 Classification of a group element x at level m asks whether x^m is regular
 with maximally anisotropic connected centralizer.  The fast path reads this
 off the characteristic polynomial; the definitional oracle enumerates the
@@ -34,7 +43,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from .finfield import FFElement, FieldMismatch, FiniteField, is_prime, make_field
+from .finfield import FFElement, FieldMismatch, FiniteField, is_prime, make_field, prime_divisors
 from .intpoly import ModPoly, factor_mod, is_irreducible_mod, mod_gcd
 
 MAX_GROUP_SIZE = 10**6
@@ -317,26 +326,13 @@ def contains(desc: GroupDescriptor, matrix) -> GroupElement | None:
 def _multiplicative_generator(field: FiniteField) -> FFElement:
     """Least-index generator of the multiplicative group; deterministic."""
     n = field.q - 1
-    prime_divisors = _prime_divisors(n)
+    divisors = prime_divisors(n)
     for x in field.elements():
         if x.is_zero():
             continue
-        if all(x ** (n // p) != field.one() for p in prime_divisors):
+        if all(x ** (n // p) != field.one() for p in divisors):
             return x
     raise AssertionError("no multiplicative generator found")
-
-
-def _prime_divisors(n: int):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _degree_from_order(order: int, base: int, top: int) -> int:
@@ -712,7 +708,7 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
     hyper = tuple(
         tuple(field.one() if abs(i - j) == s else zero for j in range(r)) for i in range(r)
     )
-    p_mat = _hermitian_from_gram(hyper, field)
+    p_mat = _hermitian_change_of_basis(hyper, field)
     inv_p = mat_inverse(p_mat)
     elts = []
     for g in (gen1, gen2):
@@ -721,11 +717,6 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         assert elt is not None, "torus generator must preserve the standard form"
         elts.append(elt)
     return AnisotropicTorus(desc, tuple(elts), torus_order(desc), big)
-
-
-def _hermitian_from_gram(gram, field):
-    """Basis change taking `gram` to the identity Hermitian form."""
-    return _hermitian_change_of_basis(gram, field)
 
 
 def _k_coords(big: FiniteField, w: FFElement, x: FFElement):
@@ -751,8 +742,8 @@ def _k_coords(big: FiniteField, w: FFElement, x: FFElement):
 
 
 def _least_primitive_root(p: int) -> int:
-    divisors = _prime_divisors(p - 1)
-    for g in range(2, p):
+    divisors = prime_divisors(p - 1)
+    for g in range(1, p):
         if all(pow(g, (p - 1) // d, p) != 1 for d in divisors):
             return g
     raise AssertionError("no primitive root")
@@ -942,13 +933,13 @@ def enumerate_group_packed(desc: GroupDescriptor, part: str = "full"):
     key = (desc, part)
     if key in _ENUM_CACHE:
         return _ENUM_CACHE[key]
-    pg = _packed_group(desc)
-    space = pg.pf.q ** (pg.n * pg.n)
+    space = desc.matrix_field.q ** desc.matrix_dim**2
     if space > MAX_MATRIX_SPACE:
         raise BudgetExceeded(f"matrix space of size {space} exceeds the scan cap")
     expected = group_order(desc, part)
     if expected > MAX_GROUP_SIZE:
         raise BudgetExceeded(f"group of order {expected} exceeds the enumeration cap")
+    pg = _packed_group(desc)
     out = []
     unitary = part in ("unitary", "derived")
     derived = part == "derived"
@@ -1049,6 +1040,24 @@ def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:
     return True
 
 
+def normalizer_census_oracle(desc: GroupDescriptor) -> NormalizerCensus:
+    """Definitional answer: count the elements of the enumerated full group
+    that conjugate every torus generator back into the torus.  A test
+    oracle for normalizer_census, budget-capped like the enumeration."""
+    pg = _packed_group(desc)
+    elements = enumerate_group_packed(desc, "full")
+    torus = build_anisotropic_torus(desc)
+    tset = frozenset(pack_matrix(t.matrix) for t in torus_element_matrices(desc))
+    gens = [pack_matrix(g.matrix) for g in torus.generators]
+    mm, minv = pg.mm, pg.minv
+    count = 0
+    for g in elements:
+        gi = minv(g)
+        if all(mm(mm(g, t), gi) in tset for t in gens):
+            count += 1
+    return NormalizerCensus(count, count // torus.order)
+
+
 def exhaustive_classification(desc: GroupDescriptor, m: int = 1, part: str = "full"):
     """(count in the regular-anisotropic class, subgroup order) by direct
     classification of every element; the independent check on the census
@@ -1072,58 +1081,33 @@ def exhaustive_classification(desc: GroupDescriptor, m: int = 1, part: str = "fu
 class NormalizerCensus:
     normalizer_order: int
     weyl_order: int
-    stable_primes: tuple | None = None  # set when inferred by stability
-
-
-def _normalizer_by_enumeration(desc: GroupDescriptor) -> NormalizerCensus:
-    pg = _packed_group(desc)
-    elements = enumerate_group_packed(desc, "full")
-    torus = build_anisotropic_torus(desc)
-    tset = frozenset(pack_matrix(t.matrix) for t in torus_element_matrices(desc))
-    gens = [pack_matrix(g.matrix) for g in torus.generators]
-    mm, minv = pg.mm, pg.minv
-    count = 0
-    for g in elements:
-        gi = minv(g)
-        if all(mm(mm(g, t), gi) in tset for t in gens):
-            count += 1
-    return NormalizerCensus(count, count // torus.order)
-
-
-_STABILITY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
 
 def normalizer_census(desc: GroupDescriptor) -> NormalizerCensus:
-    """|N(T)| and |W| = |N|/|T|, enumerated when in budget.
+    """|N(T)| = |W| * |T| with the closed form |W| = 2r (family C) or r
+    (family A).
 
-    Out-of-budget descriptors fall back on the rank-stability of W: the Weyl
-    order is enumerated at (at least three) small primes of the same family
-    and rank, required to agree, and scaled by the torus order at the
-    requested prime.
+    Take a regular t in T, so C_G(t) = T.  Then g T g^-1 = T exactly when
+    g t g^-1 lies in T, and n -> n t n^-1 is a bijection from N(T)/T onto
+    the G-conjugates of t inside T.  By Lang's theorem (the centralizer T is
+    connected) these are the elements of T with the characteristic
+    polynomial of t, i.e. its Galois conjugates, and there are |W| of them
+    at every ell:
+
+    * the norm-line torus of GSp_{2r}: 2r conjugates over GF(ell);
+    * GU_r with r odd: r conjugates over GF(ell^2);
+    * the dual-pair torus of GU_r, r = 2s: s conjugates times the block
+      swap, 2s = r in all.
+
+    N(T) here is the normalizer of the algebraic torus, which is what the
+    count identity |J| = (|G|/|N|) |T*| needs.  It agrees with the normalizer
+    of the finite group T(F_ell) (normalizer_census_oracle) whenever T(F_ell)
+    holds a regular element.  The one torus here without one is GU_2 over
+    GF(4), where T(F_2) is the centre of order 3: there the oracle finds all
+    of G, and the count identity holds either way since T* is empty.
     """
-    try:
-        return _normalizer_by_enumeration(desc)
-    except BudgetExceeded:
-        pass
-    weyls = []
-    used = []
-    for p in _STABILITY_PRIMES:
-        if p == desc.ell:
-            continue
-        try:
-            small = GroupDescriptor(desc.family, desc.r, p)
-            weyls.append(_normalizer_by_enumeration(small).weyl_order)
-            used.append(p)
-        except BudgetExceeded:
-            continue
-        if len(weyls) >= 3:
-            break
-    if len(weyls) < 3 or len(set(weyls)) != 1:
-        raise BudgetExceeded(
-            f"normalizer of {desc} not enumerable and no stable Weyl order across {used}"
-        )
-    w = weyls[0]
-    return NormalizerCensus(w * torus_order(desc), w, tuple(used))
+    w = 2 * desc.r if desc.family == "C" else desc.r
+    return NormalizerCensus(w * torus_order(desc), w)
 
 
 @dataclass(frozen=True)
@@ -1137,13 +1121,14 @@ class TorusCensus:
     regular_count_base: int  # the m = 1 count
     b_estimate: Fraction  # ell * (1 - regular_base/torus_order)
     subgroup_orders: dict
-    normalizer_order: int | None
-    weyl_order: int | None
+    normalizer_order: int
+    weyl_order: int
     exceptional_field: bool
-    weyl_stable_primes: tuple | None
 
 
 def torus_census(desc: GroupDescriptor, m: int = 1) -> TorusCensus:
+    if m < 1:
+        raise ValueError("m must be at least 1")
     model = _TorusModel(desc)
     if model.order > MAX_TORUS_SIZE:
         raise BudgetExceeded(f"torus of order {model.order} exceeds the enumeration cap")
@@ -1151,12 +1136,7 @@ def torus_census(desc: GroupDescriptor, m: int = 1) -> TorusCensus:
     reg_1 = reg_m if m == 1 else model.count_regular(1)
     parts = ["full", "derived"] + (["unitary"] if desc.family == "A" else [])
     sub = {part: model.count_part(part) for part in parts}
-    norm_order = weyl = stable = None
-    try:
-        nc = normalizer_census(desc)
-        norm_order, weyl, stable = nc.normalizer_order, nc.weyl_order, nc.stable_primes
-    except BudgetExceeded:
-        pass
+    nc = normalizer_census(desc)
     return TorusCensus(
         desc=desc,
         m=m,
@@ -1165,10 +1145,9 @@ def torus_census(desc: GroupDescriptor, m: int = 1) -> TorusCensus:
         regular_count_base=reg_1,
         b_estimate=desc.ell * (1 - Fraction(reg_1, model.order)),
         subgroup_orders=sub,
-        normalizer_order=norm_order,
-        weyl_order=weyl,
+        normalizer_order=nc.normalizer_order,
+        weyl_order=nc.weyl_order,
         exceptional_field=desc.exceptional_field,
-        weyl_stable_primes=stable,
     )
 
 

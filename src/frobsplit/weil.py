@@ -457,6 +457,8 @@ class CMSignature:
     pairs: tuple
 
     def __post_init__(self):
+        if self.r < 1:
+            raise ValueError("rank must be at least 1")
         for pair in self.pairs:
             a, b = pair
             if a < 0 or b < 0 or a + b != self.r:

@@ -156,4 +156,47 @@ def test_main_writes_output_file(tmp_path):
     assert status == 0
     data = json.loads(out.read_text())
     assert data["result"]["per_ell"][0]["fraction"] == {"num": "1", "den": "5"}
-    assert data["schema"] == "frobsplit/1"
+    assert data["schema"] == "frobsplit/2"
+
+
+def test_torus_gu2_f2_answers():
+    report, status = run(["torus", "--family", "A", "--r", "2", "--ell", "2"])
+    assert status == 0
+    res = report["result"]
+    assert res["torus_order"] == "3" and res["regular_count"] == "0"
+    assert res["normalizer_order"] == "6" and res["weyl_order"] == "2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--family", "C", "--r", "2", "--ells", "5,7"],
+        ["density", "--family", "C", "--r", "3", "--ells", "5,7,11"],
+        ["density", "--family", "A", "--r", "3", "--ells", "5"],
+        ["density", "--family", "A", "--r", "4", "--ells", "5"],
+    ],
+)
+def test_density_answers_at_paper_ranks(argv):
+    report, status = run(argv)
+    assert status == 0
+    for entry in report["result"]["per_ell"]:
+        num, den = int(entry["fraction"]["num"]), int(entry["fraction"]["den"])
+        assert 0 < num < den
+
+
+@pytest.mark.parametrize(
+    "argv,status,error",
+    [
+        (["goursat", "--family", "C", "--r", "1", "--ells", "5,7", "--seed", "1", "--samples", "0"], 4, "ValueError"),
+        (["goursat", "--family", "C", "--r", "1", "--ells", "5,7", "--seed", "1", "--samples", "1"], 3, "BudgetExceeded"),
+        (["goursat", "--family", "C", "--r", "1", "--ells", "1009", "--seed", "1"], 3, "BudgetExceeded"),
+        (["torus", "--family", "C", "--r", "1", "--ell", "3", "--m", "0"], 4, "ValueError"),
+        (["nonspecial", "--r", "0", "--sig", "0:0"], 4, "ValueError"),
+        (["cm-fraction", "--degree", "4", "--ell", "4"], 4, "CompositeModulus"),
+    ],
+)
+def test_rejections_exit_with_a_json_error(argv, status, error, capsys):
+    assert main(argv) == status
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["type"] == error
+    assert "result" not in report

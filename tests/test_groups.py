@@ -10,6 +10,8 @@ from frobsplit.groups import (
     DimensionMismatch,
     GroupDescriptor,
     GroupElement,
+    NormalizerCensus,
+    _packed_group,
     build_anisotropic_torus,
     classify_element,
     classify_element_oracle,
@@ -20,6 +22,7 @@ from frobsplit.groups import (
     group_order,
     identity_element,
     normalizer_census,
+    normalizer_census_oracle,
     pack_matrix,
     regular_torus_count,
     torus_census,
@@ -224,17 +227,58 @@ def test_count_identity(desc, m):
     assert total == group_order(desc)
 
 
-def test_normalizer_stability_across_primes():
-    weyls = [normalizer_census(d).weyl_order for d in (C3, C5, C7)]
-    assert weyls == [2, 2, 2]
+@pytest.mark.parametrize(
+    "desc",
+    [
+        GroupDescriptor(family, r, ell)
+        for family, r, ell in [
+            ("C", 1, 2),
+            ("C", 1, 3),
+            ("C", 1, 5),
+            ("C", 1, 7),
+            ("C", 2, 2),
+            ("A", 1, 2),
+            ("A", 1, 3),
+            ("A", 1, 5),
+            ("A", 2, 3),
+            ("A", 2, 5),
+            ("A", 3, 2),
+        ]
+    ],
+    ids=repr,
+)
+def test_normalizer_closed_form_equals_oracle(desc):
+    """|W| = 2r (family C) or r (family A) and |N| = |W| |T|, against the
+    enumerated normalizer."""
+    assert normalizer_census(desc) == normalizer_census_oracle(desc)
 
 
-def test_normalizer_fallback_for_out_of_budget_prime():
+def test_normalizer_oracle_on_the_central_torus_of_gu2_f2():
+    """GU_2 over GF(4) is the one group here whose torus has no regular
+    element: T(F_2) is the centre, of order 3.  Its finite normalizer is all
+    of G, while the closed form counts the normalizer of the algebraic
+    torus; the count identity reads 0 = 0 with either."""
+    desc = GroupDescriptor("A", 2, 2)
+    assert regular_torus_count(desc) == 0
+    assert exhaustive_classification(desc) == (0, group_order(desc)) == (0, 18)
+    assert normalizer_census(desc) == NormalizerCensus(6, 2)
+    assert normalizer_census_oracle(desc) == NormalizerCensus(18, 6)
+
+
+def test_normalizer_closed_form_out_of_enumeration_budget():
     big = GroupDescriptor("C", 1, 101)
     nc = normalizer_census(big)
     assert nc.weyl_order == 2
     assert nc.normalizer_order == 2 * torus_order(big)
-    assert nc.stable_primes is not None and len(nc.stable_primes) >= 3
+    with pytest.raises(BudgetExceeded):
+        normalizer_census_oracle(big)
+
+
+def test_enumeration_budget_checked_before_packed_tables():
+    misses = _packed_group.cache_info().misses
+    with pytest.raises(BudgetExceeded):
+        enumerate_group_packed(GroupDescriptor("C", 1, 1009), "derived")
+    assert _packed_group.cache_info().misses == misses
 
 
 def test_budget_exceeded_paths():
