@@ -173,9 +173,15 @@ def _run_torus(ns):
     }
 
 
+def _model(ns) -> GaloisModel:
+    ells = _ints(ns.ells)
+    if not ells:
+        raise ValueError("--ells names no prime")
+    return GaloisModel.uniform(ns.family, ns.r, ells, ns.m, ns.squeeze)
+
+
 def _run_density(ns):
-    model = GaloisModel.uniform(ns.family, ns.r, _ints(ns.ells), ns.m, ns.squeeze)
-    rep = density_product(model)
+    rep = density_product(_model(ns))
     return {
         "per_ell": [
             {"ell": ell, "fraction": _frac(f), "exceptional_field": flag}
@@ -211,8 +217,7 @@ def _run_cm_fraction(ns):
 
 
 def _run_simulate(ns):
-    model = GaloisModel.uniform(ns.family, ns.r, _ints(ns.ells), ns.m, ns.squeeze)
-    res = chebotarev_simulate(model, ns.samples, ns.seed)
+    res = chebotarev_simulate(_model(ns), ns.samples, ns.seed)
     return {
         "samples": res.samples,
         "hits": res.hits,

@@ -26,7 +26,9 @@ from .groups import (
     BudgetExceeded,
     GroupDescriptor,
     GroupElement,
+    _count_avoiding,
     _packed_group,
+    _residue_class,
     enumerate_group_packed,
     group_order,
     normalizer_census,
@@ -144,17 +146,9 @@ def cm_subfield_fraction(two_g: int, ell: int) -> Fraction:
         raise ValueError("the extension degree must be an even number >= 2")
     if not is_prime(ell):
         raise CompositeModulus(f"{ell} is not prime")
-    primes = prime_divisors(two_g)
-    count = 0
-    for mask in range(1, 1 << len(primes)):
-        d = two_g
-        bits = 0
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                d //= p
-                bits += 1
-        count += (-1) ** (bits + 1) * (ell**d - 1)
-    return Fraction(count, ell**two_g - 1)
+    n = ell**two_g - 1
+    subfields = [_residue_class(ell ** (two_g // p) - 1, 0, n) for p in prime_divisors(two_g)]
+    return Fraction(n - _count_avoiding(n, (1, 0), subfields), n)
 
 
 def cm_subfield_fraction_exhaustive(two_g: int, ell: int) -> Fraction:

@@ -149,10 +149,11 @@ def _is_irreducible(f, p) -> bool:
 
 
 def _canonical_modulus(p: int, k: int):
-    """Lexicographically least monic irreducible of degree k over GF(p)."""
+    """Lexicographically least monic irreducible of degree k over GF(p).
+    For k >= 2 a zero constant term means a factor x, so c0 starts at 1."""
     if k == 1:
         return (0, 1)
-    for low in product(range(p), repeat=k):
+    for low in product(range(1, p), *[range(p)] * (k - 1)):
         f = low + (1,)
         if _is_irreducible(f, p):
             return f

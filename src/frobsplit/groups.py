@@ -27,6 +27,20 @@ the block swap for the dual-pair torus of rank 2s).  Enumeration of N(T)
 is kept only as normalizer_census_oracle, the test oracle that certifies
 the closed form on small groups.
 
+The regular torus count |T*_m| is a closed form too.  Index the norm-line
+torus by i mod N = |T|, x = zeta^((ell^r - 1)/(ell - 1) i), and the dual-pair
+torus of rank 2s by (i, w), i mod n = ell^r - 1 and w mod ell - 1.  x^m is
+irregular iff its exponent solves one of these linear congruences: x^m lies
+in GF(ell^(2r/p)), p | 2r: m (ell^(2r/p) - 1) i = 0 (mod N); the block
+gamma^(mi) lies in GF(ell^(2s/p)), p | s: m (ell^(2s/p) - 1) i = 0 (mod n);
+two block eigenvalues coincide: m (ell^(2u) + ell^(2v+1)) i = m w n/(ell - 1)
+(mod n) for some 0 <= u, v < s.  These solution sets, like the subgroup
+parts, are residue classes, so regular_torus_count counts by
+inclusion-exclusion and CRT, with no cap; regular_torus_count_oracle, which
+classifies every matrix of the torus, certifies it on small tori.  The one
+torus cap, MAX_TORUS_SIZE, guards building the matrix torus, which scans
+GF(ell^(2r)).
+
 Classification of a group element x at level m asks whether x^m is regular
 with maximally anisotropic connected centralizer.  The fast path reads this
 off the characteristic polynomial; the definitional oracle enumerates the
@@ -320,7 +334,7 @@ def contains(desc: GroupDescriptor, matrix) -> GroupElement | None:
 
 
 # ---------------------------------------------------------------------------
-# field-level torus model
+# matrix model of the torus
 
 
 def _multiplicative_generator(field: FiniteField) -> FFElement:
@@ -333,98 +347,6 @@ def _multiplicative_generator(field: FiniteField) -> FFElement:
         if all(x ** (n // p) != field.one() for p in divisors):
             return x
     raise AssertionError("no multiplicative generator found")
-
-
-def _degree_from_order(order: int, base: int, top: int) -> int:
-    """Smallest d | top with order dividing base^d - 1."""
-    for d in range(1, top + 1):
-        if top % d == 0 and (base**d - 1) % order == 0:
-            return d
-    raise AssertionError("order does not divide base^top - 1")
-
-
-class _TorusModel:
-    """Exponent-level model of the torus, enough for exact censuses."""
-
-    def __init__(self, desc: GroupDescriptor):
-        self.desc = desc
-        q, r = desc.ell, desc.r
-        self.order = torus_order(desc)
-        if desc.family == "A" and r % 2 == 0:
-            self.kind = "dual-pair"
-            self.a_order = q**r - 1
-        else:
-            self.kind = "norm-line"
-            self.big = q ** (2 * r) - 1
-            self.step = (q**r - 1) // (q - 1)
-
-    def is_regular(self, idx, m: int = 1) -> bool:
-        q, r = self.desc.ell, self.desc.r
-        if self.kind == "norm-line":
-            j = idx * m % self.order
-            exp = self.step * j % self.big
-            ordx = self.big // gcd(self.big, exp)
-            return _degree_from_order(ordx, q, 2 * r) == 2 * r
-        i, w = idx
-        n = self.a_order
-        s = r // 2
-        i = i * m % n
-        w = w * m % (q - 1)
-        ord_a = n // gcd(n, i)
-        if _degree_from_order(ord_a, q * q, s) != s:
-            return False
-        lam_exp = w * (n // (q - 1)) % n
-        for u in range(s):
-            for v in range(s):
-                if (i * (q ** (2 * u) + q ** (2 * v + 1)) - lam_exp) % n == 0:
-                    return False
-        return True
-
-    def indices(self):
-        if self.kind == "norm-line":
-            return range(self.order)
-        q = self.desc.ell
-        return product(range(self.a_order), range(q - 1))
-
-    def in_part(self, idx, part: str) -> bool:
-        q, r = self.desc.ell, self.desc.r
-        if part == "full":
-            return True
-        if self.kind == "norm-line":
-            j = idx
-            if self.desc.family == "C":
-                if part == "derived":
-                    return j % (q - 1) == 0
-            else:
-                if part == "unitary":
-                    return j % (q - 1) == 0
-                if part == "derived":
-                    return j % (q - 1) == 0 and (self.step * j) % (q * q - 1) == 0
-            raise ValueError(f"unknown part {part!r}")
-        i, w = idx
-        if part == "unitary":
-            return w == 0
-        if part == "derived":
-            return w == 0 and i % (q + 1) == 0
-        raise ValueError(f"unknown part {part!r}")
-
-    def count_regular(self, m: int, part: str = "full") -> int:
-        if self.order > MAX_TORUS_SIZE:
-            raise BudgetExceeded(f"torus of order {self.order} exceeds the enumeration cap")
-        return sum(1 for idx in self.indices() if self.in_part(idx, part) and self.is_regular(idx, m))
-
-    def count_part(self, part: str) -> int:
-        return sum(1 for idx in self.indices() if self.in_part(idx, part))
-
-    def max_power_fiber(self, m: int) -> int:
-        q = self.desc.ell
-        if self.kind == "norm-line":
-            return gcd(m, self.order)
-        return gcd(m, self.a_order) * gcd(m, q - 1)
-
-
-# ---------------------------------------------------------------------------
-# matrix model of the torus
 
 
 def _subfield_quadratic_image(big: FiniteField, element_maps_to: FiniteField):
@@ -607,6 +529,11 @@ class AnisotropicTorus:
 
 @lru_cache(maxsize=None)
 def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
+    """The matrix torus; its construction scans GF(ell^(2r)), so the torus
+    order is checked against MAX_TORUS_SIZE before anything is built."""
+    order = torus_order(desc)
+    if order > MAX_TORUS_SIZE:
+        raise BudgetExceeded(f"torus of order {order} exceeds MAX_TORUS_SIZE = {MAX_TORUS_SIZE}")
     q, r = desc.ell, desc.r
     field = desc.matrix_field
     if desc.family == "C":
@@ -644,7 +571,7 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         std = mat_mul(mat_mul(mat_inverse(p_mat), mult), p_mat)
         elt = contains(desc, std)
         assert elt is not None, "torus generator must preserve the standard form"
-        return AnisotropicTorus(desc, (elt,), torus_order(desc), big)
+        return AnisotropicTorus(desc, (elt,), order, big)
 
     if r % 2 == 1:
         big = make_field(q, 2 * r)
@@ -677,7 +604,7 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         std = mat_mul(mat_mul(mat_inverse(p_mat), mult), p_mat)
         elt = contains(desc, std)
         assert elt is not None, "torus generator must preserve the standard form"
-        return AnisotropicTorus(desc, (elt,), torus_order(desc), big)
+        return AnisotropicTorus(desc, (elt,), order, big)
 
     # family A, r even: dual-pair torus on two isotropic blocks
     s = r // 2
@@ -698,7 +625,7 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         )
         for i in range(r)
     )
-    lam0 = field.scalar(_least_primitive_root(q))
+    lam0 = field.scalar(_multiplicative_generator(make_field(q, 1)).lift())
     gen2 = tuple(
         tuple(
             (field.one() if i < s else lam0) if i == j else zero for j in range(r)
@@ -716,7 +643,7 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         elt = contains(desc, std)
         assert elt is not None, "torus generator must preserve the standard form"
         elts.append(elt)
-    return AnisotropicTorus(desc, tuple(elts), torus_order(desc), big)
+    return AnisotropicTorus(desc, tuple(elts), order, big)
 
 
 def _k_coords(big: FiniteField, w: FFElement, x: FFElement):
@@ -741,37 +668,20 @@ def _k_coords(big: FiniteField, w: FFElement, x: FFElement):
     raise AssertionError("degenerate subfield basis")
 
 
-def _least_primitive_root(p: int) -> int:
-    divisors = prime_divisors(p - 1)
-    for g in range(1, p):
-        if all(pow(g, (p - 1) // d, p) != 1 for d in divisors):
-            return g
-    raise AssertionError("no primitive root")
-
-
 def torus_element_matrices(desc: GroupDescriptor):
-    """All torus elements as GroupElements (budget-capped)."""
+    """All torus elements g1^i g2^w as GroupElements, in the order of the
+    exponents (i, w); the construction is budget-capped."""
     torus = build_anisotropic_torus(desc)
-    if torus.order > MAX_TORUS_SIZE:
-        raise BudgetExceeded("torus too large to enumerate")
-    if len(torus.generators) == 1:
-        out = []
-        g = identity_element(desc)
-        for _ in range(torus.order):
-            out.append(g)
-            g = g * torus.generator
-        return out
-    g1, g2 = torus.generators
     q = desc.ell
-    n1 = torus.order // (q - 1)
-    out = []
-    a = identity_element(desc)
-    for _ in range(n1):
-        b = a
-        for _ in range(q - 1):
-            out.append(b)
-            b = b * g2
-        a = a * g1
+    orders = (torus.order,) if len(torus.generators) == 1 else (torus.order // (q - 1), q - 1)
+    out = [identity_element(desc)]
+    for g, k in zip(torus.generators, orders):
+        powers = []
+        for x in out:
+            for _ in range(k):
+                powers.append(x)
+                x = x * g
+        out = powers
     return out
 
 
@@ -1058,6 +968,23 @@ def normalizer_census_oracle(desc: GroupDescriptor) -> NormalizerCensus:
     return NormalizerCensus(count, count // torus.order)
 
 
+def regular_torus_count_oracle(desc: GroupDescriptor, m: int = 1, part: str = "full") -> int:
+    """Definitional answer: classify every element of the matrix torus, with
+    part membership read off the similitude (and, for SU, the determinant).
+    A test oracle for regular_torus_count, budget-capped like the torus."""
+    if part not in ("full", "derived", "unitary") or part == "unitary" and desc.family == "C":
+        raise ValueError(f"unknown part {part!r}")
+    one = desc.matrix_field.one()
+    count = 0
+    for t in torus_element_matrices(desc):
+        if part != "full" and t.similitude != 1:
+            continue
+        if part == "derived" and desc.family == "A" and mat_det(t.matrix) != one:
+            continue
+        count += classify_element(t, m)
+    return count
+
+
 def exhaustive_classification(desc: GroupDescriptor, m: int = 1, part: str = "full"):
     """(count in the regular-anisotropic class, subgroup order) by direct
     classification of every element; the independent check on the census
@@ -1126,31 +1053,96 @@ class TorusCensus:
     exceptional_field: bool
 
 
+def _residue_class(a: int, b: int, n: int):
+    """The solutions of a*x = b (mod n) as (d, c), i.e. x = c (mod d); or None."""
+    g = gcd(a, n)
+    if b % g:
+        return None
+    d = n // g
+    return d, b // g * pow(a // g, -1, d) % d
+
+
+def _meet(x, y):
+    """The intersection of two residue classes (d, c) by CRT; or None."""
+    (d1, c1), (d2, c2) = x, y
+    g = gcd(d1, d2)
+    if (c2 - c1) % g:
+        return None
+    k = d2 // g
+    t = (c2 - c1) // g * pow(d1 // g, -1, k) % k
+    return d1 * k, (c1 + d1 * t) % (d1 * k)
+
+
+def _count_avoiding(n: int, base, bad) -> int:
+    """How many x in Z/n lie in the class `base` and in none of the classes
+    `bad` (all moduli divide n), by inclusion-exclusion with equal
+    intersections merged into one term: the work is bounded by the number of
+    distinct classes, not by the 2^len(bad) subsets."""
+    terms = {base: 1}
+    for cls in set(bad) - {None}:
+        step = {}
+        for term, coef in terms.items():
+            meet = _meet(term, cls)
+            if meet is not None:
+                step[meet] = step.get(meet, 0) - coef
+        for term, coef in step.items():
+            terms[term] = terms.get(term, 0) + coef
+        terms = {term: coef for term, coef in terms.items() if coef}
+    return sum(coef * (n // d) for (d, _), coef in terms.items())
+
+
+def _torus_part(desc: GroupDescriptor, part: str):
+    """T ∩ part as (n, base, ws): exponents i mod n in the class base, each
+    paired with every similitude exponent w in ws (see the module docstring)."""
+    q, r = desc.ell, desc.r
+    if desc.family == "A" and r % 2 == 0:
+        n, shapes = q**r - 1, {"full": (1, range(q - 1)), "unitary": (1, (0,)), "derived": (q + 1, (0,))}
+    elif desc.family == "A":
+        n, shapes = torus_order(desc), {"full": (1, (0,)), "unitary": (q - 1, (0,)), "derived": (q * q - 1, (0,))}
+    else:
+        n, shapes = torus_order(desc), {"full": (1, (0,)), "derived": (q - 1, (0,))}
+    if part not in shapes:
+        raise ValueError(f"unknown part {part!r}")
+    d, ws = shapes[part]
+    return n, (d, 0), ws
+
+
+def regular_torus_count(desc: GroupDescriptor, m: int = 1, part: str = "full") -> int:
+    """|{x in T ∩ part : x^m regular}|: the exponents that avoid every
+    subfield and eigenvalue-coincidence congruence of the module docstring."""
+    q, r = desc.ell, desc.r
+    n, base, ws = _torus_part(desc, part)
+    s = r // 2 if desc.family == "A" and r % 2 == 0 else 0  # 0: norm-line torus
+    degrees = [2 * s // p for p in prime_divisors(s)] if s else [2 * r // p for p in prime_divisors(2 * r)]
+    subfields = [_residue_class(m * (q**d - 1), 0, n) for d in degrees]
+    coincidences = [m * (q ** (2 * u) + q ** (2 * v + 1)) for u in range(s) for v in range(s)]
+    spread = n // (q - 1)
+    return sum(
+        _count_avoiding(n, base, subfields + [_residue_class(a, m * w * spread, n) for a in coincidences])
+        for w in ws
+    )
+
+
 def torus_census(desc: GroupDescriptor, m: int = 1) -> TorusCensus:
     if m < 1:
         raise ValueError("m must be at least 1")
-    model = _TorusModel(desc)
-    if model.order > MAX_TORUS_SIZE:
-        raise BudgetExceeded(f"torus of order {model.order} exceeds the enumeration cap")
-    reg_m = model.count_regular(m)
-    reg_1 = reg_m if m == 1 else model.count_regular(1)
-    parts = ["full", "derived"] + (["unitary"] if desc.family == "A" else [])
-    sub = {part: model.count_part(part) for part in parts}
+    order = torus_order(desc)
+    reg_m = regular_torus_count(desc, m)
+    reg_1 = reg_m if m == 1 else regular_torus_count(desc, 1)
+    sub = {}
+    for part in ["full", "derived"] + (["unitary"] if desc.family == "A" else []):
+        n, (d, _), ws = _torus_part(desc, part)
+        sub[part] = n // d * len(ws)
     nc = normalizer_census(desc)
     return TorusCensus(
         desc=desc,
         m=m,
-        torus_order=model.order,
+        torus_order=order,
         regular_count=reg_m,
         regular_count_base=reg_1,
-        b_estimate=desc.ell * (1 - Fraction(reg_1, model.order)),
+        b_estimate=desc.ell * (1 - Fraction(reg_1, order)),
         subgroup_orders=sub,
         normalizer_order=nc.normalizer_order,
         weyl_order=nc.weyl_order,
         exceptional_field=desc.exceptional_field,
     )
-
-
-def regular_torus_count(desc: GroupDescriptor, m: int = 1, part: str = "full") -> int:
-    """|{x in T ∩ part : x^m regular}| from the exponent-level model."""
-    return _TorusModel(desc).count_regular(m, part)

@@ -174,6 +174,8 @@ def test_torus_gu2_f2_answers():
         ["density", "--family", "C", "--r", "3", "--ells", "5,7,11"],
         ["density", "--family", "A", "--r", "3", "--ells", "5"],
         ["density", "--family", "A", "--r", "4", "--ells", "5"],
+        ["density", "--family", "C", "--r", "2", "--ells", "1009"],
+        ["density", "--family", "A", "--r", "4", "--ells", "10007"],
     ],
 )
 def test_density_answers_at_paper_ranks(argv):
@@ -193,6 +195,9 @@ def test_density_answers_at_paper_ranks(argv):
         (["torus", "--family", "C", "--r", "1", "--ell", "3", "--m", "0"], 4, "ValueError"),
         (["nonspecial", "--r", "0", "--sig", "0:0"], 4, "ValueError"),
         (["cm-fraction", "--degree", "4", "--ell", "4"], 4, "CompositeModulus"),
+        (["density", "--family", "C", "--r", "1", "--ells", ","], 4, "ValueError"),
+        (["simulate", "--family", "C", "--r", "1", "--ells", ",", "--samples", "10", "--seed", "1"], 4, "ValueError"),
+        (["torus", "--family", "C", "--r", "9", "--ell", "11"], 3, "BudgetExceeded"),
     ],
 )
 def test_rejections_exit_with_a_json_error(argv, status, error, capsys):

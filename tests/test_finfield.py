@@ -53,6 +53,21 @@ def test_canonical_modulus_f16_gcd_check():
     assert subfield_degree(t) == 4
 
 
+@pytest.mark.parametrize(
+    "p,k,modulus",
+    [
+        (5, 6, (1, 0, 0, 0, 1, 1, 1)),
+        (7, 4, (1, 0, 0, 1, 1)),
+        (13, 4, (1, 0, 0, 1, 1)),
+        (31, 4, (1, 0, 0, 1, 1)),
+        (1009, 2, (1, 9, 1)),
+    ],
+)
+def test_canonical_modulus_pinned(p, k, modulus):
+    # values from the search that also scanned every zero constant term
+    assert make_field(p, k).modulus == modulus
+
+
 def test_make_field_is_deterministic():
     assert make_field(5, 3).modulus == make_field(5, 3).modulus
     assert make_field(5, 3) is make_field(5, 3)

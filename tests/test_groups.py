@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from frobsplit.finfield import FieldMismatch, make_field
 from frobsplit.groups import (
+    MAX_TORUS_SIZE,
     AnisotropicTorus,
     BudgetExceeded,
     DimensionMismatch,
@@ -12,6 +14,7 @@ from frobsplit.groups import (
     GroupElement,
     NormalizerCensus,
     _packed_group,
+    _torus_part,
     build_anisotropic_torus,
     classify_element,
     classify_element_oracle,
@@ -21,10 +24,12 @@ from frobsplit.groups import (
     exhaustive_classification,
     group_order,
     identity_element,
+    mat_det,
     normalizer_census,
     normalizer_census_oracle,
     pack_matrix,
     regular_torus_count,
+    regular_torus_count_oracle,
     torus_census,
     torus_element_matrices,
     torus_order,
@@ -143,13 +148,17 @@ def test_census_values_c_r1():
 
 
 def test_census_m_fiber_bound():
-    from frobsplit.groups import _TorusModel
-
+    # x -> x^m has fibers of size at most gcd(m, |T|) on a cyclic torus and
+    # gcd(m, ell^r - 1) gcd(m, ell - 1) on the dual-pair torus
     for desc in (C3, C5, A2):
-        model = _TorusModel(desc)
-        base = model.count_regular(1)
+        q = desc.ell
+        base = regular_torus_count(desc, 1)
         for m in (2, 3, 4):
-            assert model.count_regular(m) <= base * model.max_power_fiber(m)
+            if desc.family == "A" and desc.r % 2 == 0:
+                fiber = gcd(m, q**desc.r - 1) * gcd(m, q - 1)
+            else:
+                fiber = gcd(m, torus_order(desc))
+            assert regular_torus_count(desc, m) <= base * fiber
 
 
 def test_classify_examples():
@@ -286,8 +295,15 @@ def test_budget_exceeded_paths():
     with pytest.raises(BudgetExceeded):
         enumerate_group_packed(sp4)
     huge_torus = GroupDescriptor("C", 9, 11)
+    # the census is a closed form and answers; building the matrix torus,
+    # which scans GF(11^18), is what stays capped
+    census = torus_census(huge_torus)
+    assert census.torus_order == torus_order(huge_torus) > MAX_TORUS_SIZE
+    assert 0 < census.regular_count < census.torus_order
+    with pytest.raises(BudgetExceeded, match="MAX_TORUS_SIZE"):
+        build_anisotropic_torus(huge_torus)
     with pytest.raises(BudgetExceeded):
-        torus_census(huge_torus)
+        torus_element_matrices(huge_torus)
 
 
 def test_interpolation_of_torus_polynomials():
@@ -327,17 +343,20 @@ def test_interpolation_of_torus_polynomials():
     ],
 )
 def test_exponent_model_matches_matrix_model(desc):
-    """The integer census model and the matrix layer agree element by
-    element on subgroup membership and (where the fast path applies) on
-    regularity."""
-    from frobsplit.groups import _TorusModel, mat_det
-
-    model = _TorusModel(desc)
+    """The exponent classes of each part agree element by element with the
+    matrix torus (enumerated in the order of the exponents (i, w)), and the
+    closed-form counts agree with the matrices."""
+    q = desc.ell
     matrices = torus_element_matrices(desc)
     one = desc.matrix_field.one()
+    dual_pair = desc.family == "A" and desc.r % 2 == 0
+    census = torus_census(desc)
     parts = ["full", "derived"] + (["unitary"] if desc.family == "A" else [])
-    for idx, elt in zip(model.indices(), matrices):
-        for part in parts:
+    for part in parts:
+        _, (d, c), ws = _torus_part(desc, part)
+        members = 0
+        for k, elt in enumerate(matrices):
+            i, w = divmod(k, q - 1) if dual_pair else (k, 0)
             if part == "full":
                 in_part_matrix = True
             elif part == "unitary":
@@ -346,14 +365,57 @@ def test_exponent_model_matches_matrix_model(desc):
                 in_part_matrix = elt.similitude == 1
             else:
                 in_part_matrix = elt.similitude == 1 and mat_det(elt.matrix) == one
-            assert model.in_part(idx, part) == in_part_matrix, (idx, part)
-        assert model.is_regular(idx) == classify_element(elt, 1), idx
+            assert (i % d == c and w in ws) == in_part_matrix, (k, part)
+            members += in_part_matrix
+        assert census.subgroup_orders[part] == members
+        assert regular_torus_count(desc, 1, part) == regular_torus_count_oracle(desc, 1, part)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        GroupDescriptor(family, r, ell)
+        for family, r, ells in [
+            ("C", 1, (2, 3, 5, 7)),
+            ("C", 2, (2, 3)),
+            ("C", 3, (2,)),
+            ("A", 1, (2, 3, 5)),
+            ("A", 2, (2, 3, 5)),
+            ("A", 3, (2,)),
+            ("A", 4, (2,)),
+        ]
+        for ell in ells
+    ],
+    ids=repr,
+)
+def test_regular_torus_count_equals_oracle(desc):
+    """The closed form against classifying every matrix of the torus."""
+    parts = ["full", "derived"] + (["unitary"] if desc.family == "A" else [])
     for part in parts:
-        assert model.count_part(part) == sum(
-            1
-            for idx in model.indices()
-            if model.in_part(idx, part)
-        )
+        for m in (1, 2, 3):
+            assert regular_torus_count(desc, m, part) == regular_torus_count_oracle(desc, m, part), (part, m)
+
+
+@pytest.mark.parametrize("ell", [1009, 10007])
+def test_regular_count_c_r1_is_ell_squared_minus_ell(ell):
+    """For GSp_2 the torus is all of GF(ell^2)*, and its irregular elements
+    are the ell - 1 scalars GF(ell)*."""
+    desc = GroupDescriptor("C", 1, ell)
+    assert regular_torus_count(desc) == ell * ell - ell
+    assert torus_census(desc).regular_count == ell * ell - ell
+
+
+def test_regular_count_where_the_subsets_explode():
+    # GU_10 over GF(4): 25 coincidence congruences and one subfield one,
+    # 2^26 subsets; 990 is the value of the former exponent-by-exponent walk
+    assert regular_torus_count(GroupDescriptor("A", 10, 2)) == 990
+
+
+def test_unknown_part_is_rejected():
+    with pytest.raises(ValueError):
+        regular_torus_count(C3, 1, "unitary")
+    with pytest.raises(ValueError):
+        regular_torus_count_oracle(C3, 1, "unitary")
 
 
 def test_packed_round_trip():
