@@ -8,6 +8,11 @@ embeddings are provided; subfield questions are answered through degrees.
 
 Field sizes are capped below 2**63 so all arithmetic stays exact machine
 arithmetic.
+
+The module also holds the package's one kernel of dense polynomials over
+Z/m on int tuples (the ``_int_*`` functions).  It serves the canonical-modulus
+search, the Rabin irreducibility test over GF(p) that
+``intpoly.is_irreducible_mod`` runs, and Hensel lifting in ``intpoly``.
 """
 
 from __future__ import annotations
@@ -74,78 +79,115 @@ def prime_divisors(n: int):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over GF(p), used only to find the canonical modulus
+# dense polynomials over Z/m: ascending int tuples without trailing zeros,
+# () is zero (see the module docstring for who uses them)
 
-def _p_trim(c):
+
+def _int_mod(coeffs, m):
+    c = [x % m for x in coeffs]
     while c and c[-1] == 0:
-        c = c[:-1]
-    return c
+        c.pop()
+    return tuple(c)
 
 
-def _p_mulmod(a, b, f, p):
-    n = len(f) - 1
-    prod_ = [0] * (len(a) + len(b) - 1)
+def _int_mul_mod(a, b, m):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod_[i + j] = (prod_[i + j] + ai * bj) % p
-    # reduce by the monic f
-    for i in range(len(prod_) - 1, n - 1, -1):
-        c = prod_[i]
-        if c:
-            prod_[i] = 0
-            for j in range(n + 1):
-                prod_[i - n + j] = (prod_[i - n + j] - c * f[j]) % p
-    return _p_trim(tuple(prod_[:n]))
+                out[i + j] = (out[i + j] + ai * bj) % m
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
-def _p_powmod_x(e: int, f, p):
-    """x**e mod f over GF(p), binary exponentiation."""
-    result = (1,)
-    base = (0, 1) if len(f) > 2 else _p_trim(((-f[0]) % p,))
-    while e:
-        if e & 1:
-            result = _p_mulmod(result, base, f, p)
-        base = _p_mulmod(base, base, f, p)
-        e >>= 1
+def _int_sub_mod(a, b, m):
+    n = max(len(a), len(b))
+    a = tuple(a) + (0,) * (n - len(a))
+    b = tuple(b) + (0,) * (n - len(b))
+    c = [(x - y) % m for x, y in zip(a, b)]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _int_divmod_monic_mod(a, b, m):
+    """Divide by a monic b with all arithmetic mod m."""
+    q = [0] * max(len(a) - len(b) + 1, 1)
+    r = list(a)
+    while len(r) >= len(b):
+        while r and r[-1] % m == 0:
+            r.pop()
+        if len(r) < len(b):
+            break
+        c = r[-1] % m
+        d = len(r) - len(b)
+        q[d] = c
+        for j, bj in enumerate(b):
+            r[d + j] = (r[d + j] - c * bj) % m
+    while r and r[-1] % m == 0:
+        r.pop()
+    qq = [x % m for x in q]
+    while qq and qq[-1] == 0:
+        qq.pop()
+    return tuple(qq), tuple(r)
+
+
+def _int_divmod_with_inv(a, b, p):
+    """Division over GF(p) for a not-necessarily-monic b."""
+    inv = pow(b[-1], p - 2, p)
+    bm = tuple(x * inv % p for x in b)
+    q, r = _int_divmod_monic_mod(a, bm, p)
+    q = tuple(x * inv % p for x in q)
+    return q, r
+
+
+def _int_ext_gcd(a, b, p):
+    """Extended Euclid over GF(p): (g, s, t) with g = s*a + t*b monic."""
+    r0, r1 = _int_mod(a, p), _int_mod(b, p)
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
+    while r1:
+        q, r = _int_divmod_with_inv(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _int_sub_mod(s0, _int_mul_mod(q, s1, p), p)
+        t0, t1 = t1, _int_sub_mod(t0, _int_mul_mod(q, t1, p), p)
+    inv = pow(r0[-1], p - 2, p)
+    scale = lambda c: tuple(x * inv % p for x in c)  # noqa: E731
+    return scale(r0), scale(s0), scale(t0)
+
+
+def _int_powmod(a, e: int, f, m):
+    """a**e mod the monic f for e >= 1 (a already reduced), left to right."""
+    result = a
+    for bit in bin(e)[3:]:
+        result = _int_divmod_monic_mod(_int_mul_mod(result, result, m), f, m)[1]
+        if bit == "1":
+            result = _int_divmod_monic_mod(_int_mul_mod(result, a, m), f, m)[1]
     return result
 
 
-def _p_gcd(a, b, p):
-    a, b = _p_trim(a), _p_trim(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = tuple(c * inv % p for c in b)
-        r = a
-        while len(r) >= len(bm):
-            c, shift = r[-1], len(r) - len(bm)
-            work = list(r)
-            for j, bj in enumerate(bm):
-                work[shift + j] = (work[shift + j] - c * bj) % p
-            r = _p_trim(tuple(work))
-        a, b = b, r
-    return a
+def _int_is_irreducible(f, p) -> bool:
+    """Rabin test for a monic f of degree k >= 1 over GF(p): f divides
+    x^(p^k) - x and is coprime to x^(p^(k/r)) - x for every prime r | k.
 
-
-def _minus_x_mod(a, p):
-    """a - x with coefficients reduced mod p."""
-    sub = list(a) + [0] * (2 - len(a))
-    sub[1] = (sub[1] - 1) % p
-    return _p_trim(tuple(c % p for c in sub))
-
-
-def _is_irreducible(f, p) -> bool:
-    """Rabin test for a monic f over GF(p)."""
+    The Frobenius powers x^(p^j) are built one p-th power at a time, so a
+    failed coprimality check stops the test early."""
     k = len(f) - 1
-    if k < 1:
-        return False
-    if _minus_x_mod(_p_powmod_x(p**k, f, p), p):
-        return False
-    for r in prime_divisors(k):
-        g = _p_gcd(_minus_x_mod(_p_powmod_x(p ** (k // r), f, p), p), f, p)
-        if len(g) != 1:
-            return False
-    return True
+    x = _int_divmod_monic_mod((0, 1), f, p)[1]
+    checks = {k // r for r in prime_divisors(k)}
+    h = x
+    for j in range(1, k + 1):
+        h = _int_powmod(h, p, f, p)
+        if j in checks:
+            g, rem = f, _int_sub_mod(h, x, p)
+            while rem:
+                g, rem = rem, _int_divmod_with_inv(g, rem, p)[1]
+            if len(g) != 1:
+                return False
+    return h == x
 
 
 def _canonical_modulus(p: int, k: int):
@@ -155,7 +197,7 @@ def _canonical_modulus(p: int, k: int):
         return (0, 1)
     for low in product(range(1, p), *[range(p)] * (k - 1)):
         f = low + (1,)
-        if _is_irreducible(f, p):
+        if _int_is_irreducible(f, p):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable
 

@@ -57,7 +57,15 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from .finfield import FFElement, FieldMismatch, FiniteField, is_prime, make_field, prime_divisors
+from .finfield import (
+    FFElement,
+    FieldMismatch,
+    FiniteField,
+    is_prime,
+    make_field,
+    minimal_polynomial,
+    prime_divisors,
+)
 from .intpoly import ModPoly, factor_mod, is_irreducible_mod, mod_gcd
 
 MAX_GROUP_SIZE = 10**6
@@ -354,8 +362,6 @@ def _subfield_quadratic_image(big: FiniteField, element_maps_to: FiniteField):
     standalone field: returns (w, w_std) where w generates the subfield."""
     zeta = _multiplicative_generator(big)
     w = zeta ** ((big.q - 1) // (element_maps_to.q - 1))
-    from .finfield import minimal_polynomial
-
     mp = minimal_polynomial(w)
     for cand in element_maps_to.elements():
         acc = element_maps_to.zero()
@@ -366,25 +372,23 @@ def _subfield_quadratic_image(big: FiniteField, element_maps_to: FiniteField):
     raise AssertionError("no root of the subfield polynomial found")
 
 
-def _k_linear_matrix(big: FiniteField, small: FiniteField, w: FFElement, w_std: FFElement, x: FFElement):
-    """Matrix of multiplication by x on `big` viewed over the degree-2
-    subfield generated by w, with entries mapped into `small`."""
-    ell = big.p
-    dim = big.k
-    half = dim // 2
-    tpows = [big.element([0] * i + [1]) for i in range(half)]
-    basis = tpows + [w * t for t in tpows]
-    cols = [list(b.coeffs) for b in basis]
-    binv = _int_mat_inverse(cols, ell)  # columns indexed by basis members
-    out = []
-    for i in range(half):
-        out.append([None] * half)
+def _k_basis(big: FiniteField, w: FFElement):
+    """The powers t^i, i < dim/2, and the inverse over GF(ell) of the basis
+    {t^i} + {w*t^i} of `big`; its rows give the coordinates in that basis."""
+    tpows = [big.element([0] * i + [1]) for i in range(big.k // 2)]
+    cols = [list(b.coeffs) for b in tpows + [w * t for t in tpows]]
+    return tpows, _int_mat_inverse(cols, big.p)
+
+
+def _k_linear_matrix(small: FiniteField, w_std: FFElement, tpows, binv, x: FFElement):
+    """Matrix of multiplication by x on the big field viewed over its degree-2
+    subfield, in the basis of _k_basis, with entries mapped into `small`."""
+    half = len(tpows)
+    out = [[None] * half for _ in range(half)]
     for j in range(half):
-        y = x * tpows[j]
-        coords = _int_mat_apply(binv, list(y.coeffs), ell)
+        coords = _int_mat_apply(binv, list((x * tpows[j]).coeffs), small.p)
         for i in range(half):
-            a, b = coords[i], coords[half + i]
-            out[i][j] = small.scalar(a) + small.scalar(b) * w_std
+            out[i][j] = small.scalar(coords[i]) + small.scalar(coords[half + i]) * w_std
     return tuple(tuple(row) for row in out)
 
 
@@ -578,7 +582,7 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         zeta, w, w_std = _subfield_quadratic_image(big, field)
         gen = zeta ** ((q**r - 1) // (q - 1))
         half = r
-        tpows = [big.element([0] * i + [1]) for i in range(half)]
+        tpows, binv = _k_basis(big, w)
         sigma_pow = q**r
 
         def k_trace(x):
@@ -591,15 +595,18 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
             return acc
 
         def to_std(x):
-            # x lies in the quadratic subfield spanned by {1, w}
-            coords = _k_coords(big, w, x)
-            return field.scalar(coords[0]) + field.scalar(coords[1]) * w_std
+            # x = a + b*w in the quadratic subfield: coordinates (a, 0.., b, 0..)
+            coords = _int_mat_apply(binv, list(x.coeffs), q)
+            a, b = coords[0], coords[half]
+            coords[0] = coords[half] = 0
+            assert not any(coords), "element does not lie in the quadratic subfield"
+            return field.scalar(a) + field.scalar(b) * w_std
 
         gram = tuple(
             tuple(to_std(k_trace(tpows[i] ** sigma_pow * tpows[j])) for j in range(half))
             for i in range(half)
         )
-        mult = _k_linear_matrix(big, field, w, w_std, gen)
+        mult = _k_linear_matrix(field, w_std, tpows, binv, gen)
         p_mat = _hermitian_change_of_basis(gram, field)
         std = mat_mul(mat_mul(mat_inverse(p_mat), mult), p_mat)
         elt = contains(desc, std)
@@ -615,7 +622,7 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
     else:
         zeta, w, w_std = _subfield_quadratic_image(big, field)
         gamma = _multiplicative_generator(big)
-        a_block = _k_linear_matrix(big, field, w, w_std, gamma)
+        a_block = _k_linear_matrix(field, w_std, *_k_basis(big, w), gamma)
     dual = mat_inverse(mat_conj_transpose(a_block, True))
     zero = field.zero()
     gen1 = tuple(
@@ -644,28 +651,6 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         assert elt is not None, "torus generator must preserve the standard form"
         elts.append(elt)
     return AnisotropicTorus(desc, tuple(elts), order, big)
-
-
-def _k_coords(big: FiniteField, w: FFElement, x: FFElement):
-    """Coordinates of x in the basis {1, w} of the quadratic subfield."""
-    p = big.p
-    cols = [list(big.one().coeffs), list(w.coeffs)]
-    # solve the 2-unknown system over GF(p) via two independent rows
-    rows = [i for i in range(big.k)]
-    for i in rows:
-        for j in rows:
-            if i == j:
-                continue
-            det = (cols[0][i] * cols[1][j] - cols[0][j] * cols[1][i]) % p
-            if det:
-                inv = pow(det, -1, p)
-                a = (x.coeffs[i] * cols[1][j] - x.coeffs[j] * cols[1][i]) * inv % p
-                b = (cols[0][i] * x.coeffs[j] - cols[0][j] * x.coeffs[i]) * inv % p
-                # confirm consistency on the full coordinate vector
-                ref = big.scalar(a) + big.scalar(b) * w
-                assert ref == x, "element does not lie in the quadratic subfield"
-                return a, b
-    raise AssertionError("degenerate subfield basis")
 
 
 def torus_element_matrices(desc: GroupDescriptor):

@@ -1,13 +1,14 @@
 """Polynomials over Z and over finite fields.
 
 Covers the coefficient-level machinery the rest of the package leans on:
-reduction mod a prime, complete factorisation over GF(q) (squarefree split,
-distinct-degree split, Cantor-Zassenhaus equal-degree split), factorisation
-over Z by the classical mod-p / Hensel / recombination route with a
-Landau-Mignotte coefficient bound, and exact d-th roots of monic integer
-polynomials.  Everything is exact; randomised splitting is driven by an
-explicit seed and the output ordering is canonical, so all results are
-reproducible.
+reduction mod a prime, irreducibility over a prime field (Rabin test),
+complete factorisation over GF(q) (squarefree split, distinct-degree split,
+Cantor-Zassenhaus equal-degree split), factorisation over Z by the classical
+mod-p / Hensel / recombination route with a Landau-Mignotte coefficient
+bound, and exact d-th roots of monic integer polynomials.  The Rabin test and
+Hensel lifting run on finfield's int-tuple polynomial kernel.  Everything is
+exact; randomised splitting is driven by an explicit seed and the output
+ordering is canonical, so all results are reproducible.
 
 Scale target is degree <= 20 with moderate coefficients, which is all the
 Weil-polynomial work ever needs.
@@ -21,7 +22,19 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
-from .finfield import FFElement, FiniteField, is_prime, make_field
+from .finfield import (
+    FFElement,
+    FiniteField,
+    _int_divmod_monic_mod,
+    _int_divmod_with_inv,
+    _int_ext_gcd,
+    _int_is_irreducible,
+    _int_mod,
+    _int_mul_mod,
+    _int_sub_mod,
+    is_prime,
+    make_field,
+)
 
 
 class ZeroPolynomial(ValueError):
@@ -466,13 +479,20 @@ def factor_mod(f: ModPoly, seed: int = 0):
 
 
 def is_irreducible_mod(f: ModPoly) -> bool:
-    """True iff f has a single irreducible factor with multiplicity 1."""
+    """True iff f is irreducible over its prime field GF(p), by the Rabin test.
+
+    Only prime-field polynomials are accepted (ValueError otherwise); over
+    GF(p^k) with k > 1, read irreducibility off factor_mod.
+    """
     if f.is_zero():
         raise ZeroPolynomial("irreducibility of the zero polynomial")
+    if f.field.k != 1:
+        raise ValueError(f"is_irreducible_mod needs a prime field, not {f.field}; use factor_mod")
     if f.degree < 1:
         raise ValueError("irreducibility needs degree >= 1")
-    _, factors = factor_mod(f)
-    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == f.degree
+    p = f.field.p
+    inv = pow(f.lc().lift(), -1, p)
+    return _int_is_irreducible(tuple(c.lift() * inv % p for c in f.coeffs), p)
 
 
 # -- factorisation over Z ----------------------------------------------------
@@ -489,85 +509,9 @@ def _mignotte_bound(f: IntPoly) -> int:
     return (2**n) * norm * abs(f.lc())
 
 
-def _int_mod(coeffs, m):
-    c = [x % m for x in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _int_mul_mod(a, b, m):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _int_sub_mod(a, b, m):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    c = [(x - y) % m for x, y in zip(a, b)]
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _int_divmod_monic_mod(a, b, m):
-    """Divide by a monic b with all arithmetic mod m."""
-    q = [0] * max(len(a) - len(b) + 1, 1)
-    r = list(a)
-    while len(r) >= len(b):
-        while r and r[-1] % m == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        c = r[-1] % m
-        d = len(r) - len(b)
-        q[d] = c
-        for j, bj in enumerate(b):
-            r[d + j] = (r[d + j] - c * bj) % m
-    while r and r[-1] % m == 0:
-        r.pop()
-    qq = [x % m for x in q]
-    while qq and qq[-1] == 0:
-        qq.pop()
-    return tuple(qq), tuple(r)
-
-
-def _p_ext_gcd(a, b, p):
-    """Extended Euclid over GF(p) on int-tuple polynomials: (g, s, t)."""
-    r0, r1 = _int_mod(a, p), _int_mod(b, p)
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = _int_divmod_with_inv(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _int_sub_mod(s0, _int_mul_mod(q, s1, p), p)
-        t0, t1 = t1, _int_sub_mod(t0, _int_mul_mod(q, t1, p), p)
-    inv = pow(r0[-1], p - 2, p)
-    scale = lambda c: tuple(x * inv % p for x in c)  # noqa: E731
-    return scale(r0), scale(s0), scale(t0)
-
-
-def _int_divmod_with_inv(a, b, p):
-    """Division over GF(p) for a not-necessarily-monic b."""
-    inv = pow(b[-1], p - 2, p)
-    bm = tuple(x * inv % p for x in b)
-    q, r = _int_divmod_monic_mod(a, bm, p)
-    q = tuple(x * inv % p for x in q)
-    return q, r
-
-
 def _hensel_pair(f, g, h, p, e):
     """Lift f = g*h from mod p to mod p^e (all monic, gcd(g,h)=1 mod p)."""
-    _, s, t = _p_ext_gcd(g, h, p)
+    _, s, t = _int_ext_gcd(g, h, p)
     modulus = p
     g, h = tuple(g), tuple(h)
     while modulus < p**e:

@@ -28,17 +28,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
-from .finfield import is_prime, make_field
+from .finfield import is_prime, make_field, prime_divisors
 from .intpoly import (
     IntPoly,
     ModPoly,
     NotMonic,
-    dth_root,
+    _q_divmod,
+    _q_trim,
     factor_mod,
     factor_over_Z,
     int_poly_gcd,
     max_power_structure,
-    mod_gcd,
     try_divide,
 )
 
@@ -77,16 +77,14 @@ def _prime_power(q: int):
     """(p, a) with q = p^a, or raise."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, isqrt(q) + 1):
-        if q % p == 0:
-            a = 0
-            while q % p == 0:
-                q //= p
-                a += 1
-            if q != 1 or not is_prime(p):
-                raise ValueError("q must be a prime power")
-            return p, a
-    return q, 1  # q itself is prime
+    primes = prime_divisors(q)
+    if len(primes) != 1:
+        raise ValueError("q must be a prime power")
+    p, a = primes[0], 0
+    while q % p == 0:
+        q //= p
+        a += 1
+    return p, a
 
 
 @dataclass(frozen=True)
@@ -160,8 +158,6 @@ def _sign_a_plus_b_sqrtq(a: Fraction, b: Fraction, q: int) -> int:
 
 
 def _sturm_chain(coeffs):
-    from .intpoly import _q_divmod, _q_trim
-
     chain = [_q_trim(tuple(Fraction(c) for c in coeffs))]
     deriv = tuple(Fraction(i * c) for i, c in enumerate(coeffs) if i >= 1)
     chain.append(_q_trim(deriv))

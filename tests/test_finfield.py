@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from frobsplit.finfield import (
@@ -5,6 +7,7 @@ from frobsplit.finfield import (
     DivisionByZero,
     FieldMismatch,
     Overflow,
+    _int_is_irreducible,
     field_arith,
     frobenius_orbit,
     make_field,
@@ -51,6 +54,14 @@ def test_canonical_modulus_f16_gcd_check():
     # irreducible means the generator has full degree
     t = f.element([0, 1])
     assert subfield_degree(t) == 4
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rabin_test_on_the_int_kernel(p):
+    # degree 1: x is reduced mod f before it is compared with x^p mod f
+    assert all(_int_is_irreducible((c, 1), p) for c in range(p))
+    quads = {f for f in product(range(p), range(p), [1]) if _int_is_irreducible(f, p)}
+    assert quads == set(brute_force_irreducible_quadratics(p))
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
+from frobsplit import intpoly
 from frobsplit.finfield import make_field
 from frobsplit.intpoly import (
     DegreeNotDivisible,
@@ -187,6 +189,43 @@ def test_is_irreducible_examples():
     assert not is_irreducible_mod(ModPoly.from_ints(f5, [1, 0, 1]))  # roots +-2
     assert (2 * 2) % 5 == 4 == (-1) % 5
     assert is_irreducible_mod(ModPoly.from_ints(f2, [1, 1, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_irreducible_mod_equals_factorisation(p):
+    # every monic polynomial of degree 1-4 over GF(p), Rabin test vs factor_mod
+    field = make_field(p, 1)
+    for deg in range(1, 5):
+        for low in product(range(p), repeat=deg):
+            f = ModPoly.from_ints(field, low + (1,))
+            _, factors = factor_mod(f)
+            expected = len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == f.degree
+            assert is_irreducible_mod(f) == expected, low
+
+
+def test_is_irreducible_mod_non_monic():
+    f7 = make_field(7, 1)
+    assert is_irreducible_mod(ModPoly.from_ints(f7, [3, 5]))
+    assert is_irreducible_mod(ModPoly.from_ints(f7, [3, 0, 3]))  # 3(t^2 + 1), -1 a non-square
+    assert not is_irreducible_mod(ModPoly.from_ints(f7, [1, 0, 3]))  # 3(t^2 + 5) = 3(t - 3)(t + 3)
+
+
+def test_is_irreducible_mod_rejects_extension_field_and_zero():
+    f9 = make_field(3, 2)
+    with pytest.raises(ValueError, match="factor_mod"):
+        is_irreducible_mod(ModPoly.from_ints(f9, [1, 0, 1]))
+    with pytest.raises(ZeroPolynomial):
+        is_irreducible_mod(ModPoly.make(make_field(3, 1), []))
+
+
+def test_is_irreducible_mod_runs_no_factorisation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor_mod called")
+
+    monkeypatch.setattr(intpoly, "factor_mod", refuse)
+    f5 = make_field(5, 1)
+    assert is_irreducible_mod(ModPoly.from_ints(f5, [2, 0, 1]))
+    assert not is_irreducible_mod(ModPoly.from_ints(f5, [1, 0, 1]))
 
 
 def test_factor_over_Z_perfect_square():

@@ -1,0 +1,66 @@
+"""Static checks on the package's imports, read from the source with ast.
+
+Every import sits at module level, every name a module imports is used, and
+finfield, which holds the int-tuple polynomial kernel, imports nothing from
+the package, so it stays at the bottom of the import graph.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "frobsplit"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _bound_names(node):
+    """The names a top-level import statement binds."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [(a.asname or a.name).split(".")[0] for a in node.names]
+
+
+def test_the_package_has_modules():
+    assert {"finfield.py", "intpoly.py", "groups.py", "cli.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    nested = []
+    for fn in ast.walk(_tree(path)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested += [
+                f"{fn.name}:{node.lineno}"
+                for node in ast.walk(fn)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            ]
+    assert nested == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    imported = [
+        name
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _bound_names(node)
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in imported if name not in used] == []
+
+
+def test_finfield_imports_nothing_from_the_package():
+    tree = _tree(PACKAGE / "finfield.py")
+    internal = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("frobsplit")))
+        or (isinstance(node, ast.Import) and any(a.name.startswith("frobsplit") for a in node.names))
+    ]
+    assert internal == []
