@@ -41,8 +41,12 @@ def _frac(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def _ints(csv_text: str):
-    return [int(tok.strip()) for tok in csv_text.split(",") if tok.strip()]
+def _ells(csv_text: str):
+    """The primes an --ells list names; a list naming none is rejected."""
+    ells = [int(tok.strip()) for tok in csv_text.split(",") if tok.strip()]
+    if not ells:
+        raise ValueError("--ells names no prime")
+    return ells
 
 
 def _pairs(text: str):
@@ -146,10 +150,7 @@ def _run_torus(ns):
 
 
 def _model(ns) -> GaloisModel:
-    ells = _ints(ns.ells)
-    if not ells:
-        raise ValueError("--ells names no prime")
-    return GaloisModel.uniform(ns.family, ns.r, ells, ns.m, ns.squeeze)
+    return GaloisModel.uniform(ns.family, ns.r, _ells(ns.ells), ns.m, ns.squeeze)
 
 
 def _run_density(ns):
@@ -172,8 +173,8 @@ def _run_cm_fraction(ns):
     ells = []
     if ns.ell is not None:
         ells.append(ns.ell)
-    if ns.ells:
-        ells.extend(_ints(ns.ells))
+    if ns.ells is not None:
+        ells.extend(_ells(ns.ells))
     if not ells:
         raise ValueError("cm-fraction needs --ell or --ells")
     per = [(ell, cm_subfield_fraction(ns.degree, ell)) for ell in ells]
@@ -203,7 +204,7 @@ def _run_simulate(ns):
 
 
 def _run_goursat(ns):
-    factors = [GroupDescriptor(ns.family, ns.r, ell) for ell in _ints(ns.ells)]
+    factors = [GroupDescriptor(ns.family, ns.r, ell) for ell in _ells(ns.ells)]
     rng = random.Random(ns.seed)
     gens = random_generator_tuples(factors, rng, count=ns.samples)
     rep = goursat_verify(factors, gens)
@@ -226,7 +227,7 @@ def _default_aux_primes(q: int):
 def _run_weil(ns):
     f = poly_from_string(ns.poly)
     w = weil_validate(f, ns.q)
-    aux = _ints(ns.ells) if ns.ells else _default_aux_primes(ns.q)
+    aux = _ells(ns.ells) if ns.ells is not None else _default_aux_primes(ns.q)
     rep = analyze(w, aux_primes=aux)
     return {
         "q": ns.q,

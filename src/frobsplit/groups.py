@@ -38,8 +38,15 @@ two block eigenvalues coincide: m (ell^(2u) + ell^(2v+1)) i = m w n/(ell - 1)
 parts, are residue classes, so regular_torus_count counts by
 inclusion-exclusion and CRT, with no cap; regular_torus_count_oracle, which
 classifies every matrix of the torus, certifies it on small tori.  The one
-torus cap, MAX_TORUS_SIZE, guards building the matrix torus, which scans
-GF(ell^(2r)).
+torus cap, MAX_TORUS_SIZE, guards building the matrix torus: the search for
+a generator of GF(ell^(2r))*, factoring ell^(2r) - 1 for it, and the scan of
+GF(ell^2) for the root that embeds the quadratic subfield.
+
+All linear algebra over field elements (determinant, inverse, independent
+subsets, the change of basis to the standard form, the anti-fixed element of
+the symplectic torus) reads its answer off _echelon, the one row reduction.
+The packed layer keeps only multiplication, conjugate transpose, powers and
+the similitude test, which the enumeration scan and the oracles run.
 
 Classification of a group element x at level m asks whether x^m is regular
 with maximally anisotropic connected centralizer.  The fast path reads this
@@ -194,43 +201,50 @@ def mat_conj_transpose(a, conjugate: bool):
     return tuple(tuple(a[j][i] for j in range(n)) for i in range(m))
 
 
-def mat_det(a):
-    n = len(a)
-    field = a[0][0].field
-    work = [list(row) for row in a]
-    det = field.one()
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if not work[i][col].is_zero()), None)
+def _echelon(rows):
+    """Gauss-Jordan elimination, the one row reduction in this module:
+    (reduced rows, pivot columns, det), det being the determinant of the
+    leading square block (zero when that block is singular)."""
+    work = [list(row) for row in rows]
+    n = len(work)
+    det = work[0][0].field.one()
+    pivots = []
+    for col in range(len(work[0])):
+        top = len(pivots)
+        if top == n:
+            break
+        pivot = next((i for i in range(top, n) if not work[i][col].is_zero()), None)
         if pivot is None:
-            return field.zero()
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
+            continue
+        if pivot != top:
+            work[top], work[pivot] = work[pivot], work[top]
             det = -det
-        det = det * work[col][col]
-        inv = work[col][col].inverse()
-        work[col] = [inv * x for x in work[col]]
-        for i in range(col + 1, n):
-            if not work[i][col].is_zero():
-                c = work[i][col]
-                work[i] = [x - c * y for x, y in zip(work[i], work[col])]
-    return det
+        lead = work[top][col]
+        det = det * lead
+        inv = lead.inverse()
+        work[top] = [inv * x for x in work[top]]
+        for i in range(n):
+            c = work[i][col]
+            if i != top and not c.is_zero():
+                work[i] = [x - c * y for x, y in zip(work[i], work[top])]
+        pivots.append(col)
+    if pivots[:n] != list(range(n)):
+        det = det.field.zero()
+    return work, pivots, det
+
+
+def mat_det(a):
+    return _echelon(a)[2]
 
 
 def mat_inverse(a):
     n = len(a)
     field = a[0][0].field
-    work = [list(row) + [field.one() if i == j else field.zero() for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if not work[i][col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [inv * x for x in work[col]]
-        for i in range(n):
-            if i != col and not work[i][col].is_zero():
-                c = work[i][col]
-                work[i] = [x - c * y for x, y in zip(work[i], work[col])]
+    work, _, det = _echelon(
+        [list(row) + [field.one() if i == j else field.zero() for j in range(n)] for i, row in enumerate(a)]
+    )
+    if det.is_zero():
+        raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in work)
 
 
@@ -346,12 +360,13 @@ def contains(desc: GroupDescriptor, matrix) -> GroupElement | None:
 
 
 def _multiplicative_generator(field: FiniteField) -> FFElement:
-    """Least-index generator of the multiplicative group; deterministic."""
+    """Least-index generator of the multiplicative group; deterministic.
+    For k >= 2 the search starts at index p: the elements below it lie in
+    GF(p)*, which generates nothing larger."""
     n = field.q - 1
     divisors = prime_divisors(n)
-    for x in field.elements():
-        if x.is_zero():
-            continue
+    for i in range(field.p if field.k > 1 else 1, field.q):
+        x = field.from_index(i)
         if all(x ** (n // p) != field.one() for p in divisors):
             return x
     raise AssertionError("no multiplicative generator found")
@@ -374,10 +389,18 @@ def _subfield_quadratic_image(big: FiniteField, element_maps_to: FiniteField):
 
 def _k_basis(big: FiniteField, w: FFElement):
     """The powers t^i, i < dim/2, and the inverse over GF(ell) of the basis
-    {t^i} + {w*t^i} of `big`; its rows give the coordinates in that basis."""
+    {t^i} + {w*t^i} of `big`, lifted to ints; its rows give the coordinates
+    in that basis."""
+    prime = make_field(big.p, 1)
     tpows = [big.element([0] * i + [1]) for i in range(big.k // 2)]
-    cols = [list(b.coeffs) for b in tpows + [w * t for t in tpows]]
-    return tpows, _int_mat_inverse(cols, big.p)
+    basis = tpows + [w * t for t in tpows]
+    binv = mat_inverse(tuple(tuple(prime.scalar(b.coeffs[i]) for b in basis) for i in range(big.k)))
+    return tpows, [[c.lift() for c in row] for row in binv]
+
+
+def _k_coords(binv, x: FFElement):
+    """The GF(ell) coordinates of x in the basis of _k_basis, as ints."""
+    return [sum(a * b for a, b in zip(row, x.coeffs)) % x.field.p for row in binv]
 
 
 def _k_linear_matrix(small: FiniteField, w_std: FFElement, tpows, binv, x: FFElement):
@@ -386,30 +409,10 @@ def _k_linear_matrix(small: FiniteField, w_std: FFElement, tpows, binv, x: FFEle
     half = len(tpows)
     out = [[None] * half for _ in range(half)]
     for j in range(half):
-        coords = _int_mat_apply(binv, list((x * tpows[j]).coeffs), small.p)
+        coords = _k_coords(binv, x * tpows[j])
         for i in range(half):
             out[i][j] = small.scalar(coords[i]) + small.scalar(coords[half + i]) * w_std
     return tuple(tuple(row) for row in out)
-
-
-def _int_mat_inverse(cols, p):
-    """Inverse of the matrix whose columns are `cols`, over GF(p)."""
-    n = len(cols)
-    work = [[cols[j][i] % p for j in range(n)] + [1 if i == k else 0 for k in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if work[i][col] % p)
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = pow(work[col][col], -1, p)
-        work[col] = [v * inv % p for v in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                c = work[i][col]
-                work[i] = [(v - c * u) % p for v, u in zip(work[i], work[col])]
-    return [row[n:] for row in work]
-
-
-def _int_mat_apply(m, v, p):
-    return [sum(m[i][j] * v[j] for j in range(len(v))) % p for i in range(len(m))]
 
 
 def _symplectic_change_of_basis(gram, field):
@@ -436,35 +439,24 @@ def _symplectic_change_of_basis(gram, field):
         pairs.append((u, v))
         nxt = []
         for x in remaining:
-            y = tuple(
-                xi - form(x, v) * ui + form(x, u) * vi for xi, ui, vi in zip(x, u, v)
-            )
+            a, b = form(x, v), form(x, u)
+            y = tuple(xi - a * ui + b * vi for xi, ui, vi in zip(x, u, v))
             if any(not c.is_zero() for c in y):
                 nxt.append(y)
         # keep only an independent spanning set of the orthogonal complement
-        remaining = _independent_vectors(nxt, field)
+        remaining = _independent_vectors(nxt)
     cols = [p[0] for p in pairs] + [p[1] for p in reversed(pairs)]
     assert len(pairs) == r
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def _independent_vectors(vectors, field):
-    """A maximal linearly independent subset, by Gaussian elimination."""
-    rows = []
-    keep = []
-    for v in vectors:
-        cur = list(v)
-        for lead, rv in rows:
-            if not cur[lead].is_zero():
-                c = cur[lead]
-                cur = [a - c * b for a, b in zip(cur, rv)]
-        lead = next((i for i, c in enumerate(cur) if not c.is_zero()), None)
-        if lead is None:
-            continue
-        inv = cur[lead].inverse()
-        rows.append((lead, [inv * c for c in cur]))
-        keep.append(v)
-    return keep
+def _independent_vectors(vectors):
+    """The greedy maximal linearly independent subset: the pivot columns of
+    the matrix whose columns are the vectors."""
+    if not vectors:
+        return []
+    _, pivots, _ = _echelon(list(zip(*vectors)))
+    return [vectors[j] for j in pivots]
 
 
 def _hermitian_change_of_basis(gram, field):
@@ -503,12 +495,38 @@ def _hermitian_change_of_basis(gram, field):
         ortho.append(u)
         nxt = []
         for x in remaining:
-            y = tuple(xi - form(u, x) * ui for xi, ui in zip(x, u))
+            a = form(u, x)
+            y = tuple(xi - a * ui for xi, ui in zip(x, u))
             if any(not c.is_zero() for c in y):
                 nxt.append(y)
-        remaining = _independent_vectors(nxt, field)
+        remaining = _independent_vectors(nxt)
     assert len(ortho) == n
     return tuple(tuple(ortho[j][i] for j in range(n)) for i in range(n))
+
+
+def _anti_fixed_element(big: FiniteField, e: int) -> FFElement:
+    """The least-index c != 0 in `big` with c^e = -c, for e a power of p.
+
+    These c are the kernel of the GF(p)-linear map x -> x^e + x, whose
+    column j is (t^e)^j + t^j.  A nonzero kernel vector with the lowest top
+    coordinate is unique up to scale (two would differ by one with a lower
+    top), and the least index is that vector with top coordinate 1: the last
+    echelon row of a kernel basis written with its coordinates reversed."""
+    prime = make_field(big.p, 1)
+    k = big.k
+    s = big.element([0, 1]) ** e
+    cols = [s**j + big.element([0] * j + [1]) for j in range(k)]
+    rows, pivots, _ = _echelon([[prime.scalar(c.coeffs[i]) for c in cols] for i in range(k)])
+    kernel = []
+    for f in range(k):
+        if f in pivots:
+            continue
+        v = [prime.one() if i == f else prime.zero() for i in range(k)]
+        for row, col in zip(rows, pivots):
+            v[col] = -row[f]
+        kernel.append(v[::-1])
+    least = _echelon(kernel)[0][len(kernel) - 1]
+    return big.element([x.lift() for x in reversed(least)])
 
 
 @dataclass(frozen=True)
@@ -546,9 +564,7 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         gen = zeta ** ((q**r - 1) // (q - 1))
         # alternating trace form Tr(c * x * y^sigma) with c anti-fixed by sigma
         sigma_pow = q**r
-        c = next(
-            x for x in big.elements() if not x.is_zero() and x**sigma_pow == -x
-        )
+        c = _anti_fixed_element(big, sigma_pow)
         n = 2 * r
         tpows = [big.element([0] * i + [1]) for i in range(n)]
 
@@ -596,7 +612,7 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
 
         def to_std(x):
             # x = a + b*w in the quadratic subfield: coordinates (a, 0.., b, 0..)
-            coords = _int_mat_apply(binv, list(x.coeffs), q)
+            coords = _k_coords(binv, x)
             a, b = coords[0], coords[half]
             coords[0] = coords[half] = 0
             assert not any(coords), "element does not lie in the quadratic subfield"
@@ -620,8 +636,7 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         gamma_std = _multiplicative_generator(field)
         a_block = ((gamma_std,),)
     else:
-        zeta, w, w_std = _subfield_quadratic_image(big, field)
-        gamma = _multiplicative_generator(big)
+        gamma, w, w_std = _subfield_quadratic_image(big, field)
         a_block = _k_linear_matrix(field, w_std, *_k_basis(big, w), gamma)
     dual = mat_inverse(mat_conj_transpose(a_block, True))
     zero = field.zero()
@@ -684,7 +699,6 @@ class _PackedField:
         q = field.q
         self.add = [[(els[a] + els[b]).index() for b in range(q)] for a in range(q)]
         self.mul = [[(els[a] * els[b]).index() for b in range(q)] for a in range(q)]
-        self.neg = [(-els[a]).index() for a in range(q)]
         self.inv = [0] + [(els[a].inverse()).index() for a in range(1, q)]
         self.conj = [(els[a] ** field.p).index() for a in range(q)]
 
@@ -734,26 +748,6 @@ def _pmat_conj_transpose(pf: _PackedField, n: int, conjugate: bool):
     return ct
 
 
-def _pmat_inverse(pf: _PackedField, n: int):
-    add, mul, neg, inv = pf.add, pf.mul, pf.neg, pf.inv
-
-    def mi(a):
-        work = [[a[i * n + j] for j in range(n)] + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next(i for i in range(col, n) if work[i][col])
-            work[col], work[pivot] = work[pivot], work[col]
-            s = inv[work[col][col]]
-            work[col] = [mul[s][x] for x in work[col]]
-            for i in range(n):
-                c = work[i][col]
-                if i != col and c:
-                    nc = neg[c]
-                    work[i] = [add[x][mul[nc][y]] for x, y in zip(work[i], work[col])]
-        return tuple(work[i][n + j] for i in range(n) for j in range(n))
-
-    return mi
-
-
 class _PackedGroup:
     """Per-descriptor packed matrix toolkit."""
 
@@ -763,7 +757,6 @@ class _PackedGroup:
         self.pf = _packed_field(desc.matrix_field)
         self.mm = _pmat_mul(self.pf, self.n)
         self.ct = _pmat_conj_transpose(self.pf, self.n, desc.family == "A")
-        self.minv = _pmat_inverse(self.pf, self.n)
         self.gram = pack_matrix(standard_gram(desc))
         self.identity = pack_matrix(mat_identity(desc.matrix_field, self.n))
         n = self.n
@@ -781,28 +774,6 @@ class _PackedGroup:
             if x != pf.mul[lam][g]:
                 return None
         return lam
-
-    def det(self, a) -> int:
-        pf, n = self.pf, self.n
-        add, mul, neg, inv = pf.add, pf.mul, pf.neg, pf.inv
-        work = [[a[i * n + j] for j in range(n)] for i in range(n)]
-        d = 1
-        for col in range(n):
-            pivot = next((i for i in range(col, n) if work[i][col]), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                d = neg[d]
-            d = mul[d][work[col][col]]
-            s = inv[work[col][col]]
-            work[col] = [mul[s][x] for x in work[col]]
-            for i in range(col + 1, n):
-                c = work[i][col]
-                if c:
-                    nc = neg[c]
-                    work[i] = [add[x][mul[nc][y]] for x, y in zip(work[i], work[col])]
-        return d
 
     def power(self, a, e: int):
         result = self.identity
@@ -837,14 +808,16 @@ def enumerate_group_packed(desc: GroupDescriptor, part: str = "full"):
     pg = _packed_group(desc)
     out = []
     unitary = part in ("unitary", "derived")
-    derived = part == "derived"
+    # multiplier 1 already makes a symplectic matrix special; SU needs det 1
+    special = part == "derived" and desc.family == "A"
+    one = desc.matrix_field.one()
     for mat in product(range(pg.pf.q), repeat=pg.n * pg.n):
         lam = pg.similitude(mat)
         if lam is None:
             continue
         if unitary and lam != 1:
             continue
-        if derived and pg.det(mat) != 1:
+        if special and mat_det(unpack_matrix(desc, mat)) != one:
             continue
         out.append(mat)
     assert len(out) == expected, f"enumeration found {len(out)}, formula says {expected}"
@@ -944,10 +917,13 @@ def normalizer_census_oracle(desc: GroupDescriptor) -> NormalizerCensus:
     torus = build_anisotropic_torus(desc)
     tset = frozenset(pack_matrix(t.matrix) for t in torus_element_matrices(desc))
     gens = [pack_matrix(g.matrix) for g in torus.generators]
-    mm, minv = pg.mm, pg.minv
+    mm, ct, mul, inv = pg.mm, pg.ct, pg.pf.mul, pg.pf.inv
+    # ct(g) J g = lam J, so g^-1 = (lam^-1 J^-1) ct(g) J
+    jinv = pack_matrix(mat_inverse(standard_gram(desc)))
+    scaled = {lam: tuple(mul[inv[lam]][x] for x in jinv) for lam in range(1, pg.pf.p)}
     count = 0
     for g in elements:
-        gi = minv(g)
+        gi = mm(mm(scaled[pg.similitude(g)], ct(g)), pg.gram)
         if all(mm(mm(g, t), gi) in tset for t in gens):
             count += 1
     return NormalizerCensus(count, count // torus.order)

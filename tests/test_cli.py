@@ -198,6 +198,9 @@ def test_density_answers_at_paper_ranks(argv):
         (["density", "--family", "C", "--r", "1", "--ells", ","], 4, "ValueError"),
         (["simulate", "--family", "C", "--r", "1", "--ells", ",", "--samples", "10", "--seed", "1"], 4, "ValueError"),
         (["torus", "--family", "C", "--r", "9", "--ell", "11"], 3, "BudgetExceeded"),
+        (["weil", "--q", "3", "--poly", "9,0,6,0,1", "--ells", ","], 4, "ValueError"),
+        (["goursat", "--family", "C", "--r", "1", "--ells", ",", "--seed", "1"], 4, "ValueError"),
+        (["cm-fraction", "--degree", "4", "--ells", ","], 4, "ValueError"),
     ],
 )
 def test_rejections_exit_with_a_json_error(argv, status, error, capsys):
@@ -205,3 +208,19 @@ def test_rejections_exit_with_a_json_error(argv, status, error, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["error"]["type"] == error
     assert "result" not in report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--family", "C", "--r", "1", "--ells", ","],
+        ["simulate", "--family", "C", "--r", "1", "--ells", ",", "--samples", "10", "--seed", "1"],
+        ["goursat", "--family", "C", "--r", "1", "--ells", ",", "--seed", "1"],
+        ["cm-fraction", "--degree", "4", "--ell", "3", "--ells", ","],
+        ["weil", "--q", "3", "--poly", "9,0,6,0,1", "--ells", ""],
+    ],
+)
+def test_every_ells_flag_rejects_a_list_naming_no_prime(argv):
+    report, status = run(argv)
+    assert status == 4
+    assert report["error"]["message"] == "--ells names no prime"

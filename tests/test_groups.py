@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
 from math import gcd
 
 import pytest
 
-from frobsplit.finfield import FieldMismatch, make_field
+from frobsplit.finfield import FieldMismatch, is_prime, make_field
 from frobsplit.groups import (
     MAX_TORUS_SIZE,
     AnisotropicTorus,
@@ -13,6 +14,9 @@ from frobsplit.groups import (
     GroupDescriptor,
     GroupElement,
     NormalizerCensus,
+    _anti_fixed_element,
+    _independent_vectors,
+    _multiplicative_generator,
     _packed_group,
     _torus_part,
     build_anisotropic_torus,
@@ -25,6 +29,9 @@ from frobsplit.groups import (
     group_order,
     identity_element,
     mat_det,
+    mat_identity,
+    mat_inverse,
+    mat_mul,
     normalizer_census,
     normalizer_census_oracle,
     pack_matrix,
@@ -431,3 +438,127 @@ def test_element_power_and_inverse():
     assert (g**3).matrix == (g * g * g).matrix
     assert (g * g.inverse()).matrix == identity_element(C5).matrix
     assert (g**-2).matrix == (g.inverse() * g.inverse()).matrix
+
+
+def _leibniz_det(a):
+    field = a[0][0].field
+    n = len(a)
+    total = field.zero()
+    for perm in permutations(range(n)):
+        term = field.one()
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+def _check_det_and_inverse(a):
+    det = mat_det(a)
+    assert det == _leibniz_det(a)
+    if det.is_zero():
+        with pytest.raises(ValueError):
+            mat_inverse(a)
+        return
+    inv = mat_inverse(a)
+    one = mat_identity(a[0][0].field, len(a))
+    assert mat_mul(a, inv) == one and mat_mul(inv, a) == one
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2)])
+def test_det_and_inverse_on_every_2x2_matrix(p, k):
+    field = make_field(p, k)
+    els = list(field.elements())
+    singular = 0
+    for a, b, c, d in product(els, repeat=4):
+        _check_det_and_inverse(((a, b), (c, d)))
+        singular += (a * d - b * c).is_zero()
+    q = field.q
+    assert singular == q**4 - (q * q - 1) * (q * q - q)  # |M_2| - |GL_2|
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2)])
+def test_det_and_inverse_on_random_4x4_matrices(p, k):
+    field = make_field(p, k)
+    rng = random.Random(p * 10 + k)
+    for _ in range(25):
+        a = tuple(tuple(field.from_index(rng.randrange(field.q)) for _ in range(4)) for _ in range(4))
+        _check_det_and_inverse(a)
+    # a rank-3 matrix: the last row is the sum of the others
+    rows = [[field.from_index(rng.randrange(field.q)) for _ in range(4)] for _ in range(3)]
+    rows.append([x + y + z for x, y, z in zip(*rows)])
+    _check_det_and_inverse(tuple(tuple(row) for row in rows))
+
+
+def _span(vectors, field):
+    zero = tuple(field.zero() for _ in range(3))
+    out = {zero}
+    for v in vectors:
+        out = {tuple(x + c * y for x, y in zip(u, v)) for u in out for c in field.elements()}
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2)])
+def test_independent_vectors_is_the_greedy_subset(p, k):
+    field = make_field(p, k)
+    rng = random.Random(p + k)
+    for _ in range(40):
+        vectors = [
+            tuple(field.from_index(rng.randrange(field.q)) for _ in range(3)) for _ in range(rng.randrange(1, 6))
+        ]
+        keep = _independent_vectors(vectors)
+        # v_i is kept exactly when it lies outside the span of the earlier vectors
+        expected = [v for i, v in enumerate(vectors) if v not in _span(vectors[:i], field)]
+        assert keep == expected
+        span = _span(keep, field)
+        assert len(span) == field.q ** len(keep) and span == _span(vectors, field)
+    assert _independent_vectors([]) == []
+
+
+def _anti_fixed_scan(big, e):
+    """The definitional answer: the first nonzero x in index order with x^e = -x."""
+    return next(x for x in big.elements() if not x.is_zero() and x**e == -x)
+
+
+def test_anti_fixed_element_equals_the_scan():
+    cases = [(ell, r) for r in range(1, 9) for ell in range(2, 320) if is_prime(ell) and ell ** (2 * r) <= 10**5]
+    assert len(cases) == 82
+    for ell, r in cases:
+        big = make_field(ell, 2 * r)
+        c = _anti_fixed_element(big, ell**r)
+        assert c == _anti_fixed_scan(big, ell**r), (ell, r)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (2, 6)])
+def test_multiplicative_generator_is_the_least_index_generator(p, k):
+    field = make_field(p, k)
+
+    def order(x):
+        y, n = x, 1
+        while y != field.one():
+            y, n = y * x, n + 1
+        return n
+
+    first = next(x for x in field.elements() if not x.is_zero() and order(x) == field.q - 1)
+    assert _multiplicative_generator(field) == first
+
+
+# generator matrices (packed, row by row) and similitudes of the torus,
+# recorded before the change of basis moved onto the one row reduction
+PINNED_TORI = [
+    (("C", 1, 3), ((1, 1, 2, 1),), (2,)),
+    (("C", 1, 1009), ((10, 249, 466, 1),), (11,)),
+    (("C", 2, 13), ((8, 9, 0, 4, 4, 9, 12, 8, 5, 0, 12, 2, 4, 2, 8, 9),), (11,)),
+    (("C", 3, 5), ((4, 1, 1, 0, 4, 0, 3, 0, 4, 0, 4, 4, 4, 4, 0, 4, 4, 2, 4, 1, 4, 2, 1, 4, 0, 3, 4, 3, 3, 4, 4, 3, 4, 1, 1, 3),), (2,)),
+    (("A", 1, 3), ((4,),), (2,)),
+    (("A", 2, 7), ((18, 43, 3, 18), (2, 38, 39, 2)), (1, 3)),
+    (("A", 3, 3), ((3, 5, 8, 7, 8, 2, 7, 3, 7),), (2,)),
+    (("A", 4, 3), ((3, 2, 2, 3, 3, 3, 1, 2, 6, 2, 1, 3, 3, 6, 1, 1), (0, 7, 0, 0, 8, 0, 0, 0, 0, 0, 0, 7, 0, 0, 8, 0)), (1, 2)),
+]
+
+
+@pytest.mark.parametrize("key,matrices,similitudes", PINNED_TORI)
+def test_torus_generators_pinned(key, matrices, similitudes):
+    torus = build_anisotropic_torus(GroupDescriptor(*key))
+    assert tuple(pack_matrix(g.matrix) for g in torus.generators) == matrices
+    assert tuple(g.similitude for g in torus.generators) == similitudes
