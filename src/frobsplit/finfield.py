@@ -40,18 +40,21 @@ class FieldMismatch(ValueError):
     """Operands belong to different fields (coercion is never attempted)."""
 
 
+IS_PRIME_LIMIT = 3317044064679887385961981  # least strong pseudoprime to bases 2..41
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10**24."""
+    """Deterministic Miller-Rabin, valid for all n < IS_PRIME_LIMIT."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -39,8 +39,8 @@ parts, are residue classes, so regular_torus_count counts by
 inclusion-exclusion and CRT, with no cap; regular_torus_count_oracle, which
 classifies every matrix of the torus, certifies it on small tori.  The one
 torus cap, MAX_TORUS_SIZE, guards building the matrix torus: the search for
-a generator of GF(ell^(2r))*, factoring ell^(2r) - 1 for it, and the scan of
-GF(ell^2) for the root that embeds the quadratic subfield.
+a generator of GF(ell^(2r))* and factoring ell^(2r) - 1 for it.  The root
+that embeds the quadratic subfield is read off factor_mod over GF(ell^2).
 
 All linear algebra over field elements (determinant, inverse, independent
 subsets, the change of basis to the standard form, the anti-fixed element of
@@ -374,17 +374,25 @@ def _multiplicative_generator(field: FiniteField) -> FFElement:
 
 def _subfield_quadratic_image(big: FiniteField, element_maps_to: FiniteField):
     """Canonical copy of GF(ell^2) inside `big`, with the map to the
-    standalone field: returns (w, w_std) where w generates the subfield."""
+    standalone field: returns (zeta, w, w_std) where zeta generates big*,
+    w generates the subfield and w_std is its image."""
     zeta = _multiplicative_generator(big)
     w = zeta ** ((big.q - 1) // (element_maps_to.q - 1))
-    mp = minimal_polynomial(w)
-    for cand in element_maps_to.elements():
-        acc = element_maps_to.zero()
-        for i, c in enumerate(mp):
-            acc = acc + element_maps_to.scalar(c) * cand**i
-        if acc.is_zero():
-            return zeta, w, cand
-    raise AssertionError("no root of the subfield polynomial found")
+    # the quadratic minimal polynomial of w splits into linear factors over
+    # GF(ell^2); its least-index root is the image of w
+    _, factors = factor_mod(ModPoly.from_ints(element_maps_to, minimal_polynomial(w)))
+    roots = [-g.coeffs[0] for g, _ in factors if g.degree == 1]
+    return zeta, w, min(roots, key=FFElement.index)
+
+
+def _power_traces(big: FiniteField):
+    """Tr(t^i) down to GF(p) for i < k: the power sums of the roots of the
+    modulus, by Newton's identities.  Tr(x) is then sum x_i Tr(t^i)."""
+    k, p, a = big.k, big.p, big.modulus
+    s = [k % p]
+    for j in range(1, k):
+        s.append(-(j * a[k - j] + sum(a[k - i] * s[j - i] for i in range(1, j))) % p)
+    return s
 
 
 def _k_basis(big: FiniteField, w: FFElement):
@@ -551,8 +559,9 @@ class AnisotropicTorus:
 
 @lru_cache(maxsize=None)
 def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
-    """The matrix torus; its construction scans GF(ell^(2r)), so the torus
-    order is checked against MAX_TORUS_SIZE before anything is built."""
+    """The matrix torus; its construction searches GF(ell^(2r)) for a
+    generator, so the torus order is checked against MAX_TORUS_SIZE before
+    anything is built."""
     order = torus_order(desc)
     if order > MAX_TORUS_SIZE:
         raise BudgetExceeded(f"torus of order {order} exceeds MAX_TORUS_SIZE = {MAX_TORUS_SIZE}")
@@ -567,19 +576,12 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         c = _anti_fixed_element(big, sigma_pow)
         n = 2 * r
         tpows = [big.element([0] * i + [1]) for i in range(n)]
-
-        def trace(x):
-            acc = big.zero()
-            y = x
-            for _ in range(n):
-                acc = acc + y
-                y = y**q
-            return acc.lift()
-
+        conj = [t**sigma_pow for t in tpows]
+        traces = _power_traces(big)
         gram = tuple(
             tuple(
-                field.scalar(trace(c * tpows[i] * tpows[j] ** sigma_pow))
-                for j in range(n)
+                field.scalar(sum(a * b for a, b in zip((c * tpows[i] * y).coeffs, traces)))
+                for y in conj
             )
             for i in range(n)
         )

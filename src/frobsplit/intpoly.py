@@ -6,9 +6,12 @@ complete factorisation over GF(q) (squarefree split, distinct-degree split,
 Cantor-Zassenhaus equal-degree split), factorisation over Z by the classical
 mod-p / Hensel / recombination route with a Landau-Mignotte coefficient
 bound, and exact d-th roots of monic integer polynomials.  The Rabin test and
-Hensel lifting run on finfield's int-tuple polynomial kernel.  Everything is
-exact; randomised splitting is driven by an explicit seed and the output
-ordering is canonical, so all results are reproducible.
+Hensel lifting run on finfield's int-tuple polynomial kernel.  Arithmetic
+over Z is integer-only: exact long division, the primitive pseudo-remainder
+sequence (Collins 1967; Brown 1971) for gcds, and exact division by d for
+d-th roots (Gauss's lemma).  Everything is exact; randomised splitting is
+driven by an explicit seed and the output ordering is canonical, so all
+results are reproducible.
 
 Scale target is degree <= 20 with moderate coefficients, which is all the
 Weil-polynomial work ever needs.
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
@@ -148,61 +150,57 @@ def poly_from_string(s: str) -> IntPoly:
     return IntPoly.make(int(tok.strip()) for tok in s.split(","))
 
 
-def _q_coeffs(f: IntPoly):
-    return tuple(Fraction(c) for c in f.coeffs)
-
-
-def _q_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _q_divmod(a, b):
-    """Division with remainder on Fraction coefficient tuples."""
-    a, b = _q_trim(a), _q_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    r = list(a)
-    while len(r) >= len(b) and _q_trim(r):
-        r = list(_q_trim(r))
-        if len(r) < len(b):
-            break
-        c = r[-1] / b[-1]
-        d = len(r) - len(b)
-        q[d] = c
-        for j, bj in enumerate(b):
-            r[d + j] -= c * bj
-        r = list(_q_trim(r))
-    return _q_trim(q), _q_trim(r)
-
-
 def try_divide(f: IntPoly, g: IntPoly):
-    """f / g over Z if the division is exact, else None."""
+    """f / g over Z if the division is exact, else None.  Integer long
+    division, stopped at the first remainder lead lc(g) does not divide."""
     if g.is_zero():
         raise ZeroPolynomial("division by the zero polynomial")
-    q, r = _q_divmod(_q_coeffs(f), _q_coeffs(g))
-    if r:
+    b, lc = g.coeffs, g.coeffs[-1]
+    r = list(f.coeffs)
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    for d in reversed(range(len(q))):
+        c, rem = divmod(r[d + len(b) - 1], lc)
+        if rem:
+            return None
+        if c:
+            q[d] = c
+            for j, bj in enumerate(b):
+                r[d + j] -= c * bj
+    if any(r[: len(b) - 1]):
         return None
-    if any(c.denominator != 1 for c in q):
-        return None
-    return IntPoly.make(int(c) for c in q)
+    return IntPoly.make(q)
+
+
+def pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
+    """A positive multiple of rem(a, b) over Q, divided by its content.  A
+    step scales by |lc(b)| > 0 only, so Sturm chains keep their signs."""
+    if b.is_zero():
+        raise ZeroPolynomial("polynomial division by zero")
+    b, lc = b.coeffs, b.coeffs[-1]
+    s, sign = abs(lc), (1 if lc > 0 else -1)
+    r = list(a.coeffs)
+    while len(r) >= len(b):
+        c = r.pop()
+        if not c:
+            continue
+        k, rem = divmod(c, lc)
+        if rem:
+            r = [s * x for x in r]
+            k = sign * c
+        d = len(r) - len(b) + 1
+        for j in range(len(b) - 1):
+            r[d + j] -= k * b[j]
+    r = IntPoly.make(r)
+    g = r.content()
+    return IntPoly(tuple(c // g for c in r.coeffs)) if g > 1 else r
 
 
 def int_poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd over Z (computed by the rational Euclid algorithm)."""
-    a, b = _q_coeffs(f), _q_coeffs(g)
-    while _q_trim(b):
-        a, b = b, _q_divmod(a, b)[1]
-    a = _q_trim(a)
-    if not a:
-        return IntPoly(())
-    lcm_den = 1
-    for c in a:
-        lcm_den = lcm_den * c.denominator // gcd(lcm_den, c.denominator)
-    return IntPoly.make(int(c * lcm_den) for c in a).primitive()
+    """Primitive gcd over Z with positive leading coefficient, by the
+    primitive pseudo-remainder sequence."""
+    while not g.is_zero():
+        f, g = g, pseudo_remainder(f, g)
+    return f.primitive()
 
 
 # ---------------------------------------------------------------------------
@@ -656,10 +654,10 @@ def factor_over_Z(f: IntPoly, prime_offset: int = 0):
 def dth_root(f: IntPoly, d: int):
     """The monic g with g^d = f exactly, or None.
 
-    Coefficients are solved top-down over Q and the result is verified by a
-    full expansion; by Gauss's lemma a monic rational root of a monic integer
-    polynomial is integral, so a non-integral verified root is impossible
-    (asserted).
+    Coefficients are solved top-down, each by an exact division by d: by
+    Gauss's lemma a monic rational root of a monic integer polynomial is
+    integral, so a nonzero remainder means there is no root.  The result is
+    verified by a full expansion.
     """
     if f.is_zero() or not f.is_monic():
         raise NotMonic("d-th roots are extracted from monic polynomials only")
@@ -669,40 +667,17 @@ def dth_root(f: IntPoly, d: int):
         return f
     n = f.degree
     m = n // d
-    g = [Fraction(0)] * m + [Fraction(1)]
-    fq = _q_coeffs(f)
+    g = [0] * m + [1]
     for j in range(1, m + 1):
-        # expand with coefficients known so far; the t^(n-j) coefficient of
-        # g^d is d*g[m-j] plus terms in already-solved entries
-        partial = _q_pow(tuple(g), d)
-        current = partial[n - j] if n - j < len(partial) else Fraction(0)
-        g[m - j] = g[m - j] + (fq[n - j] - current) / d
-    expansion = _q_pow(tuple(g), d)
-    expansion = expansion + (Fraction(0),) * (len(fq) - len(expansion))
-    if tuple(expansion) != fq:
-        return None
-    assert all(c.denominator == 1 for c in g), "verified root must be integral"
-    return IntPoly.make(int(c) for c in g)
-
-
-def _q_pow(coeffs, e):
-    result = (Fraction(1),)
-    base = coeffs
-    while e:
-        if e & 1:
-            result = _q_mul(result, base)
-        base = _q_mul(base, base)
-        e >>= 1
-    return result
-
-
-def _q_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
+        # the t^(n-j) coefficient of g^d is d*g[m-j] plus terms in the
+        # already-solved entries, which `partial` holds while g[m-j] is 0
+        partial = IntPoly(tuple(g)) ** d
+        c, rem = divmod(f.coeffs[n - j] - partial.coeffs[n - j], d)
+        if rem:
+            return None
+        g[m - j] = c
+    root = IntPoly.make(g)
+    return root if root**d == f else None
 
 
 def max_power_structure(f: IntPoly):

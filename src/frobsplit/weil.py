@@ -6,7 +6,10 @@ and whose roots all have absolute value sqrt(q).  The root condition is
 decided exactly: the polynomial is rewritten as t^g h(t + q/t), and h must
 have all of its roots real inside [-2 sqrt(q), 2 sqrt(q)].  Sturm sequences
 with exact sign evaluation at the quadratic-irrational endpoints settle that
-without floating point.
+without floating point.  All of it is integer arithmetic: the Sturm chain is
+the negated primitive pseudo-remainder sequence, whose entries are positive
+multiples of the Euclidean ones, and p(+-2 sqrt(q)) is A + B sqrt(q) with
+integers A and B.
 
 The splitting analysis extracts the maximal power structure f = g^d,
 factors g over Z, and resolves the isogeny-exponent constraints in the two
@@ -28,17 +31,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
-from .finfield import is_prime, make_field, prime_divisors
+from .finfield import IS_PRIME_LIMIT, is_prime, make_field
 from .intpoly import (
     IntPoly,
     ModPoly,
     NotMonic,
-    _q_divmod,
-    _q_trim,
     factor_mod,
     factor_over_Z,
     int_poly_gcd,
     max_power_structure,
+    pseudo_remainder,
     try_divide,
 )
 
@@ -73,17 +75,29 @@ class InconsistentSignature(ValueError):
     """Signature pairs must sum to the rank."""
 
 
+def _integer_root(n: int, a: int) -> int:
+    """floor(n^(1/a)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // a)
+    while (y := ((a - 1) * x + n // x ** (a - 1)) // a) < x:
+        x = y
+    return x
+
+
 def _prime_power(q: int):
-    """(p, a) with q = p^a, or raise."""
+    """(p, a) with q = p^a, or raise.  If q = p^a with p prime, the exact
+    roots of q are the p^(a/b) with b | a, so p is the one of largest a."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    primes = prime_divisors(q)
-    if len(primes) != 1:
+    for a in range(q.bit_length(), 0, -1):
+        p = _integer_root(q, a)
+        if p**a == q:
+            break
+    if p >= IS_PRIME_LIMIT:
+        raise ValueError(
+            f"cannot decide whether q is a prime power: {p} is not below IS_PRIME_LIMIT = {IS_PRIME_LIMIT}"
+        )
+    if not is_prime(p):
         raise ValueError("q must be a prime power")
-    p, a = primes[0], 0
-    while q % p == 0:
-        q //= p
-        a += 1
     return p, a
 
 
@@ -130,43 +144,37 @@ def real_weil_transform(f: IntPoly, q: int) -> IntPoly:
 # -- exact signs at x = c * sqrt(q) ------------------------------------------
 
 
-def _eval_at_2sqrtq(coeffs, q: int, sign: int):
+def _eval_at_2sqrtq(p: IntPoly, q: int, sign: int):
     """p(+-2 sqrt(q)) written as (A, B) meaning A + B*sqrt(q), exactly."""
-    a = Fraction(0)
-    b = Fraction(0)
-    for i, c in enumerate(coeffs):
+    a = b = 0
+    for i, c in enumerate(p.coeffs):
+        term = c * (4 * q) ** (i // 2)
         if i % 2 == 0:
-            a += c * Fraction(4 * q) ** (i // 2)
+            a += term
         else:
-            b += c * Fraction(2) * Fraction(4 * q) ** (i // 2) * sign
+            b += 2 * sign * term
     return a, b
 
 
-def _sign_a_plus_b_sqrtq(a: Fraction, b: Fraction, q: int) -> int:
-    if a == 0 and b == 0:
-        return 0
-    if a >= 0 and b >= 0:
-        return 1
-    if a <= 0 and b <= 0:
-        return -1
+def _sign_a_plus_b_sqrtq(a: int, b: int, q: int) -> int:
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    # opposite signs: |a| against |b| sqrt(q)
     s = a * a - q * b * b
-    if s == 0:
-        return 0
-    if a > 0:
-        return 1 if s > 0 else -1
-    return 1 if s < 0 else -1
+    return sa if s > 0 else -sa if s < 0 else 0
 
 
-def _sturm_chain(coeffs):
-    chain = [_q_trim(tuple(Fraction(c) for c in coeffs))]
-    deriv = tuple(Fraction(i * c) for i, c in enumerate(coeffs) if i >= 1)
-    chain.append(_q_trim(deriv))
-    while chain[-1] and len(chain[-1]) > 1:
-        rem = _q_divmod(chain[-2], chain[-1])[1]
-        if not rem:
+def _sturm_chain(p: IntPoly):
+    """p, p' and the negated pseudo-remainders, each a positive multiple of
+    the Euclidean Sturm sequence entry, so the sign variations agree."""
+    chain = [p, p.derivative()]
+    while chain[-1].degree >= 1:
+        rem = pseudo_remainder(chain[-2], chain[-1])
+        if rem.is_zero():
             break
-        chain.append(tuple(-c for c in rem))
-    return [c for c in chain if c]
+        chain.append(-rem)
+    return [c for c in chain if not c.is_zero()]
 
 
 def _variations(signs) -> int:
@@ -174,12 +182,13 @@ def _variations(signs) -> int:
     return sum(1 for x, y in zip(nz, nz[1:]) if x * y < 0)
 
 
-def _roots_in_open_interval(coeffs, q: int) -> int:
-    """Distinct real roots of the squarefree poly in (-2 sqrt q, 2 sqrt q)."""
-    chain = _sturm_chain(coeffs)
+def _roots_in_open_interval(p: IntPoly, q: int) -> int:
+    """Distinct real roots of the squarefree p in (-2 sqrt q, 2 sqrt q)."""
+    chain = _sturm_chain(p)
     lo = [_sign_a_plus_b_sqrtq(*_eval_at_2sqrtq(c, q, -1), q) for c in chain]
     hi = [_sign_a_plus_b_sqrtq(*_eval_at_2sqrtq(c, q, +1), q) for c in chain]
-    return _variations(lo) - _variations(hi)
+    # Sturm's theorem counts the roots in (lo, hi]; one at hi is not interior
+    return _variations(lo) - _variations(hi) - (hi[0] == 0)
 
 
 def weil_validate(f: IntPoly, q: int) -> WeilPoly:
@@ -210,7 +219,7 @@ def weil_validate(f: IntPoly, q: int) -> WeilPoly:
         if quo is not None:
             rest = quo
             boundary += 2
-    interior = _roots_in_open_interval(rest.coeffs, q) if rest.degree >= 1 else 0
+    interior = _roots_in_open_interval(rest, q) if rest.degree >= 1 else 0
     if boundary + interior != h_red.degree:
         raise RootBoundViolation(
             f"{h_red.degree - boundary - interior} root(s) of the real transform "
@@ -372,12 +381,12 @@ def analyze(w: WeilPoly, aux_primes=()) -> SplitReport:
     self_dual = []
     polys = [c.poly for c in constraints]
     for i, gi in enumerate(polys):
-        di = dual_rational(gi.coeffs, w.q)
-        if di == tuple(Fraction(c) for c in gi.coeffs):
+        di = dual_polynomial(gi, w.q)
+        if di == gi:
             self_dual.append(i)
             continue
         for j in range(i + 1, len(polys)):
-            if di == tuple(Fraction(c) for c in polys[j].coeffs):
+            if di == polys[j]:
                 dual_pairs.append((i, j))
 
     records = []

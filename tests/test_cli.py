@@ -201,6 +201,7 @@ def test_density_answers_at_paper_ranks(argv):
         (["weil", "--q", "3", "--poly", "9,0,6,0,1", "--ells", ","], 4, "ValueError"),
         (["goursat", "--family", "C", "--r", "1", "--ells", ",", "--seed", "1"], 4, "ValueError"),
         (["cm-fraction", "--degree", "4", "--ells", ","], 4, "ValueError"),
+        (["weil", "--q", "998244359987710471", "--poly", "998244359987710471,0,1"], 4, "ValueError"),
     ],
 )
 def test_rejections_exit_with_a_json_error(argv, status, error, capsys):

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from frobsplit.finfield import (
+    IS_PRIME_LIMIT,
     CompositeModulus,
     DivisionByZero,
     FieldMismatch,
@@ -10,6 +11,7 @@ from frobsplit.finfield import (
     _int_is_irreducible,
     field_arith,
     frobenius_orbit,
+    is_prime,
     make_field,
     minimal_polynomial,
     subfield_degree,
@@ -210,3 +212,18 @@ def test_subfield_counts_by_divisor():
 
 def _divisors(d):
     return {e for e in range(1, d + 1) if d % e == 0}
+
+
+def test_is_prime_on_the_least_strong_pseudoprimes():
+    # the least strong pseudoprime to the twelve prime bases up to 37, and to
+    # the thirteen up to 41; is_prime is exact below the second
+    psi12, psi13 = 318665857834031151167461, IS_PRIME_LIMIT
+    assert psi12 == 399165290221 * 798330580441 and not is_prime(psi12)
+    assert psi13 == 1287836182261 * 2575672364521
+    assert is_prime(2**61 - 1) and is_prime(1000000007) and not is_prime(998244353 * 1000000007)
+
+
+def test_is_prime_equals_trial_division_below_ten_thousand():
+    assert [n for n in range(10**4) if is_prime(n)] == [
+        n for n in range(2, 10**4) if all(n % d for d in range(2, int(n**0.5) + 1))
+    ]

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from frobsplit.finfield import FieldMismatch, is_prime, make_field
+from frobsplit.finfield import FieldMismatch, is_prime, make_field, minimal_polynomial
 from frobsplit.groups import (
     MAX_TORUS_SIZE,
     AnisotropicTorus,
@@ -18,6 +18,7 @@ from frobsplit.groups import (
     _independent_vectors,
     _multiplicative_generator,
     _packed_group,
+    _subfield_quadratic_image,
     _torus_part,
     build_anisotropic_torus,
     classify_element,
@@ -527,6 +528,30 @@ def test_anti_fixed_element_equals_the_scan():
         big = make_field(ell, 2 * r)
         c = _anti_fixed_element(big, ell**r)
         assert c == _anti_fixed_scan(big, ell**r), (ell, r)
+
+
+def _subfield_quadratic_scan(big, small):
+    """The definitional answer: zeta, w and the first element of `small` in
+    index order at which the minimal polynomial of w vanishes."""
+    zeta = _multiplicative_generator(big)
+    w = zeta ** ((big.q - 1) // (small.q - 1))
+    mp = minimal_polynomial(w)
+    for cand in small.elements():
+        acc = small.zero()
+        for i, c in enumerate(mp):
+            acc = acc + small.scalar(c) * cand**i
+        if acc.is_zero():
+            return zeta, w, cand
+    raise AssertionError("no root of the subfield polynomial found")
+
+
+def test_subfield_quadratic_image_equals_the_scan():
+    cases = [(ell, k) for k in range(2, 18, 2) for ell in range(2, 320) if is_prime(ell) and ell**k <= 10**5]
+    cases += [(1009, 2), (10007, 2), (101, 4), (31, 6)]
+    assert len(cases) == 86
+    for ell, k in cases:
+        big, small = make_field(ell, k), make_field(ell, 2)
+        assert _subfield_quadratic_image(big, small) == _subfield_quadratic_scan(big, small), (ell, k)
 
 
 @pytest.mark.parametrize("p,k", [(7, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (2, 6)])

@@ -2,7 +2,9 @@
 
 Every import sits at module level, every name a module imports is used, and
 finfield, which holds the int-tuple polynomial kernel, imports nothing from
-the package, so it stays at the bottom of the import graph.
+the package, so it stays at the bottom of the import graph.  intpoly does its
+arithmetic over Z on integers alone, so it imports nothing from fractions, and
+no module reaches into intpoly's private helpers.
 """
 
 import ast
@@ -64,3 +66,25 @@ def test_finfield_imports_nothing_from_the_package():
         or (isinstance(node, ast.Import) and any(a.name.startswith("frobsplit") for a in node.names))
     ]
     assert internal == []
+
+
+def test_intpoly_imports_nothing_from_fractions():
+    imports = [
+        ast.unparse(node)
+        for node in ast.walk(_tree(PACKAGE / "intpoly.py"))
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+    ]
+    assert imports == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_is_imported_from_intpoly(path):
+    private = [
+        f"{alias.name}:{node.lineno}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "intpoly"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

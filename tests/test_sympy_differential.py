@@ -1,0 +1,121 @@
+"""The integer polynomial kernel against sympy on seeded random polynomials.
+
+Covers exact division, the primitive gcd, d-th roots and the power structure
+in intpoly, and the Sturm count of roots in (-2 sqrt q, 2 sqrt q) in weil.
+"""
+
+import random
+from math import isqrt
+
+import pytest
+
+from frobsplit.intpoly import IntPoly, dth_root, int_poly_gcd, max_power_structure, try_divide
+from frobsplit.weil import _roots_in_open_interval
+
+sympy = pytest.importorskip("sympy")
+
+X = sympy.Symbol("x")
+P = IntPoly.make
+
+
+def to_sympy(f: IntPoly, domain="QQ"):
+    return sympy.Poly(list(reversed(f.coeffs)) or [0], X, domain=domain)
+
+
+def from_sympy(g) -> IntPoly:
+    assert all(c.q == 1 for c in g.all_coeffs())
+    return P(int(c) for c in reversed(g.all_coeffs()))
+
+
+def random_poly(rng, deg, bound, monic=False):
+    lead = 1 if monic else rng.choice([c for c in range(-bound, bound + 1) if c])
+    return P([rng.randint(-bound, bound) for _ in range(deg)] + [lead])
+
+
+def test_try_divide_against_sympy_div():
+    rng = random.Random(61)
+    exact = 0
+    for _ in range(300):
+        g = random_poly(rng, rng.randint(0, 4), 6, monic=rng.random() < 0.3)
+        h = random_poly(rng, rng.randint(0, 4), 6)
+        for f in (g * h, g * h + P([rng.randint(-2, 2)]), random_poly(rng, rng.randint(0, 7), 9), g * h.scale(3)):
+            q, r = to_sympy(f).div(to_sympy(g))
+            integral = r.is_zero and all(c.q == 1 for c in q.all_coeffs())
+            expected = from_sympy(q) if integral else None
+            assert try_divide(f, g) == expected, (f, g)
+            exact += integral
+    assert exact > 300
+
+
+def test_int_poly_gcd_against_sympy_gcd():
+    rng = random.Random(62)
+    nontrivial = 0
+    for _ in range(300):
+        c = random_poly(rng, rng.randint(0, 3), 5)
+        a = random_poly(rng, rng.randint(0, 4), 5) * c
+        b = random_poly(rng, rng.randint(0, 4), 5) * c
+        if rng.random() < 0.2:
+            b = random_poly(rng, rng.randint(0, 5), 5)
+        _, g = to_sympy(a, "ZZ").gcd(to_sympy(b, "ZZ")).primitive()
+        expected = from_sympy(g)
+        if expected.lc() < 0:
+            expected = -expected
+        assert int_poly_gcd(a, b) == expected, (a, b)
+        nontrivial += expected.degree >= 1
+    assert nontrivial > 150
+
+
+def power_structure_by_sympy(f: IntPoly):
+    """(g, d) from sympy's factorisation: f is a d-th power iff d divides every
+    multiplicity, so the largest d is their gcd."""
+    _, factors = to_sympy(f, "ZZ").factor_list()
+    d = 0
+    for _, e in factors:
+        d = sympy.igcd(d, e)
+    root = sympy.Poly(1, X, domain="ZZ")
+    for g, e in factors:
+        root *= g ** (e // d)
+    return from_sympy(root), int(d)
+
+
+def test_dth_root_and_power_structure_against_sympy_factor_list():
+    rng = random.Random(63)
+    for _ in range(120):
+        g = random_poly(rng, rng.randint(1, 4), 5, monic=True)
+        d = rng.randint(2, 4)
+        power = g**d
+        near = power + P([0] * rng.randrange(power.degree) + [rng.choice([-1, 1])])
+        for f in (power, near):
+            root, e = power_structure_by_sympy(f)
+            assert max_power_structure(f) == ((root, e) if e > 1 else (f, 1)), f
+            for k in (k for k in range(2, f.degree + 1) if f.degree % k == 0):
+                assert dth_root(f, k) == (root ** (e // k) if e % k == 0 else None), (f, k)
+        assert dth_root(power, d) is not None
+
+
+def roots_in_open_interval_by_sympy(f: IntPoly, q: int) -> int:
+    """Distinct real roots of f in (-2 sqrt q, 2 sqrt q): count_roots on the
+    closed interval when its ends are integers, else an exact comparison of
+    each real root with the ends."""
+    s = isqrt(q)
+    g = to_sympy(f)
+    if s * s == q:
+        return g.count_roots(-2 * s, 2 * s) - (f.eval(-2 * s) == 0) - (f.eval(2 * s) == 0)
+    end = 2 * sympy.sqrt(q)
+    return sum(1 for x in set(sympy.real_roots(g)) if bool(-end < x) and bool(x < end))
+
+
+def test_roots_in_open_interval_against_sympy():
+    rng = random.Random(64)
+    for _ in range(200):
+        q = rng.choice([2, 3, 4, 5, 7, 9, 16, 25, 27])
+        s = isqrt(q)
+        boundary = P([-4 * q, 0, 1])  # roots +-2 sqrt q
+        near = [P([-(2 * s + 1), 1]), P([2 * s + 1, 1]), P([-2 * s, 1]), P([-(4 * q + 1), 0, 1])]
+        factors = {random_poly(rng, rng.randint(1, 2), 2 * q + 2, monic=True) for _ in range(rng.randint(1, 3))}
+        factors |= set(rng.sample([boundary] + near, rng.randint(0, 2)))
+        f = P([1])
+        for h in factors:
+            f = f * h
+        f = try_divide(f, int_poly_gcd(f, f.derivative()))  # squarefree
+        assert _roots_in_open_interval(f, q) == roots_in_open_interval_by_sympy(f, q), (f, q)

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from frobsplit.finfield import make_field
+from frobsplit.finfield import IS_PRIME_LIMIT, make_field
 from frobsplit.intpoly import IntPoly, ModPoly, NotMonic, factor_mod, factor_over_Z
 from frobsplit.weil import (
     BadAuxPrime,
@@ -16,6 +17,7 @@ from frobsplit.weil import (
     SymmetryViolation,
     ZeroConstantTerm,
     _mod_dual,
+    _prime_power,
     analyze,
     dual_polynomial,
     dual_rational,
@@ -288,3 +290,35 @@ def test_signature_validation():
         CMSignature(6, ((1, 4),))
     with pytest.raises(InconsistentSignature):
         CMSignature(3, ((-1, 4),))
+
+
+def _prime_power_by_trial_division(q):
+    """(p, a) with q = p^a, or None, by trial division."""
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    a = 0
+    while q % p == 0:
+        q //= p
+        a += 1
+    return (p, a) if q == 1 else None
+
+
+def test_prime_power_equals_trial_division_up_to_ten_to_the_five():
+    for q in range(2, 10**5 + 1):
+        try:
+            got = _prime_power(q)
+        except ValueError:
+            got = None
+        assert got == _prime_power_by_trial_division(q), q
+
+
+def test_prime_power_is_immediate_on_large_q():
+    assert _prime_power(998244353**3) == (998244353, 3)
+    assert _prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert _prime_power(2**100) == (2, 100)
+    for q in (998244353 * 1000000007, 998244353**2 * 1000000007, 10**30, 1):
+        with pytest.raises(ValueError, match="prime power"):
+            _prime_power(q)
+    # bases at or above the exact range of is_prime are refused, not guessed
+    for q in (IS_PRIME_LIMIT, (2**89 - 1) ** 2):
+        with pytest.raises(ValueError, match="IS_PRIME_LIMIT"):
+            _prime_power(q)
