@@ -11,8 +11,11 @@ arithmetic.
 
 The module also holds the package's one kernel of dense polynomials over
 Z/m on int tuples (the ``_int_*`` functions).  It serves the canonical-modulus
-search, the Rabin irreducibility test over GF(p) that
-``intpoly.is_irreducible_mod`` runs, and Hensel lifting in ``intpoly``.
+search and all polynomial work over GF(p) in ``intpoly``: the Rabin test that
+``is_irreducible_mod`` runs, ``factor_mod`` over prime fields, and the prime
+screening, factorisation and Hensel lifting of ``factor_over_Z``.  Only
+factorisation over GF(p^k) with k >= 2 runs on ``intpoly.ModPoly`` and
+FFElement coefficients.
 """
 
 from __future__ import annotations
@@ -162,6 +165,16 @@ def _int_ext_gcd(a, b, p):
     return scale(r0), scale(s0), scale(t0)
 
 
+def _int_gcd(a, b, p):
+    """Monic gcd over GF(p) of reduced a and b; () when both are zero."""
+    while b:
+        a, b = b, _int_divmod_with_inv(a, b, p)[1]
+    if not a:
+        return ()
+    inv = pow(a[-1], p - 2, p)
+    return tuple(x * inv % p for x in a)
+
+
 def _int_powmod(a, e: int, f, m):
     """a**e mod the monic f for e >= 1 (a already reduced), left to right."""
     result = a
@@ -185,10 +198,7 @@ def _int_is_irreducible(f, p) -> bool:
     for j in range(1, k + 1):
         h = _int_powmod(h, p, f, p)
         if j in checks:
-            g, rem = f, _int_sub_mod(h, x, p)
-            while rem:
-                g, rem = rem, _int_divmod_with_inv(g, rem, p)[1]
-            if len(g) != 1:
+            if len(_int_gcd(f, _int_sub_mod(h, x, p), p)) != 1:
                 return False
     return h == x
 
@@ -293,7 +303,8 @@ class FFElement:
     def _check(self, other):
         if not isinstance(other, FFElement):
             raise TypeError("expected a field element")
-        if other.field != self.field:
+        # make_field is cached, so operands of one field share the object
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def __add__(self, other):

@@ -442,7 +442,13 @@ def _symplectic_change_of_basis(gram, field):
 
     while remaining:
         u = remaining[0]
-        v = next(x for x in remaining[1:] if not form(u, x).is_zero())
+        # on a non-alternating form the projection need not shrink
+        # `remaining`, so stop instead of looping without end
+        if len(pairs) == r or not form(u, u).is_zero():
+            raise AssertionError("the Gram matrix is not alternating")
+        v = next((x for x in remaining[1:] if not form(u, x).is_zero()), None)
+        if v is None:
+            raise AssertionError("the Gram matrix is degenerate")
         v = tuple(c / form(u, v) for c in v)
         pairs.append((u, v))
         nxt = []

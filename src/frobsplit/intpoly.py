@@ -5,13 +5,15 @@ reduction mod a prime, irreducibility over a prime field (Rabin test),
 complete factorisation over GF(q) (squarefree split, distinct-degree split,
 Cantor-Zassenhaus equal-degree split), factorisation over Z by the classical
 mod-p / Hensel / recombination route with a Landau-Mignotte coefficient
-bound, and exact d-th roots of monic integer polynomials.  The Rabin test and
-Hensel lifting run on finfield's int-tuple polynomial kernel.  Arithmetic
-over Z is integer-only: exact long division, the primitive pseudo-remainder
-sequence (Collins 1967; Brown 1971) for gcds, and exact division by d for
-d-th roots (Gauss's lemma).  Everything is exact; randomised splitting is
-driven by an explicit seed and the output ordering is canonical, so all
-results are reproducible.
+bound, and exact d-th roots of monic integer polynomials.  All work over a
+prime field GF(p) (the Rabin test, factor_mod, and the prime screening,
+factorisation and Hensel lifting of factor_over_Z) runs on finfield's
+int-tuple polynomial kernel; the ModPoly splits serve only factor_mod over
+GF(p^k) with k >= 2.  Arithmetic over Z is integer-only: exact long
+division, the primitive pseudo-remainder sequence (Collins 1967; Brown 1971)
+for gcds, and exact division by d for d-th roots (Gauss's lemma).
+Everything is exact; randomised splitting is driven by an explicit seed and
+the output ordering is canonical, so all results are reproducible.
 
 Scale target is degree <= 20 with moderate coefficients, which is all the
 Weil-polynomial work ever needs.
@@ -30,9 +32,11 @@ from .finfield import (
     _int_divmod_monic_mod,
     _int_divmod_with_inv,
     _int_ext_gcd,
+    _int_gcd,
     _int_is_irreducible,
     _int_mod,
     _int_mul_mod,
+    _int_powmod,
     _int_sub_mod,
     is_prime,
     make_field,
@@ -454,16 +458,122 @@ def _equal_degree(f: ModPoly, d: int, rng: random.Random):
     return _equal_degree(g.monic(), d, rng) + _equal_degree((f // g).monic(), d, rng)
 
 
+# The same three splits over GF(p) on monic int tuples (finfield's kernel).
+
+
+def _int_derivative(f, p):
+    return _int_mod([i * c for i, c in enumerate(f)][1:], p)
+
+
+def _int_squarefree_parts(f, p):
+    """[(g_i, m_i)] with the monic f = prod g_i^m_i, each g_i squarefree."""
+    out = []
+    d = _int_derivative(f, p)
+    if not d:
+        for g, m in _int_squarefree_parts(f[::p], p):
+            out.append((g, m * p))
+        return out
+    c = _int_gcd(f, d, p)
+    w = _int_divmod_monic_mod(f, c, p)[0]
+    i = 1
+    while w != (1,):
+        y = _int_gcd(w, c, p)
+        z = _int_divmod_monic_mod(w, y, p)[0]
+        if len(z) >= 2:
+            out.append((z, i))
+        i += 1
+        w, c = y, _int_divmod_monic_mod(c, y, p)[0]
+    if c != (1,):
+        for g, m in _int_squarefree_parts(c[::p], p):
+            out.append((g, m * p))
+    return out
+
+
+def _int_distinct_degree(f, p):
+    """[(g, d)]: g the product of the monic f's irreducible factors of degree d."""
+    out = []
+    x = (0, 1)
+    h = x
+    rest = f
+    d = 0
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _int_powmod(h, p, rest, p)
+        g = _int_gcd(_int_sub_mod(h, x, p), rest, p)
+        if len(g) >= 2:
+            out.append((g, d))
+            rest = _int_divmod_monic_mod(rest, g, p)[0]
+            h = _int_divmod_monic_mod(h, rest, p)[1]
+    if len(rest) >= 2:
+        out.append((rest, len(rest) - 1))
+    return out
+
+
+def _int_equal_degree(f, d, p, rng: random.Random):
+    """Cantor-Zassenhaus split of a monic squarefree product of degree-d
+    factors: the power map for odd p, the trace map for p = 2."""
+    if len(f) - 1 == d:
+        return [f]
+    while True:
+        h = _int_mod([rng.randrange(p) for _ in range(len(f) - 1)], p)
+        if len(h) < 2:
+            continue
+        g = _int_gcd(h, f, p)
+        if 2 <= len(g) < len(f):
+            break
+        if p % 2 == 1:
+            g = _int_sub_mod(_int_powmod(h, (p**d - 1) // 2, f, p), (1,), p)
+        else:
+            g = term = h
+            for _ in range(d - 1):
+                term = _int_divmod_monic_mod(_int_mul_mod(term, term, p), f, p)[1]
+                g = _int_sub_mod(g, term, p)  # = g + term in characteristic 2
+        g = _int_gcd(g, f, p)
+        if 2 <= len(g) < len(f):
+            break
+    cofactor = _int_divmod_monic_mod(f, g, p)[0]
+    return _int_equal_degree(g, d, p, rng) + _int_equal_degree(cofactor, d, p, rng)
+
+
+def _int_factor(f, p, seed: int = 0):
+    """Complete factorisation of a monic f over GF(p): [(monic irreducible,
+    multiplicity)] ordered by degree, then coefficients."""
+    if len(f) < 2:
+        return []
+    rng = random.Random(seed)
+    factors = [
+        (h, mult)
+        for part, mult in _int_squarefree_parts(f, p)
+        for g, d in _int_distinct_degree(part, p)
+        for h in _int_equal_degree(g, d, p, rng)
+    ]
+    factors.sort(key=lambda hm: (len(hm[0]), hm[0]))
+    return factors
+
+
+def _monic_ints(f: ModPoly):
+    """A nonzero f over GF(p) scaled to monic, as an ascending int tuple."""
+    p = f.field.p
+    inv = pow(f.lc().lift(), -1, p)
+    return tuple(c.lift() * inv % p for c in f.coeffs)
+
+
 def factor_mod(f: ModPoly, seed: int = 0):
     """Complete factorisation over GF(q).
 
     Returns (unit, [(monic irreducible, multiplicity)]) with a canonical
     ordering (degree, then coefficient vectors), so the answer does not
-    depend on the seed that drives the equal-degree splitting.
+    depend on the seed that drives the equal-degree splitting.  Over a
+    prime field the work runs on int tuples; the ModPoly splits above serve
+    GF(p^k) with k >= 2.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     unit = f.lc()
+    field = f.field
+    if field.k == 1:
+        factors = _int_factor(_monic_ints(f), field.p, seed)
+        return unit, [(ModPoly.from_ints(field, g), m) for g, m in factors]
     f = f.monic()
     rng = random.Random(seed)
     factors = []
@@ -488,9 +598,7 @@ def is_irreducible_mod(f: ModPoly) -> bool:
         raise ValueError(f"is_irreducible_mod needs a prime field, not {f.field}; use factor_mod")
     if f.degree < 1:
         raise ValueError("irreducibility needs degree >= 1")
-    p = f.field.p
-    inv = pow(f.lc().lift(), -1, p)
-    return _int_is_irreducible(tuple(c.lift() * inv % p for c in f.coeffs), p)
+    return _int_is_irreducible(_monic_ints(f), f.field.p)
 
 
 # -- factorisation over Z ----------------------------------------------------
@@ -557,27 +665,20 @@ def _zassenhaus(f: IntPoly, prime_offset: int = 0):
     if f.degree <= 1:
         return [f]
     skipped = 0
-    chosen = None
     for p in _SMALL_PRIMES:
-        if f.lc() % p == 0:
+        if f.lc() % p == 0:  # the degree would drop mod p
             continue
-        field = make_field(p, 1)
-        fp = ModPoly.from_ints(field, f.coeffs)
-        if fp.degree != f.degree:
-            continue
-        if mod_gcd(fp, fp.derivative()).degree != 0:
+        inv = pow(f.lc(), -1, p)
+        fp = tuple(c * inv % p for c in f.coeffs)
+        if len(_int_gcd(fp, _int_derivative(fp, p), p)) != 1:
             continue
         if skipped < prime_offset:
             skipped += 1
             continue
-        chosen = p
         break
-    if chosen is None:
+    else:
         raise AssertionError("no usable auxiliary prime below the table limit")
-    p = chosen
-    field = make_field(p, 1)
-    _, factors = factor_mod(ModPoly.from_ints(field, f.coeffs).monic())
-    mods = [tuple(c.lift() for c in g.coeffs) for g, _ in factors]
+    mods = [g for g, _ in _int_factor(fp, p)]
     if len(mods) == 1:
         return [f]
     bound = _mignotte_bound(f)

@@ -7,6 +7,7 @@ from frobsplit.finfield import (
     CompositeModulus,
     DivisionByZero,
     FieldMismatch,
+    FiniteField,
     Overflow,
     _int_is_irreducible,
     field_arith,
@@ -131,6 +132,12 @@ def test_division_by_zero_and_mismatch():
         u / f9.zero()
     with pytest.raises(FieldMismatch):
         u + f3.one()  # type: ignore[operator]
+    # a field object equal in value to the cached one still mixes with it
+    copy = FiniteField(3, 2, f9.modulus)
+    assert copy is not f9
+    assert u * copy.element([0, 1]) == u * u
+    with pytest.raises(FieldMismatch):
+        u * FiniteField(3, 2, (2, 1, 1)).element([0, 1])  # another GF(9)
 
 
 def test_frobenius_orbit_examples():

@@ -19,6 +19,7 @@ from frobsplit.groups import (
     _multiplicative_generator,
     _packed_group,
     _subfield_quadratic_image,
+    _symplectic_change_of_basis,
     _torus_part,
     build_anisotropic_torus,
     classify_element,
@@ -514,6 +515,20 @@ def test_independent_vectors_is_the_greedy_subset(p, k):
         span = _span(keep, field)
         assert len(span) == field.q ** len(keep) and span == _span(vectors, field)
     assert _independent_vectors([]) == []
+
+
+def test_symplectic_change_of_basis_stops_on_a_non_alternating_gram_matrix():
+    field = make_field(3, 1)
+    one, zero = field.one(), field.zero()
+    # on the first two the pairing loop never shrinks its spanning set, so
+    # without the check it runs without end; the last is alternating but
+    # degenerate
+    for rows in ([[1, 1], [1, 1]], [[1, 2], [0, 1]], [[0, 0], [0, 0]]):
+        gram = [[field.scalar(c) for c in row] for row in rows]
+        with pytest.raises(AssertionError, match="alternating|degenerate"):
+            _symplectic_change_of_basis(gram, field)
+    p_mat = _symplectic_change_of_basis([[zero, one], [-one, zero]], field)
+    assert p_mat == ((one, zero), (zero, one))
 
 
 def _anti_fixed_scan(big, e):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from frobsplit import intpoly
-from frobsplit.finfield import make_field
+from frobsplit.finfield import FFElement, make_field
 from frobsplit.intpoly import (
     DegreeNotDivisible,
     IntPoly,
@@ -226,6 +226,27 @@ def test_is_irreducible_mod_runs_no_factorisation(monkeypatch):
     f5 = make_field(5, 1)
     assert is_irreducible_mod(ModPoly.from_ints(f5, [2, 0, 1]))
     assert not is_irreducible_mod(ModPoly.from_ints(f5, [1, 0, 1]))
+
+
+def test_prime_field_factorisation_runs_on_int_tuples(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("FFElement.__mul__ called")
+
+    quadratics = [P([5, -a, 1]) for a in (-4, -1, 1, 3)]  # Weil polynomials over q = 5
+    weil = P([1])
+    for g in quadratics:
+        weil = weil * g
+    f5 = make_field(5, 1)
+    monkeypatch.setattr(FFElement, "__mul__", refuse)
+    assert factor_mod(ModPoly.from_ints(f5, [4, 0, 0, 0, 1]))[1] == [
+        (ModPoly.from_ints(f5, [c, 1]), 1) for c in (1, 2, 3, 4)
+    ]
+    assert factor_over_Z(weil) == tuple((g, 1) for g in sorted(quadratics, key=lambda g: g.coeffs))
+    monkeypatch.undo()
+    # GF(p^k) with k >= 2 keeps the ModPoly path: t^2 + 1 splits over GF(9)
+    f9 = make_field(3, 2)
+    _, factors = factor_mod(ModPoly.from_ints(f9, [1, 0, 1]))
+    assert [(g.degree, m) for g, m in factors] == [(1, 1), (1, 1)]
 
 
 def test_factor_over_Z_perfect_square():

@@ -1,7 +1,8 @@
-"""The integer polynomial kernel against sympy on seeded random polynomials.
+"""The polynomial kernels against sympy on seeded random polynomials.
 
-Covers exact division, the primitive gcd, d-th roots and the power structure
-in intpoly, and the Sturm count of roots in (-2 sqrt q, 2 sqrt q) in weil.
+Covers exact division, the primitive gcd, d-th roots, the power structure and
+factorisation over GF(p) in intpoly, and the Sturm count of roots in
+(-2 sqrt q, 2 sqrt q) in weil.
 """
 
 import random
@@ -9,7 +10,8 @@ from math import isqrt
 
 import pytest
 
-from frobsplit.intpoly import IntPoly, dth_root, int_poly_gcd, max_power_structure, try_divide
+from frobsplit.finfield import make_field
+from frobsplit.intpoly import IntPoly, ModPoly, dth_root, factor_mod, int_poly_gcd, max_power_structure, try_divide
 from frobsplit.weil import _roots_in_open_interval
 
 sympy = pytest.importorskip("sympy")
@@ -119,3 +121,42 @@ def test_roots_in_open_interval_against_sympy():
             f = f * h
         f = try_divide(f, int_poly_gcd(f, f.derivative()))  # squarefree
         assert _roots_in_open_interval(f, q) == roots_in_open_interval_by_sympy(f, q), (f, q)
+
+
+def factor_mod_by_sympy(f, p):
+    """sympy's factor_list modulo p, each factor made monic with
+    coefficients in [0, p), ordered as factor_mod orders them."""
+    _, factors = sympy.Poly(list(reversed(f)), X, modulus=p).factor_list()
+    out = []
+    for g, e in factors:
+        c = [int(a) % p for a in reversed(g.all_coeffs())]
+        inv = pow(c[-1], -1, p)
+        out.append((tuple(a * inv % p for a in c), e))
+    return sorted(out, key=lambda ge: (len(ge[0]), ge[0]))
+
+
+def test_factor_mod_against_sympy_factor_list():
+    rng = random.Random(65)
+    repeated = 0
+    for _ in range(400):
+        p = rng.choice([2, 3, 5, 7, 101])
+        field = make_field(p, 1)
+
+        def rand(deg):
+            return ModPoly.from_ints(field, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+
+        kind = rng.randrange(3)
+        if kind == 0:
+            f = rand(rng.randint(1, 12))
+        else:  # g^e times a cofactor: a repeated factor, or a p-th power where one fits
+            e = p if kind == 2 and p <= 7 else rng.randint(2, 3)
+            g = rand(rng.randint(1, min(2, 12 // e)))
+            f = rand(rng.randint(0, 12 - e * g.degree))
+            for _ in range(e):
+                f = f * g
+        unit, factors = factor_mod(f, seed=rng.randrange(4))
+        assert unit == f.lc()
+        got = [(tuple(c.lift() for c in g.coeffs), e) for g, e in factors]
+        assert got == factor_mod_by_sympy([c.lift() for c in f.coeffs], p), (p, f)
+        repeated += any(e > 1 for _, e in got)
+    assert repeated > 100
