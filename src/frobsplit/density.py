@@ -27,8 +27,8 @@ from .groups import (
     GroupDescriptor,
     GroupElement,
     _count_avoiding,
+    _lattice,
     _packed_group,
-    _residue_class,
     enumerate_group_packed,
     group_order,
     normalizer_census,
@@ -147,8 +147,8 @@ def cm_subfield_fraction(two_g: int, ell: int) -> Fraction:
     if not is_prime(ell):
         raise CompositeModulus(f"{ell} is not prime")
     n = ell**two_g - 1
-    subfields = [_residue_class(ell ** (two_g // p) - 1, 0, n) for p in prime_divisors(two_g)]
-    return Fraction(n - _count_avoiding(n, (1, 0), subfields), n)
+    subfields = [_lattice(ell ** (two_g // p) - 1, 0, n) for p in prime_divisors(two_g)]
+    return Fraction(n - _count_avoiding(1, n, (1, 0, 1), subfields), n)
 
 
 def cm_subfield_fraction_exhaustive(two_g: int, ell: int) -> Fraction:

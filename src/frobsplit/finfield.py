@@ -120,25 +120,23 @@ def _int_sub_mod(a, b, m):
 
 
 def _int_divmod_monic_mod(a, b, m):
-    """Divide by a monic b with all arithmetic mod m."""
-    q = [0] * max(len(a) - len(b) + 1, 1)
-    r = list(a)
-    while len(r) >= len(b):
-        while r and r[-1] % m == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        c = r[-1] % m
-        d = len(r) - len(b)
-        q[d] = c
-        for j, bj in enumerate(b):
-            r[d + j] = (r[d + j] - c * bj) % m
-    while r and r[-1] % m == 0:
+    """Divide by a monic b with all arithmetic mod m.  a is reduced once;
+    each quotient position then clears one coefficient, b's leading 1 aside."""
+    r = [x % m for x in a]
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    top = len(b) - 1
+    for d in reversed(range(len(q))):
+        c = r[d + top]
+        if c:
+            q[d] = c
+            for j in range(top):
+                r[d + j] = (r[d + j] - c * b[j]) % m
+    del r[top:]
+    while r and r[-1] == 0:
         r.pop()
-    qq = [x % m for x in q]
-    while qq and qq[-1] == 0:
-        qq.pop()
-    return tuple(qq), tuple(r)
+    while q and q[-1] == 0:
+        q.pop()
+    return tuple(q), tuple(r)
 
 
 def _int_divmod_with_inv(a, b, p):

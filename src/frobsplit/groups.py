@@ -29,18 +29,24 @@ the closed form on small groups.
 
 The regular torus count |T*_m| is a closed form too.  Index the norm-line
 torus by i mod N = |T|, x = zeta^((ell^r - 1)/(ell - 1) i), and the dual-pair
-torus of rank 2s by (i, w), i mod n = ell^r - 1 and w mod ell - 1.  x^m is
-irregular iff its exponent solves one of these linear congruences: x^m lies
-in GF(ell^(2r/p)), p | 2r: m (ell^(2r/p) - 1) i = 0 (mod N); the block
-gamma^(mi) lies in GF(ell^(2s/p)), p | s: m (ell^(2s/p) - 1) i = 0 (mod n);
-two block eigenvalues coincide: m (ell^(2u) + ell^(2v+1)) i = m w n/(ell - 1)
-(mod n) for some 0 <= u, v < s.  These solution sets, like the subgroup
-parts, are residue classes, so regular_torus_count counts by
-inclusion-exclusion and CRT, with no cap; regular_torus_count_oracle, which
-classifies every matrix of the torus, certifies it on small tori.  The one
-torus cap, MAX_TORUS_SIZE, guards building the matrix torus: the search for
-a generator of GF(ell^(2r))* and factoring ell^(2r) - 1 for it.  The root
-that embeds the quadratic subfield is read off factor_mod over GF(ell^2).
+torus of rank 2s by (w, i), w mod ell - 1 and i mod n = ell^r - 1.  Every
+exponent set counted is then a subgroup of Z/k x Z/n, with k = ell - 1 for
+the dual-pair torus and k = 1, n = N otherwise.  The parts of T (similitude
+1, determinant 1) are subgroups, and x^m is irregular iff its exponent
+solves one of these homogeneous congruences alpha i = beta w (mod n), whose
+solutions form a subgroup: x^m lies in GF(ell^(2r/p)), p | 2r:
+m (ell^(2r/p) - 1) i = 0 (mod N); the block gamma^(mi) lies in
+GF(ell^(2s/p)), p | s: m (ell^(2s/p) - 1) i = 0 (mod n); two block
+eigenvalues coincide: m (ell^(2u) + ell^(2v+1)) i = m w n/(ell - 1) (mod n)
+for some 0 <= u, v < s, well defined for w mod ell - 1.  Each subgroup is
+kept as its lattice in Z^2 in Hermite normal form (a, b, d): w = 0 (mod a)
+and i = (w/a) b (mod d), of size (k/a)(n/d).  Lattices meet in lattices, so
+regular_torus_count is one inclusion-exclusion, with no cap and no loop over
+w; regular_torus_count_oracle, which classifies every matrix of the torus,
+certifies it on small tori.  The one torus cap, MAX_TORUS_SIZE, guards
+building the matrix torus: the search for a generator of GF(ell^(2r))* and
+factoring ell^(2r) - 1 for it.  The root that embeds the quadratic subfield
+is read off factor_mod over GF(ell^2).
 
 All linear algebra over field elements (determinant, inverse, independent
 subsets, the change of basis to the standard form, the anti-fixed element of
@@ -859,18 +865,6 @@ def _charpoly_natural(x: GroupElement) -> ModPoly:
     return ModPoly.from_ints(prime, [c.lift() for c in full.coeffs])
 
 
-def _dual_twist(g: ModPoly, lam: FFElement) -> ModPoly:
-    """Monic polynomial whose roots are lam / beta^q over the conjugates."""
-    gb = g.frobenius_coeffs()
-    s = gb.degree
-    field = g.field
-    coeffs = [field.zero()] * (s + 1)
-    for i, c in enumerate(gb.coeffs):
-        coeffs[s - i] = c * lam**i
-    out = ModPoly.make(field, coeffs)
-    return out.monic()
-
-
 def classify_element(x: GroupElement, m: int = 1) -> bool:
     """True iff x^m is regular with maximally anisotropic connected
     centralizer (fast path, read off characteristic polynomials)."""
@@ -889,7 +883,8 @@ def classify_element(x: GroupElement, m: int = 1) -> bool:
     if m1 != 1 or m2 != 1 or g1.degree != s or g2.degree != s:
         return False
     lam = desc.matrix_field.scalar(y.similitude)
-    return g2 == _dual_twist(g1, lam) and g1 != g2
+    # the dual block's eigenvalues are lam / beta^ell over g1's roots beta
+    return g2 == g1.frobenius_coeffs().dual(lam) and g1 != g2
 
 
 def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:
@@ -1022,74 +1017,75 @@ class TorusCensus:
     exceptional_field: bool
 
 
-def _residue_class(a: int, b: int, n: int):
-    """The solutions of a*x = b (mod n) as (d, c), i.e. x = c (mod d); or None."""
-    g = gcd(a, n)
-    if b % g:
-        return None
+def _lattice(alpha: int, beta: int, n: int):
+    """The solutions (w, i) of alpha*i = beta*w (mod n) in Hermite normal
+    form (a, b, d): w = 0 (mod a) and i = (w/a)*b (mod d)."""
+    g = gcd(alpha, n)
+    h = gcd(g, beta)
     d = n // g
-    return d, b // g * pow(a // g, -1, d) % d
+    return g // h, beta // h * pow(alpha // g, -1, d) % d, d
 
 
 def _meet(x, y):
-    """The intersection of two residue classes (d, c) by CRT; or None."""
-    (d1, c1), (d2, c2) = x, y
+    """The intersection of two lattices (a, b, d): w runs over the multiples
+    of lcm(a1, a2) at the first step t where the two i-classes agree mod
+    gcd(d1, d2), and there the classes are joined by CRT."""
+    (a1, b1, d1), (a2, b2, d2) = x, y
+    a = a1 * a2 // gcd(a1, a2)
     g = gcd(d1, d2)
-    if (c2 - c1) % g:
-        return None
-    k = d2 // g
-    t = (c2 - c1) // g * pow(d1 // g, -1, k) % k
-    return d1 * k, (c1 + d1 * t) % (d1 * k)
+    c1, c2 = a // a1 * b1, a // a2 * b2
+    t = g // gcd(g, c2 - c1)
+    c1, c2, k = t * c1, t * c2, d2 // g
+    u = (c2 - c1) // g * pow(d1 // g, -1, k) % k
+    return a * t, (c1 + d1 * u) % (d1 * k), d1 * k
 
 
-def _count_avoiding(n: int, base, bad) -> int:
-    """How many x in Z/n lie in the class `base` and in none of the classes
-    `bad` (all moduli divide n), by inclusion-exclusion with equal
-    intersections merged into one term: the work is bounded by the number of
-    distinct classes, not by the 2^len(bad) subsets."""
+def _count_avoiding(k: int, n: int, base, bad) -> int:
+    """How many (w, i) in Z/k x Z/n lie in the lattice `base` and in none of
+    the lattices `bad` (all contain k Z x n Z), by inclusion-exclusion with
+    equal intersections merged into one term: the work is bounded by the
+    number of distinct lattices, not by the 2^len(bad) subsets."""
     terms = {base: 1}
-    for cls in set(bad) - {None}:
+    for lat in set(bad):
         step = {}
         for term, coef in terms.items():
-            meet = _meet(term, cls)
-            if meet is not None:
-                step[meet] = step.get(meet, 0) - coef
+            meet = _meet(term, lat)
+            step[meet] = step.get(meet, 0) - coef
         for term, coef in step.items():
             terms[term] = terms.get(term, 0) + coef
         terms = {term: coef for term, coef in terms.items() if coef}
-    return sum(coef * (n // d) for (d, _), coef in terms.items())
+    return sum(coef * (k // a) * (n // d) for (a, _, d), coef in terms.items())
 
 
 def _torus_part(desc: GroupDescriptor, part: str):
-    """T ∩ part as (n, base, ws): exponents i mod n in the class base, each
-    paired with every similitude exponent w in ws (see the module docstring)."""
+    """T ∩ part as (k, n, base): the exponents (w, i) in Z/k x Z/n that lie
+    in the lattice base (see the module docstring)."""
     q, r = desc.ell, desc.r
     if desc.family == "A" and r % 2 == 0:
-        n, shapes = q**r - 1, {"full": (1, range(q - 1)), "unitary": (1, (0,)), "derived": (q + 1, (0,))}
+        k, n = q - 1, q**r - 1
+        shapes = {"full": (1, 0, 1), "unitary": (k, 0, 1), "derived": (k, 0, q + 1)}
     elif desc.family == "A":
-        n, shapes = torus_order(desc), {"full": (1, (0,)), "unitary": (q - 1, (0,)), "derived": (q * q - 1, (0,))}
+        k, n = 1, torus_order(desc)
+        shapes = {"full": (1, 0, 1), "unitary": (1, 0, q - 1), "derived": (1, 0, q * q - 1)}
     else:
-        n, shapes = torus_order(desc), {"full": (1, (0,)), "derived": (q - 1, (0,))}
+        k, n = 1, torus_order(desc)
+        shapes = {"full": (1, 0, 1), "derived": (1, 0, q - 1)}
     if part not in shapes:
         raise ValueError(f"unknown part {part!r}")
-    d, ws = shapes[part]
-    return n, (d, 0), ws
+    return k, n, shapes[part]
 
 
 def regular_torus_count(desc: GroupDescriptor, m: int = 1, part: str = "full") -> int:
     """|{x in T ∩ part : x^m regular}|: the exponents that avoid every
-    subfield and eigenvalue-coincidence congruence of the module docstring."""
+    subfield and eigenvalue-coincidence lattice of the module docstring."""
     q, r = desc.ell, desc.r
-    n, base, ws = _torus_part(desc, part)
+    k, n, base = _torus_part(desc, part)
     s = r // 2 if desc.family == "A" and r % 2 == 0 else 0  # 0: norm-line torus
     degrees = [2 * s // p for p in prime_divisors(s)] if s else [2 * r // p for p in prime_divisors(2 * r)]
-    subfields = [_residue_class(m * (q**d - 1), 0, n) for d in degrees]
-    coincidences = [m * (q ** (2 * u) + q ** (2 * v + 1)) for u in range(s) for v in range(s)]
-    spread = n // (q - 1)
-    return sum(
-        _count_avoiding(n, base, subfields + [_residue_class(a, m * w * spread, n) for a in coincidences])
-        for w in ws
-    )
+    subfields = [_lattice(m * (q**d - 1), 0, n) for d in degrees]
+    beta = m * n // k  # m n/(ell - 1), the coincidences' coefficient of w
+    coincidences = [_lattice(m * (q ** (2 * u) + q ** (2 * v + 1)), beta, n) for u in range(s) for v in range(s)]
+    return _count_avoiding(k, n, base, subfields + coincidences)
 
 
 def torus_census(desc: GroupDescriptor, m: int = 1) -> TorusCensus:
@@ -1100,8 +1096,8 @@ def torus_census(desc: GroupDescriptor, m: int = 1) -> TorusCensus:
     reg_1 = reg_m if m == 1 else regular_torus_count(desc, 1)
     sub = {}
     for part in ["full", "derived"] + (["unitary"] if desc.family == "A" else []):
-        n, (d, _), ws = _torus_part(desc, part)
-        sub[part] = n // d * len(ws)
+        k, n, (a, _, d) = _torus_part(desc, part)
+        sub[part] = k // a * (n // d)
     nc = normalizer_census(desc)
     return TorusCensus(
         desc=desc,

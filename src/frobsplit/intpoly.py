@@ -55,6 +55,10 @@ class DegreeNotDivisible(ValueError):
     """d does not divide the degree of the input."""
 
 
+class ZeroConstantTerm(ValueError):
+    """The dual is undefined when 0 is a root."""
+
+
 # ---------------------------------------------------------------------------
 # integer polynomials
 
@@ -328,6 +332,14 @@ class ModPoly:
             base = (base * base) % modulus
             e >>= 1
         return result
+
+    def dual(self, c: FFElement) -> "ModPoly":
+        """Monic polynomial with roots c/alpha over the roots alpha:
+        coefficient j is g_(n-j) c^(n-j), made monic."""
+        if self.is_zero() or self.coeffs[0].is_zero():
+            raise ZeroConstantTerm("0 is a root; the dual is undefined")
+        n = self.degree
+        return ModPoly.make(self.field, [self.coeffs[n - j] * c ** (n - j) for j in range(n + 1)]).monic()
 
     def frobenius_coeffs(self) -> "ModPoly":
         """Apply x -> x^p to every coefficient."""

@@ -36,6 +36,7 @@ from .intpoly import (
     IntPoly,
     ModPoly,
     NotMonic,
+    ZeroConstantTerm,
     factor_mod,
     factor_over_Z,
     int_poly_gcd,
@@ -57,10 +58,6 @@ class SymmetryViolation(ValueError):
 
 class RootBoundViolation(ValueError):
     """Some root does not have absolute value sqrt(q)."""
-
-
-class ZeroConstantTerm(ValueError):
-    """The dual is undefined when 0 is a root."""
 
 
 class NonIntegralDual(ValueError):
@@ -261,17 +258,6 @@ def dual_polynomial(g: IntPoly, q: int) -> IntPoly:
     return IntPoly.make(int(c) for c in out)
 
 
-def _mod_dual(g: ModPoly, q: int) -> ModPoly:
-    """Mod-ell dual: roots alpha -> q/alpha, monic-normalized."""
-    field = g.field
-    if g.is_zero() or g.coeffs[0].is_zero():
-        raise ZeroConstantTerm("0 is a root; the dual is undefined")
-    n = g.degree
-    qf = field.scalar(q)
-    coeffs = [g.coeffs[n - j] * qf ** (n - j) for j in range(n + 1)]
-    return ModPoly.make(field, coeffs).monic()
-
-
 # -- certificates ------------------------------------------------------------
 
 
@@ -305,7 +291,7 @@ def simplicity_certificate(w: WeilPoly, ell: int) -> Certificate:
             and g1.degree == g2.degree
             and g1.degree % 2 == 0  # the dual-pair pattern needs even rank
             and g1 != g2
-            and _mod_dual(g1, w.q) == g2
+            and g1.dual(field.scalar(w.q)) == g2
         ):
             return Certificate.SIMPLE
     return Certificate.UNKNOWN

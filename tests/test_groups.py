@@ -15,7 +15,10 @@ from frobsplit.groups import (
     GroupElement,
     NormalizerCensus,
     _anti_fixed_element,
+    _count_avoiding,
     _independent_vectors,
+    _lattice,
+    _meet,
     _multiplicative_generator,
     _packed_group,
     _subfield_quadratic_image,
@@ -362,7 +365,7 @@ def test_exponent_model_matches_matrix_model(desc):
     census = torus_census(desc)
     parts = ["full", "derived"] + (["unitary"] if desc.family == "A" else [])
     for part in parts:
-        _, (d, c), ws = _torus_part(desc, part)
+        _, _, (a, b, d) = _torus_part(desc, part)
         members = 0
         for k, elt in enumerate(matrices):
             i, w = divmod(k, q - 1) if dual_pair else (k, 0)
@@ -374,7 +377,7 @@ def test_exponent_model_matches_matrix_model(desc):
                 in_part_matrix = elt.similitude == 1
             else:
                 in_part_matrix = elt.similitude == 1 and mat_det(elt.matrix) == one
-            assert (i % d == c and w in ws) == in_part_matrix, (k, part)
+            assert (w % a == 0 and i % d == w // a * b % d) == in_part_matrix, (k, part)
             members += in_part_matrix
         assert census.subgroup_orders[part] == members
         assert regular_torus_count(desc, 1, part) == regular_torus_count_oracle(desc, 1, part)
@@ -418,6 +421,49 @@ def test_regular_count_where_the_subsets_explode():
     # GU_10 over GF(4): 25 coincidence congruences and one subfield one,
     # 2^26 subsets; 990 is the value of the former exponent-by-exponent walk
     assert regular_torus_count(GroupDescriptor("A", 10, 2)) == 990
+
+
+def _lattice_set(lat, k, n):
+    a, b, d = lat
+    return {(w, i) for w in range(k) for i in range(n) if w % a == 0 and i % d == w // a * b % d}
+
+
+def _random_subgroup_congruences(rng, k, n, count):
+    """(alpha, beta) pairs with beta a multiple of n/k, so beta*w is well
+    defined for w mod k."""
+    return [(rng.randrange(n), n // k * rng.randrange(k)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lattice_helpers_match_enumeration(seed):
+    """_lattice, _meet and _count_avoiding against brute force on small
+    Z/k x Z/n with k | n."""
+    rng = random.Random(seed)
+    for _ in range(8):
+        k = rng.choice([1, 2, 3, 4, 6])
+        n = k * rng.randint(1, 24 // k + 2)
+        congruences = _random_subgroup_congruences(rng, k, n, rng.randint(1, 4))
+        sets = []
+        for alpha, beta in congruences:
+            lat = _lattice(alpha, beta, n)
+            solutions = {(w, i) for w in range(k) for i in range(n) if (alpha * i - beta * w) % n == 0}
+            assert _lattice_set(lat, k, n) == solutions, (k, n, alpha, beta, lat)
+            sets.append((lat, solutions))
+        for (x, sx), (y, sy) in product(sets, repeat=2):
+            assert _lattice_set(_meet(x, y), k, n) == sx & sy, (k, n, x, y)
+        base = _lattice(*_random_subgroup_congruences(rng, k, n, 1)[0], n)
+        direct = _lattice_set(base, k, n).difference(*(sx for _, sx in sets))
+        assert _count_avoiding(k, n, base, [lat for lat, _ in sets]) == len(direct)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 1009, 10007, 1000003])
+def test_gu2_closed_forms(ell):
+    """GU_2's dual-pair torus at any ell: (ell^2 - 1)(ell - 2) regular
+    elements in all, (ell + 1)(ell - 2) of similitude 1, ell - 3 in SU_2."""
+    desc = GroupDescriptor("A", 2, ell)
+    assert regular_torus_count(desc) == (ell * ell - 1) * (ell - 2)
+    assert regular_torus_count(desc, 1, "unitary") == (ell + 1) * (ell - 2)
+    assert regular_torus_count(desc, 1, "derived") == ell - 3
 
 
 def test_unknown_part_is_rejected():

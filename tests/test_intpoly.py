@@ -181,6 +181,18 @@ def test_factor_mod_rejects_zero():
         factor_mod(ModPoly.make(f3, []))
 
 
+def test_mod_poly_dual():
+    field = make_field(7, 1)
+    c = field.scalar(3)
+    assert ModPoly.from_ints(field, [2, 1]).dual(c) == ModPoly.from_ints(field, [5, 1])  # root 5 -> 3/5 = 2
+    rng = random.Random(9)
+    for _ in range(50):
+        g = ModPoly.from_ints(field, [rng.randrange(1, 7)] + [rng.randrange(7) for _ in range(rng.randint(0, 5))] + [1])
+        assert g.dual(c).dual(c) == g
+    with pytest.raises(intpoly.ZeroConstantTerm):
+        ModPoly.from_ints(field, [0, 1]).dual(c)
+
+
 def test_is_irreducible_examples():
     f3 = make_field(3, 1)
     f5 = make_field(5, 1)

@@ -1,8 +1,8 @@
 """The polynomial kernels against sympy on seeded random polynomials.
 
-Covers exact division, the primitive gcd, d-th roots, the power structure and
-factorisation over GF(p) in intpoly, and the Sturm count of roots in
-(-2 sqrt q, 2 sqrt q) in weil.
+Covers exact division, the primitive gcd, d-th roots, the power structure,
+factorisation and the Rabin irreducibility test over GF(p) in intpoly, and
+the Sturm count of roots in (-2 sqrt q, 2 sqrt q) in weil.
 """
 
 import random
@@ -11,7 +11,16 @@ from math import isqrt
 import pytest
 
 from frobsplit.finfield import make_field
-from frobsplit.intpoly import IntPoly, ModPoly, dth_root, factor_mod, int_poly_gcd, max_power_structure, try_divide
+from frobsplit.intpoly import (
+    IntPoly,
+    ModPoly,
+    dth_root,
+    factor_mod,
+    int_poly_gcd,
+    is_irreducible_mod,
+    max_power_structure,
+    try_divide,
+)
 from frobsplit.weil import _roots_in_open_interval
 
 sympy = pytest.importorskip("sympy")
@@ -160,3 +169,28 @@ def test_factor_mod_against_sympy_factor_list():
         assert got == factor_mod_by_sympy([c.lift() for c in f.coeffs], p), (p, f)
         repeated += any(e > 1 for _, e in got)
     assert repeated > 100
+
+
+def test_is_irreducible_mod_against_sympy():
+    rng = random.Random(66)
+    verdicts = {True: 0, False: 0}
+    for _ in range(500):
+        p = rng.choice([2, 3, 5, 7, 101])
+        field = make_field(p, 1)
+
+        def rand(deg):
+            return ModPoly.from_ints(field, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+
+        kind = rng.randrange(4)
+        if kind < 2:
+            f = rand(rng.randint(1, 12))
+        elif kind == 2:  # a product of two known factors
+            g = rand(rng.randint(1, 6))
+            f = g * rand(rng.randint(1, 12 - g.degree))
+        else:  # a square, irreducible or not, times a unit or a cofactor
+            g = rand(rng.randint(1, 6))
+            f = g * g * rand(rng.randint(0, 12 - 2 * g.degree))
+        expected = sympy.Poly([c.lift() for c in reversed(f.coeffs)], X, modulus=p).is_irreducible
+        assert is_irreducible_mod(f) is expected, (p, f)
+        verdicts[expected] += 1
+    assert min(verdicts.values()) > 50

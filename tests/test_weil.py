@@ -16,7 +16,6 @@ from frobsplit.weil import (
     RootBoundViolation,
     SymmetryViolation,
     ZeroConstantTerm,
-    _mod_dual,
     _prime_power,
     analyze,
     dual_polynomial,
@@ -204,7 +203,7 @@ def test_simplicity_certificate_dual_pair_pattern():
     assert len(factors) == 2
     (g1, m1), (g2, m2) = factors
     assert m1 == m2 == 1 and g1.degree == g2.degree == 2
-    assert _mod_dual(g1, 3) == g2 and g1 != g2
+    assert g1.dual(field.scalar(3)) == g2 and g1 != g2
     assert simplicity_certificate(w, 7) is Certificate.SIMPLE
 
 
