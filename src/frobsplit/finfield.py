@@ -13,9 +13,9 @@ The module also holds the package's one kernel of dense polynomials over
 Z/m on int tuples (the ``_int_*`` functions).  It serves the canonical-modulus
 search and all polynomial work over GF(p) in ``intpoly``: the Rabin test that
 ``is_irreducible_mod`` runs, ``factor_mod`` over prime fields, and the prime
-screening, factorisation and Hensel lifting of ``factor_over_Z``.  Only
-factorisation over GF(p^k) with k >= 2 runs on ``intpoly.ModPoly`` and
-FFElement coefficients.
+screening, factorisation and Hensel lifting of ``factor_over_Z``.  Nothing
+factors over GF(p^k) with k >= 2; there ``intpoly.ModPoly`` on FFElement
+coefficients does the ring arithmetic, powers and gcds.
 """
 
 from __future__ import annotations
@@ -365,21 +365,6 @@ class FFElement:
             if c:
                 terms.append(f"{c}" if i == 0 else (f"u^{i}" if c == 1 else f"{c}u^{i}").replace("u^1", "u"))
         return " + ".join(terms) if terms else "0"
-
-
-def field_arith(x: FFElement, y: FFElement, op: str) -> FFElement:
-    """Dispatch one of add|sub|mul|div|pow (pow uses y's prime-field lift)."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "pow":
-        return x ** y.lift()
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def frobenius_orbit(x: FFElement):

@@ -46,7 +46,8 @@ w; regular_torus_count_oracle, which classifies every matrix of the torus,
 certifies it on small tori.  The one torus cap, MAX_TORUS_SIZE, guards
 building the matrix torus: the search for a generator of GF(ell^(2r))* and
 factoring ell^(2r) - 1 for it.  The root that embeds the quadratic subfield
-is read off factor_mod over GF(ell^2).
+is solved over GF(ell) by the quadratic formula, with the square root read
+off factor_mod.
 
 All linear algebra over field elements (determinant, inverse, independent
 subsets, the change of basis to the standard form, the anti-fixed element of
@@ -58,8 +59,10 @@ Classification of a group element x at level m asks whether x^m is regular
 with maximally anisotropic connected centralizer.  The fast path reads this
 off the characteristic polynomial; the definitional oracle enumerates the
 centralizer and is used to certify the fast path wherever enumeration fits
-the budget.  Exact operations never fall back to sampling: over-budget
-requests raise BudgetExceeded.
+the budget.  The fast path factors nothing over GF(ell^2): the dual-pair
+torus is recognised by Frobenius powers and gcds, and the other tori by the
+Rabin test over GF(ell).  Exact operations never fall back to sampling:
+over-budget requests raise BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -123,10 +126,6 @@ class GroupDescriptor:
     @property
     def matrix_dim(self) -> int:
         return self.r if self.family == "A" else 2 * self.r
-
-    @property
-    def natural_dim(self) -> int:
-        return 2 * self.r
 
     @property
     def exceptional_field(self) -> bool:
@@ -381,13 +380,24 @@ def _multiplicative_generator(field: FiniteField) -> FFElement:
 def _subfield_quadratic_image(big: FiniteField, element_maps_to: FiniteField):
     """Canonical copy of GF(ell^2) inside `big`, with the map to the
     standalone field: returns (zeta, w, w_std) where zeta generates big*,
-    w generates the subfield and w_std is its image."""
+    w generates the subfield and w_std is its image, the least-index root
+    of w's minimal polynomial in `element_maps_to`."""
     zeta = _multiplicative_generator(big)
     w = zeta ** ((big.q - 1) // (element_maps_to.q - 1))
-    # the quadratic minimal polynomial of w splits into linear factors over
-    # GF(ell^2); its least-index root is the image of w
-    _, factors = factor_mod(ModPoly.from_ints(element_maps_to, minimal_polynomial(w)))
-    roots = [-g.coeffs[0] for g, _ in factors if g.degree == 1]
+    p = big.p
+    if p == 2:
+        # GF(4) has one irreducible quadratic, so w and t share it; t < t + 1
+        return zeta, w, element_maps_to.element([0, 1])
+    # the roots of x^2 + m1 x + m0 in GF(p)[t]/(t^2 + a1 t + a0) are a + b t
+    # with b^2 = (m1^2 - 4 m0) / (a1^2 - 4 a0) and 2a = a1 b - m1
+    m0, m1, _ = minimal_polynomial(w)
+    a0, a1, _ = element_maps_to.modulus
+    b2 = (m1 * m1 - 4 * m0) * pow(a1 * a1 - 4 * a0, -1, p)
+    _, factors = factor_mod(ModPoly.from_ints(make_field(p, 1), [-b2, 0, 1]))
+    roots = []
+    for g, _ in factors:
+        b = -g.coeffs[0].lift()
+        roots.append(element_maps_to.element([(a1 * b - m1) * ((p + 1) // 2), b]))
     return zeta, w, min(roots, key=FFElement.index)
 
 
@@ -875,16 +885,23 @@ def classify_element(x: GroupElement, m: int = 1) -> bool:
     cp = mat_charpoly(y.matrix)
     if mod_gcd(cp, cp.derivative()).degree != 0:
         return False
-    _, factors = factor_mod(cp)
-    if len(factors) != 2:
-        return False
-    (g1, m1), (g2, m2) = factors
+    # x^m is regular anisotropic iff the squarefree cp is two irreducible
+    # factors of degree s over GF(q), q = ell^2, that the unitary Frobenius
+    # beta -> lam / beta^ell swaps.  With h_j = x^(q^j) mod cp: all roots lie
+    # in GF(q^s) iff h_s = x, none in a proper subfield iff h_(s/p) - x is
+    # prime to cp for each prime p | s, and the Frobenius fixes a factor iff
+    # some root has beta^(q^j) = lam / beta^ell, j < s.
+    field = desc.matrix_field
     s = desc.r // 2
-    if m1 != 1 or m2 != 1 or g1.degree != s or g2.degree != s:
+    x = ModPoly.x(field)
+    h = [x]
+    for _ in range(s):
+        h.append(h[-1].powmod(field.q, cp))
+    if h[s] != x or any(mod_gcd(cp, h[s // p] - x).degree for p in prime_divisors(s)):
         return False
-    lam = desc.matrix_field.scalar(y.similitude)
-    # the dual block's eigenvalues are lam / beta^ell over g1's roots beta
-    return g2 == g1.frobenius_coeffs().dual(lam) and g1 != g2
+    lam = ModPoly.from_ints(field, [y.similitude])
+    x_ell = x.powmod(desc.ell, cp)
+    return all(mod_gcd(cp, (hj * x_ell) % cp - lam).degree == 0 for hj in h[:s])
 
 
 def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:

@@ -2,16 +2,18 @@
 
 Covers the coefficient-level machinery the rest of the package leans on:
 reduction mod a prime, irreducibility over a prime field (Rabin test),
-complete factorisation over GF(q) (squarefree split, distinct-degree split,
-Cantor-Zassenhaus equal-degree split), factorisation over Z by the classical
-mod-p / Hensel / recombination route with a Landau-Mignotte coefficient
-bound, and exact d-th roots of monic integer polynomials.  All work over a
-prime field GF(p) (the Rabin test, factor_mod, and the prime screening,
-factorisation and Hensel lifting of factor_over_Z) runs on finfield's
-int-tuple polynomial kernel; the ModPoly splits serve only factor_mod over
-GF(p^k) with k >= 2.  Arithmetic over Z is integer-only: exact long
-division, the primitive pseudo-remainder sequence (Collins 1967; Brown 1971)
-for gcds, and exact division by d for d-th roots (Gauss's lemma).
+complete factorisation over a prime field GF(p) (squarefree split,
+distinct-degree split, Cantor-Zassenhaus equal-degree split), factorisation
+over Z by the classical mod-p / Hensel / recombination route with a
+Landau-Mignotte coefficient bound, and exact d-th roots of monic integer
+polynomials.  All of that work over GF(p) (the Rabin test, factor_mod, and
+the prime screening, factorisation and Hensel lifting of factor_over_Z) runs
+on finfield's int-tuple polynomial kernel.  Nothing factors over GF(p^k)
+with k >= 2: there ModPoly offers ring arithmetic, powers and gcds, which is
+all the dual-pair classification in groups needs.  Arithmetic over Z is
+integer-only: exact long division, the primitive pseudo-remainder sequence
+(Collins 1967; Brown 1971) for gcds, and exact division by d for d-th roots
+(Gauss's lemma).
 Everything is exact; randomised splitting is driven by an explicit seed and
 the output ordering is canonical, so all results are reproducible.
 
@@ -248,9 +250,6 @@ class ModPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one()
-
     def lc(self) -> FFElement:
         if self.is_zero():
             raise ZeroPolynomial("leading coefficient of zero")
@@ -345,9 +344,6 @@ class ModPoly:
         """Apply x -> x^p to every coefficient."""
         return ModPoly.make(self.field, [c.frobenius() for c in self.coeffs])
 
-    def sort_key(self):
-        return (self.degree, tuple(c.index() for c in self.coeffs))
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -368,109 +364,9 @@ def reduce_mod(f: IntPoly, ell: int) -> ModPoly:
     return ModPoly.from_ints(field, f.coeffs)
 
 
-def reduction_degree_drop(f: IntPoly, ell: int) -> bool:
-    """True when the leading coefficient of f vanishes mod ell."""
-    return (not f.is_zero()) and reduce_mod(f, ell).degree < f.degree
-
-
-# -- factorisation over GF(q) ------------------------------------------------
-
-
-def _pth_root(f: ModPoly) -> ModPoly:
-    """Inverse of t -> t^p on polynomials all of whose exponents are p-th."""
-    field = f.field
-    p, k = field.p, field.k
-    out = []
-    for i, c in enumerate(f.coeffs):
-        if i % p == 0:
-            out.append(c ** (p ** (k - 1)))
-        elif not c.is_zero():
-            raise AssertionError("not a p-th power")
-    return ModPoly.make(field, out)
-
-
-def _squarefree_parts(f: ModPoly):
-    """[(g_i, m_i)] with f = prod g_i^m_i, each g_i monic squarefree."""
-    out = []
-    d = f.derivative()
-    if d.is_zero():
-        for g, m in _squarefree_parts(_pth_root(f)):
-            out.append((g, m * f.field.p))
-        return out
-    c = mod_gcd(f, d)
-    w = f // c
-    i = 1
-    while not w.is_one():
-        y = mod_gcd(w, c)
-        z = w // y
-        if z.degree >= 1:
-            out.append((z.monic(), i))
-        i += 1
-        w, c = y, c // y
-    if not c.is_one():
-        for g, m in _squarefree_parts(_pth_root(c)):
-            out.append((g, m * f.field.p))
-    return out
-
-
-def _distinct_degree(f: ModPoly):
-    """[(g, d)]: g the product of the irreducible factors of degree d."""
-    field = f.field
-    q = field.q
-    out = []
-    h = ModPoly.x(field)
-    x = ModPoly.x(field)
-    rest = f
-    d = 0
-    while rest.degree >= 2 * (d + 1):
-        d += 1
-        h = h.powmod(q, rest)
-        g = mod_gcd(h - x, rest)
-        if g.degree >= 1:
-            out.append((g, d))
-            rest = rest // g
-            h = h % rest
-    if rest.degree >= 1:
-        out.append((rest, rest.degree))
-    return out
-
-
-def _random_poly(field: FiniteField, max_deg: int, rng: random.Random) -> ModPoly:
-    coeffs = [field.from_index(rng.randrange(field.q)) for _ in range(max_deg + 1)]
-    return ModPoly.make(field, coeffs)
-
-
-def _equal_degree(f: ModPoly, d: int, rng: random.Random):
-    """Cantor-Zassenhaus split of a squarefree product of degree-d factors."""
-    field = f.field
-    if f.degree == d:
-        return [f]
-    q = field.q
-    while True:
-        h = _random_poly(field, f.degree - 1, rng)
-        if h.degree < 1:
-            continue
-        g = mod_gcd(h, f)
-        if 0 < g.degree < f.degree:
-            break
-        if q % 2 == 1:
-            g = h.powmod((q**d - 1) // 2, f) - ModPoly.one(field)
-        else:
-            # char 2: the GF(2)-trace map splits where the power map cannot
-            steps = d * field.k
-            acc = h % f
-            term = h % f
-            for _ in range(steps - 1):
-                term = (term * term) % f
-                acc = acc + term
-            g = acc
-        g = mod_gcd(g, f)
-        if 0 < g.degree < f.degree:
-            break
-    return _equal_degree(g.monic(), d, rng) + _equal_degree((f // g).monic(), d, rng)
-
-
-# The same three splits over GF(p) on monic int tuples (finfield's kernel).
+# -- factorisation over GF(p) ------------------------------------------------
+# squarefree, distinct-degree and equal-degree splits on monic int tuples
+# (finfield's kernel)
 
 
 def _int_derivative(f, p):
@@ -571,43 +467,31 @@ def _monic_ints(f: ModPoly):
 
 
 def factor_mod(f: ModPoly, seed: int = 0):
-    """Complete factorisation over GF(q).
+    """Complete factorisation over a prime field GF(p).
 
     Returns (unit, [(monic irreducible, multiplicity)]) with a canonical
     ordering (degree, then coefficient vectors), so the answer does not
-    depend on the seed that drives the equal-degree splitting.  Over a
-    prime field the work runs on int tuples; the ModPoly splits above serve
-    GF(p^k) with k >= 2.
+    depend on the seed that drives the equal-degree splitting.  Only
+    prime-field polynomials are accepted (ValueError otherwise).
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    unit = f.lc()
     field = f.field
-    if field.k == 1:
-        factors = _int_factor(_monic_ints(f), field.p, seed)
-        return unit, [(ModPoly.from_ints(field, g), m) for g, m in factors]
-    f = f.monic()
-    rng = random.Random(seed)
-    factors = []
-    if f.degree >= 1:
-        for part, mult in _squarefree_parts(f):
-            for g, d in _distinct_degree(part):
-                for h in _equal_degree(g.monic(), d, rng):
-                    factors.append((h.monic(), mult))
-    factors.sort(key=lambda gm: gm[0].sort_key())
-    return unit, factors
+    if field.k != 1:
+        raise ValueError(f"factor_mod needs a prime field, not {field}")
+    factors = _int_factor(_monic_ints(f), field.p, seed)
+    return f.lc(), [(ModPoly.from_ints(field, g), m) for g, m in factors]
 
 
 def is_irreducible_mod(f: ModPoly) -> bool:
     """True iff f is irreducible over its prime field GF(p), by the Rabin test.
 
-    Only prime-field polynomials are accepted (ValueError otherwise); over
-    GF(p^k) with k > 1, read irreducibility off factor_mod.
+    Only prime-field polynomials are accepted (ValueError otherwise).
     """
     if f.is_zero():
         raise ZeroPolynomial("irreducibility of the zero polynomial")
     if f.field.k != 1:
-        raise ValueError(f"is_irreducible_mod needs a prime field, not {f.field}; use factor_mod")
+        raise ValueError(f"is_irreducible_mod needs a prime field, not {f.field}")
     if f.degree < 1:
         raise ValueError("irreducibility needs degree >= 1")
     return _int_is_irreducible(_monic_ints(f), f.field.p)

@@ -10,7 +10,6 @@ from frobsplit.finfield import (
     FiniteField,
     Overflow,
     _int_is_irreducible,
-    field_arith,
     frobenius_orbit,
     is_prime,
     make_field,
@@ -109,19 +108,6 @@ def test_u_squared_is_minus_one_in_f9():
     f9 = make_field(3, 2)
     u = f9.element([0, 1])
     assert u * u == f9.scalar(-1) == f9.scalar(2)
-
-
-def test_field_arith_dispatch():
-    f9 = make_field(3, 2)
-    u = f9.element([0, 1])
-    v = f9.element([1, 2])
-    assert field_arith(u, v, "add") == u + v
-    assert field_arith(u, v, "sub") == u - v
-    assert field_arith(u, v, "mul") == u * v
-    assert field_arith(u, v, "div") == u / v
-    assert field_arith(u, f9.scalar(2), "pow") == u * u
-    with pytest.raises(ValueError):
-        field_arith(u, v, "xor")
 
 
 def test_division_by_zero_and_mismatch():

@@ -47,6 +47,7 @@ from frobsplit.groups import (
     torus_order,
     unpack_matrix,
 )
+from modpoly_split import classify_dual_pair_reference
 
 C3 = GroupDescriptor("C", 1, 3)
 C5 = GroupDescriptor("C", 1, 5)
@@ -211,6 +212,81 @@ def test_fast_path_agrees_with_oracle_odd_unitary_rank():
     assert (count, total) == (144, 648)
     assert nc.weyl_order == 3
     assert (total // nc.normalizer_order) * regular_torus_count(desc) == count
+
+
+def _mixed_dual_pair_elements(desc, count, seed):
+    """Seeded elements of an even-rank unitary group: torus elements times,
+    or conjugated by, monomial unitaries (a permutation matrix with entries
+    of norm one)."""
+    rng = random.Random(seed)
+    field = desc.matrix_field
+    r = desc.r
+    torus = torus_element_matrices(desc)
+    norm_one = [u for u in field.elements() if not u.is_zero() and u ** (desc.ell + 1) == field.one()]
+    out = []
+    for _ in range(count):
+        perm = rng.sample(range(r), r)
+        mono = contains(
+            desc, tuple(tuple(rng.choice(norm_one) if j == perm[i] else field.zero() for j in range(r)) for i in range(r))
+        )
+        t = rng.choice(torus)
+        out.append(t * mono if rng.random() < 0.5 else mono * t * mono.inverse())
+    return out
+
+
+def _assert_dual_pair_classification_equals_the_reference(elements, ms):
+    answers = []
+    for elt in elements:
+        for m in ms:
+            answer = classify_element(elt, m)
+            assert answer == classify_dual_pair_reference(elt, m), (elt, m)
+            answers.append(answer)
+    assert any(answers) and not all(answers)
+
+
+def test_dual_pair_classification_equals_the_reference_on_gu2_f3():
+    _assert_dual_pair_classification_equals_the_reference(enumerate_group(A2), (1, 2, 3))
+
+
+def test_dual_pair_classification_equals_the_reference_on_mixed_gu4_f3():
+    desc = GroupDescriptor("A", 4, 3)
+    _assert_dual_pair_classification_equals_the_reference(_mixed_dual_pair_elements(desc, 100, seed=4), (1, 2))
+
+
+def test_dual_pair_classification_needs_every_root_in_the_degree_s_field():
+    # diag(x4, x6) in GU_10(F_2), x4 and x6 regular anisotropic: a dual pair
+    # of quadratics and one of cubics over GF(4).  No root lies in GF(4), and
+    # the twisted dual fixes no factor, so only h_5 = x rejects it.
+    x4, x6 = (
+        next(t for t in torus_element_matrices(GroupDescriptor("A", r, 2)) if classify_element(t))
+        for r in (4, 6)
+    )
+    desc = GroupDescriptor("A", 10, 2)
+    zero = desc.matrix_field.zero()
+    x = contains(
+        desc,
+        tuple(
+            tuple(
+                x4.matrix[i][j] if i < 4 and j < 4 else (x6.matrix[i - 4][j - 4] if i >= 4 and j >= 4 else zero)
+                for j in range(10)
+            )
+            for i in range(10)
+        ),
+    )
+    assert not classify_element(x) and not classify_dual_pair_reference(x)
+
+
+@pytest.mark.slow
+def test_dual_pair_classification_equals_the_reference_on_gu2_f5():
+    desc = GroupDescriptor("A", 2, 5)
+    _assert_dual_pair_classification_equals_the_reference(enumerate_group(desc), (1, 2, 3))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ell", [3, 5])
+def test_dual_pair_classification_equals_the_reference_on_600_gu4_elements(ell):
+    desc = GroupDescriptor("A", 4, ell)
+    _assert_dual_pair_classification_equals_the_reference(_mixed_dual_pair_elements(desc, 600, seed=ell), (1, 2))
 
 
 def test_torus_generator_similitude_generates_the_scalars():

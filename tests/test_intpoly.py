@@ -18,8 +18,8 @@ from frobsplit.intpoly import (
     max_power_structure,
     poly_from_string,
     reduce_mod,
-    reduction_degree_drop,
 )
+from modpoly_split import factor_mod_reference, sort_key
 
 P = IntPoly.make
 
@@ -70,16 +70,14 @@ def exhaustive_factor_quartic_mod(coeffs, p):
             rest = ModPoly.one(field)
     if rest.degree >= 1:
         found.append(rest)
-    return sorted(g.sort_key() for g in found)
+    return sorted(sort_key(g) for g in found)
 
 
 def test_reduce_mod_examples():
     assert str(reduce_mod(P([9, 6, 1]), 3)) == "0,0,1"
     f = reduce_mod(P([9, 0, 6, 0, 1]), 5)
     assert [c.lift() for c in f.coeffs] == [4, 0, 1, 0, 1]
-    g = P([1, 0, 3])
-    assert reduction_degree_drop(g, 3)
-    assert reduce_mod(g, 3).degree == 0
+    assert reduce_mod(P([1, 0, 3]), 3).degree == 0
 
 
 def test_reduce_mod_is_multiplicative():
@@ -116,7 +114,7 @@ def test_factor_mod_against_exhaustive_search_mod7():
     f7 = make_field(7, 1)
     f = ModPoly.from_ints(f7, coeffs)
     _, factors = factor_mod(f)
-    expanded = sorted(g.sort_key() for g, m in factors for _ in range(m))
+    expanded = sorted(sort_key(g) for g, m in factors for _ in range(m))
     assert expanded == exhaustive_factor_quartic_mod(coeffs, 7)
     assert reassemble(f7.one(), factors) == f
 
@@ -163,10 +161,16 @@ def test_factor_mod_extension_field():
     u = f9.element([0, 1])
     # (t - u)(t - u^3) = t^2 + 1 has coefficients in GF(3) but roots in GF(9)
     f = ModPoly.make(f9, [f9.one(), f9.zero(), f9.one()])
-    _, factors = factor_mod(f)
+    _, factors = factor_mod_reference(f)
     assert len(factors) == 2
     roots = sorted(((-g.coeffs[0]).index()) for g, _ in factors)
     assert roots == sorted([u.index(), (u ** 3).index()])
+
+
+def test_factor_mod_rejects_extension_field():
+    f9 = make_field(3, 2)
+    with pytest.raises(ValueError, match=r"prime field, not GF\(3\^2\)"):
+        factor_mod(ModPoly.from_ints(f9, [1, 0, 1]))
 
 
 def test_factor_mod_deterministic_across_seeds():
@@ -224,7 +228,7 @@ def test_is_irreducible_mod_non_monic():
 
 def test_is_irreducible_mod_rejects_extension_field_and_zero():
     f9 = make_field(3, 2)
-    with pytest.raises(ValueError, match="factor_mod"):
+    with pytest.raises(ValueError, match=r"prime field, not GF\(3\^2\)"):
         is_irreducible_mod(ModPoly.from_ints(f9, [1, 0, 1]))
     with pytest.raises(ZeroPolynomial):
         is_irreducible_mod(ModPoly.make(make_field(3, 1), []))
@@ -255,9 +259,9 @@ def test_prime_field_factorisation_runs_on_int_tuples(monkeypatch):
     ]
     assert factor_over_Z(weil) == tuple((g, 1) for g in sorted(quadratics, key=lambda g: g.coeffs))
     monkeypatch.undo()
-    # GF(p^k) with k >= 2 keeps the ModPoly path: t^2 + 1 splits over GF(9)
+    # GF(p^k) with k >= 2 is left to the reference split: t^2 + 1 splits over GF(9)
     f9 = make_field(3, 2)
-    _, factors = factor_mod(ModPoly.from_ints(f9, [1, 0, 1]))
+    _, factors = factor_mod_reference(ModPoly.from_ints(f9, [1, 0, 1]))
     assert [(g.degree, m) for g, m in factors] == [(1, 1), (1, 1)]
 
 
