@@ -14,8 +14,9 @@ Z/m on int tuples (the ``_int_*`` functions).  It serves the canonical-modulus
 search and all polynomial work over GF(p) in ``intpoly``: the Rabin test that
 ``is_irreducible_mod`` runs, ``factor_mod`` over prime fields, and the prime
 screening, factorisation and Hensel lifting of ``factor_over_Z``.  Nothing
-factors over GF(p^k) with k >= 2; there ``intpoly.ModPoly`` on FFElement
-coefficients does the ring arithmetic, powers and gcds.
+factors over GF(p^k) with k >= 2.  ``intpoly.ModPoly`` on FFElement
+coefficients is only the input and output type of that work, with the
+twisted dual and the ring arithmetic of the definitional charpoly.
 """
 
 from __future__ import annotations

@@ -56,17 +56,20 @@ The packed layer keeps only multiplication, conjugate transpose, powers and
 the similitude test, which the enumeration scan and the oracles run.
 
 Classification of a group element x at level m asks whether x^m is regular
-with maximally anisotropic connected centralizer.  The fast path reads this
-off the characteristic polynomial; the definitional oracle enumerates the
-centralizer and is used to certify the fast path wherever enumeration fits
-the budget.  The fast path factors nothing over GF(ell^2): the dual-pair
-torus is recognised by Frobenius powers and gcds, and the other tori by the
-Rabin test over GF(ell).  Exact operations never fall back to sampling:
-over-budget requests raise BudgetExceeded.
+with maximally anisotropic connected centralizer.  The fast path is one
+Frobenius-power test for all three tori: Rabin's test read on the matrix of
+x^m over GF(ell), with the entries of GF(ell^2) written as 2x2 blocks, in
+integer arithmetic alone.  It builds no characteristic polynomial and runs
+no polynomial Euclid; the tori differ only in the degree D, the primes and
+the twist factors it tests.  The definitional oracle enumerates the
+centralizer and certifies the fast path wherever enumeration fits the
+budget.  Exact operations never fall back to sampling: over-budget requests
+raise BudgetExceeded, before any table of the field is built.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -82,7 +85,7 @@ from .finfield import (
     minimal_polynomial,
     prime_divisors,
 )
-from .intpoly import ModPoly, factor_mod, is_irreducible_mod, mod_gcd
+from .intpoly import ModPoly, factor_mod
 
 MAX_GROUP_SIZE = 10**6
 MAX_MATRIX_SPACE = 2 * 10**7
@@ -254,7 +257,9 @@ def mat_inverse(a):
 
 
 def mat_charpoly(a) -> ModPoly:
-    """det(t*I - a) by cofactor expansion; fine for the small ranks here."""
+    """det(t*I - a) by cofactor expansion, the definitional characteristic
+    polynomial.  No production path calls it (classify_element tests the
+    matrix itself); the test references build on it."""
     field = a[0][0].field
     n = len(a)
     entries = [
@@ -851,9 +856,10 @@ def enumerate_group_packed(desc: GroupDescriptor, part: str = "full"):
 
 def enumerate_group(desc: GroupDescriptor, part: str = "full"):
     """All GroupElements of the requested subgroup (budget-capped)."""
+    elements = enumerate_group_packed(desc, part)
     pg = _packed_group(desc)
     out = []
-    for m in enumerate_group_packed(desc, part):
+    for m in elements:
         lam = pg.similitude(m)
         out.append(GroupElement(desc, unpack_matrix(desc, m), lam))
     return out
@@ -863,53 +869,91 @@ def enumerate_group(desc: GroupDescriptor, part: str = "full"):
 # classification
 
 
-def _charpoly_natural(x: GroupElement) -> ModPoly:
-    """Characteristic polynomial on the natural 2r-dimensional prime-field
-    space (for family A this is the norm of the GF(ell^2) charpoly)."""
-    desc = x.desc
-    prime = make_field(desc.ell, 1)
-    cp = mat_charpoly(x.matrix)
-    if desc.family == "C":
-        return ModPoly.from_ints(prime, [c.lift() for c in cp.coeffs])
-    full = cp * cp.frobenius_coeffs()
-    return ModPoly.from_ints(prime, [c.lift() for c in full.coeffs])
+def _natural_matrix(x: GroupElement) -> tuple:
+    """x on its natural 2r-dimensional GF(ell)-space, as ints mod ell.  In
+    family A the entry a + b t of GF(ell^2), t^2 + A1 t + A0 = 0, acts on the
+    basis (1, t) by the block [[a, -A0 b], [b, a - A1 b]]."""
+    if x.desc.family == "C":
+        return tuple(tuple(e.coeffs[0] for e in row) for row in x.matrix)
+    ell = x.desc.ell
+    a0, a1, _ = x.desc.matrix_field.modulus
+    out = []
+    for row in x.matrix:
+        pairs = [e.coeffs for e in row]
+        out.append(tuple(v for a, b in pairs for v in (a, -a0 * b % ell)))
+        out.append(tuple(v for a, b in pairs for v in (b, (a - a1 * b) % ell)))
+    return tuple(out)
+
+
+def _imat_mul(a, b, p: int) -> tuple:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) % p for col in cols) for row in a)
+
+
+def _imat_sub(a, b, p: int) -> tuple:
+    return tuple(tuple((u - v) % p for u, v in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _imat_pow(a, e: int, p: int) -> tuple:
+    """a^e mod p for e >= 1, by repeated squaring."""
+    if e == 1:
+        return a
+    half = _imat_pow(_imat_mul(a, a, p), e >> 1, p)
+    return _imat_mul(half, a, p) if e & 1 else half
 
 
 def classify_element(x: GroupElement, m: int = 1) -> bool:
     """True iff x^m is regular with maximally anisotropic connected
-    centralizer (fast path, read off characteristic polynomials)."""
-    y = x**m
+    centralizer: Rabin's test read on the matrix, with no characteristic
+    polynomial.
+
+    y = x^m acts on the natural GF(ell)-space; F_0 = y, F_(i+1) = F_i^ell,
+    and D = r on the dual-pair torus (family A, r = 2s), D = 2r otherwise.
+    F_D = y says that y is semisimple with every eigenvalue beta in
+    GF(ell^D).  P, the product of F_(D/p) - y over the primes p | D (p | s on
+    the dual-pair torus) and of F_(2j) F_1 - lam I for j < s (lam the
+    similitude of y), is then a polynomial in a semisimple matrix, so it is
+    invertible iff P^(ell^D - 1) = I.  That says no beta lies in a proper
+    subfield: on the norm-line tori the characteristic polynomial is
+    irreducible (Rabin's test), and on the dual-pair torus it is two
+    factors of degree s over GF(ell^2).  There the twist factors say that
+    the unitary Frobenius beta -> lam / beta^ell, which maps a group
+    element's eigenvalues onto themselves, sends no beta to a conjugate
+    beta^(ell^(2j)), so it swaps the factors.  A repeated factor would be
+    fixed, so squarefreeness needs no test of its own.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
     desc = x.desc
-    if desc.family == "C" or desc.r % 2 == 1:
-        return is_irreducible_mod(_charpoly_natural(y))
-    cp = mat_charpoly(y.matrix)
-    if mod_gcd(cp, cp.derivative()).degree != 0:
+    ell = desc.ell
+    y = _imat_pow(_natural_matrix(x), m, ell)
+    lam = pow(x.similitude, m, ell)
+    s = desc.r // 2 if desc.family == "A" and desc.r % 2 == 0 else 0  # 0: norm-line torus
+    d = 2 * s or 2 * desc.r
+    frob = [y]
+    for _ in range(d):
+        frob.append(_imat_pow(frob[-1], ell, ell))
+    if frob[d] != y:
         return False
-    # x^m is regular anisotropic iff the squarefree cp is two irreducible
-    # factors of degree s over GF(q), q = ell^2, that the unitary Frobenius
-    # beta -> lam / beta^ell swaps.  With h_j = x^(q^j) mod cp: all roots lie
-    # in GF(q^s) iff h_s = x, none in a proper subfield iff h_(s/p) - x is
-    # prime to cp for each prime p | s, and the Frobenius fixes a factor iff
-    # some root has beta^(q^j) = lam / beta^ell, j < s.
-    field = desc.matrix_field
-    s = desc.r // 2
-    x = ModPoly.x(field)
-    h = [x]
-    for _ in range(s):
-        h.append(h[-1].powmod(field.q, cp))
-    if h[s] != x or any(mod_gcd(cp, h[s // p] - x).degree for p in prime_divisors(s)):
-        return False
-    lam = ModPoly.from_ints(field, [y.similitude])
-    x_ell = x.powmod(desc.ell, cp)
-    return all(mod_gcd(cp, (hj * x_ell) % cp - lam).degree == 0 for hj in h[:s])
+    n = len(y)
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    lam_eye = tuple(tuple(lam * v for v in row) for row in eye)
+    factors = [_imat_sub(frob[d // p], y, ell) for p in prime_divisors(s or d)]
+    factors += [_imat_sub(_imat_mul(frob[2 * j], frob[1], ell), lam_eye, ell) for j in range(s)]
+    prod = eye
+    for f in factors:
+        prod = _imat_mul(prod, f, ell)
+    return _imat_pow(prod, ell**d - 1, ell) == eye
 
 
 def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:
     """Definitional answer: enumerate the centralizer of x^m in the full
     group and test that it is abelian of the anisotropic-torus order."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
     desc = x.desc
-    pg = _packed_group(desc)
     elements = enumerate_group_packed(desc, "full")
+    pg = _packed_group(desc)
     y = pg.power(pack_matrix(x.matrix), m)
     target = torus_order(desc)
     mm = pg.mm
@@ -932,8 +976,8 @@ def normalizer_census_oracle(desc: GroupDescriptor) -> NormalizerCensus:
     """Definitional answer: count the elements of the enumerated full group
     that conjugate every torus generator back into the torus.  A test
     oracle for normalizer_census, budget-capped like the enumeration."""
-    pg = _packed_group(desc)
     elements = enumerate_group_packed(desc, "full")
+    pg = _packed_group(desc)
     torus = build_anisotropic_torus(desc)
     tset = frozenset(pack_matrix(t.matrix) for t in torus_element_matrices(desc))
     gens = [pack_matrix(g.matrix) for g in torus.generators]
@@ -970,9 +1014,9 @@ def exhaustive_classification(desc: GroupDescriptor, m: int = 1, part: str = "fu
     """(count in the regular-anisotropic class, subgroup order) by direct
     classification of every element; the independent check on the census
     count identity."""
+    elements = enumerate_group_packed(desc, part)
     pg = _packed_group(desc)
     count = 0
-    elements = enumerate_group_packed(desc, part)
     for mat in elements:
         lam = pg.similitude(mat)
         elt = GroupElement(desc, unpack_matrix(desc, mat), lam)

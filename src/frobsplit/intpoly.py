@@ -9,11 +9,12 @@ Landau-Mignotte coefficient bound, and exact d-th roots of monic integer
 polynomials.  All of that work over GF(p) (the Rabin test, factor_mod, and
 the prime screening, factorisation and Hensel lifting of factor_over_Z) runs
 on finfield's int-tuple polynomial kernel.  Nothing factors over GF(p^k)
-with k >= 2: there ModPoly offers ring arithmetic, powers and gcds, which is
-all the dual-pair classification in groups needs.  Arithmetic over Z is
-integer-only: exact long division, the primitive pseudo-remainder sequence
-(Collins 1967; Brown 1971) for gcds, and exact division by d for d-th roots
-(Gauss's lemma).
+with k >= 2, and ModPoly has no division, gcd or powers: it is the input
+and output type of factor_mod, is_irreducible_mod and reduce_mod, carries
+the twisted dual, and gives groups.mat_charpoly its ring arithmetic over any
+GF(q).  Arithmetic over Z is integer-only: exact long division, the
+primitive pseudo-remainder sequence (Collins 1967; Brown 1971) for gcds, and
+exact division by d for d-th roots (Gauss's lemma).
 Everything is exact; randomised splitting is driven by an explicit seed and
 the output ordering is canonical, so all results are reproducible.
 
@@ -235,14 +236,6 @@ class ModPoly:
     def from_ints(field: FiniteField, ints) -> "ModPoly":
         return ModPoly.make(field, [field.scalar(int(c)) for c in ints])
 
-    @staticmethod
-    def x(field: FiniteField) -> "ModPoly":
-        return ModPoly.make(field, [field.zero(), field.one()])
-
-    @staticmethod
-    def one(field: FiniteField) -> "ModPoly":
-        return ModPoly.make(field, [field.one()])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -282,55 +275,10 @@ class ModPoly:
     def scale(self, c: FFElement) -> "ModPoly":
         return ModPoly.make(self.field, [c * a for a in self.coeffs])
 
-    def __divmod__(self, other):
-        f = self.field
-        if other.is_zero():
-            raise ZeroPolynomial("polynomial division by zero")
-        q = [f.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
-        r = list(self.coeffs)
-        inv_lc = other.lc().inverse()
-        while len(r) >= len(other.coeffs):
-            while r and r[-1].is_zero():
-                r.pop()
-            if len(r) < len(other.coeffs):
-                break
-            c = r[-1] * inv_lc
-            d = len(r) - len(other.coeffs)
-            q[d] = c
-            for j, bj in enumerate(other.coeffs):
-                r[d + j] = r[d + j] - c * bj
-        return ModPoly.make(f, q), ModPoly.make(f, r)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def monic(self) -> "ModPoly":
         if self.is_zero():
             return self
         return self.scale(self.lc().inverse())
-
-    def derivative(self) -> "ModPoly":
-        f = self.field
-        return ModPoly.make(f, [f.scalar(i) * c for i, c in enumerate(self.coeffs) if i >= 1])
-
-    def eval(self, x: FFElement) -> FFElement:
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def powmod(self, e: int, modulus: "ModPoly") -> "ModPoly":
-        result = ModPoly.one(self.field)
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return result
 
     def dual(self, c: FFElement) -> "ModPoly":
         """Monic polynomial with roots c/alpha over the roots alpha:
@@ -340,20 +288,10 @@ class ModPoly:
         n = self.degree
         return ModPoly.make(self.field, [self.coeffs[n - j] * c ** (n - j) for j in range(n + 1)]).monic()
 
-    def frobenius_coeffs(self) -> "ModPoly":
-        """Apply x -> x^p to every coefficient."""
-        return ModPoly.make(self.field, [c.frobenius() for c in self.coeffs])
-
     def __str__(self):
         if self.is_zero():
             return "0"
         return ",".join(repr(c) for c in self.coeffs)
-
-
-def mod_gcd(a: ModPoly, b: ModPoly) -> ModPoly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
 
 
 def reduce_mod(f: IntPoly, ell: int) -> ModPoly:

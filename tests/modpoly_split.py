@@ -1,16 +1,90 @@
 """Reference factorisation over any GF(p^k), on ModPoly, for the tests.
 
-The package factors over prime fields only.  This is the complete
-squarefree / distinct-degree / Cantor-Zassenhaus split on FFElement
-coefficients, kept as the oracle for the dual-pair classification over
-GF(ell^2), which the package reads off Frobenius powers and gcds.
+The package factors over prime fields only, and classifies group elements
+on their natural GF(ell) matrix with no characteristic polynomial.  This
+module keeps the polynomial routes that classification replaced, as its
+oracles: the complete squarefree / distinct-degree / Cantor-Zassenhaus split
+on FFElement coefficients, the Euclidean division, gcd and powers it runs on,
+and the two charpoly classifications (Rabin's test on the norm of the
+charpoly, and the dual-pair factorisation over GF(ell^2)).
 """
 
 import random
 
-from frobsplit.finfield import FiniteField
+from frobsplit.finfield import FFElement, FiniteField, make_field
 from frobsplit.groups import mat_charpoly
-from frobsplit.intpoly import ModPoly, ZeroPolynomial, mod_gcd
+from frobsplit.intpoly import ModPoly, ZeroPolynomial, is_irreducible_mod
+
+
+def poly_x(field: FiniteField) -> ModPoly:
+    return ModPoly.make(field, [field.zero(), field.one()])
+
+
+def poly_one(field: FiniteField) -> ModPoly:
+    return ModPoly.make(field, [field.one()])
+
+
+def poly_eval(f: ModPoly, x: FFElement) -> FFElement:
+    acc = f.field.zero()
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def derivative(f: ModPoly) -> ModPoly:
+    field = f.field
+    return ModPoly.make(field, [field.scalar(i) * c for i, c in enumerate(f.coeffs) if i >= 1])
+
+
+def frobenius_coeffs(f: ModPoly) -> ModPoly:
+    """Apply x -> x^p to every coefficient."""
+    return ModPoly.make(f.field, [c.frobenius() for c in f.coeffs])
+
+
+def poly_divmod(a: ModPoly, b: ModPoly):
+    """(quotient, remainder) of Euclidean division."""
+    field = a.field
+    if b.is_zero():
+        raise ZeroPolynomial("polynomial division by zero")
+    q = [field.zero()] * max(len(a.coeffs) - len(b.coeffs) + 1, 1)
+    r = list(a.coeffs)
+    inv_lc = b.lc().inverse()
+    while len(r) >= len(b.coeffs):
+        while r and r[-1].is_zero():
+            r.pop()
+        if len(r) < len(b.coeffs):
+            break
+        c = r[-1] * inv_lc
+        d = len(r) - len(b.coeffs)
+        q[d] = c
+        for j, bj in enumerate(b.coeffs):
+            r[d + j] = r[d + j] - c * bj
+    return ModPoly.make(field, q), ModPoly.make(field, r)
+
+
+def poly_mod(a: ModPoly, b: ModPoly) -> ModPoly:
+    return poly_divmod(a, b)[1]
+
+
+def poly_div(a: ModPoly, b: ModPoly) -> ModPoly:
+    return poly_divmod(a, b)[0]
+
+
+def powmod(f: ModPoly, e: int, modulus: ModPoly) -> ModPoly:
+    result = poly_one(f.field)
+    base = poly_mod(f, modulus)
+    while e:
+        if e & 1:
+            result = poly_mod(result * base, modulus)
+        base = poly_mod(base * base, modulus)
+        e >>= 1
+    return result
+
+
+def mod_gcd(a: ModPoly, b: ModPoly) -> ModPoly:
+    while not b.is_zero():
+        a, b = b, poly_mod(a, b)
+    return a.monic() if not a.is_zero() else a
 
 
 def sort_key(g: ModPoly):
@@ -33,23 +107,23 @@ def _pth_root(f: ModPoly) -> ModPoly:
 
 def _squarefree_parts(f: ModPoly):
     """[(g_i, m_i)] with f = prod g_i^m_i, each g_i monic squarefree."""
-    one = ModPoly.one(f.field)
+    one = poly_one(f.field)
     out = []
-    d = f.derivative()
+    d = derivative(f)
     if d.is_zero():
         for g, m in _squarefree_parts(_pth_root(f)):
             out.append((g, m * f.field.p))
         return out
     c = mod_gcd(f, d)
-    w = f // c
+    w = poly_div(f, c)
     i = 1
     while w != one:
         y = mod_gcd(w, c)
-        z = w // y
+        z = poly_div(w, y)
         if z.degree >= 1:
             out.append((z.monic(), i))
         i += 1
-        w, c = y, c // y
+        w, c = y, poly_div(c, y)
     if c != one:
         for g, m in _squarefree_parts(_pth_root(c)):
             out.append((g, m * f.field.p))
@@ -61,18 +135,17 @@ def _distinct_degree(f: ModPoly):
     field = f.field
     q = field.q
     out = []
-    h = ModPoly.x(field)
-    x = ModPoly.x(field)
+    h = x = poly_x(field)
     rest = f
     d = 0
     while rest.degree >= 2 * (d + 1):
         d += 1
-        h = h.powmod(q, rest)
+        h = powmod(h, q, rest)
         g = mod_gcd(h - x, rest)
         if g.degree >= 1:
             out.append((g, d))
-            rest = rest // g
-            h = h % rest
+            rest = poly_div(rest, g)
+            h = poly_mod(h, rest)
     if rest.degree >= 1:
         out.append((rest, rest.degree))
     return out
@@ -97,20 +170,19 @@ def _equal_degree(f: ModPoly, d: int, rng: random.Random):
         if 0 < g.degree < f.degree:
             break
         if q % 2 == 1:
-            g = h.powmod((q**d - 1) // 2, f) - ModPoly.one(field)
+            g = powmod(h, (q**d - 1) // 2, f) - poly_one(field)
         else:
             # char 2: the GF(2)-trace map splits where the power map cannot
             steps = d * field.k
-            acc = h % f
-            term = h % f
+            acc = term = poly_mod(h, f)
             for _ in range(steps - 1):
-                term = (term * term) % f
+                term = poly_mod(term * term, f)
                 acc = acc + term
             g = acc
         g = mod_gcd(g, f)
         if 0 < g.degree < f.degree:
             break
-    return _equal_degree(g.monic(), d, rng) + _equal_degree((f // g).monic(), d, rng)
+    return _equal_degree(g.monic(), d, rng) + _equal_degree(poly_div(f, g).monic(), d, rng)
 
 
 def factor_mod_reference(f: ModPoly, seed: int = 0):
@@ -137,7 +209,7 @@ def classify_dual_pair_reference(x, m: int = 1) -> bool:
     is two distinct degree-r/2 irreducibles that the twisted dual swaps."""
     y = x**m
     cp = mat_charpoly(y.matrix)
-    if mod_gcd(cp, cp.derivative()).degree != 0:
+    if mod_gcd(cp, derivative(cp)).degree != 0:
         return False
     _, factors = factor_mod_reference(cp)
     if len(factors) != 2:
@@ -148,4 +220,16 @@ def classify_dual_pair_reference(x, m: int = 1) -> bool:
         return False
     lam = x.desc.matrix_field.scalar(y.similitude)
     # the dual block's eigenvalues are lam / beta^ell over g1's roots beta
-    return g2 == g1.frobenius_coeffs().dual(lam) and g1 != g2
+    return g2 == frobenius_coeffs(g1).dual(lam) and g1 != g2
+
+
+def classify_charpoly_reference(x, m: int = 1) -> bool:
+    """classify_element on the norm-line tori (family C, and family A with r
+    odd) by Rabin's test on the characteristic polynomial: x^m is regular
+    anisotropic iff its charpoly on the natural GF(ell)-space, the norm of
+    the GF(ell^2) charpoly in family A, is irreducible over GF(ell)."""
+    y = x**m
+    cp = mat_charpoly(y.matrix)
+    if x.desc.family == "A":
+        cp = cp * frobenius_coeffs(cp)
+    return is_irreducible_mod(ModPoly.from_ints(make_field(x.desc.ell, 1), [c.lift() for c in cp.coeffs]))

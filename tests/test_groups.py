@@ -5,7 +5,8 @@ from math import gcd
 
 import pytest
 
-from frobsplit.finfield import FieldMismatch, is_prime, make_field, minimal_polynomial
+from frobsplit import intpoly
+from frobsplit.finfield import FFElement, FieldMismatch, is_prime, make_field, minimal_polynomial
 from frobsplit.groups import (
     MAX_TORUS_SIZE,
     AnisotropicTorus,
@@ -47,7 +48,7 @@ from frobsplit.groups import (
     torus_order,
     unpack_matrix,
 )
-from modpoly_split import classify_dual_pair_reference
+from modpoly_split import classify_charpoly_reference, classify_dual_pair_reference
 
 C3 = GroupDescriptor("C", 1, 3)
 C5 = GroupDescriptor("C", 1, 5)
@@ -253,27 +254,147 @@ def test_dual_pair_classification_equals_the_reference_on_mixed_gu4_f3():
     _assert_dual_pair_classification_equals_the_reference(_mixed_dual_pair_elements(desc, 100, seed=4), (1, 2))
 
 
+def _block_diagonal(desc, blocks):
+    zero = desc.matrix_field.zero()
+    rows = []
+    offset = 0
+    for b in blocks:
+        k = len(b)
+        for row in b:
+            rows.append((zero,) * offset + tuple(row) + (zero,) * (desc.matrix_dim - offset - k))
+        offset += k
+    return contains(desc, tuple(rows))
+
+
 def test_dual_pair_classification_needs_every_root_in_the_degree_s_field():
     # diag(x4, x6) in GU_10(F_2), x4 and x6 regular anisotropic: a dual pair
     # of quadratics and one of cubics over GF(4).  No root lies in GF(4), and
-    # the twisted dual fixes no factor, so only h_5 = x rejects it.
+    # the twisted dual fixes no factor: what rules it out is only that its
+    # roots lie outside GF(4^5).
     x4, x6 = (
         next(t for t in torus_element_matrices(GroupDescriptor("A", r, 2)) if classify_element(t))
         for r in (4, 6)
     )
-    desc = GroupDescriptor("A", 10, 2)
-    zero = desc.matrix_field.zero()
-    x = contains(
-        desc,
-        tuple(
-            tuple(
-                x4.matrix[i][j] if i < 4 and j < 4 else (x6.matrix[i - 4][j - 4] if i >= 4 and j >= 4 else zero)
-                for j in range(10)
-            )
-            for i in range(10)
-        ),
-    )
+    x = _block_diagonal(GroupDescriptor("A", 10, 2), [x4.matrix, x6.matrix])
     assert not classify_element(x) and not classify_dual_pair_reference(x)
+
+
+def test_dual_pair_classification_rejects_two_self_dual_cubics():
+    # diag(x, y) in GU_6(F_2), x and y regular anisotropic in GU_3(F_2): two
+    # cubics over GF(4), each fixed by beta -> lam / beta^ell, which acts on
+    # its roots as beta -> beta^(4^2).  Only the twist factor j = 2 rejects it.
+    x, y = [t for t in torus_element_matrices(GroupDescriptor("A", 3, 2)) if classify_element(t)][:2]
+    z = _block_diagonal(GroupDescriptor("A", 6, 2), [x.matrix, y.matrix])
+    assert not classify_element(z) and not classify_dual_pair_reference(z)
+
+
+def _reference(x, m):
+    """The charpoly classification that classify_element replaced."""
+    desc = x.desc
+    if desc.family == "A" and desc.r % 2 == 0:
+        return classify_dual_pair_reference(x, m)
+    return classify_charpoly_reference(x, m)
+
+
+def _non_torus_elements(desc):
+    """Two fixed elements off the torus: a transvection (family C) or a
+    unitary reflection (family A, r >= 3 when ell = 2), and a Weyl-type
+    monomial element."""
+    field = desc.matrix_field
+    n = desc.matrix_dim
+    zero, one = field.zero(), field.one()
+    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    if desc.family == "C":
+        block = [row[:] for row in eye]
+        block[0][n - 1] = one
+        weyl = [row[:] for row in eye]
+        weyl[0][0] = weyl[n - 1][n - 1] = zero
+        weyl[n - 1][0], weyl[0][n - 1] = one, -one
+    else:
+        # I - (1 - z) v v* / (v* v) with v the sum of the first k basis
+        # vectors (v* v = k nonzero) and z != 1 of norm one
+        k = 3 if desc.ell == 2 else 2
+        z = next(u for u in field.elements() if u != one and not u.is_zero() and u ** (desc.ell + 1) == one)
+        c = (one - z) / field.scalar(k)
+        block = [[eye[i][j] - c if i < k and j < k else eye[i][j] for j in range(n)] for i in range(n)]
+        weyl = [[one if j == (i + 1) % n else zero for j in range(n)] for i in range(n)]
+    out = [contains(desc, tuple(map(tuple, mat))) for mat in (block, weyl)]
+    assert None not in out
+    return out
+
+
+def _seeded_torus_elements(desc, count, seed):
+    rng = random.Random(seed)
+    torus = build_anisotropic_torus(desc)
+    out = []
+    for _ in range(count):
+        x = identity_element(desc)
+        for g in torus.generators:
+            x = x * g ** rng.randrange(torus.order)
+        out.append(x)
+    return out
+
+
+def _assert_classification_equals_the_references(desc, count, seed):
+    answers = []
+    fixed = _non_torus_elements(desc)
+    for t in _seeded_torus_elements(desc, count, seed):
+        for x in [t] + [t * g for g in fixed]:
+            for m in (1, 2, 3):
+                answer = classify_element(x, m)
+                assert answer == _reference(x, m), (x, m)
+                answers.append(answer)
+    assert any(answers) and not all(answers)
+
+
+REFERENCE_GROUPS = [
+    GroupDescriptor(*spec) for spec in [("C", 3, 31), ("C", 4, 3), ("A", 5, 2), ("A", 4, 11), ("A", 6, 3)]
+]
+
+
+@pytest.mark.parametrize("desc", REFERENCE_GROUPS, ids=repr)
+def test_classification_equals_the_charpoly_references(desc):
+    """The matrix test against the charpoly routes it replaced: Rabin's
+    test on the norm of the charpoly (family C, odd-rank A) and the
+    dual-pair factorisation over GF(ell^2) (even-rank A), on a torus
+    element alone and times two fixed elements off the torus."""
+    _assert_classification_equals_the_references(desc, 1, seed=1)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("desc", REFERENCE_GROUPS, ids=repr)
+def test_classification_equals_the_charpoly_references_wide(desc):
+    _assert_classification_equals_the_references(desc, 12, seed=2)
+
+
+def test_classification_runs_on_ints_alone(monkeypatch):
+    """No field-element arithmetic and no polynomial irreducibility test:
+    classify_element reads the answer off an integer matrix."""
+    cases = []
+    for spec in [("C", 2, 2), ("A", 3, 2), ("A", 4, 3)]:
+        desc = GroupDescriptor(*spec)
+        elements = _seeded_torus_elements(desc, 2, seed=7)
+        elements += [t * g for t in elements for g in _non_torus_elements(desc)]
+        cases += [(x, m, _reference(x, m)) for x in elements for m in (1, 2)]
+    assert {expected for _, _, expected in cases} == {False, True}
+
+    def forbidden(*args):
+        raise AssertionError("classification used field or polynomial arithmetic")
+
+    monkeypatch.setattr(FFElement, "__mul__", forbidden)
+    monkeypatch.setattr(FFElement, "__add__", forbidden)
+    monkeypatch.setattr(intpoly, "is_irreducible_mod", forbidden)
+    for x, m, expected in cases:
+        assert classify_element(x, m) == expected, (x, m)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_classification_needs_a_positive_power(m):
+    x = build_anisotropic_torus(C3).generator
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        classify_element(x, m)
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        classify_element_oracle(x, m)
 
 
 @pytest.mark.slow
@@ -372,10 +493,21 @@ def test_normalizer_closed_form_out_of_enumeration_budget():
 
 
 def test_enumeration_budget_checked_before_packed_tables():
-    misses = _packed_group.cache_info().misses
-    with pytest.raises(BudgetExceeded):
-        enumerate_group_packed(GroupDescriptor("C", 1, 1009), "derived")
-    assert _packed_group.cache_info().misses == misses
+    """Every enumerating entry point raises before it builds the q^2-entry
+    packed tables of a field far over the scan cap."""
+    desc = GroupDescriptor("C", 1, 1009)
+    calls = [
+        lambda: enumerate_group_packed(desc, "derived"),
+        lambda: enumerate_group(desc),
+        lambda: classify_element_oracle(identity_element(desc)),
+        lambda: normalizer_census_oracle(desc),
+        lambda: exhaustive_classification(desc),
+    ]
+    for call in calls:
+        misses = _packed_group.cache_info().misses
+        with pytest.raises(BudgetExceeded):
+            call()
+        assert _packed_group.cache_info().misses == misses
 
 
 def test_budget_exceeded_paths():

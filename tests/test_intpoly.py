@@ -19,7 +19,7 @@ from frobsplit.intpoly import (
     poly_from_string,
     reduce_mod,
 )
-from modpoly_split import factor_mod_reference, sort_key
+from modpoly_split import factor_mod_reference, poly_div, poly_divmod, poly_eval, poly_one, sort_key
 
 P = IntPoly.make
 
@@ -45,9 +45,9 @@ def exhaustive_factor_quartic_mod(coeffs, p):
         changed = False
         for r in range(p):
             x = field.scalar(r)
-            if rest.eval(x).is_zero():
+            if poly_eval(rest, x).is_zero():
                 lin = ModPoly.from_ints(field, [-r, 1])
-                rest = rest // lin
+                rest = poly_div(rest, lin)
                 found.append(lin)
                 changed = True
                 break
@@ -57,7 +57,7 @@ def exhaustive_factor_quartic_mod(coeffs, p):
         for b in range(p):
             for c in range(p):
                 quad = ModPoly.from_ints(field, [c, b, 1])
-                q, r = divmod(rest, quad)
+                q, r = poly_divmod(rest, quad)
                 if r.is_zero():
                     found.append(quad)
                     rest = q
@@ -67,7 +67,7 @@ def exhaustive_factor_quartic_mod(coeffs, p):
                 break
         if not hit:
             found.append(rest)
-            rest = ModPoly.one(field)
+            rest = poly_one(field)
     if rest.degree >= 1:
         found.append(rest)
     return sorted(sort_key(g) for g in found)
@@ -93,7 +93,7 @@ def test_factor_mod_irreducible_quadratic():
     f3 = make_field(3, 1)
     f = ModPoly.from_ints(f3, [1, 0, 1])
     # oracle: no roots in GF(3) and degree 2 means irreducible
-    assert all(not f.eval(f3.scalar(r)).is_zero() for r in range(3))
+    assert all(not poly_eval(f, f3.scalar(r)).is_zero() for r in range(3))
     unit, factors = factor_mod(f)
     assert unit == f3.one()
     assert len(factors) == 1 and factors[0][1] == 1
