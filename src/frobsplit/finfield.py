@@ -5,35 +5,30 @@ lexicographically least monic irreducible of degree k over GF(p), comparing
 coefficient vectors from the constant term up.  That makes every field object
 reproducible across runs without a Conway polynomial table.  No subfield
 embeddings are provided; subfield questions are answered through degrees.
-
-Field sizes are capped below 2**63 so all arithmetic stays exact machine
-arithmetic.
+Python integers are exact at any size, so no field size is capped.
 
 The module also holds the package's one kernel of dense polynomials over
-Z/m on int tuples (the ``_int_*`` functions).  It serves the canonical-modulus
-search and all polynomial work over GF(p) in ``intpoly``: the Rabin test that
-``is_irreducible_mod`` runs, ``factor_mod`` over prime fields, and the prime
-screening, factorisation and Hensel lifting of ``factor_over_Z``.  Nothing
-factors over GF(p^k) with k >= 2.  ``intpoly.ModPoly`` on FFElement
+Z/m on int tuples (the ``_int_*`` functions).  FFElement runs on it, with
+the Frobenius a cached GF(p)-linear map (Berlekamp's Q-matrix), and
+``power`` is the package's one exponentiation loop.  The kernel serves the
+canonical-modulus search and all polynomial work over GF(p) in ``intpoly``:
+the Rabin test that ``is_irreducible_mod`` runs, ``factor_mod`` over prime
+fields, and the prime screening, factorisation and Hensel lifting of
+``factor_over_Z``.  Nothing factors over GF(p^k) with k >= 2.  ``intpoly.ModPoly`` on FFElement
 coefficients is only the input and output type of that work, with the
 twisted dual and the ring arithmetic of the definitional charpoly.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-MAX_FIELD_SIZE = 2**63
-
 
 class CompositeModulus(ValueError):
     """The requested characteristic is not prime."""
-
-
-class Overflow(ValueError):
-    """The requested field does not fit in a machine word."""
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -83,6 +78,21 @@ def prime_divisors(n: int):
     if n > 1:
         out.append(n)
     return out
+
+
+def power(x, e: int, mul, one):
+    """x**e for e >= 0 under the product mul, left to right: the package's
+    one square-and-multiply loop.  e = 0 gives one."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    if e == 0:
+        return one
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +185,8 @@ def _int_gcd(a, b, p):
 
 
 def _int_powmod(a, e: int, f, m):
-    """a**e mod the monic f for e >= 1 (a already reduced), left to right."""
-    result = a
-    for bit in bin(e)[3:]:
-        result = _int_divmod_monic_mod(_int_mul_mod(result, result, m), f, m)[1]
-        if bit == "1":
-            result = _int_divmod_monic_mod(_int_mul_mod(result, a, m), f, m)[1]
-    return result
+    """a**e mod the monic f for e >= 1 (a already reduced)."""
+    return power(a, e, lambda u, v: _int_divmod_monic_mod(_int_mul_mod(u, v, m), f, m)[1], (1,))
 
 
 def _int_is_irreducible(f, p) -> bool:
@@ -268,9 +273,20 @@ def make_field(p: int, k: int = 1) -> FiniteField:
         raise CompositeModulus(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be at least 1")
-    if p**k >= MAX_FIELD_SIZE:
-        raise Overflow(f"{p}^{k} exceeds the machine-word cap")
     return FiniteField(p, k, _canonical_modulus(p, k))
+
+
+@lru_cache(maxsize=None)
+def _frobenius_rows(field: FiniteField) -> tuple:
+    """The matrix over GF(p) of the linear map x -> x^p on the basis t^j, by
+    rows: column j is t^(pj), so x = sum c_j t^j goes to sum c_j t^(pj)."""
+    p, f, k = field.p, field.modulus, field.k
+    tp = _int_powmod(_int_divmod_monic_mod((0, 1), f, p)[1], p, f, p)
+    cols, c = [], (1,)
+    for _ in range(k):
+        cols.append(c + (0,) * (k - len(c)))
+        c = _int_divmod_monic_mod(_int_mul_mod(c, tp, p), f, p)[1]
+    return tuple(zip(*cols))
 
 
 @dataclass(frozen=True)
@@ -320,45 +336,38 @@ class FFElement:
         p = self.field.p
         return FFElement(self.field, tuple(-a % p for a in self.coeffs))
 
+    def _padded(self, coeffs) -> "FFElement":
+        """The element with the kernel's trimmed coefficient tuple."""
+        return FFElement(self.field, coeffs + (0,) * (self.field.k - len(coeffs)))
+
     def __mul__(self, other):
         self._check(other)
-        f, p, k = self.field.modulus, self.field.p, self.field.k
-        prod_ = [0] * (2 * k - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    prod_[i + j] = (prod_[i + j] + ai * bj) % p
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod_[i]
-            if c:
-                prod_[i] = 0
-                for j in range(k + 1):
-                    prod_[i - k + j] = (prod_[i - k + j] - c * f[j]) % p
-        return FFElement(self.field, tuple(prod_[:k]))
+        field = self.field
+        c = _int_mul_mod(self.coeffs, other.coeffs, field.p)
+        if len(c) > field.k:  # degree k or more: reduce by the modulus
+            c = _int_divmod_monic_mod(c, field.modulus, field.p)[1]
+        return self._padded(c)
 
     def inverse(self) -> "FFElement":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        return self ** (self.field.q - 2)
+        # t * x = 1 (mod the modulus) from g = s * modulus + t * x with g = 1
+        return self._padded(_int_ext_gcd(self.field.modulus, self.coeffs, self.field.p)[2])
 
     def __truediv__(self, other):
         self._check(other)
         return self * other.inverse()
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        base = self.inverse() if e < 0 else self
+        return power(base, abs(e), operator.mul, self.field.one())
 
-    def frobenius(self) -> "FFElement":
-        return self ** self.field.p
+    def frobenius(self, j: int = 1) -> "FFElement":
+        """x^(p^j): j steps of the field's cached GF(p)-linear map x -> x^p."""
+        p, c, rows = self.field.p, self.coeffs, _frobenius_rows(self.field)
+        for _ in range(j):
+            c = tuple(sum(map(operator.mul, row, c)) % p for row in rows)
+        return FFElement(self.field, c)
 
     def __repr__(self):
         terms = []

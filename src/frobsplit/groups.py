@@ -36,10 +36,11 @@ the dual-pair torus and k = 1, n = N otherwise.  The parts of T (similitude
 solves one of these homogeneous congruences alpha i = beta w (mod n), whose
 solutions form a subgroup: x^m lies in GF(ell^(2r/p)), p | 2r:
 m (ell^(2r/p) - 1) i = 0 (mod N); the block gamma^(mi) lies in
-GF(ell^(2s/p)), p | s: m (ell^(2s/p) - 1) i = 0 (mod n); two block
-eigenvalues coincide: m (ell^(2u) + ell^(2v+1)) i = m w n/(ell - 1) (mod n)
-for some 0 <= u, v < s, well defined for w mod ell - 1.  Each subgroup is
-kept as its lattice in Z^2 in Hermite normal form (a, b, d): w = 0 (mod a)
+GF(ell^(2s/p)), p | s: m (ell^(2s/p) - 1) i = 0 (mod n); the twist j of
+_twists(s) (classify_element): m (ell^(2j) + ell) i = m w n/(ell - 1)
+(mod n), well defined for w mod ell - 1.  Every other coincidence of two
+block eigenvalues lies in a subfield lattice.  Each subgroup is kept as
+its lattice in Z^2 in Hermite normal form (a, b, d): w = 0 (mod a)
 and i = (w/a) b (mod d), of size (k/a)(n/d).  Lattices meet in lattices, so
 regular_torus_count is one inclusion-exclusion, with no cap and no loop over
 w; regular_torus_count_oracle, which classifies every matrix of the torus,
@@ -52,8 +53,8 @@ off factor_mod.
 All linear algebra over field elements (determinant, inverse, independent
 subsets, the change of basis to the standard form, the anti-fixed element of
 the symplectic torus) reads its answer off _echelon, the one row reduction.
-The packed layer keeps only multiplication, conjugate transpose, powers and
-the similitude test, which the enumeration scan and the oracles run.
+The packed layer keeps only multiplication, conjugate transpose and the
+similitude test, which the enumeration scan and the oracles run.
 
 Classification of a group element x at level m asks whether x^m is regular
 with maximally anisotropic connected centralizer.  The fast path is one
@@ -83,6 +84,7 @@ from .finfield import (
     is_prime,
     make_field,
     minimal_polynomial,
+    power,
     prime_divisors,
 )
 from .intpoly import ModPoly, factor_mod
@@ -325,16 +327,8 @@ class GroupElement:
         )
 
     def __pow__(self, e: int) -> "GroupElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = identity_element(self.desc)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        base = self.inverse() if e < 0 else self
+        return power(base, abs(e), operator.mul, identity_element(self.desc))
 
 
 def identity_element(desc: GroupDescriptor) -> GroupElement:
@@ -599,11 +593,10 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         zeta = _multiplicative_generator(big)
         gen = zeta ** ((q**r - 1) // (q - 1))
         # alternating trace form Tr(c * x * y^sigma) with c anti-fixed by sigma
-        sigma_pow = q**r
-        c = _anti_fixed_element(big, sigma_pow)
+        c = _anti_fixed_element(big, q**r)
         n = 2 * r
         tpows = [big.element([0] * i + [1]) for i in range(n)]
-        conj = [t**sigma_pow for t in tpows]
+        conj = [t.frobenius(r) for t in tpows]
         traces = _power_traces(big)
         gram = tuple(
             tuple(
@@ -628,7 +621,6 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         gen = zeta ** ((q**r - 1) // (q - 1))
         half = r
         tpows, binv = _k_basis(big, w)
-        sigma_pow = q**r
 
         def k_trace(x):
             # trace from the big field to the quadratic subfield
@@ -636,7 +628,7 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
             y = x
             for _ in range(r):
                 acc = acc + y
-                y = y ** (q * q)
+                y = y.frobenius(2)
             return acc
 
         def to_std(x):
@@ -648,7 +640,7 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
             return field.scalar(a) + field.scalar(b) * w_std
 
         gram = tuple(
-            tuple(to_std(k_trace(tpows[i] ** sigma_pow * tpows[j])) for j in range(half))
+            tuple(to_std(k_trace(tpows[i].frobenius(r) * tpows[j])) for j in range(half))
             for i in range(half)
         )
         mult = _k_linear_matrix(field, w_std, tpows, binv, gen)
@@ -729,7 +721,7 @@ class _PackedField:
         self.add = [[(els[a] + els[b]).index() for b in range(q)] for a in range(q)]
         self.mul = [[(els[a] * els[b]).index() for b in range(q)] for a in range(q)]
         self.inv = [0] + [(els[a].inverse()).index() for a in range(1, q)]
-        self.conj = [(els[a] ** field.p).index() for a in range(q)]
+        self.conj = [els[a].frobenius().index() for a in range(q)]
 
 
 @lru_cache(maxsize=None)
@@ -803,16 +795,6 @@ class _PackedGroup:
             if x != pf.mul[lam][g]:
                 return None
         return lam
-
-    def power(self, a, e: int):
-        result = self.identity
-        base = a
-        while e:
-            if e & 1:
-                result = self.mm(result, base)
-            base = self.mm(base, base)
-            e >>= 1
-        return result
 
 
 @lru_cache(maxsize=None)
@@ -894,12 +876,10 @@ def _imat_sub(a, b, p: int) -> tuple:
     return tuple(tuple((u - v) % p for u, v in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _imat_pow(a, e: int, p: int) -> tuple:
-    """a^e mod p for e >= 1, by repeated squaring."""
-    if e == 1:
-        return a
-    half = _imat_pow(_imat_mul(a, a, p), e >> 1, p)
-    return _imat_mul(half, a, p) if e & 1 else half
+def _twists(s: int) -> list:
+    """The j with 2j = 1 (mod s) for s > 0, none for s = 0 (see
+    classify_element): at most one, (s + 1)/2 mod s, for odd s."""
+    return [(s + 1) // 2 % s] if s % 2 else []
 
 
 def classify_element(x: GroupElement, m: int = 1) -> bool:
@@ -911,39 +891,40 @@ def classify_element(x: GroupElement, m: int = 1) -> bool:
     and D = r on the dual-pair torus (family A, r = 2s), D = 2r otherwise.
     F_D = y says that y is semisimple with every eigenvalue beta in
     GF(ell^D).  P, the product of F_(D/p) - y over the primes p | D (p | s on
-    the dual-pair torus) and of F_(2j) F_1 - lam I for j < s (lam the
-    similitude of y), is then a polynomial in a semisimple matrix, so it is
-    invertible iff P^(ell^D - 1) = I.  That says no beta lies in a proper
+    the dual-pair torus) and of F_(2j) F_1 - lam I for j in _twists(s) (lam
+    the similitude of y), is then a polynomial in a semisimple matrix, so it
+    is invertible iff P^(ell^D - 1) = I.  That says no beta lies in a proper
     subfield: on the norm-line tori the characteristic polynomial is
     irreducible (Rabin's test), and on the dual-pair torus it is two
-    factors of degree s over GF(ell^2).  There the twist factors say that
-    the unitary Frobenius beta -> lam / beta^ell, which maps a group
-    element's eigenvalues onto themselves, sends no beta to a conjugate
-    beta^(ell^(2j)), so it swaps the factors.  A repeated factor would be
-    fixed, so squarefreeness needs no test of its own.
+    factors of degree s over GF(ell^2).  The unitary Frobenius beta ->
+    lam / beta^ell maps them onto themselves, and its square is beta ->
+    beta^(ell^2); so it fixes a factor only by acting on it as beta ->
+    beta^(ell^(2j)) with 2j = 1 (mod s), which the twist factor rules out.
+    A repeated factor would be fixed, so squarefreeness needs no test.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     desc = x.desc
     ell = desc.ell
-    y = _imat_pow(_natural_matrix(x), m, ell)
+    x_nat = _natural_matrix(x)
+    eye = tuple(tuple(int(i == j) for j in range(len(x_nat))) for i in range(len(x_nat)))
+    mul = lambda a, b: _imat_mul(a, b, ell)  # noqa: E731
+    y = power(x_nat, m, mul, eye)
     lam = pow(x.similitude, m, ell)
     s = desc.r // 2 if desc.family == "A" and desc.r % 2 == 0 else 0  # 0: norm-line torus
     d = 2 * s or 2 * desc.r
     frob = [y]
     for _ in range(d):
-        frob.append(_imat_pow(frob[-1], ell, ell))
+        frob.append(power(frob[-1], ell, mul, eye))
     if frob[d] != y:
         return False
-    n = len(y)
-    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     lam_eye = tuple(tuple(lam * v for v in row) for row in eye)
     factors = [_imat_sub(frob[d // p], y, ell) for p in prime_divisors(s or d)]
-    factors += [_imat_sub(_imat_mul(frob[2 * j], frob[1], ell), lam_eye, ell) for j in range(s)]
+    factors += [_imat_sub(mul(frob[2 * j], frob[1]), lam_eye, ell) for j in _twists(s)]
     prod = eye
     for f in factors:
-        prod = _imat_mul(prod, f, ell)
-    return _imat_pow(prod, ell**d - 1, ell) == eye
+        prod = mul(prod, f)
+    return power(prod, ell**d - 1, mul, eye) == eye
 
 
 def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:
@@ -954,7 +935,7 @@ def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:
     desc = x.desc
     elements = enumerate_group_packed(desc, "full")
     pg = _packed_group(desc)
-    y = pg.power(pack_matrix(x.matrix), m)
+    y = power(pack_matrix(x.matrix), m, pg.mm, pg.identity)
     target = torus_order(desc)
     mm = pg.mm
     cent = []
@@ -1138,15 +1119,15 @@ def _torus_part(desc: GroupDescriptor, part: str):
 
 def regular_torus_count(desc: GroupDescriptor, m: int = 1, part: str = "full") -> int:
     """|{x in T ∩ part : x^m regular}|: the exponents that avoid every
-    subfield and eigenvalue-coincidence lattice of the module docstring."""
+    subfield and twist lattice of the module docstring."""
     q, r = desc.ell, desc.r
     k, n, base = _torus_part(desc, part)
     s = r // 2 if desc.family == "A" and r % 2 == 0 else 0  # 0: norm-line torus
     degrees = [2 * s // p for p in prime_divisors(s)] if s else [2 * r // p for p in prime_divisors(2 * r)]
     subfields = [_lattice(m * (q**d - 1), 0, n) for d in degrees]
-    beta = m * n // k  # m n/(ell - 1), the coincidences' coefficient of w
-    coincidences = [_lattice(m * (q ** (2 * u) + q ** (2 * v + 1)), beta, n) for u in range(s) for v in range(s)]
-    return _count_avoiding(k, n, base, subfields + coincidences)
+    beta = m * n // k  # m n/(ell - 1), the twist's coefficient of w
+    twists = [_lattice(m * (q ** (2 * j) + q), beta, n) for j in _twists(s)]
+    return _count_avoiding(k, n, base, subfields + twists)
 
 
 def torus_census(desc: GroupDescriptor, m: int = 1) -> TorusCensus:

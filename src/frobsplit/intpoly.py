@@ -24,6 +24,7 @@ Weil-polynomial work ever needs.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -43,6 +44,7 @@ from .finfield import (
     _int_sub_mod,
     is_prime,
     make_field,
+    power,
 )
 
 
@@ -120,14 +122,7 @@ class IntPoly:
         return IntPoly.make(c * a for a in self.coeffs)
 
     def __pow__(self, e: int):
-        result = IntPoly((1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, operator.mul, IntPoly((1,)))
 
     def derivative(self) -> "IntPoly":
         return IntPoly.make(i * c for i, c in enumerate(self.coeffs) if i >= 1)

@@ -211,6 +211,15 @@ def test_rejections_exit_with_a_json_error(argv, status, error, capsys):
     assert "result" not in report
 
 
+def test_weil_answers_at_a_prime_above_a_machine_word(capsys):
+    # 2^63 + 29, the least prime above 2^63: GF(p) needs no word-size cap
+    argv = ["weil", "--q", "3", "--poly", "9,0,6,0,1", "--ells", "9223372036854775837"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["aux_primes"] == [9223372036854775837]
+    assert report["result"]["conclusion"] == "certified-self-product"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -6,14 +7,15 @@ from frobsplit.finfield import (
     IS_PRIME_LIMIT,
     CompositeModulus,
     DivisionByZero,
+    FFElement,
     FieldMismatch,
     FiniteField,
-    Overflow,
     _int_is_irreducible,
     frobenius_orbit,
     is_prime,
     make_field,
     minimal_polynomial,
+    power,
     subfield_degree,
 )
 
@@ -86,11 +88,17 @@ def test_make_field_is_deterministic():
     assert make_field(5, 3) is make_field(5, 3)
 
 
-def test_make_field_rejects_composite_and_overflow():
+def test_make_field_rejects_composite_and_has_no_size_cap():
     with pytest.raises(CompositeModulus):
         make_field(6, 1)
-    with pytest.raises(Overflow):
-        make_field(2, 64)
+    # Python integers are exact at any size: GF(2^64) and GF(p) for the
+    # least prime p above 2^63 are fields like any other
+    f = make_field(2, 64)
+    t = f.element([0, 1])
+    assert f.q == 2**64 and t * t.inverse() == f.one() and subfield_degree(t) == 64
+    p = 2**63 + 29
+    x = make_field(p, 1).scalar(3)
+    assert x.inverse() == x ** (p - 2) and (x * x.inverse()).lift() == 1
 
 
 def test_field_laws_small_fields():
@@ -220,3 +228,45 @@ def test_is_prime_equals_trial_division_below_ten_thousand():
     assert [n for n in range(10**4) if is_prime(n)] == [
         n for n in range(2, 10**4) if all(n % d for d in range(2, int(n**0.5) + 1))
     ]
+
+
+def _fields_and_elements():
+    """Every element of the small fields, and seeded samples of two larger ones."""
+    for p, k in [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 6)] + [(7, 2), (5, 3)]:
+        f = make_field(p, k)
+        yield f, list(f.elements())
+    rng = random.Random(13)
+    for p, k in [(10007, 2), (101, 6)]:
+        f = make_field(p, k)
+        yield f, [f.element([rng.randrange(p) for _ in range(k)]) for _ in range(200)] + [f.zero(), f.one()]
+
+
+def test_frobenius_and_inverse_equal_their_definitions():
+    for f, xs in _fields_and_elements():
+        for x in xs:
+            assert x.frobenius() == x ** f.p, (f, x)
+            if not x.is_zero():
+                assert x.inverse() == x ** (f.q - 2), (f, x)
+
+
+def test_frobenius_runs_no_field_multiply(monkeypatch):
+    fields = [(f, xs) for f, xs in _fields_and_elements() if f.k > 1]
+    expected = {(f, x): x ** f.p for f, xs in fields for x in xs}
+
+    def refuse(self, other):
+        raise AssertionError("frobenius multiplied field elements")
+
+    monkeypatch.setattr(FFElement, "__mul__", refuse)
+    assert all(x.frobenius() == y for (_, x), y in expected.items())
+
+
+def test_power_equals_the_builtin_pow():
+    m = 1000003
+    mul = lambda a, b: a * b % m  # noqa: E731
+    for x in (0, 1, 2, 12345, m - 1):
+        assert [power(x, e, mul, 1) for e in range(301)] == [pow(x, e, m) for e in range(301)]
+    e = random.Random(200).getrandbits(200) | 1 << 199
+    assert power(987654, e, mul, 1) == pow(987654, e, m)
+    assert power("never read", 0, mul, "one") == "one"
+    with pytest.raises(ValueError):
+        power(2, -1, mul, 1)

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from frobsplit import intpoly
-from frobsplit.finfield import FFElement, FieldMismatch, is_prime, make_field, minimal_polynomial
+from frobsplit.finfield import FFElement, FieldMismatch, is_prime, make_field, minimal_polynomial, prime_divisors
 from frobsplit.groups import (
     MAX_TORUS_SIZE,
     AnisotropicTorus,
@@ -286,6 +286,17 @@ def test_dual_pair_classification_rejects_two_self_dual_cubics():
     x, y = [t for t in torus_element_matrices(GroupDescriptor("A", 3, 2)) if classify_element(t)][:2]
     z = _block_diagonal(GroupDescriptor("A", 6, 2), [x.matrix, y.matrix])
     assert not classify_element(z) and not classify_dual_pair_reference(z)
+
+
+def test_dual_pair_classification_equals_the_reference_on_gu6_f2():
+    # s = 3: the one twist factor is j = 2, and the block-diagonal pairs of
+    # self-dual cubics are rejected by it alone
+    desc = GroupDescriptor("A", 6, 2)
+    x3 = [t for t in torus_element_matrices(GroupDescriptor("A", 3, 2)) if classify_element(t)]
+    pairs = [_block_diagonal(desc, [x.matrix, y.matrix]) for x, y in zip(x3, x3[1:] + x3[:1])]
+    elements = _mixed_dual_pair_elements(desc, 12, seed=6) + pairs
+    _assert_dual_pair_classification_equals_the_reference(elements, (1, 2))
+    assert not any(classify_element(z) for z in pairs)
 
 
 def _reference(x, m):
@@ -629,6 +640,34 @@ def test_regular_count_where_the_subsets_explode():
     # GU_10 over GF(4): 25 coincidence congruences and one subfield one,
     # 2^26 subsets; 990 is the value of the former exponent-by-exponent walk
     assert regular_torus_count(GroupDescriptor("A", 10, 2)) == 990
+
+
+def _dual_pair_count_with_every_coincidence(desc, m, part):
+    """regular_torus_count on the dual-pair torus with all s^2 eigenvalue
+    coincidences m (ell^(2u) + ell^(2v+1)) i = m w n/(ell - 1) (mod n),
+    0 <= u, v < s, in place of the one twist lattice."""
+    q, s = desc.ell, desc.r // 2
+    k, n, base = _torus_part(desc, part)
+    subfields = [_lattice(m * (q ** (2 * s // p) - 1), 0, n) for p in prime_divisors(s)]
+    beta = m * n // k
+    coincidences = [_lattice(m * (q ** (2 * u) + q ** (2 * v + 1)), beta, n) for u in range(s) for v in range(s)]
+    return _count_avoiding(k, n, base, subfields + coincidences)
+
+
+def test_dual_pair_count_needs_only_the_twist_lattice():
+    ells = [p for p in range(2, 32) if is_prime(p)] + [101, 1009]
+    keys = 0
+    for r in range(2, 13, 2):
+        for ell in ells:
+            if ell**r > 10**40:
+                continue
+            desc = GroupDescriptor("A", r, ell)
+            for m in (1, 2, 3, 4, 6):
+                for part in ("full", "derived", "unitary"):
+                    expected = _dual_pair_count_with_every_coincidence(desc, m, part)
+                    assert regular_torus_count(desc, m, part) == expected, (desc, m, part)
+                    keys += 1
+    assert keys == 1170
 
 
 def _lattice_set(lat, k, n):

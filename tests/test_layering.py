@@ -4,7 +4,9 @@ Every import sits at module level, every name a module imports is used, and
 finfield, which holds the int-tuple polynomial kernel, imports nothing from
 the package, so it stays at the bottom of the import graph.  intpoly does its
 arithmetic over Z on integers alone, so it imports nothing from fractions, and
-no module reaches into intpoly's private helpers.
+no module reaches into intpoly's private helpers.  finfield.power is the one
+square-and-multiply loop: no other code in the package shifts with >> or
+reads an exponent's bits with bin().
 """
 
 import ast
@@ -88,3 +90,21 @@ def test_no_private_name_is_imported_from_intpoly(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_power_is_the_one_exponentiation_loop():
+    loops = []
+    for path in MODULES:
+        tree = _tree(path)
+        inside_power = {
+            id(node)
+            for fn in tree.body
+            if path.name == "finfield.py" and isinstance(fn, ast.FunctionDef) and fn.name == "power"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            shift = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift)
+            bits = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "bin"
+            if (shift or bits) and id(node) not in inside_power:
+                loops.append(f"{path.name}:{node.lineno}")
+    assert loops == []
