@@ -14,9 +14,9 @@ the Frobenius a cached GF(p)-linear map (Berlekamp's Q-matrix), and
 canonical-modulus search and all polynomial work over GF(p) in ``intpoly``:
 the Rabin test that ``is_irreducible_mod`` runs, ``factor_mod`` over prime
 fields, and the prime screening, factorisation and Hensel lifting of
-``factor_over_Z``.  Nothing factors over GF(p^k) with k >= 2.  ``intpoly.ModPoly`` on FFElement
-coefficients is only the input and output type of that work, with the
-twisted dual and the ring arithmetic of the definitional charpoly.
+``factor_over_Z``.  Nothing factors over GF(p^k) with k >= 2.  These int
+tuples are the package's one polynomial type over GF(p): ``factor_mod`` and
+``is_irreducible_mod`` take and return them, with no wrapper class.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ certifies it on small tori.  The one torus cap, MAX_TORUS_SIZE, guards
 building the matrix torus: the search for a generator of GF(ell^(2r))* and
 factoring ell^(2r) - 1 for it.  The root that embeds the quadratic subfield
 is solved over GF(ell) by the quadratic formula, with the square root read
-off factor_mod.
+off the int factors of t^2 - b^2 that factor_mod returns.
 
 All linear algebra over field elements (determinant, inverse, independent
 subsets, the change of basis to the standard form, the anti-fixed element of
@@ -65,7 +65,12 @@ no polynomial Euclid; the tori differ only in the degree D, the primes and
 the twist factors it tests.  The definitional oracle enumerates the
 centralizer and certifies the fast path wherever enumeration fits the
 budget.  Exact operations never fall back to sampling: over-budget requests
-raise BudgetExceeded, before any table of the field is built.
+raise BudgetExceeded, before any table of the field is built: the matrix
+space q^(n^2) against MAX_MATRIX_SPACE, then the group order and the q^2
+entries of each packed field table against MAX_GROUP_SIZE.  mat_charpoly,
+Berkowitz's division-free recursion on field elements, is kept for the
+charpoly references of the tests; no production path builds a
+characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ from .finfield import (
     power,
     prime_divisors,
 )
-from .intpoly import ModPoly, factor_mod
+from .intpoly import factor_mod
 
 MAX_GROUP_SIZE = 10**6
 MAX_MATRIX_SPACE = 2 * 10**7
@@ -258,34 +263,24 @@ def mat_inverse(a):
     return tuple(tuple(row[n:]) for row in work)
 
 
-def mat_charpoly(a) -> ModPoly:
-    """det(t*I - a) by cofactor expansion, the definitional characteristic
-    polynomial.  No production path calls it (classify_element tests the
-    matrix itself); the test references build on it."""
+def mat_charpoly(a) -> tuple:
+    """det(t*I - a), ascending, by Berkowitz's division-free recursion
+    (Berkowitz 1984): the charpoly of each leading principal block comes
+    from the last one through a Toeplitz matrix whose first column is
+    (1, -a_kk, -R C, -R A C, -R A^2 C, ...), for the block A above it, its
+    row R and its column C.  No production path calls it (classify_element
+    tests the matrix itself); the test references build on it."""
     field = a[0][0].field
-    n = len(a)
-    entries = [
-        [
-            ModPoly.make(field, [-a[i][j], field.one()] if i == j else [-a[i][j]])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return _poly_det(entries, field)
-
-
-def _poly_det(rows, field) -> ModPoly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = ModPoly.make(field, [])
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _poly_det(minor, field)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    zero, one = field.zero(), field.one()
+    cp = [one]  # descending coefficients of the charpoly of the leading block
+    for k in range(len(a)):
+        col = [a[i][k] for i in range(k)]
+        first = [one, -a[k][k]]
+        for _ in range(k):
+            first.append(-sum((a[k][i] * c for i, c in enumerate(col)), zero))
+            col = [sum((a[i][j] * c for j, c in enumerate(col)), zero) for i in range(k)]
+        cp = [sum((first[j - i] * c for i, c in enumerate(cp[: j + 1])), zero) for j in range(k + 2)]
+    return tuple(reversed(cp))
 
 
 def standard_gram(desc: GroupDescriptor):
@@ -392,10 +387,10 @@ def _subfield_quadratic_image(big: FiniteField, element_maps_to: FiniteField):
     m0, m1, _ = minimal_polynomial(w)
     a0, a1, _ = element_maps_to.modulus
     b2 = (m1 * m1 - 4 * m0) * pow(a1 * a1 - 4 * a0, -1, p)
-    _, factors = factor_mod(ModPoly.from_ints(make_field(p, 1), [-b2, 0, 1]))
+    _, factors = factor_mod((-b2, 0, 1), p)
     roots = []
     for g, _ in factors:
-        b = -g.coeffs[0].lift()
+        b = -g[0]
         roots.append(element_maps_to.element([(a1 * b - m1) * ((p + 1) // 2), b]))
     return zeta, w, min(roots, key=FFElement.index)
 
@@ -816,6 +811,9 @@ def enumerate_group_packed(desc: GroupDescriptor, part: str = "full"):
     expected = group_order(desc, part)
     if expected > MAX_GROUP_SIZE:
         raise BudgetExceeded(f"group of order {expected} exceeds the enumeration cap")
+    tables = desc.matrix_field.q ** 2  # entries of each packed field table
+    if tables > MAX_GROUP_SIZE:
+        raise BudgetExceeded(f"packed field tables of {tables} entries exceed MAX_GROUP_SIZE = {MAX_GROUP_SIZE}")
     pg = _packed_group(desc)
     out = []
     unitary = part in ("unitary", "derived")

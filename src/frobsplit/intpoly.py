@@ -1,20 +1,20 @@
-"""Polynomials over Z and over finite fields.
+"""Polynomials over Z and over prime fields.
 
 Covers the coefficient-level machinery the rest of the package leans on:
-reduction mod a prime, irreducibility over a prime field (Rabin test),
-complete factorisation over a prime field GF(p) (squarefree split,
-distinct-degree split, Cantor-Zassenhaus equal-degree split), factorisation
-over Z by the classical mod-p / Hensel / recombination route with a
-Landau-Mignotte coefficient bound, and exact d-th roots of monic integer
-polynomials.  All of that work over GF(p) (the Rabin test, factor_mod, and
-the prime screening, factorisation and Hensel lifting of factor_over_Z) runs
-on finfield's int-tuple polynomial kernel.  Nothing factors over GF(p^k)
-with k >= 2, and ModPoly has no division, gcd or powers: it is the input
-and output type of factor_mod, is_irreducible_mod and reduce_mod, carries
-the twisted dual, and gives groups.mat_charpoly its ring arithmetic over any
-GF(q).  Arithmetic over Z is integer-only: exact long division, the
-primitive pseudo-remainder sequence (Collins 1967; Brown 1971) for gcds, and
-exact division by d for d-th roots (Gauss's lemma).
+irreducibility over a prime field (Rabin test), complete factorisation over
+a prime field GF(p) (squarefree split, distinct-degree split,
+Cantor-Zassenhaus equal-degree split), factorisation over Z by the
+classical mod-p / Hensel / recombination route with a Landau-Mignotte
+coefficient bound, and exact d-th roots of monic integer polynomials.
+
+IntPoly, over Z, is the one polynomial class.  Over GF(p) a polynomial is
+finfield's ascending int tuple: factor_mod and is_irreducible_mod take any
+int sequence with a prime p, reduce it mod p, and return monic int tuples,
+and all their work (with the prime screening, factorisation and Hensel
+lifting of factor_over_Z) runs on finfield's int-tuple kernel.  Nothing
+factors over GF(p^k) with k >= 2.  Arithmetic over Z is integer-only: exact
+long division, the primitive pseudo-remainder sequence (Collins 1967; Brown
+1971) for gcds, and exact division by d for d-th roots (Gauss's lemma).
 Everything is exact; randomised splitting is driven by an explicit seed and
 the output ordering is canonical, so all results are reproducible.
 
@@ -31,8 +31,7 @@ from itertools import combinations
 from math import gcd, isqrt
 
 from .finfield import (
-    FFElement,
-    FiniteField,
+    CompositeModulus,
     _int_divmod_monic_mod,
     _int_divmod_with_inv,
     _int_ext_gcd,
@@ -43,7 +42,6 @@ from .finfield import (
     _int_powmod,
     _int_sub_mod,
     is_prime,
-    make_field,
     power,
 )
 
@@ -209,94 +207,6 @@ def int_poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     return f.primitive()
 
 
-# ---------------------------------------------------------------------------
-# polynomials over a finite field
-
-
-@dataclass(frozen=True)
-class ModPoly:
-    """Polynomial over a FiniteField; coeffs ascending FFElements, () is zero."""
-
-    field: FiniteField
-    coeffs: tuple
-
-    @staticmethod
-    def make(field: FiniteField, coeffs) -> "ModPoly":
-        c = list(coeffs)
-        while c and c[-1].is_zero():
-            c.pop()
-        return ModPoly(field, tuple(c))
-
-    @staticmethod
-    def from_ints(field: FiniteField, ints) -> "ModPoly":
-        return ModPoly.make(field, [field.scalar(int(c)) for c in ints])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def lc(self) -> FFElement:
-        if self.is_zero():
-            raise ZeroPolynomial("leading coefficient of zero")
-        return self.coeffs[-1]
-
-    def __add__(self, other):
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (f.zero(),) * (n - len(self.coeffs))
-        b = other.coeffs + (f.zero(),) * (n - len(other.coeffs))
-        return ModPoly.make(f, [x + y for x, y in zip(a, b)])
-
-    def __neg__(self):
-        return ModPoly(self.field, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        f = self.field
-        if self.is_zero() or other.is_zero():
-            return ModPoly(f, ())
-        out = [f.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return ModPoly.make(f, out)
-
-    def scale(self, c: FFElement) -> "ModPoly":
-        return ModPoly.make(self.field, [c * a for a in self.coeffs])
-
-    def monic(self) -> "ModPoly":
-        if self.is_zero():
-            return self
-        return self.scale(self.lc().inverse())
-
-    def dual(self, c: FFElement) -> "ModPoly":
-        """Monic polynomial with roots c/alpha over the roots alpha:
-        coefficient j is g_(n-j) c^(n-j), made monic."""
-        if self.is_zero() or self.coeffs[0].is_zero():
-            raise ZeroConstantTerm("0 is a root; the dual is undefined")
-        n = self.degree
-        return ModPoly.make(self.field, [self.coeffs[n - j] * c ** (n - j) for j in range(n + 1)]).monic()
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        return ",".join(repr(c) for c in self.coeffs)
-
-
-def reduce_mod(f: IntPoly, ell: int) -> ModPoly:
-    """Coefficientwise reduction into GF(ell); the degree may drop."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    field = make_field(ell, 1)
-    return ModPoly.from_ints(field, f.coeffs)
-
-
 # -- factorisation over GF(p) ------------------------------------------------
 # squarefree, distinct-degree and equal-degree splits on monic int tuples
 # (finfield's kernel)
@@ -392,42 +302,36 @@ def _int_factor(f, p, seed: int = 0):
     return factors
 
 
-def _monic_ints(f: ModPoly):
-    """A nonzero f over GF(p) scaled to monic, as an ascending int tuple."""
-    p = f.field.p
-    inv = pow(f.lc().lift(), -1, p)
-    return tuple(c.lift() * inv % p for c in f.coeffs)
+def _monic_mod(f, p: int):
+    """(unit, monic int tuple) of the int sequence f reduced mod the prime p."""
+    if not is_prime(p):
+        raise CompositeModulus(f"{p} is not prime")
+    g = _int_mod(f, p)
+    if not g:
+        raise ZeroPolynomial(f"the zero polynomial mod {p}")
+    inv = pow(g[-1], -1, p)
+    return g[-1], tuple(c * inv % p for c in g)
 
 
-def factor_mod(f: ModPoly, seed: int = 0):
-    """Complete factorisation over a prime field GF(p).
+def factor_mod(f, p: int, seed: int = 0):
+    """Complete factorisation of the int sequence f (ascending) mod the prime p.
 
-    Returns (unit, [(monic irreducible, multiplicity)]) with a canonical
-    ordering (degree, then coefficient vectors), so the answer does not
-    depend on the seed that drives the equal-degree splitting.  Only
-    prime-field polynomials are accepted (ValueError otherwise).
+    Returns (unit, [(monic irreducible, multiplicity)]): the unit an int in
+    [1, p), each factor an ascending int tuple, in a canonical order (degree,
+    then coefficients), so the answer does not depend on the seed that
+    drives the equal-degree splitting.
     """
-    if f.is_zero():
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    field = f.field
-    if field.k != 1:
-        raise ValueError(f"factor_mod needs a prime field, not {field}")
-    factors = _int_factor(_monic_ints(f), field.p, seed)
-    return f.lc(), [(ModPoly.from_ints(field, g), m) for g, m in factors]
+    unit, g = _monic_mod(f, p)
+    return unit, _int_factor(g, p, seed)
 
 
-def is_irreducible_mod(f: ModPoly) -> bool:
-    """True iff f is irreducible over its prime field GF(p), by the Rabin test.
-
-    Only prime-field polynomials are accepted (ValueError otherwise).
-    """
-    if f.is_zero():
-        raise ZeroPolynomial("irreducibility of the zero polynomial")
-    if f.field.k != 1:
-        raise ValueError(f"is_irreducible_mod needs a prime field, not {f.field}")
-    if f.degree < 1:
+def is_irreducible_mod(f, p: int) -> bool:
+    """True iff the int sequence f (ascending) is irreducible mod the prime
+    p, by the Rabin test."""
+    _, g = _monic_mod(f, p)
+    if len(g) < 2:
         raise ValueError("irreducibility needs degree >= 1")
-    return _int_is_irreducible(_monic_ints(f), f.field.p)
+    return _int_is_irreducible(g, p)
 
 
 # -- factorisation over Z ----------------------------------------------------

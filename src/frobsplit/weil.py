@@ -31,10 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
-from .finfield import IS_PRIME_LIMIT, is_prime, make_field
+from .finfield import IS_PRIME_LIMIT, is_prime
 from .intpoly import (
     IntPoly,
-    ModPoly,
     NotMonic,
     ZeroConstantTerm,
     factor_mod,
@@ -279,21 +278,18 @@ def simplicity_certificate(w: WeilPoly, ell: int) -> Certificate:
         raise BadAuxPrime(f"{ell} is not prime")
     if w.q % ell == 0:
         raise BadAuxPrime(f"{ell} divides q = {w.q}")
-    field = make_field(ell, 1)
-    fbar = ModPoly.from_ints(field, w.f.coeffs)
-    _, factors = factor_mod(fbar)
+    _, factors = factor_mod(w.f.coeffs, ell)
     if len(factors) == 1 and factors[0][1] == 1:
         return Certificate.SIMPLE
     if len(factors) == 2:
         (g1, m1), (g2, m2) = factors
-        if (
-            m1 == m2 == 1
-            and g1.degree == g2.degree
-            and g1.degree % 2 == 0  # the dual-pair pattern needs even rank
-            and g1 != g2
-            and g1.dual(field.scalar(w.q)) == g2
-        ):
-            return Certificate.SIMPLE
+        # the dual-pair pattern needs even rank; an irreducible g1 of degree
+        # >= 2 has g1(0) a unit mod ell, and g1(0) is the denominator of its
+        # rational dual, which therefore reduces mod ell
+        if m1 == m2 == 1 and len(g1) == len(g2) and len(g1) % 2 == 1 and g1 != g2:
+            dual = tuple(c.numerator * pow(c.denominator, -1, ell) % ell for c in dual_rational(g1, w.q))
+            if dual == g2:
+                return Certificate.SIMPLE
     return Certificate.UNKNOWN
 
 

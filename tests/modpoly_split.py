@@ -1,19 +1,91 @@
-"""Reference factorisation over any GF(p^k), on ModPoly, for the tests.
+"""Polynomials over any GF(p^k), on FFElement coefficients, for the tests.
 
-The package factors over prime fields only, and classifies group elements
-on their natural GF(ell) matrix with no characteristic polynomial.  This
-module keeps the polynomial routes that classification replaced, as its
-oracles: the complete squarefree / distinct-degree / Cantor-Zassenhaus split
-on FFElement coefficients, the Euclidean division, gcd and powers it runs on,
-and the two charpoly classifications (Rabin's test on the norm of the
-charpoly, and the dual-pair factorisation over GF(ell^2)).
+The package's one polynomial type over GF(p) is finfield's int tuple, and
+it factors over prime fields only, and classifies group elements on their
+natural GF(ell) matrix with no characteristic polynomial.  This module keeps
+the polynomial ring over GF(ell^k) that the routes classification replaced
+need, as their oracles: ModPoly with its twisted dual, the complete
+squarefree / distinct-degree / Cantor-Zassenhaus split on FFElement
+coefficients, the Euclidean division, gcd and powers it runs on, and the two
+charpoly classifications (Rabin's test on the norm of the charpoly, and the
+dual-pair factorisation over GF(ell^2)).
 """
 
 import random
+from dataclasses import dataclass
 
-from frobsplit.finfield import FFElement, FiniteField, make_field
+from frobsplit.finfield import FFElement, FiniteField
 from frobsplit.groups import mat_charpoly
-from frobsplit.intpoly import ModPoly, ZeroPolynomial, is_irreducible_mod
+from frobsplit.intpoly import ZeroConstantTerm, ZeroPolynomial, is_irreducible_mod
+
+
+@dataclass(frozen=True)
+class ModPoly:
+    """Polynomial over a FiniteField; coeffs ascending FFElements, () is zero."""
+
+    field: FiniteField
+    coeffs: tuple
+
+    @staticmethod
+    def make(field: FiniteField, coeffs) -> "ModPoly":
+        c = list(coeffs)
+        while c and c[-1].is_zero():
+            c.pop()
+        return ModPoly(field, tuple(c))
+
+    @staticmethod
+    def from_ints(field: FiniteField, ints) -> "ModPoly":
+        return ModPoly.make(field, [field.scalar(int(c)) for c in ints])
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def lc(self) -> FFElement:
+        if self.is_zero():
+            raise ZeroPolynomial("leading coefficient of zero")
+        return self.coeffs[-1]
+
+    def __add__(self, other):
+        f = self.field
+        n = max(len(self.coeffs), len(other.coeffs))
+        a = self.coeffs + (f.zero(),) * (n - len(self.coeffs))
+        b = other.coeffs + (f.zero(),) * (n - len(other.coeffs))
+        return ModPoly.make(f, [x + y for x, y in zip(a, b)])
+
+    def __neg__(self):
+        return ModPoly(self.field, tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        f = self.field
+        if self.is_zero() or other.is_zero():
+            return ModPoly(f, ())
+        out = [f.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a.is_zero():
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] = out[i + j] + a * b
+        return ModPoly.make(f, out)
+
+    def monic(self) -> "ModPoly":
+        if self.is_zero():
+            return self
+        inv = self.lc().inverse()
+        return ModPoly.make(self.field, [inv * a for a in self.coeffs])
+
+    def dual(self, c: FFElement) -> "ModPoly":
+        """Monic polynomial with roots c/alpha over the roots alpha:
+        coefficient j is g_(n-j) c^(n-j), made monic."""
+        if self.is_zero() or self.coeffs[0].is_zero():
+            raise ZeroConstantTerm("0 is a root; the dual is undefined")
+        n = self.degree
+        return ModPoly.make(self.field, [self.coeffs[n - j] * c ** (n - j) for j in range(n + 1)]).monic()
 
 
 def poly_x(field: FiniteField) -> ModPoly:
@@ -208,7 +280,7 @@ def classify_dual_pair_reference(x, m: int = 1) -> bool:
     factorisation: x^m is regular anisotropic iff its charpoly over GF(ell^2)
     is two distinct degree-r/2 irreducibles that the twisted dual swaps."""
     y = x**m
-    cp = mat_charpoly(y.matrix)
+    cp = ModPoly.make(x.desc.matrix_field, mat_charpoly(y.matrix))
     if mod_gcd(cp, derivative(cp)).degree != 0:
         return False
     _, factors = factor_mod_reference(cp)
@@ -229,7 +301,7 @@ def classify_charpoly_reference(x, m: int = 1) -> bool:
     anisotropic iff its charpoly on the natural GF(ell)-space, the norm of
     the GF(ell^2) charpoly in family A, is irreducible over GF(ell)."""
     y = x**m
-    cp = mat_charpoly(y.matrix)
+    cp = ModPoly.make(x.desc.matrix_field, mat_charpoly(y.matrix))
     if x.desc.family == "A":
         cp = cp * frobenius_coeffs(cp)
-    return is_irreducible_mod(ModPoly.from_ints(make_field(x.desc.ell, 1), [c.lift() for c in cp.coeffs]))
+    return is_irreducible_mod([c.lift() for c in cp.coeffs], x.desc.ell)

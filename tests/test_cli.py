@@ -202,6 +202,8 @@ def test_density_answers_at_paper_ranks(argv):
         (["goursat", "--family", "C", "--r", "1", "--ells", ",", "--seed", "1"], 4, "ValueError"),
         (["cm-fraction", "--degree", "4", "--ells", ","], 4, "ValueError"),
         (["weil", "--q", "998244359987710471", "--poly", "998244359987710471,0,1"], 4, "ValueError"),
+        # GU_1(F_41): the matrix space and the group are small, the q^2 = 41^4 entry field tables are not
+        (["goursat", "--family", "A", "--r", "1", "--ells", "41", "--seed", "1"], 3, "BudgetExceeded"),
     ],
 )
 def test_rejections_exit_with_a_json_error(argv, status, error, capsys):

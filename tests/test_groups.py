@@ -8,6 +8,8 @@ import pytest
 from frobsplit import intpoly
 from frobsplit.finfield import FFElement, FieldMismatch, is_prime, make_field, minimal_polynomial, prime_divisors
 from frobsplit.groups import (
+    MAX_GROUP_SIZE,
+    MAX_MATRIX_SPACE,
     MAX_TORUS_SIZE,
     AnisotropicTorus,
     BudgetExceeded,
@@ -505,20 +507,24 @@ def test_normalizer_closed_form_out_of_enumeration_budget():
 
 def test_enumeration_budget_checked_before_packed_tables():
     """Every enumerating entry point raises before it builds the q^2-entry
-    packed tables of a field far over the scan cap."""
-    desc = GroupDescriptor("C", 1, 1009)
+    packed tables of a field: GSp_2(F_1009) is far over the scan cap, and
+    for GU_1(F_41) the matrix space (41^2) and the group (1680) are small but
+    the tables (41^4 entries each) are over MAX_GROUP_SIZE."""
     calls = [
-        lambda: enumerate_group_packed(desc, "derived"),
-        lambda: enumerate_group(desc),
-        lambda: classify_element_oracle(identity_element(desc)),
-        lambda: normalizer_census_oracle(desc),
-        lambda: exhaustive_classification(desc),
+        lambda desc: enumerate_group_packed(desc, "derived"),
+        enumerate_group,
+        lambda desc: classify_element_oracle(identity_element(desc)),
+        normalizer_census_oracle,
+        exhaustive_classification,
     ]
-    for call in calls:
-        misses = _packed_group.cache_info().misses
-        with pytest.raises(BudgetExceeded):
-            call()
-        assert _packed_group.cache_info().misses == misses
+    for desc in (GroupDescriptor("C", 1, 1009), GroupDescriptor("A", 1, 41)):
+        for call in calls:
+            misses = _packed_group.cache_info().misses
+            with pytest.raises(BudgetExceeded):
+                call(desc)
+            assert _packed_group.cache_info().misses == misses
+    assert desc.matrix_field.q ** desc.matrix_dim**2 <= MAX_MATRIX_SPACE
+    assert group_order(desc, "full") <= MAX_GROUP_SIZE < desc.matrix_field.q**2
 
 
 def test_budget_exceeded_paths():

@@ -4,11 +4,10 @@ from itertools import product
 import pytest
 
 from frobsplit import intpoly
-from frobsplit.finfield import FFElement, make_field
+from frobsplit.finfield import CompositeModulus, FFElement, make_field
 from frobsplit.intpoly import (
     DegreeNotDivisible,
     IntPoly,
-    ModPoly,
     NotMonic,
     ZeroPolynomial,
     dth_root,
@@ -17,24 +16,28 @@ from frobsplit.intpoly import (
     is_irreducible_mod,
     max_power_structure,
     poly_from_string,
-    reduce_mod,
 )
-from modpoly_split import factor_mod_reference, poly_div, poly_divmod, poly_eval, poly_one, sort_key
+from modpoly_split import ModPoly, factor_mod_reference, poly_div, poly_divmod, poly_eval, poly_one
 
 P = IntPoly.make
 
 
-def reassemble(unit, factors):
-    field = factors[0][0].field
-    acc = ModPoly.make(field, [unit])
+def by_degree(g):
+    """factor_mod's order on monic int tuples: degree, then coefficients."""
+    return len(g), g
+
+
+def reassemble(unit, factors, p):
+    """unit * prod g^m reduced mod p, as an ascending int tuple."""
+    acc = P([unit])
     for g, m in factors:
-        for _ in range(m):
-            acc = acc * g
-    return acc
+        acc = acc * P(g) ** m
+    return P(c % p for c in acc.coeffs).coeffs
 
 
 def exhaustive_factor_quartic_mod(coeffs, p):
-    """Oracle: factor a monic quartic over GF(p) by brute root/quadratic search."""
+    """Oracle: factor a monic quartic over GF(p) by brute root/quadratic search,
+    on ModPoly; the factors come back as sorted monic int tuples."""
     field = make_field(p, 1)
     f = ModPoly.from_ints(field, coeffs)
     found = []
@@ -70,70 +73,54 @@ def exhaustive_factor_quartic_mod(coeffs, p):
             rest = poly_one(field)
     if rest.degree >= 1:
         found.append(rest)
-    return sorted(sort_key(g) for g in found)
+    return sorted((tuple(c.lift() for c in g.coeffs) for g in found), key=by_degree)
 
 
-def test_reduce_mod_examples():
-    assert str(reduce_mod(P([9, 6, 1]), 3)) == "0,0,1"
-    f = reduce_mod(P([9, 0, 6, 0, 1]), 5)
-    assert [c.lift() for c in f.coeffs] == [4, 0, 1, 0, 1]
-    assert reduce_mod(P([1, 0, 3]), 3).degree == 0
-
-
-def test_reduce_mod_is_multiplicative():
-    rng = random.Random(7)
-    for _ in range(40):
-        ell = rng.choice([3, 5, 7])
-        f = P([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 6))])
-        g = P([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 6))])
-        assert reduce_mod(f * g, ell) == reduce_mod(f, ell) * reduce_mod(g, ell)
+def test_factor_mod_reduces_its_input_mod_p():
+    assert factor_mod([9, 6, 1], 3) == (1, [((0, 1), 2)])  # t^2
+    assert reassemble(*factor_mod([9, 0, 6, 0, 1], 5), 5) == (4, 0, 1, 0, 1)
+    assert factor_mod([1, 0, 3], 3) == (1, [])  # the degree drops to 0
+    assert factor_mod([-4, 0, 7], 5) == (2, [((3, 0, 1), 1)])  # 2(t^2 - 2), 2 a non-square mod 5
+    with pytest.raises(ValueError, match="degree >= 1"):
+        is_irreducible_mod([1, 0, 3], 3)
 
 
 def test_factor_mod_irreducible_quadratic():
     f3 = make_field(3, 1)
-    f = ModPoly.from_ints(f3, [1, 0, 1])
     # oracle: no roots in GF(3) and degree 2 means irreducible
-    assert all(not poly_eval(f, f3.scalar(r)).is_zero() for r in range(3))
-    unit, factors = factor_mod(f)
-    assert unit == f3.one()
-    assert len(factors) == 1 and factors[0][1] == 1
-    assert is_irreducible_mod(f)
+    assert all(not poly_eval(ModPoly.from_ints(f3, [1, 0, 1]), f3.scalar(r)).is_zero() for r in range(3))
+    unit, factors = factor_mod([1, 0, 1], 3)
+    assert unit == 1
+    assert factors == [((1, 0, 1), 1)]
+    assert is_irreducible_mod([1, 0, 1], 3)
 
 
 def test_factor_mod_splits_difference_of_squares():
-    f5 = make_field(5, 1)
-    f = ModPoly.from_ints(f5, [-1, 0, 1])
-    _, factors = factor_mod(f)
+    unit, factors = factor_mod([-1, 0, 1], 5)
     assert len(factors) == 2
-    assert all(g.degree == 1 and m == 1 for g, m in factors)
-    assert reassemble(f5.one(), factors) == f
+    assert all(len(g) == 2 and m == 1 for g, m in factors)
+    assert reassemble(unit, factors, 5) == (4, 0, 1)
 
 
 def test_factor_mod_against_exhaustive_search_mod7():
     coeffs = [2, 0, 6, 0, 1]  # t^4 + 6t^2 + 2
-    f7 = make_field(7, 1)
-    f = ModPoly.from_ints(f7, coeffs)
-    _, factors = factor_mod(f)
-    expanded = sorted(sort_key(g) for g, m in factors for _ in range(m))
+    unit, factors = factor_mod(coeffs, 7)
+    expanded = sorted((g for g, m in factors for _ in range(m)), key=by_degree)
     assert expanded == exhaustive_factor_quartic_mod(coeffs, 7)
-    assert reassemble(f7.one(), factors) == f
+    assert reassemble(unit, factors, 7) == tuple(coeffs)
 
 
 def test_factor_mod_square_multiplicity():
-    f2 = make_field(2, 1)
-    f = ModPoly.from_ints(f2, [1, 0, 1])  # (t+1)^2 over GF(2)
-    _, factors = factor_mod(f)
-    assert len(factors) == 1 and factors[0][1] == 2
+    _, factors = factor_mod([1, 0, 1], 2)  # (t+1)^2 over GF(2)
+    assert factors == [((1, 1), 2)]
 
 
 def test_factor_mod_quartic_collapses_mod_2():
     # t^4 + 6t^2 + 9 reduces to t^4 + 1 = (t+1)^4 over GF(2)
-    f2 = make_field(2, 1)
-    f = ModPoly.from_ints(f2, [9, 0, 6, 0, 1])
-    _, factors = factor_mod(f)
+    _, factors = factor_mod([9, 0, 6, 0, 1], 2)
     assert len(factors) == 1
     g, mult = factors[0]
-    assert mult == 4 and g.degree == 1
+    assert mult == 4 and len(g) == 2
 
 
 def test_factor_over_Z_twelfth_roots_of_unity():
@@ -167,25 +154,26 @@ def test_factor_mod_extension_field():
     assert roots == sorted([u.index(), (u ** 3).index()])
 
 
-def test_factor_mod_rejects_extension_field():
-    f9 = make_field(3, 2)
-    with pytest.raises(ValueError, match=r"prime field, not GF\(3\^2\)"):
-        factor_mod(ModPoly.from_ints(f9, [1, 0, 1]))
+@pytest.mark.parametrize("p", [9, 1, 0, -3])
+def test_factor_mod_rejects_a_modulus_that_is_not_prime(p):
+    with pytest.raises(CompositeModulus, match=f"{p} is not prime"):
+        factor_mod([1, 0, 1], p)
 
 
 def test_factor_mod_deterministic_across_seeds():
-    f11 = make_field(11, 1)
-    f = ModPoly.from_ints(f11, [3, 1, 4, 1, 5, 9, 1])
-    assert factor_mod(f, seed=1) == factor_mod(f, seed=99)
+    f = [3, 1, 4, 1, 5, 9, 1]
+    assert factor_mod(f, 11, seed=1) == factor_mod(f, 11, seed=99)
 
 
 def test_factor_mod_rejects_zero():
-    f3 = make_field(3, 1)
     with pytest.raises(ZeroPolynomial):
-        factor_mod(ModPoly.make(f3, []))
+        factor_mod([], 3)
+    with pytest.raises(ZeroPolynomial):
+        factor_mod([3, 6], 3)  # zero once reduced
 
 
 def test_mod_poly_dual():
+    """The twisted dual over GF(ell) that the dual-pair reference uses."""
     field = make_field(7, 1)
     c = field.scalar(3)
     assert ModPoly.from_ints(field, [2, 1]).dual(c) == ModPoly.from_ints(field, [5, 1])  # root 5 -> 3/5 = 2
@@ -198,40 +186,34 @@ def test_mod_poly_dual():
 
 
 def test_is_irreducible_examples():
-    f3 = make_field(3, 1)
-    f5 = make_field(5, 1)
-    f2 = make_field(2, 1)
-    assert is_irreducible_mod(ModPoly.from_ints(f3, [1, 0, 1]))
-    assert not is_irreducible_mod(ModPoly.from_ints(f5, [1, 0, 1]))  # roots +-2
+    assert is_irreducible_mod([1, 0, 1], 3)
+    assert not is_irreducible_mod([1, 0, 1], 5)  # roots +-2
     assert (2 * 2) % 5 == 4 == (-1) % 5
-    assert is_irreducible_mod(ModPoly.from_ints(f2, [1, 1, 0, 0, 1]))
+    assert is_irreducible_mod([1, 1, 0, 0, 1], 2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_is_irreducible_mod_equals_factorisation(p):
     # every monic polynomial of degree 1-4 over GF(p), Rabin test vs factor_mod
-    field = make_field(p, 1)
     for deg in range(1, 5):
         for low in product(range(p), repeat=deg):
-            f = ModPoly.from_ints(field, low + (1,))
-            _, factors = factor_mod(f)
-            expected = len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == f.degree
-            assert is_irreducible_mod(f) == expected, low
+            f = low + (1,)
+            _, factors = factor_mod(f, p)
+            expected = factors == [(f, 1)]
+            assert is_irreducible_mod(f, p) == expected, low
 
 
 def test_is_irreducible_mod_non_monic():
-    f7 = make_field(7, 1)
-    assert is_irreducible_mod(ModPoly.from_ints(f7, [3, 5]))
-    assert is_irreducible_mod(ModPoly.from_ints(f7, [3, 0, 3]))  # 3(t^2 + 1), -1 a non-square
-    assert not is_irreducible_mod(ModPoly.from_ints(f7, [1, 0, 3]))  # 3(t^2 + 5) = 3(t - 3)(t + 3)
+    assert is_irreducible_mod([3, 5], 7)
+    assert is_irreducible_mod([3, 0, 3], 7)  # 3(t^2 + 1), -1 a non-square
+    assert not is_irreducible_mod([1, 0, 3], 7)  # 3(t^2 + 5) = 3(t - 3)(t + 3)
 
 
-def test_is_irreducible_mod_rejects_extension_field_and_zero():
-    f9 = make_field(3, 2)
-    with pytest.raises(ValueError, match=r"prime field, not GF\(3\^2\)"):
-        is_irreducible_mod(ModPoly.from_ints(f9, [1, 0, 1]))
+def test_is_irreducible_mod_rejects_a_composite_modulus_and_zero():
+    with pytest.raises(CompositeModulus, match="9 is not prime"):
+        is_irreducible_mod([1, 0, 1], 9)
     with pytest.raises(ZeroPolynomial):
-        is_irreducible_mod(ModPoly.make(make_field(3, 1), []))
+        is_irreducible_mod([], 3)
 
 
 def test_is_irreducible_mod_runs_no_factorisation(monkeypatch):
@@ -239,9 +221,8 @@ def test_is_irreducible_mod_runs_no_factorisation(monkeypatch):
         raise AssertionError("factor_mod called")
 
     monkeypatch.setattr(intpoly, "factor_mod", refuse)
-    f5 = make_field(5, 1)
-    assert is_irreducible_mod(ModPoly.from_ints(f5, [2, 0, 1]))
-    assert not is_irreducible_mod(ModPoly.from_ints(f5, [1, 0, 1]))
+    assert is_irreducible_mod([2, 0, 1], 5)
+    assert not is_irreducible_mod([1, 0, 1], 5)
 
 
 def test_prime_field_factorisation_runs_on_int_tuples(monkeypatch):
@@ -252,11 +233,8 @@ def test_prime_field_factorisation_runs_on_int_tuples(monkeypatch):
     weil = P([1])
     for g in quadratics:
         weil = weil * g
-    f5 = make_field(5, 1)
     monkeypatch.setattr(FFElement, "__mul__", refuse)
-    assert factor_mod(ModPoly.from_ints(f5, [4, 0, 0, 0, 1]))[1] == [
-        (ModPoly.from_ints(f5, [c, 1]), 1) for c in (1, 2, 3, 4)
-    ]
+    assert factor_mod([4, 0, 0, 0, 1], 5)[1] == [((c, 1), 1) for c in (1, 2, 3, 4)]
     assert factor_over_Z(weil) == tuple((g, 1) for g in sorted(quadratics, key=lambda g: g.coeffs))
     monkeypatch.undo()
     # GF(p^k) with k >= 2 is left to the reference split: t^2 + 1 splits over GF(9)
@@ -331,8 +309,7 @@ def test_irreducible_mod_implies_irreducible_over_Z():
     while found < 8:
         f = P([rng.randrange(-15, 16) for _ in range(4)] + [1])
         for ell in (3, 5, 7, 11, 13):
-            g = reduce_mod(f, ell)
-            if g.degree == f.degree and is_irreducible_mod(g):
+            if f.lc() % ell and is_irreducible_mod(f.coeffs, ell):
                 assert len(factor_over_Z(f)) == 1
                 found += 1
                 break

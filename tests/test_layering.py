@@ -4,7 +4,9 @@ Every import sits at module level, every name a module imports is used, and
 finfield, which holds the int-tuple polynomial kernel, imports nothing from
 the package, so it stays at the bottom of the import graph.  intpoly does its
 arithmetic over Z on integers alone, so it imports nothing from fractions, and
-no module reaches into intpoly's private helpers.  finfield.power is the one
+no module reaches into intpoly's private helpers.  IntPoly is intpoly's one
+polynomial class: over GF(p) a polynomial is finfield's int tuple, with no
+wrapper class.  finfield.power is the one
 square-and-multiply loop: no other code in the package shifts with >> or
 reads an exponent's bits with bin().
 """
@@ -78,6 +80,16 @@ def test_intpoly_imports_nothing_from_fractions():
         or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
     ]
     assert imports == []
+
+
+def test_intpoly_defines_one_polynomial_class():
+    classes = [
+        node.name
+        for node in _tree(PACKAGE / "intpoly.py").body
+        if isinstance(node, ast.ClassDef)
+        and not any(isinstance(b, ast.Name) and b.id.endswith(("Error", "Exception")) for b in node.bases)
+    ]
+    assert classes == ["IntPoly"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

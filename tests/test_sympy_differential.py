@@ -1,8 +1,9 @@
 """The polynomial kernels against sympy on seeded random polynomials.
 
 Covers exact division, the primitive gcd, d-th roots, the power structure,
-factorisation and the Rabin irreducibility test over GF(p) in intpoly, and
-the Sturm count of roots in (-2 sqrt q, 2 sqrt q) in weil.
+factorisation and the Rabin irreducibility test over GF(p) in intpoly, the
+Sturm count of roots in (-2 sqrt q, 2 sqrt q) in weil, and Berkowitz's
+characteristic polynomial in groups.
 """
 
 import random
@@ -10,10 +11,8 @@ from math import isqrt
 
 import pytest
 
-from frobsplit.finfield import make_field
 from frobsplit.intpoly import (
     IntPoly,
-    ModPoly,
     dth_root,
     factor_mod,
     int_poly_gcd,
@@ -21,7 +20,16 @@ from frobsplit.intpoly import (
     max_power_structure,
     try_divide,
 )
+from frobsplit.groups import (
+    GroupDescriptor,
+    _natural_matrix,
+    build_anisotropic_torus,
+    contains,
+    enumerate_group,
+    mat_charpoly,
+)
 from frobsplit.weil import _roots_in_open_interval
+from modpoly_split import ModPoly, frobenius_coeffs
 
 sympy = pytest.importorskip("sympy")
 
@@ -149,10 +157,9 @@ def test_factor_mod_against_sympy_factor_list():
     repeated = 0
     for _ in range(400):
         p = rng.choice([2, 3, 5, 7, 101])
-        field = make_field(p, 1)
 
         def rand(deg):
-            return ModPoly.from_ints(field, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+            return P([rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
 
         kind = rng.randrange(3)
         if kind == 0:
@@ -160,14 +167,11 @@ def test_factor_mod_against_sympy_factor_list():
         else:  # g^e times a cofactor: a repeated factor, or a p-th power where one fits
             e = p if kind == 2 and p <= 7 else rng.randint(2, 3)
             g = rand(rng.randint(1, min(2, 12 // e)))
-            f = rand(rng.randint(0, 12 - e * g.degree))
-            for _ in range(e):
-                f = f * g
-        unit, factors = factor_mod(f, seed=rng.randrange(4))
-        assert unit == f.lc()
-        got = [(tuple(c.lift() for c in g.coeffs), e) for g, e in factors]
-        assert got == factor_mod_by_sympy([c.lift() for c in f.coeffs], p), (p, f)
-        repeated += any(e > 1 for _, e in got)
+            f = rand(rng.randint(0, 12 - e * g.degree)) * g**e
+        unit, factors = factor_mod(f.coeffs, p, seed=rng.randrange(4))
+        assert unit == f.lc() % p
+        assert factors == factor_mod_by_sympy(f.coeffs, p), (p, f)
+        repeated += any(e > 1 for _, e in factors)
     assert repeated > 100
 
 
@@ -176,10 +180,9 @@ def test_is_irreducible_mod_against_sympy():
     verdicts = {True: 0, False: 0}
     for _ in range(500):
         p = rng.choice([2, 3, 5, 7, 101])
-        field = make_field(p, 1)
 
         def rand(deg):
-            return ModPoly.from_ints(field, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+            return P([rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
 
         kind = rng.randrange(4)
         if kind < 2:
@@ -190,7 +193,56 @@ def test_is_irreducible_mod_against_sympy():
         else:  # a square, irreducible or not, times a unit or a cofactor
             g = rand(rng.randint(1, 6))
             f = g * g * rand(rng.randint(0, 12 - 2 * g.degree))
-        expected = sympy.Poly([c.lift() for c in reversed(f.coeffs)], X, modulus=p).is_irreducible
-        assert is_irreducible_mod(f) is expected, (p, f)
+        expected = sympy.Poly(list(reversed(f.coeffs)), X, modulus=p).is_irreducible
+        assert is_irreducible_mod(f.coeffs, p) is expected, (p, f)
         verdicts[expected] += 1
     assert min(verdicts.values()) > 50
+
+
+def _off_torus(desc):
+    """A fixed group element off the torus: a transvection (family C) or the
+    cyclic permutation of the orthonormal basis (family A)."""
+    field, n = desc.matrix_field, desc.matrix_dim
+    one, zero = field.one(), field.zero()
+    if desc.family == "C":
+        rows = [[one if j == i or (i, j) == (0, n - 1) else zero for j in range(n)] for i in range(n)]
+    else:
+        rows = [[one if j == (i + 1) % n else zero for j in range(n)] for i in range(n)]
+    x = contains(desc, tuple(map(tuple, rows)))
+    assert x is not None
+    return x
+
+
+def _charpoly_elements(rng):
+    """Seeded elements: a sample of three enumerated small groups, and torus
+    elements of four larger ones, alone and times an element off the torus."""
+    for spec in [("C", 1, 5), ("C", 1, 7), ("A", 2, 3)]:
+        yield from rng.sample(enumerate_group(GroupDescriptor(*spec)), 15)
+    for spec in [("C", 3, 7), ("C", 4, 3), ("A", 3, 5), ("A", 4, 3)]:
+        desc = GroupDescriptor(*spec)
+        torus = build_anisotropic_torus(desc)
+        off = _off_torus(desc)
+        for _ in range(4):
+            t = torus.generators[0] ** rng.randrange(torus.order)
+            for g in torus.generators[1:]:
+                t = t * g ** rng.randrange(torus.order)
+            yield from (t, t * off, off * t * t)
+
+
+def test_mat_charpoly_against_sympy_charpoly():
+    """Family C: the charpoly of the integer matrix, reduced mod ell.  Family
+    A: the norm cp * cp^sigma, which is the charpoly of the natural GF(ell)
+    matrix."""
+    rng = random.Random(67)
+    degrees = set()
+    for x in _charpoly_elements(rng):
+        ell = x.desc.ell
+        cp = mat_charpoly(x.matrix)
+        if x.desc.family == "A":
+            norm = ModPoly.make(x.desc.matrix_field, cp)
+            cp = (norm * frobenius_coeffs(norm)).coeffs
+        got = tuple(c.lift() for c in cp)
+        expected = sympy.Matrix(_natural_matrix(x)).charpoly(X).all_coeffs()
+        assert got == tuple(int(c) % ell for c in reversed(expected)), x
+        degrees.add(len(got) - 1)
+    assert degrees == {2, 4, 6, 8}

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 from frobsplit.finfield import IS_PRIME_LIMIT, make_field
-from frobsplit.intpoly import IntPoly, ModPoly, NotMonic, factor_mod, factor_over_Z
+from frobsplit.intpoly import IntPoly, NotMonic, factor_mod, factor_over_Z
 from frobsplit.weil import (
     BadAuxPrime,
     Certificate,
@@ -26,6 +26,7 @@ from frobsplit.weil import (
     simplicity_certificate,
     weil_validate,
 )
+from modpoly_split import ModPoly
 
 P = IntPoly.make
 
@@ -126,6 +127,20 @@ def test_dual_rational_is_an_involution():
         assert twice == tuple(Fraction(c) for c in coeffs)
 
 
+def test_dual_rational_reduces_to_the_dual_over_gf_ell():
+    """The certificate reduces the rational dual mod ell; it equals the dual
+    taken over GF(ell) whenever g(0) is a unit mod ell."""
+    rng = random.Random(4097)
+    for _ in range(100):
+        ell = rng.choice([5, 7, 11])
+        q = rng.choice([c for c in (2, 3, 4, 9, 25) if c % ell])
+        g = [rng.randrange(1, ell)] + [rng.randrange(ell) for _ in range(rng.randint(0, 4))] + [1]
+        field = make_field(ell, 1)
+        expected = ModPoly.from_ints(field, g).dual(field.scalar(q))
+        got = tuple(c.numerator * pow(c.denominator, -1, ell) % ell for c in dual_rational(g, q))
+        assert got == tuple(c.lift() for c in expected.coeffs), (g, q, ell)
+
+
 def test_analyze_square_prime_field():
     w = weil_validate(P([9, 0, 6, 0, 1]), 3)
     rep = analyze(w, aux_primes=(2, 5, 7))
@@ -198,12 +213,13 @@ def test_simplicity_certificate_dual_pair_pattern():
     f = P([9, -6, 1, -2, 1])
     w = weil_validate(f, 3)
     assert len(factor_over_Z(f)) == 1
-    field = make_field(7, 1)
-    _, factors = factor_mod(ModPoly.from_ints(field, f.coeffs))
+    _, factors = factor_mod(f.coeffs, 7)
     assert len(factors) == 2
     (g1, m1), (g2, m2) = factors
-    assert m1 == m2 == 1 and g1.degree == g2.degree == 2
-    assert g1.dual(field.scalar(3)) == g2 and g1 != g2
+    assert m1 == m2 == 1 and len(g1) == len(g2) == 3
+    # the dual over Q reduced mod 7: its denominator is g1(0), a unit mod 7
+    dual = dual_rational(g1, 3)
+    assert tuple(c.numerator * pow(c.denominator, -1, 7) % 7 for c in dual) == g2 and g1 != g2
     assert simplicity_certificate(w, 7) is Certificate.SIMPLE
 
 
