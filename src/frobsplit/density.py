@@ -28,6 +28,7 @@ from .groups import (
     GroupElement,
     _count_avoiding,
     _lattice,
+    _mulclose,
     _packed_group,
     enumerate_group_packed,
     group_order,
@@ -251,21 +252,12 @@ class GoursatReport:
     note: str
 
 
-def _mulclose(generators, multiply, cap: int):
-    els = set(generators)
-    frontier = list(els)
-    while frontier:
-        new = []
-        for g in generators:
-            for b in frontier:
-                c = multiply(g, b)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if len(els) > cap:
-                        raise BudgetExceeded("closure exceeded the enumeration cap")
-        frontier = new
-    return els
+def _surjections(tuples, groups_packed, pgs):
+    """Per factor, lazily, whether the tuples' components generate it."""
+    return (
+        len(_mulclose([t[i] for t in tuples], pg.mm, len(grp))) == len(grp)
+        for i, (grp, pg) in enumerate(zip(groups_packed, pgs))
+    )
 
 
 def _hypothesis_note(factors) -> str:
@@ -317,11 +309,7 @@ def goursat_verify(factors, generators) -> GoursatReport:
                 raise ValueError("generator component outside its derived group")
         tuples.append(packed)
 
-    surjective = []
-    for i, (grp, pg) in enumerate(zip(groups_packed, pgs)):
-        comps = [t[i] for t in tuples]
-        closure_i = _mulclose(comps, pg.mm, len(grp))
-        surjective.append(len(closure_i) == len(grp))
+    surjective = list(_surjections(tuples, groups_packed, pgs))
 
     def multiply(a, b):
         return tuple(pg.mm(x, y) for pg, x, y in zip(pgs, a, b))
@@ -347,23 +335,21 @@ def goursat_verify(factors, generators) -> GoursatReport:
 
 def random_generator_tuples(factors, rng: random.Random, count: int = 2, max_tries: int = 200):
     """Draw `count` random generator tuples, retrying until every projection
-    is surjective; returns GroupElement tuples."""
+    is surjective; returns GroupElement tuples.  Every nontrivial derived
+    group here (Sp_2r, and SU_r with r >= 2) is non-abelian, so a single
+    tuple can only generate trivial factors."""
     if count < 1:
         raise ValueError("need at least one generator tuple")
     factors = list(factors)
+    if count == 1 and any(group_order(d, "derived") > 1 for d in factors):
+        raise ValueError("one element never generates a non-abelian derived group: draw at least 2 tuples")
     groups_packed = [enumerate_group_packed(d, "derived") for d in factors]
     pgs = [_packed_group(d) for d in factors]
     for _ in range(max_tries):
         tuples = [
             tuple(rng.choice(grp) for grp in groups_packed) for _ in range(count)
         ]
-        ok = True
-        for i, (grp, pg) in enumerate(zip(groups_packed, pgs)):
-            comps = [t[i] for t in tuples]
-            if len(_mulclose(comps, pg.mm, len(grp))) != len(grp):
-                ok = False
-                break
-        if ok:
+        if all(_surjections(tuples, groups_packed, pgs)):
             out = []
             for t in tuples:
                 elems = []

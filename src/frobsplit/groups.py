@@ -54,7 +54,9 @@ All linear algebra over field elements (determinant, inverse, independent
 subsets, the change of basis to the standard form, the anti-fixed element of
 the symplectic torus) reads its answer off _echelon, the one row reduction.
 The packed layer keeps only multiplication, conjugate transpose and the
-similitude test, which the enumeration scan and the oracles run.
+similitude test, which the enumeration and the oracles run.  A group is
+listed as the closure of its simple root elements (_part_generators) under
+_mulclose, the one closure loop, which the Goursat check runs too.
 
 Classification of a group element x at level m asks whether x^m is regular
 with maximally anisotropic connected centralizer.  The fast path is one
@@ -65,12 +67,11 @@ no polynomial Euclid; the tori differ only in the degree D, the primes and
 the twist factors it tests.  The definitional oracle enumerates the
 centralizer and certifies the fast path wherever enumeration fits the
 budget.  Exact operations never fall back to sampling: over-budget requests
-raise BudgetExceeded, before any table of the field is built: the matrix
-space q^(n^2) against MAX_MATRIX_SPACE, then the group order and the q^2
-entries of each packed field table against MAX_GROUP_SIZE.  mat_charpoly,
-Berkowitz's division-free recursion on field elements, is kept for the
-charpoly references of the tests; no production path builds a
-characteristic polynomial.
+raise BudgetExceeded, before any table of the field is built: the group
+order and the q^2 entries of each packed field table against
+MAX_GROUP_SIZE.  mat_charpoly, Berkowitz's division-free recursion on field
+elements, is kept for the charpoly references of the tests; no production
+path builds a characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import gcd
 
 from .finfield import (
@@ -95,7 +95,6 @@ from .finfield import (
 from .intpoly import factor_mod
 
 MAX_GROUP_SIZE = 10**6
-MAX_MATRIX_SPACE = 2 * 10**7
 MAX_TORUS_SIZE = 10**7
 
 _EXCEPTIONAL_PRIMES = (2, 3)  # base or quadratic extension lands in F2/F4/F3/F9
@@ -800,14 +799,73 @@ def _packed_group(desc: GroupDescriptor) -> _PackedGroup:
 _ENUM_CACHE: dict = {}
 
 
+def _mulclose(generators, multiply, cap: int):
+    """The closure of the generators under multiply, which for elements of
+    a finite group is the subgroup they generate; BudgetExceeded past cap."""
+    els = set(generators)
+    frontier = list(els)
+    while frontier:
+        new = []
+        for g in generators:
+            for b in frontier:
+                c = multiply(g, b)
+                if c not in els:
+                    els.add(c)
+                    new.append(c)
+                    if len(els) > cap:
+                        raise BudgetExceeded("closure exceeded the enumeration cap")
+        frontier = new
+    return els
+
+
+def _part_generators(desc: GroupDescriptor, part: str):
+    """Matrices generating the part.  The simple root elements and their
+    transposes generate the derived group (Steinberg; Taylor for the
+    unitary forms): in the basis where the form is antidiagonal, a at E_ij
+    and -a^sigma at its mirror, for a in the GF(ell)-basis of the matrix
+    field; the middle root of odd n adds b with b + b^ell = -N(a), and the
+    long root of even n is 1 on GSp and theta, theta^ell = -theta != 0, on
+    GU.  'unitary' adds a diagonal of determinant gamma^(ell - 1), which
+    generates the norm-1 group, and 'full' a similitude whose multiplier
+    generates GF(ell)*."""
+    field, n, ell = desc.matrix_field, desc.matrix_dim, desc.ell
+    s, one, zero, unitary = n // 2, field.one(), field.zero(), desc.family == "A"
+
+    def elementary(*entries, diagonal=(one,) * n):
+        m = [[diagonal[i] if i == j else zero for j in range(n)] for i in range(n)]
+        for i, j, a in entries:
+            m[i][j] = a
+        return tuple(tuple(row) for row in m)
+
+    basis = [field.from_index(ell**i) for i in range(field.k)]  # 1, and t in GF(ell^2)
+    roots = [elementary((i, i + 1, a), (n - 2 - i, n - 1 - i, -a.frobenius())) for a in basis for i in range(s - 1)]
+    if n % 2 == 0:
+        roots.append(elementary((s - 1, s, basis[-1] - basis[-1].frobenius() if unitary else one)))
+    elif s:  # b = -c N(a) with c + c^ell = 1
+        c = next(c for c in field.elements() if c + c.frobenius() == one)
+        roots += [elementary((s - 1, s, a), (s, s + 1, -a.frobenius()), (s - 1, s + 1, -c * a * a.frobenius())) for a in basis]
+    roots += [tuple(zip(*g)) for g in roots]
+    gamma = _multiplicative_generator(field)
+    if not unitary:
+        return roots + ([elementary(diagonal=(one,) * s + (gamma,) * s)] if part == "full" else [])
+    p_mat = _hermitian_change_of_basis(elementary(*[(i, n - 1 - i, one) for i in range(n)], diagonal=(zero,) * n), field)
+    inv_p = mat_inverse(p_mat)
+    gens = [mat_mul(mat_mul(inv_p, g), p_mat) for g in roots]
+    if part != "derived":
+        gens.append(elementary(diagonal=(gamma ** (ell - 1),) + (one,) * (n - 1)))
+    if part == "full":
+        gens.append(elementary(diagonal=(gamma,) * n))
+    return gens
+
+
 def enumerate_group_packed(desc: GroupDescriptor, part: str = "full"):
-    """All packed matrices of the requested subgroup, budget-capped."""
+    """All packed matrices of the requested subgroup, in ascending order of
+    their entries, budget-capped: the closure of _part_generators.  Each
+    generator lies in the part, so the closure is a subgroup of it, and the
+    closure has the part's order."""
     key = (desc, part)
     if key in _ENUM_CACHE:
         return _ENUM_CACHE[key]
-    space = desc.matrix_field.q ** desc.matrix_dim**2
-    if space > MAX_MATRIX_SPACE:
-        raise BudgetExceeded(f"matrix space of size {space} exceeds the scan cap")
     expected = group_order(desc, part)
     if expected > MAX_GROUP_SIZE:
         raise BudgetExceeded(f"group of order {expected} exceeds the enumeration cap")
@@ -815,20 +873,13 @@ def enumerate_group_packed(desc: GroupDescriptor, part: str = "full"):
     if tables > MAX_GROUP_SIZE:
         raise BudgetExceeded(f"packed field tables of {tables} entries exceed MAX_GROUP_SIZE = {MAX_GROUP_SIZE}")
     pg = _packed_group(desc)
-    out = []
-    unitary = part in ("unitary", "derived")
-    # multiplier 1 already makes a symplectic matrix special; SU needs det 1
-    special = part == "derived" and desc.family == "A"
-    one = desc.matrix_field.one()
-    for mat in product(range(pg.pf.q), repeat=pg.n * pg.n):
-        lam = pg.similitude(mat)
-        if lam is None:
-            continue
-        if unitary and lam != 1:
-            continue
-        if special and mat_det(unpack_matrix(desc, mat)) != one:
-            continue
-        out.append(mat)
+    gens = []
+    for g in _part_generators(desc, part):
+        lam = pg.similitude(pack_matrix(g))
+        assert lam is not None and (part == "full" or lam == 1), f"generator outside the {part} group"
+        assert part != "derived" or mat_det(g) == desc.matrix_field.one(), "derived generator of det != 1"
+        gens.append(pack_matrix(g))
+    out = sorted(_mulclose(gens or [pg.identity], pg.mm, expected))
     assert len(out) == expected, f"enumeration found {len(out)}, formula says {expected}"
     _ENUM_CACHE[key] = out
     return out
@@ -993,15 +1044,8 @@ def exhaustive_classification(desc: GroupDescriptor, m: int = 1, part: str = "fu
     """(count in the regular-anisotropic class, subgroup order) by direct
     classification of every element; the independent check on the census
     count identity."""
-    elements = enumerate_group_packed(desc, part)
-    pg = _packed_group(desc)
-    count = 0
-    for mat in elements:
-        lam = pg.similitude(mat)
-        elt = GroupElement(desc, unpack_matrix(desc, mat), lam)
-        if classify_element(elt, m):
-            count += 1
-    return count, len(elements)
+    elements = enumerate_group(desc, part)
+    return sum(classify_element(x, m) for x in elements), len(elements)
 
 
 # ---------------------------------------------------------------------------

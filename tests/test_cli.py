@@ -126,6 +126,23 @@ def test_goursat_cli():
     assert res["closure_order"] == str(120 * 336)
 
 
+def test_goursat_answers_on_su3_f3():
+    # 9^9 matrices over GF(9), of which SU_3(F_3) holds 6048
+    report, status = run(["goursat", "--family", "A", "--r", "3", "--ells", "3", "--seed", "1"])
+    assert status == 0
+    res = report["result"]
+    assert res["full_product"] and res["closure_order"] == res["product_order"] == "6048"
+
+
+@pytest.mark.slow
+def test_goursat_answers_on_sp4_f3():
+    # 3^16 matrices over GF(3), of which Sp_4(F_3) holds 51840
+    report, status = run(["goursat", "--family", "C", "--r", "2", "--ells", "3", "--seed", "1"])
+    assert status == 0
+    res = report["result"]
+    assert res["full_product"] and res["closure_order"] == res["product_order"] == "51840"
+
+
 def test_nonspecial_cli():
     report, status = run(["nonspecial", "--r", "6", "--sig", "1:5"])
     assert status == 0
@@ -190,7 +207,7 @@ def test_density_answers_at_paper_ranks(argv):
     "argv,status,error",
     [
         (["goursat", "--family", "C", "--r", "1", "--ells", "5,7", "--seed", "1", "--samples", "0"], 4, "ValueError"),
-        (["goursat", "--family", "C", "--r", "1", "--ells", "5,7", "--seed", "1", "--samples", "1"], 3, "BudgetExceeded"),
+        (["goursat", "--family", "C", "--r", "1", "--ells", "5,7", "--seed", "1", "--samples", "1"], 4, "ValueError"),
         (["goursat", "--family", "C", "--r", "1", "--ells", "1009", "--seed", "1"], 3, "BudgetExceeded"),
         (["torus", "--family", "C", "--r", "1", "--ell", "3", "--m", "0"], 4, "ValueError"),
         (["nonspecial", "--r", "0", "--sig", "0:0"], 4, "ValueError"),
@@ -202,7 +219,7 @@ def test_density_answers_at_paper_ranks(argv):
         (["goursat", "--family", "C", "--r", "1", "--ells", ",", "--seed", "1"], 4, "ValueError"),
         (["cm-fraction", "--degree", "4", "--ells", ","], 4, "ValueError"),
         (["weil", "--q", "998244359987710471", "--poly", "998244359987710471,0,1"], 4, "ValueError"),
-        # GU_1(F_41): the matrix space and the group are small, the q^2 = 41^4 entry field tables are not
+        # GU_1(F_41): the group is small, the q^2 = 41^4 entry field tables are not
         (["goursat", "--family", "A", "--r", "1", "--ells", "41", "--seed", "1"], 3, "BudgetExceeded"),
     ],
 )

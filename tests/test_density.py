@@ -19,8 +19,12 @@ from frobsplit.density import (
 from frobsplit.groups import (
     BudgetExceeded,
     GroupDescriptor,
+    _mulclose,
+    _packed_group,
     enumerate_group,
     exhaustive_classification,
+    identity_element,
+    pack_matrix,
 )
 
 C_AT = lambda ell: GroupDescriptor("C", 1, ell)  # noqa: E731
@@ -154,9 +158,6 @@ def test_goursat_diagonal_flagged_out_of_hypothesis():
     gens = None
     while gens is None:
         picks = [rng.choice(group) for _ in range(2)]
-        from frobsplit.density import _mulclose
-        from frobsplit.groups import _packed_group, pack_matrix
-
         pg = _packed_group(f5)
         if len(_mulclose([pack_matrix(p.matrix) for p in picks], pg.mm, 120)) == 120:
             gens = [(p, p) for p in picks]
@@ -183,6 +184,17 @@ def test_goursat_exceptional_field_flagged():
     rep = goursat_verify([f3, f5], gens)
     # SL2(3) is solvable: out of hypothesis regardless of the outcome
     assert not rep.in_hypothesis
+
+
+def test_one_generator_tuple_is_rejected_unless_every_factor_is_trivial():
+    with pytest.raises(ValueError, match="non-abelian"):
+        random_generator_tuples([C_AT(5), C_AT(7)], random.Random(1), count=1)
+    with pytest.raises(ValueError, match="non-abelian"):
+        random_generator_tuples([GroupDescriptor("A", 1, 5), GroupDescriptor("A", 2, 3)], random.Random(1), count=1)
+    su1 = [GroupDescriptor("A", 1, 5), GroupDescriptor("A", 1, 7)]
+    (gens,) = random_generator_tuples(su1, random.Random(1), count=1)
+    assert all(g.matrix == identity_element(d).matrix for g, d in zip(gens, su1))
+    assert goursat_verify(su1, [gens]).full_product
 
 
 def test_goursat_budget():

@@ -9,7 +9,6 @@ from frobsplit import intpoly
 from frobsplit.finfield import FFElement, FieldMismatch, is_prime, make_field, minimal_polynomial, prime_divisors
 from frobsplit.groups import (
     MAX_GROUP_SIZE,
-    MAX_MATRIX_SPACE,
     MAX_TORUS_SIZE,
     AnisotropicTorus,
     BudgetExceeded,
@@ -18,12 +17,16 @@ from frobsplit.groups import (
     GroupElement,
     NormalizerCensus,
     _anti_fixed_element,
+    _ENUM_CACHE,
     _count_avoiding,
+    _hermitian_change_of_basis,
     _independent_vectors,
     _lattice,
     _meet,
+    _mulclose,
     _multiplicative_generator,
     _packed_group,
+    _part_generators,
     _subfield_quadratic_image,
     _symplectic_change_of_basis,
     _torus_part,
@@ -75,6 +78,74 @@ def test_group_order_formula_vs_enumeration():
     assert group_order(A2) == 192 == len(enumerate_group_packed(A2))
     assert group_order(C3, "derived") == 24 == len(enumerate_group_packed(C3, "derived"))
     assert group_order(A2, "derived") == 24 == len(enumerate_group_packed(A2, "derived"))
+
+
+def _listable_parts(max_order=MAX_GROUP_SIZE):
+    """Every (descriptor, part) of order at most max_order whose group and
+    packed field tables fit MAX_GROUP_SIZE.  r <= 2 (family C), r <= 4
+    (family A) and ell < 100 bound them all: the largest are SL_2(F_97),
+    GSp_4(F_3), SU_3(F_5) and GU_4(F_2)."""
+    for family, ranks in (("C", range(1, 3)), ("A", range(1, 5))):
+        parts = ("full", "derived", "unitary")[: 3 if family == "A" else 2]
+        for r in ranks:
+            for ell in filter(is_prime, range(2, 100)):
+                desc = GroupDescriptor(family, r, ell)
+                for part in parts:
+                    order = group_order(desc, part)
+                    if order <= max_order and max(order, desc.matrix_field.q**2) <= MAX_GROUP_SIZE:
+                        yield desc, part
+
+
+def _assert_lists_the_part(desc, part):
+    """The listing is sorted, has the part's order, and each generator lies
+    in the part: multiplier 1 below 'full' (and determinant 1 in SU), and
+    in 'full' multipliers that generate GF(ell)*."""
+    ell, one = desc.ell, desc.matrix_field.one()
+    listing = enumerate_group_packed(desc, part)
+    assert listing == sorted(set(listing)) and len(listing) == group_order(desc, part)
+    multipliers = []
+    for g in _part_generators(desc, part):
+        x = contains(desc, g)
+        assert x is not None and (part == "full" or x.similitude == 1), (desc, part)
+        assert part != "derived" or mat_det(g) == one, (desc, part)
+        multipliers.append(x.similitude)
+    if part == "full":
+        assert len(_mulclose(multipliers, lambda a, b: a * b % ell, ell)) == ell - 1
+    _ENUM_CACHE.pop((desc, part))  # the sweep would hold every listing
+
+
+def test_every_part_up_to_order_30000_is_the_closure_of_its_generators():
+    pairs = list(_listable_parts(3 * 10**4))
+    assert len(pairs) == 78
+    for desc, part in pairs:
+        _assert_lists_the_part(desc, part)
+
+
+@pytest.mark.slow
+def test_every_listable_part_is_the_closure_of_its_generators():
+    pairs = list(_listable_parts())
+    assert len(pairs) == 111
+    for desc, part in pairs:
+        _assert_lists_the_part(desc, part)
+
+
+def test_a_root_element_basis_of_one_value_generates_too_little():
+    """Both GF(ell)-basis values of GF(ell^2) are needed: with a = 1 alone
+    SU_3(F_3) closes to 12 of 6048 elements and SU_4(F_2) to 720 of 25920."""
+    for spec, closed in ((("A", 3, 3), 12), (("A", 4, 2), 720)):
+        desc = GroupDescriptor(*spec)
+        field, n = desc.matrix_field, desc.matrix_dim
+        antidiagonal = tuple(tuple(field.scalar(int(i + j == n - 1)) for j in range(n)) for i in range(n))
+        p_mat = _hermitian_change_of_basis(antidiagonal, field)
+        # back in the antidiagonal basis, the a = 1 roots (and theta = 1 over GF(4)) have prime-field entries
+        ones = [
+            pack_matrix(g)
+            for g in _part_generators(desc, "derived")
+            if all(x.in_prime_field() for row in mat_mul(mat_mul(p_mat, g), mat_inverse(p_mat)) for x in row)
+        ]
+        assert 0 < len(ones) < len(_part_generators(desc, "derived"))
+        pg = _packed_group(desc)
+        assert len(_mulclose(ones, pg.mm, group_order(desc, "derived"))) == closed
 
 
 def test_contains_identity_and_diagonal():
@@ -507,9 +578,9 @@ def test_normalizer_closed_form_out_of_enumeration_budget():
 
 def test_enumeration_budget_checked_before_packed_tables():
     """Every enumerating entry point raises before it builds the q^2-entry
-    packed tables of a field: GSp_2(F_1009) is far over the scan cap, and
-    for GU_1(F_41) the matrix space (41^2) and the group (1680) are small but
-    the tables (41^4 entries each) are over MAX_GROUP_SIZE."""
+    packed tables of a field: GSp_2(F_1009) is far over the order cap, and
+    for GU_1(F_41) the group (1680) is small but the tables (41^4 entries
+    each) are over MAX_GROUP_SIZE."""
     calls = [
         lambda desc: enumerate_group_packed(desc, "derived"),
         enumerate_group,
@@ -523,12 +594,11 @@ def test_enumeration_budget_checked_before_packed_tables():
             with pytest.raises(BudgetExceeded):
                 call(desc)
             assert _packed_group.cache_info().misses == misses
-    assert desc.matrix_field.q ** desc.matrix_dim**2 <= MAX_MATRIX_SPACE
     assert group_order(desc, "full") <= MAX_GROUP_SIZE < desc.matrix_field.q**2
 
 
 def test_budget_exceeded_paths():
-    sp4 = GroupDescriptor("C", 2, 5)  # matrix space 5^16 is far over the cap
+    sp4 = GroupDescriptor("C", 2, 5)  # order 4 * 9,360,000 is over MAX_GROUP_SIZE
     with pytest.raises(BudgetExceeded):
         enumerate_group_packed(sp4)
     huge_torus = GroupDescriptor("C", 9, 11)

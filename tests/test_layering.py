@@ -8,7 +8,9 @@ no module reaches into intpoly's private helpers.  IntPoly is intpoly's one
 polynomial class: over GF(p) a polynomial is finfield's int tuple, with no
 wrapper class.  finfield.power is the one
 square-and-multiply loop: no other code in the package shifts with >> or
-reads an exponent's bits with bin().
+reads an exponent's bits with bin().  groups._mulclose is the one closure
+loop, and groups imports no itertools.product, so no group is listed by a
+scan of the matrix space.
 """
 
 import ast
@@ -120,3 +122,20 @@ def test_power_is_the_one_exponentiation_loop():
             if (shift or bits) and id(node) not in inside_power:
                 loops.append(f"{path.name}:{node.lineno}")
     assert loops == []
+
+
+def test_mulclose_is_the_one_closure_loop_and_groups_scans_no_matrix_space():
+    closures = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef) and node.name == "_mulclose"
+    ]
+    assert len(closures) == 1 and closures[0].startswith("groups.py:")
+    scans = [
+        ast.unparse(node)
+        for node in ast.walk(_tree(PACKAGE / "groups.py"))
+        if (isinstance(node, ast.ImportFrom) and node.module == "itertools" and any(a.name == "product" for a in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "product" and ast.unparse(node.value) == "itertools")
+    ]
+    assert scans == []

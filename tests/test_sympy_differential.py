@@ -2,8 +2,9 @@
 
 Covers exact division, the primitive gcd, d-th roots, the power structure,
 factorisation and the Rabin irreducibility test over GF(p) in intpoly, the
-Sturm count of roots in (-2 sqrt q, 2 sqrt q) in weil, and Berkowitz's
-characteristic polynomial in groups.
+Sturm count of roots in (-2 sqrt q, 2 sqrt q) in weil, Berkowitz's
+characteristic polynomial in groups, and the minimal polynomial over GF(p)
+in finfield.
 """
 
 import random
@@ -11,6 +12,7 @@ from math import isqrt
 
 import pytest
 
+from frobsplit.finfield import make_field, minimal_polynomial
 from frobsplit.intpoly import (
     IntPoly,
     dth_root,
@@ -246,3 +248,25 @@ def test_mat_charpoly_against_sympy_charpoly():
         assert got == tuple(int(c) % ell for c in reversed(expected)), x
         degrees.add(len(got) - 1)
     assert degrees == {2, 4, 6, 8}
+
+
+def test_minimal_polynomial_against_sympy_charpoly():
+    """The charpoly of multiplication by x on GF(p^k), a k x k matrix over
+    GF(p) whose column j is x t^j, is minpoly(x)^(k/deg) by sympy, reduced
+    mod p, on seeded x in fields of at most 1000 elements."""
+    rng = random.Random(71)
+    fields = [(2, 1), (2, 3), (2, 4), (2, 6), (2, 9), (3, 2), (3, 4), (3, 6), (5, 3), (7, 3), (31, 2), (997, 1)]
+    degrees = set()
+    for p, k in fields:
+        field = make_field(p, k)
+        tpows = [field.from_index(p**j) for j in range(k)]
+        for x in [field.zero(), field.one()] + [field.from_index(rng.randrange(field.q)) for _ in range(12)]:
+            mp = minimal_polynomial(x)
+            deg = len(mp) - 1
+            assert k % deg == 0 and mp[-1] == 1, (x, mp)
+            mult = [(x * t).coeffs for t in tpows]  # the columns
+            cp = sympy.Matrix(k, k, lambda i, j: mult[j][i]).charpoly(X).as_expr()
+            expected = sympy.Poly(sympy.Poly(list(reversed(mp)), X).as_expr() ** (k // deg), X, modulus=p)
+            assert sympy.Poly(cp, X, modulus=p) == expected, (x, mp)
+            degrees.add(deg)
+    assert degrees == {1, 2, 3, 4, 6, 9}
