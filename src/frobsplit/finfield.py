@@ -16,7 +16,10 @@ the Rabin test that ``is_irreducible_mod`` runs, ``factor_mod`` over prime
 fields, and the prime screening, factorisation and Hensel lifting of
 ``factor_over_Z``.  Nothing factors over GF(p^k) with k >= 2.  These int
 tuples are the package's one polynomial type over GF(p): ``factor_mod`` and
-``is_irreducible_mod`` take and return them, with no wrapper class.
+``is_irreducible_mod`` take and return them, with no wrapper class.  The
+kernel reduces lazily: a product reduces each coefficient once, a division
+reduces a coefficient when it reads it, and callers that drop the quotient
+(field multiply, modular powers, gcds) take the remainder-only division.
 """
 
 from __future__ import annotations
@@ -114,10 +117,14 @@ def _int_mul_mod(a, b, m):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+                out[i + j] += ai * bj
+    return _int_mod(out, m)
+
+
+def _int_add_mod(a, b, m):
+    if len(a) < len(b):
+        a, b = b, a
+    return _int_mod([x + y for x, y in zip(a, b)] + list(a[len(b):]), m)
 
 
 def _int_sub_mod(a, b, m):
@@ -131,23 +138,31 @@ def _int_sub_mod(a, b, m):
 
 
 def _int_divmod_monic_mod(a, b, m):
-    """Divide by a monic b with all arithmetic mod m.  a is reduced once;
-    each quotient position then clears one coefficient, b's leading 1 aside."""
-    r = [x % m for x in a]
+    """Divide by a monic b with all arithmetic mod m.  Reduction is lazy: a
+    coefficient is reduced when a quotient position reads it, and the
+    remainder once at the end."""
+    r = list(a)
     q = [0] * max(len(r) - len(b) + 1, 0)
     top = len(b) - 1
     for d in reversed(range(len(q))):
-        c = r[d + top]
+        c = r[d + top] % m
         if c:
             q[d] = c
             for j in range(top):
-                r[d + j] = (r[d + j] - c * b[j]) % m
-    del r[top:]
-    while r and r[-1] == 0:
-        r.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    return tuple(q), tuple(r)
+                r[d + j] -= c * b[j]
+    return _int_mod(q, m), _int_mod(r[:top], m)
+
+
+def _int_rem_monic_mod(a, b, m):
+    """The remainder of _int_divmod_monic_mod, without a quotient."""
+    r = list(a)
+    top = len(b) - 1
+    for d in reversed(range(len(r) - top)):
+        c = r[d + top] % m
+        if c:
+            for j in range(top):
+                r[d + j] -= c * b[j]
+    return _int_mod(r[:top], m)
 
 
 def _int_divmod_with_inv(a, b, p):
@@ -177,7 +192,9 @@ def _int_ext_gcd(a, b, p):
 def _int_gcd(a, b, p):
     """Monic gcd over GF(p) of reduced a and b; () when both are zero."""
     while b:
-        a, b = b, _int_divmod_with_inv(a, b, p)[1]
+        inv = pow(b[-1], p - 2, p)
+        b = tuple(x * inv % p for x in b)
+        a, b = b, _int_rem_monic_mod(a, b, p)
     if not a:
         return ()
     inv = pow(a[-1], p - 2, p)
@@ -186,7 +203,7 @@ def _int_gcd(a, b, p):
 
 def _int_powmod(a, e: int, f, m):
     """a**e mod the monic f for e >= 1 (a already reduced)."""
-    return power(a, e, lambda u, v: _int_divmod_monic_mod(_int_mul_mod(u, v, m), f, m)[1], (1,))
+    return power(a, e, lambda u, v: _int_rem_monic_mod(_int_mul_mod(u, v, m), f, m), (1,))
 
 
 def _int_is_irreducible(f, p) -> bool:
@@ -196,7 +213,7 @@ def _int_is_irreducible(f, p) -> bool:
     The Frobenius powers x^(p^j) are built one p-th power at a time, so a
     failed coprimality check stops the test early."""
     k = len(f) - 1
-    x = _int_divmod_monic_mod((0, 1), f, p)[1]
+    x = _int_rem_monic_mod((0, 1), f, p)
     checks = {k // r for r in prime_divisors(k)}
     h = x
     for j in range(1, k + 1):
@@ -281,11 +298,11 @@ def _frobenius_rows(field: FiniteField) -> tuple:
     """The matrix over GF(p) of the linear map x -> x^p on the basis t^j, by
     rows: column j is t^(pj), so x = sum c_j t^j goes to sum c_j t^(pj)."""
     p, f, k = field.p, field.modulus, field.k
-    tp = _int_powmod(_int_divmod_monic_mod((0, 1), f, p)[1], p, f, p)
+    tp = _int_powmod(_int_rem_monic_mod((0, 1), f, p), p, f, p)
     cols, c = [], (1,)
     for _ in range(k):
         cols.append(c + (0,) * (k - len(c)))
-        c = _int_divmod_monic_mod(_int_mul_mod(c, tp, p), f, p)[1]
+        c = _int_rem_monic_mod(_int_mul_mod(c, tp, p), f, p)
     return tuple(zip(*cols))
 
 
@@ -345,7 +362,7 @@ class FFElement:
         field = self.field
         c = _int_mul_mod(self.coeffs, other.coeffs, field.p)
         if len(c) > field.k:  # degree k or more: reduce by the modulus
-            c = _int_divmod_monic_mod(c, field.modulus, field.p)[1]
+            c = _int_rem_monic_mod(c, field.modulus, field.p)
         return self._padded(c)
 
     def inverse(self) -> "FFElement":

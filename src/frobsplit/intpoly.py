@@ -3,9 +3,13 @@
 Covers the coefficient-level machinery the rest of the package leans on:
 irreducibility over a prime field (Rabin test), complete factorisation over
 a prime field GF(p) (squarefree split, distinct-degree split,
-Cantor-Zassenhaus equal-degree split), factorisation over Z by the
-classical mod-p / Hensel / recombination route with a Landau-Mignotte
-coefficient bound, and exact d-th roots of monic integer polynomials.
+Cantor-Zassenhaus equal-degree split) and the factor-degree shape from the
+first two splits alone, factorisation over Z by the classical mod-p /
+Hensel / recombination route with a Landau-Mignotte coefficient bound, and
+exact d-th roots of monic integer polynomials.  The Hensel lift is
+quadratic (von zur Gathen-Gerhard, Alg. 15.10), and recombination runs the
+constant-term d-test (Abbott-Shoup-Zimmermann 2000) on every subset before
+it multiplies the subset out and trial-divides over Z.
 
 IntPoly, over Z, is the one polynomial class.  Over GF(p) a polynomial is
 finfield's ascending int tuple: factor_mod and is_irreducible_mod take any
@@ -18,8 +22,9 @@ long division, the primitive pseudo-remainder sequence (Collins 1967; Brown
 Everything is exact; randomised splitting is driven by an explicit seed and
 the output ordering is canonical, so all results are reproducible.
 
-Scale target is degree <= 20 with moderate coefficients, which is all the
-Weil-polynomial work ever needs.
+Scale target is degree <= 32 with moderate coefficients (the largest Weil
+polynomials the package analyses); recombination stays exponential in the
+number of factors mod p, with no knapsack step.
 """
 
 from __future__ import annotations
@@ -32,14 +37,15 @@ from math import gcd, isqrt
 
 from .finfield import (
     CompositeModulus,
+    _int_add_mod,
     _int_divmod_monic_mod,
-    _int_divmod_with_inv,
     _int_ext_gcd,
     _int_gcd,
     _int_is_irreducible,
     _int_mod,
     _int_mul_mod,
     _int_powmod,
+    _int_rem_monic_mod,
     _int_sub_mod,
     is_prime,
     power,
@@ -254,7 +260,7 @@ def _int_distinct_degree(f, p):
         if len(g) >= 2:
             out.append((g, d))
             rest = _int_divmod_monic_mod(rest, g, p)[0]
-            h = _int_divmod_monic_mod(h, rest, p)[1]
+            h = _int_rem_monic_mod(h, rest, p)
     if len(rest) >= 2:
         out.append((rest, len(rest) - 1))
     return out
@@ -277,7 +283,7 @@ def _int_equal_degree(f, d, p, rng: random.Random):
         else:
             g = term = h
             for _ in range(d - 1):
-                term = _int_divmod_monic_mod(_int_mul_mod(term, term, p), f, p)[1]
+                term = _int_rem_monic_mod(_int_mul_mod(term, term, p), f, p)
                 g = _int_sub_mod(g, term, p)  # = g + term in characteristic 2
         g = _int_gcd(g, f, p)
         if 2 <= len(g) < len(f):
@@ -325,6 +331,22 @@ def factor_mod(f, p: int, seed: int = 0):
     return unit, _int_factor(g, p, seed)
 
 
+def degree_shape_mod(f, p: int):
+    """The factor-degree shape of the int sequence f (ascending) mod the prime
+    p: the sorted [(degree, multiplicity)], one entry per monic irreducible
+    factor, as factor_mod would give it.  It is read off the squarefree and
+    distinct-degree splits alone, with no equal-degree split."""
+    _, g = _monic_mod(f, p)
+    if len(g) < 2:
+        return []
+    return sorted(
+        (d, mult)
+        for part, mult in _int_squarefree_parts(g, p)
+        for h, d in _int_distinct_degree(part, p)
+        for _ in range((len(h) - 1) // d)
+    )
+
+
 def is_irreducible_mod(f, p: int) -> bool:
     """True iff the int sequence f (ascending) is irreducible mod the prime
     p, by the Rabin test."""
@@ -349,27 +371,29 @@ def _mignotte_bound(f: IntPoly) -> int:
 
 
 def _hensel_pair(f, g, h, p, e):
-    """Lift f = g*h from mod p to mod p^e (all monic, gcd(g,h)=1 mod p)."""
+    """Lift f = g*h from mod p to mod p^e (all monic, gcd(g,h)=1 mod p).
+
+    Quadratic Hensel lifting (von zur Gathen-Gerhard, Modern Computer
+    Algebra, Alg. 15.10): g, h and the Bezout pair s*g + t*h = 1 are lifted
+    together while the modulus squares, and the last step stops at exactly
+    p^e.  Monic coprime lifts are unique mod p^e, so this is the answer of a
+    lift that gains one power of p per step, in O(log e) steps."""
     _, s, t = _int_ext_gcd(g, h, p)
-    modulus = p
     g, h = tuple(g), tuple(h)
-    while modulus < p**e:
-        target = modulus * p
-        prod_ = _int_mul_mod(g, h, target)
-        diff = _int_sub_mod(_int_mod(f, target), prod_, target)
-        # every coefficient of diff is divisible by the current modulus
-        d = tuple((c // modulus) % p for c in diff)
-        while d and d[-1] == 0:
-            d = d[:-1]
-        if d:
-            u = _int_divmod_monic_mod(_int_mul_mod(t, d, p), _int_mod(g, p), p)[1]
-            num = _int_sub_mod(d, _int_mul_mod(u, _int_mod(h, p), p), p)
-            v, rem = _int_divmod_with_inv(num, _int_mod(g, p), p)
-            assert not rem, "hensel step: inexact division"
-            g = _int_sub_mod(g, tuple(-modulus * c for c in u), target)
-            h = _int_sub_mod(h, tuple(-modulus * c for c in v), target)
-        modulus = target
-    return _int_mod(g, p**e), _int_mod(h, p**e)
+    k = 1
+    while k < e:
+        k = min(2 * k, e)
+        m = p**k
+        err = _int_sub_mod(f, _int_mul_mod(g, h, m), m)
+        q, r = _int_divmod_monic_mod(_int_mul_mod(s, err, m), h, m)
+        g = _int_add_mod(g, _int_add_mod(_int_mul_mod(t, err, m), _int_mul_mod(q, g, m), m), m)
+        h = _int_add_mod(h, r, m)
+        if k < e:  # the Bezout pair only serves the next step
+            b = _int_sub_mod(_int_add_mod(_int_mul_mod(s, g, m), _int_mul_mod(t, h, m), m), (1,), m)
+            c, d = _int_divmod_monic_mod(_int_mul_mod(s, b, m), h, m)
+            s = _int_sub_mod(s, d, m)
+            t = _int_sub_mod(t, _int_add_mod(_int_mul_mod(t, b, m), _int_mul_mod(c, g, m), m), m)
+    return g, h
 
 
 def _hensel_multi(f_star, mod_factors, p, e):
@@ -423,13 +447,25 @@ def _zassenhaus(f: IntPoly, prime_offset: int = 0):
     f_star = _int_mod(tuple(c * lc_inv for c in f.coeffs), pe)
     lifted = _hensel_multi(f_star, mods, p, e)
 
+    # the d-test (Abbott-Shoup-Zimmermann 2000): a true factor's candidate
+    # lc(current) * prod lifted_i is (lc(current)/lc(g)) * g exactly, so its
+    # constant term divides lc(current) * current(0) whenever that is nonzero
+    consts = [g[0] for g in lifted]
     result = []
     remaining = list(range(len(lifted)))
     current = f
     size = 1
     while size <= len(remaining) // 2:
         found = False
+        target = current.lc() * current.coeffs[0]
         for subset in combinations(remaining, size):
+            if target:
+                c0 = current.lc()
+                for i in subset:
+                    c0 = c0 * consts[i] % pe
+                c0 = _centered((c0,), pe)[0]
+                if not c0 or target % c0:
+                    continue
             cand = (current.lc() % pe,)
             for i in subset:
                 cand = _int_mul_mod(cand, lifted[i], pe)

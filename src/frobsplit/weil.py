@@ -20,7 +20,8 @@ scope, so unresolved factors carry their constraint set explicitly.
 Simplicity certificates are sound but deliberately incomplete: an
 irreducible reduction mod ell, or the two-factor dual-exchange pattern of
 the even-rank unitary case, certifies simplicity; anything else reports
-Unknown.  The dual-exchange certificate presumes a principally polarized
+Unknown.  The factor-degree shape mod ell decides all but the dual-exchange
+pattern, which alone needs the factors.  The dual-exchange certificate presumes a principally polarized
 source, which is the setting the whole analysis lives in.
 """
 
@@ -36,6 +37,7 @@ from .intpoly import (
     IntPoly,
     NotMonic,
     ZeroConstantTerm,
+    degree_shape_mod,
     factor_mod,
     factor_over_Z,
     int_poly_gcd,
@@ -272,24 +274,26 @@ def simplicity_certificate(w: WeilPoly, ell: int) -> Certificate:
     SIMPLE when f mod ell is irreducible, or when it splits into exactly two
     distinct irreducible factors of equal degree exchanged by the mod-ell
     duality (the even-rank unitary pattern, sound for principally polarized
-    input).  Anything else is UNKNOWN; never a false certificate.
+    input).  Anything else is UNKNOWN; never a false certificate.  The
+    factor-degree shape decides every case but the second, so f is factored
+    mod ell only when its shape is two simple factors of degree n/2.
     """
     if not is_prime(ell):
         raise BadAuxPrime(f"{ell} is not prime")
     if w.q % ell == 0:
         raise BadAuxPrime(f"{ell} divides q = {w.q}")
-    _, factors = factor_mod(w.f.coeffs, ell)
-    if len(factors) == 1 and factors[0][1] == 1:
+    n = w.f.degree
+    shape = degree_shape_mod(w.f.coeffs, ell)
+    if shape == [(n, 1)]:
         return Certificate.SIMPLE
-    if len(factors) == 2:
-        (g1, m1), (g2, m2) = factors
-        # the dual-pair pattern needs even rank; an irreducible g1 of degree
-        # >= 2 has g1(0) a unit mod ell, and g1(0) is the denominator of its
-        # rational dual, which therefore reduces mod ell
-        if m1 == m2 == 1 and len(g1) == len(g2) and len(g1) % 2 == 1 and g1 != g2:
-            dual = tuple(c.numerator * pow(c.denominator, -1, ell) % ell for c in dual_rational(g1, w.q))
-            if dual == g2:
-                return Certificate.SIMPLE
+    # the dual-pair pattern needs even rank, so n/2 even; an irreducible g1 of
+    # degree >= 2 has g1(0) a unit mod ell, and g1(0) is the denominator of
+    # its rational dual, which therefore reduces mod ell
+    if n % 4 == 0 and shape == [(n // 2, 1)] * 2:
+        (g1, _), (g2, _) = factor_mod(w.f.coeffs, ell)[1]
+        dual = tuple(c.numerator * pow(c.denominator, -1, ell) % ell for c in dual_rational(g1, w.q))
+        if dual == g2:
+            return Certificate.SIMPLE
     return Certificate.UNKNOWN
 
 

@@ -4,12 +4,13 @@ from itertools import product
 import pytest
 
 from frobsplit import intpoly
-from frobsplit.finfield import CompositeModulus, FFElement, make_field
+from frobsplit.finfield import CompositeModulus, FFElement, _int_gcd, _int_mod, _int_mul_mod, make_field
 from frobsplit.intpoly import (
     DegreeNotDivisible,
     IntPoly,
     NotMonic,
     ZeroPolynomial,
+    degree_shape_mod,
     dth_root,
     factor_mod,
     factor_over_Z,
@@ -18,8 +19,13 @@ from frobsplit.intpoly import (
     poly_from_string,
 )
 from modpoly_split import ModPoly, factor_mod_reference, poly_div, poly_divmod, poly_eval, poly_one
+from zassenhaus_oracles import hensel_pair_linear, swinnerton_dyer, weil_from_real
 
 P = IntPoly.make
+
+# the degree-32 Swinnerton-Dyer type Weil polynomial over q = 17: the largest
+# factorisation over Z that the Weil analysis meets
+SD32 = weil_from_real(swinnerton_dyer((2, 3, 5, 7)), 17)
 
 
 def by_degree(g):
@@ -241,6 +247,103 @@ def test_prime_field_factorisation_runs_on_int_tuples(monkeypatch):
     f9 = make_field(3, 2)
     _, factors = factor_mod_reference(ModPoly.from_ints(f9, [1, 0, 1]))
     assert [(g.degree, m) for g, m in factors] == [(1, 1), (1, 1)]
+
+
+def mignotte_exponent(f, p):
+    """The least e with p^e > 2 * (the Landau-Mignotte bound of f), as
+    factor_over_Z lifts to."""
+    bound = intpoly._mignotte_bound(f)
+    e = 1
+    while p**e <= 2 * bound:
+        e += 1
+    return e
+
+
+def lift_target(rng, mods, p, e):
+    """A monic f mod p^e with f = prod(mods) mod p: the product plus p times
+    seeded noise below the leading coefficient."""
+    f = (1,)
+    for g in mods:
+        f = _int_mul_mod(f, g, p)
+    return _int_mod([c + p * rng.randrange(p**e) for c in f[:-1]] + [1], p**e)
+
+
+def random_monic_mod(rng, deg, p):
+    return tuple(rng.randrange(p) for _ in range(deg)) + (1,)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_quadratic_hensel_lift_equals_the_linear_lift(p):
+    """Every e from 1 to the exponent the degree-32 item needs at p."""
+    rng = random.Random(1600 + p)
+    e_max = mignotte_exponent(SD32, p)
+    assert e_max >= 29
+    for e in range(1, e_max + 1):
+        g = h = (0, 1)
+        while _int_gcd(g, h, p) != (1,):
+            g, h = random_monic_mod(rng, rng.randint(1, 6), p), random_monic_mod(rng, rng.randint(1, 6), p)
+        f = lift_target(rng, [g, h], p, e)
+        lifted = intpoly._hensel_pair(f, g, h, p, e)
+        assert lifted == hensel_pair_linear(f, g, h, p, e), (p, e, g, h)
+        lg, lh = lifted
+        assert _int_mul_mod(lg, lh, p**e) == f and lg[-1] == lh[-1] == 1
+        assert (_int_mod(lg, p), _int_mod(lh, p)) == (g, h)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_quadratic_hensel_tree_equals_the_linear_tree(p, monkeypatch):
+    """_hensel_multi on seeded products of at least three distinct monic
+    irreducibles mod p, and at p = 11 on the degree-32 item itself, whose
+    reduction mod 11 is squarefree with ten factors."""
+    rng = random.Random(1700 + p)
+    e_max = mignotte_exponent(SD32, p)
+    cases = []
+    for e in [1, 2, e_max] + rng.sample(range(3, e_max), 5):
+        mods = []
+        while len(mods) < 3:
+            mods = [g for g, _ in factor_mod(random_monic_mod(rng, rng.randint(4, 12), p), p)[1]]
+        cases.append((lift_target(rng, mods, p, e), mods, e))
+    if p == 11:
+        unit, factors = factor_mod(SD32.coeffs, p)
+        assert unit == 1 and len(factors) == 10 and all(m == 1 for _, m in factors)
+        cases.append((_int_mod(SD32.coeffs, p**e_max), [g for g, _ in factors], e_max))
+    quadratic = [intpoly._hensel_multi(f, mods, p, e) for f, mods, e in cases]
+    monkeypatch.setattr(intpoly, "_hensel_pair", hensel_pair_linear)
+    assert quadratic == [intpoly._hensel_multi(f, mods, p, e) for f, mods, e in cases]
+    for (f, mods, e), lifted in zip(cases, quadratic):
+        assert [_int_mod(g, p) for g in lifted] == mods
+        prod_ = (1,)
+        for g in lifted:
+            prod_ = _int_mul_mod(prod_, g, p**e)
+        assert prod_ == f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_degree_shape_mod_equals_the_shape_of_factor_mod(p):
+    """Seeded polynomials, some with repeated factors and some with a part
+    that is a p-th power (its derivative is zero)."""
+    rng = random.Random(1800 + p)
+
+    def rand(deg):
+        return P([rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+
+    repeated = pth_power = 0
+    for _ in range(120):
+        kind = rng.randrange(3)
+        if kind == 0:
+            f = rand(rng.randint(0, 12))
+        elif kind == 1:
+            f = rand(rng.randint(0, 6)) * rand(rng.randint(1, 3)) ** rng.randint(2, 3)
+        else:
+            f = rand(rng.randint(0, 4)) * (rand(rng.randint(1, 2)) * rand(rng.randint(0, 2))) ** p
+        _, factors = factor_mod(f.coeffs, p)
+        assert degree_shape_mod(f.coeffs, p) == sorted((len(g) - 1, m) for g, m in factors), (p, f)
+        repeated += any(m > 1 for _, m in factors)
+        pth_power += any(m % p == 0 for _, m in factors)
+    assert repeated > 40 and pth_power > 20
+    assert degree_shape_mod([1, 0, 3], 3) == []  # the degree drops to 0
+    f = (P([1, 1, 1]) ** p).coeffs  # a p-th power: the derivative is zero
+    assert degree_shape_mod(f, p) == sorted((len(g) - 1, m) for g, m in factor_mod(f, p)[1])
 
 
 def test_factor_over_Z_perfect_square():

@@ -1,7 +1,8 @@
 """The polynomial kernels against sympy on seeded random polynomials.
 
 Covers exact division, the primitive gcd, d-th roots, the power structure,
-factorisation and the Rabin irreducibility test over GF(p) in intpoly, the
+factorisation over Z, and factorisation and the Rabin irreducibility test
+over GF(p) in intpoly, the
 Sturm count of roots in (-2 sqrt q, 2 sqrt q) in weil, Berkowitz's
 characteristic polynomial in groups, and the minimal polynomial over GF(p)
 in finfield.
@@ -17,6 +18,7 @@ from frobsplit.intpoly import (
     IntPoly,
     dth_root,
     factor_mod,
+    factor_over_Z,
     int_poly_gcd,
     is_irreducible_mod,
     max_power_structure,
@@ -32,6 +34,7 @@ from frobsplit.groups import (
 )
 from frobsplit.weil import _roots_in_open_interval
 from modpoly_split import ModPoly, frobenius_coeffs
+from zassenhaus_oracles import swinnerton_dyer, weil_from_real
 
 sympy = pytest.importorskip("sympy")
 
@@ -112,6 +115,47 @@ def test_dth_root_and_power_structure_against_sympy_factor_list():
             for k in (k for k in range(2, f.degree + 1) if f.degree % k == 0):
                 assert dth_root(f, k) == (root ** (e // k) if e % k == 0 else None), (f, k)
         assert dth_root(power, d) is not None
+
+
+def factor_over_Z_by_sympy(f: IntPoly):
+    """sympy's factor_list over ZZ, each factor with positive leading
+    coefficient, ordered as factor_over_Z orders them."""
+    _, factors = to_sympy(f, "ZZ").factor_list()
+    out = []
+    for g, e in factors:
+        g = from_sympy(g)
+        out.append((-g if g.lc() < 0 else g, int(e)))
+    return tuple(sorted(out, key=lambda ge: (ge[0].degree, ge[0].coeffs)))
+
+
+def test_factor_over_Z_against_sympy_factor_list():
+    """Seeded products of small factors, some repeated, some non-monic, some
+    with the factor x (constant term 0) or a negative constant term, and
+    degree-16 Swinnerton-Dyer types alone and times a Weil quadratic; the
+    answer is the same for prime_offset 0, 1 and 2."""
+    rng = random.Random(68)
+    batch = [weil_from_real(swinnerton_dyer((2, 3, 5)), q) for q in (17, 23)]
+    batch.append(batch[0] * P([17, -3, 1]))
+    while len(batch) < 80:
+        f = P([1])
+        for _ in range(rng.randint(1, 4)):
+            g = random_poly(rng, rng.randint(1, 3), 9, monic=rng.random() < 0.5)
+            f = f * g ** rng.choice([1, 1, 1, 2])
+        if rng.random() < 0.25:
+            f = f * P([0, 1])
+        if f.degree <= 12:
+            batch.append(f.primitive())
+    seen = {"non-monic": 0, "x": 0, "negative constant": 0, "split": 0}
+    for f in batch:
+        expected = factor_over_Z_by_sympy(f)
+        for offset in (0, 1, 2):
+            assert factor_over_Z(f, prime_offset=offset) == expected, (f, offset)
+        seen["non-monic"] += f.lc() > 1
+        seen["x"] += f.coeffs[0] == 0
+        seen["negative constant"] += f.coeffs[0] < 0
+        seen["split"] += len(expected) >= 3
+    assert min(seen.values()) > 10, seen
+    assert [len(factor_over_Z(f)) for f in batch[:3]] == [1, 1, 2]
 
 
 def roots_in_open_interval_by_sympy(f: IntPoly, q: int) -> int:

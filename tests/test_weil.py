@@ -4,7 +4,8 @@ from math import isqrt
 
 import pytest
 
-from frobsplit.finfield import IS_PRIME_LIMIT, make_field
+from frobsplit import intpoly
+from frobsplit.finfield import IS_PRIME_LIMIT, is_prime, make_field
 from frobsplit.intpoly import IntPoly, NotMonic, factor_mod, factor_over_Z
 from frobsplit.weil import (
     BadAuxPrime,
@@ -27,6 +28,7 @@ from frobsplit.weil import (
     weil_validate,
 )
 from modpoly_split import ModPoly
+from zassenhaus_oracles import swinnerton_dyer, weil_from_real
 
 P = IntPoly.make
 
@@ -221,6 +223,72 @@ def test_simplicity_certificate_dual_pair_pattern():
     dual = dual_rational(g1, 3)
     assert tuple(c.numerator * pow(c.denominator, -1, 7) % 7 for c in dual) == g2 and g1 != g2
     assert simplicity_certificate(w, 7) is Certificate.SIMPLE
+
+
+def certificate_by_factor_mod(w, ell):
+    """The certificate from the complete factorisation of f mod ell, with no
+    reading of the degree shape."""
+    _, factors = factor_mod(w.f.coeffs, ell)
+    if len(factors) == 1 and factors[0][1] == 1:
+        return Certificate.SIMPLE
+    if len(factors) == 2:
+        (g1, m1), (g2, m2) = factors
+        if m1 == m2 == 1 and len(g1) == len(g2) and len(g1) % 2 == 1 and g1 != g2:
+            dual = tuple(c.numerator * pow(c.denominator, -1, ell) % ell for c in dual_rational(g1, w.q))
+            if dual == g2:
+                return Certificate.SIMPLE
+    return Certificate.UNKNOWN
+
+
+def seeded_weil_batch(rng):
+    """Products and powers of Weil quadratics, validated random quartics
+    alone and times a quadratic, two degree-16 Swinnerton-Dyer types and a
+    frozen dual-pair quartic, as WeilPoly."""
+    batch = [weil_validate(P([9, -6, 1, -2, 1]), 3)]
+    batch += [weil_validate(weil_from_real(swinnerton_dyer((2, 3, 5)), q), q) for q in (17, 19)]
+    while len(batch) < 120:
+        q = rng.choice([3, 5, 7, 11, 13])
+        quads = [P([q, -a, 1]) for a in range(-isqrt(4 * q - 1), isqrt(4 * q - 1) + 1)]
+        a, b = rng.randrange(-2 * q, 2 * q + 1), rng.randrange(-3 * q, 3 * q + 1)
+        quartic = P([q * q, q * a, b, a, 1])
+        kind = rng.randrange(3)
+        if kind == 0:
+            f = P([1])
+            for g in rng.sample(quads, rng.randint(1, 4)):
+                f = f * g
+            f = f ** rng.choice([1, 1, 2])
+        else:
+            f = quartic * (rng.choice(quads) if kind == 2 else P([1]))
+        try:
+            batch.append(weil_validate(f, q))
+        except ValueError:
+            continue
+    return batch
+
+
+def test_simplicity_certificate_equals_the_factor_mod_reference():
+    rng = random.Random(1616)
+    dual_pairs = simple = 0
+    for w in seeded_weil_batch(rng):
+        for ell in (ell for ell in range(2, 24) if is_prime(ell) and w.q % ell):
+            got = simplicity_certificate(w, ell)
+            assert got is certificate_by_factor_mod(w, ell), (w.f, w.q, ell)
+            simple += got is Certificate.SIMPLE
+            dual_pairs += got is Certificate.SIMPLE and len(factor_mod(w.f.coeffs, ell)[1]) == 2
+    assert simple > 100 and dual_pairs > 20
+
+
+def test_swinnerton_dyer_certificate_runs_no_equal_degree_split(monkeypatch):
+    """Every factor of this degree-16 polynomial mod a prime has degree at
+    most 4, so the degree shape alone decides each certificate."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("equal-degree split")
+
+    w = weil_validate(weil_from_real(swinnerton_dyer((2, 3, 5)), 17), 17)
+    monkeypatch.setattr(intpoly, "_int_equal_degree", refuse)
+    for ell in (2, 3, 5, 7, 11, 13, 19, 23):
+        assert simplicity_certificate(w, ell) is Certificate.UNKNOWN
 
 
 def test_certificate_never_fires_on_power_structures():
