@@ -53,10 +53,13 @@ off the int factors of t^2 - b^2 that factor_mod returns.
 All linear algebra over field elements (determinant, inverse, independent
 subsets, the change of basis to the standard form, the anti-fixed element of
 the symplectic torus) reads its answer off _echelon, the one row reduction.
-The packed layer keeps only multiplication, conjugate transpose and the
-similitude test, which the enumeration and the oracles run.  A group is
-listed as the closure of its simple root elements (_part_generators) under
-_mulclose, the one closure loop, which the Goursat check runs too.
+The packed layer keeps only multiplication, conjugate transpose, the
+similitude test and the inverse it gives, which the enumeration, the
+oracles and the Goursat chain run; its field tables are built on integers,
+sums digit by digit and products through one table of logarithms.  A group
+is listed as the closure of its simple root elements (_part_generators)
+under _mulclose, the one closure loop, which the Goursat check runs on each
+factor too.
 
 Classification of a group element x at level m asks whether x^m is regular
 with maximally anisotropic connected centralizer.  The fast path is one
@@ -705,17 +708,35 @@ def torus_element_matrices(desc: GroupDescriptor):
 
 
 class _PackedField:
-    """Index-coded field arithmetic with dense lookup tables."""
+    """Index-coded field arithmetic with dense lookup tables, built on ints.
+    The element c0 + c1 t + ... has index c0 + c1 p + ... (from_index), so
+    a sum adds the base-p digits mod p, and a product of units adds their
+    logarithms to the base of _multiplicative_generator."""
 
     def __init__(self, field: FiniteField):
-        self.q = field.q
-        self.p = field.p
-        els = list(field.elements())
-        q = field.q
-        self.add = [[(els[a] + els[b]).index() for b in range(q)] for a in range(q)]
-        self.mul = [[(els[a] * els[b]).index() for b in range(q)] for a in range(q)]
-        self.inv = [0] + [(els[a].inverse()).index() for a in range(1, q)]
-        self.conj = [els[a].frobenius().index() for a in range(q)]
+        p, q = field.p, field.q
+        self.q = q
+        self.p = p
+        add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        for size in (p**i for i in range(1, field.k)):
+            # index = low + size * top: add the low digits and the top digit apart
+            add = [
+                [lo + hi for hi in top for lo in low]
+                for top in ([size * ((a + b) % p) for b in range(p)] for a in range(p))
+                for low in add
+            ]
+        self.add = add
+        exp, x, g = [], field.one(), _multiplicative_generator(field)
+        for _ in range(q - 1):
+            exp.append(x.index())
+            x = x * g
+        log = [0] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        logs, exp2 = log[1:], exp + exp
+        self.mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        self.inv = [0] + [exp[-la % (q - 1)] for la in logs]
+        self.conj = [0] + [exp[la * p % (q - 1)] for la in logs]
 
 
 @lru_cache(maxsize=None)
@@ -772,10 +793,11 @@ class _PackedGroup:
         self.pf = _packed_field(desc.matrix_field)
         self.mm = _pmat_mul(self.pf, self.n)
         self.ct = _pmat_conj_transpose(self.pf, self.n, desc.family == "A")
-        self.gram = pack_matrix(standard_gram(desc))
+        gram = standard_gram(desc)
+        self.gram = pack_matrix(gram)
+        self.jinv = pack_matrix(mat_inverse(gram))
         self.identity = pack_matrix(mat_identity(desc.matrix_field, self.n))
-        n = self.n
-        self._gram_anchor = next(j for j in range(n) if self.gram[j])
+        self._gram_anchor = next(j for j in range(self.n) if self.gram[j])
 
     def similitude(self, a) -> int | None:
         """Prime-field similitude index, or None if a is not in the group."""
@@ -789,6 +811,14 @@ class _PackedGroup:
             if x != pf.mul[lam][g]:
                 return None
         return lam
+
+    def inverse(self, a):
+        """a^-1 = (lam^-1 J^-1) ct(a) J, from ct(a) J a = lam J."""
+        lam = self.similitude(a)
+        if lam is None:
+            raise ValueError("matrix outside the group")
+        scale = self.pf.mul[self.pf.inv[lam]]
+        return self.mm(self.mm(tuple(scale[x] for x in self.jinv), self.ct(a)), self.gram)
 
 
 @lru_cache(maxsize=None)
@@ -1011,13 +1041,10 @@ def normalizer_census_oracle(desc: GroupDescriptor) -> NormalizerCensus:
     torus = build_anisotropic_torus(desc)
     tset = frozenset(pack_matrix(t.matrix) for t in torus_element_matrices(desc))
     gens = [pack_matrix(g.matrix) for g in torus.generators]
-    mm, ct, mul, inv = pg.mm, pg.ct, pg.pf.mul, pg.pf.inv
-    # ct(g) J g = lam J, so g^-1 = (lam^-1 J^-1) ct(g) J
-    jinv = pack_matrix(mat_inverse(standard_gram(desc)))
-    scaled = {lam: tuple(mul[inv[lam]][x] for x in jinv) for lam in range(1, pg.pf.p)}
+    mm = pg.mm
     count = 0
     for g in elements:
-        gi = mm(mm(scaled[pg.similitude(g)], ct(g)), pg.gram)
+        gi = pg.inverse(g)
         if all(mm(mm(g, t), gi) in tset for t in gens):
             count += 1
     return NormalizerCensus(count, count // torus.order)

@@ -126,6 +126,15 @@ def test_goursat_cli():
     assert res["closure_order"] == str(120 * 336)
 
 
+def test_goursat_answers_on_four_primes():
+    # SL_2 over F_5, F_7, F_11 and F_13: a product of order 1.2e11
+    report, status = run(["goursat", "--family", "C", "--r", "1", "--ells", "5,7,11,13", "--seed", "1"])
+    assert status == 0
+    res = report["result"]
+    assert res["full_product"] and res["in_hypothesis"]
+    assert res["closure_order"] == res["product_order"] == "116237721600"
+
+
 def test_goursat_answers_on_su3_f3():
     # 9^9 matrices over GF(9), of which SU_3(F_3) holds 6048
     report, status = run(["goursat", "--family", "A", "--r", "3", "--ells", "3", "--seed", "1"])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -23,11 +24,32 @@ from frobsplit.groups import (
     _packed_group,
     enumerate_group,
     exhaustive_classification,
+    group_order,
     identity_element,
     pack_matrix,
 )
 
 C_AT = lambda ell: GroupDescriptor("C", 1, ell)  # noqa: E731
+A_AT = lambda r, ell: GroupDescriptor("A", r, ell)  # noqa: E731
+
+
+def _product_closure_order(factors, gens):
+    """The order of the subgroup the tuples generate in the product of the
+    derived groups, by closing them under the componentwise product: the
+    oracle for the projection chain of goursat_verify."""
+    pgs = [_packed_group(d) for d in factors]
+
+    def multiply(a, b):
+        return tuple(pg.mm(x, y) for pg, x, y in zip(pgs, a, b))
+
+    tuples = [tuple(pack_matrix(g.matrix) for g in gen) for gen in gens]
+    return len(_mulclose(tuples, multiply, prod(group_order(d, "derived") for d in factors)))
+
+
+def _verified(factors, gens):
+    rep = goursat_verify(factors, gens)
+    assert rep.closure_order == _product_closure_order(factors, gens)
+    return rep
 
 
 def test_irregular_fraction_examples():
@@ -143,7 +165,7 @@ def test_goursat_full_product():
     f5, f7 = C_AT(5), C_AT(7)
     rng = random.Random(99)
     gens = random_generator_tuples([f5, f7], rng, count=2)
-    rep = goursat_verify([f5, f7], gens)
+    rep = _verified([f5, f7], gens)
     assert rep.in_hypothesis
     assert all(rep.projections_surjective)
     assert rep.full_product
@@ -161,7 +183,7 @@ def test_goursat_diagonal_flagged_out_of_hypothesis():
         pg = _packed_group(f5)
         if len(_mulclose([pack_matrix(p.matrix) for p in picks], pg.mm, 120)) == 120:
             gens = [(p, p) for p in picks]
-    rep = goursat_verify([f5, f5], gens)
+    rep = _verified([f5, f5], gens)
     assert not rep.in_hypothesis
     assert "repeated primes" in rep.note
     assert all(rep.projections_surjective)
@@ -173,7 +195,7 @@ def test_goursat_single_factor_trivially_full():
     f5 = C_AT(5)
     rng = random.Random(123)
     gens = random_generator_tuples([f5], rng, count=2)
-    rep = goursat_verify([f5], gens)
+    rep = _verified([f5], gens)
     assert rep.full_product and all(rep.projections_surjective)
 
 
@@ -181,7 +203,7 @@ def test_goursat_exceptional_field_flagged():
     f3, f5 = C_AT(3), C_AT(5)
     rng = random.Random(17)
     gens = random_generator_tuples([f3, f5], rng, count=2)
-    rep = goursat_verify([f3, f5], gens)
+    rep = _verified([f3, f5], gens)
     # SL2(3) is solvable: out of hypothesis regardless of the outcome
     assert not rep.in_hypothesis
 
@@ -194,12 +216,76 @@ def test_one_generator_tuple_is_rejected_unless_every_factor_is_trivial():
     su1 = [GroupDescriptor("A", 1, 5), GroupDescriptor("A", 1, 7)]
     (gens,) = random_generator_tuples(su1, random.Random(1), count=1)
     assert all(g.matrix == identity_element(d).matrix for g, d in zip(gens, su1))
-    assert goursat_verify(su1, [gens]).full_product
+    assert _verified(su1, [gens]).full_product
+
+
+def test_goursat_rejects_an_empty_generator_list():
+    with pytest.raises(ValueError, match="at least one generator tuple"):
+        goursat_verify([C_AT(31), C_AT(37)], [])
 
 
 def test_goursat_budget():
-    with pytest.raises(BudgetExceeded):
-        goursat_verify([C_AT(31), C_AT(37)], [])
+    # SL_2(F_101) has order 1030200, over MAX_FACTOR_ORDER
+    with pytest.raises(BudgetExceeded, match="1030200"):
+        goursat_verify([C_AT(5), C_AT(101)], [])
+
+
+def _draw_tuples(factors, rng, count):
+    """count generator tuples whose components are each a random element,
+    the identity, or a copy of an earlier component over the same group,
+    so that diagonals, partial diagonals and trivial components occur."""
+    groups = [enumerate_group(d, "derived") for d in factors]
+    out = []
+    for _ in range(count):
+        t = []
+        for i, d in enumerate(factors):
+            twins = [j for j in range(i) if factors[j] == d]
+            kind = rng.randrange(6)
+            if kind == 0:
+                t.append(identity_element(d))
+            elif kind < 3 and twins:
+                t.append(t[rng.choice(twins)])
+            else:
+                t.append(rng.choice(groups[i]))
+        out.append(tuple(t))
+    return out
+
+
+SWEEP_FACTORS = [
+    [C_AT(5), C_AT(5)],
+    [C_AT(3), C_AT(3), C_AT(3)],
+    [C_AT(2), C_AT(3), C_AT(3)],
+    [C_AT(2), C_AT(2), C_AT(2), C_AT(2)],
+    [A_AT(1, 5), C_AT(3), A_AT(1, 7)],
+    [A_AT(2, 3), C_AT(3), A_AT(2, 3)],
+    [A_AT(3, 2), C_AT(2)],
+    [A_AT(2, 5), C_AT(5)],
+]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_chain_order_equals_the_product_closure_on_a_seeded_sweep(seed):
+    rng = random.Random(seed)
+    factors = SWEEP_FACTORS[seed % len(SWEEP_FACTORS)]
+    rep = _verified(factors, _draw_tuples(factors, rng, rng.randint(2, 3)))
+    assert rep.full_product == (rep.closure_order == rep.product_order)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_diagonal_of_a_repeated_prime_has_the_factor_order(seed):
+    f5 = C_AT(5)
+    rng = random.Random(seed)
+    singles = random_generator_tuples([f5], rng, count=2 + seed % 2)
+    rep = _verified([f5, f5], [(g, g) for (g,) in singles])
+    assert rep.closure_order == 120 and not rep.full_product
+
+
+def test_a_partial_diagonal_has_the_order_of_its_distinct_factors():
+    f5, f7 = C_AT(5), C_AT(7)
+    pairs = random_generator_tuples([f5, f7], random.Random(11), count=2)
+    rep = _verified([f5, f5, f7], [(g, g, h) for g, h in pairs])
+    assert all(rep.projections_surjective) and not rep.in_hypothesis
+    assert rep.closure_order == 120 * 336
 
 
 def test_goursat_rejects_foreign_generators():

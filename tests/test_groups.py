@@ -25,6 +25,7 @@ from frobsplit.groups import (
     _meet,
     _mulclose,
     _multiplicative_generator,
+    _PackedField,
     _packed_group,
     _part_generators,
     _subfield_quadratic_image,
@@ -801,6 +802,47 @@ def test_packed_round_trip():
         torus = build_anisotropic_torus(desc)
         m = torus.generator.matrix
         assert unpack_matrix(desc, pack_matrix(m)) == m
+
+
+def _packed_field_tables_by_elements(field):
+    """The sum, product, inverse and Frobenius tables of a field by FFElement
+    arithmetic on each pair of indices: the oracle for _PackedField."""
+    els = list(field.elements())
+    q = field.q
+    return (
+        [[(els[a] + els[b]).index() for b in range(q)] for a in range(q)],
+        [[(els[a] * els[b]).index() for b in range(q)] for a in range(q)],
+        [0] + [els[a].inverse().index() for a in range(1, q)],
+        [els[a].frobenius().index() for a in range(q)],
+    )
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (19, 2), (7, 3)])
+def test_packed_field_tables_equal_the_element_arithmetic(p, k):
+    field = make_field(p, k)
+    pf = _PackedField(field)
+    assert (pf.add, pf.mul, pf.inv, pf.conj) == _packed_field_tables_by_elements(field)
+
+
+@pytest.mark.parametrize(
+    "desc,part",
+    [(C5, "full"), (A2, "full"), (GroupDescriptor("C", 2, 2), "derived"), (GroupDescriptor("A", 3, 3), "derived")],
+    ids=repr,
+)
+def test_packed_inverse_is_the_two_sided_inverse(desc, part):
+    pg = _packed_group(desc)
+    elements = enumerate_group_packed(desc, part)
+    sample = elements if len(elements) <= 2000 else random.Random(7).sample(elements, 2000)
+    for a in sample:
+        b = pg.inverse(a)
+        assert pg.mm(a, b) == pg.mm(b, a) == pg.identity
+    assert {pg.similitude(a) for a in sample} == ({1} if part == "derived" else set(range(1, desc.ell)))
+
+
+def test_packed_inverse_rejects_a_matrix_outside_the_group():
+    pg = _packed_group(C5)
+    with pytest.raises(ValueError, match="outside the group"):
+        pg.inverse((1, 1, 0, 0))
 
 
 def test_element_power_and_inverse():

@@ -10,7 +10,9 @@ wrapper class.  finfield.power is the one
 square-and-multiply loop: no other code in the package shifts with >> or
 reads an exponent's bits with bin().  groups._mulclose is the one closure
 loop, and groups imports no itertools.product, so no group is listed by a
-scan of the matrix space.
+scan of the matrix space.  The Goursat check closes no product of groups:
+no module defines MAX_CLOSURE, and density hands _mulclose only a packed
+group's own product.
 """
 
 import ast
@@ -139,3 +141,19 @@ def test_mulclose_is_the_one_closure_loop_and_groups_scans_no_matrix_space():
         or (isinstance(node, ast.Attribute) and node.attr == "product" and ast.unparse(node.value) == "itertools")
     ]
     assert scans == []
+
+
+def test_no_product_closure_in_the_goursat_check():
+    caps = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Name) and node.id == "MAX_CLOSURE"
+    ]
+    assert caps == []
+    multiplies = [
+        ast.unparse(node.args[1])
+        for node in ast.walk(_tree(PACKAGE / "density.py"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_mulclose"
+    ]
+    assert multiplies and all(m.endswith(".mm") for m in multiplies)
