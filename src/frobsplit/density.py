@@ -17,11 +17,10 @@ the product formula, reproducible from its seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod, sqrt
 
-from .finfield import CompositeModulus, is_prime, make_field, prime_divisors, subfield_degree
+from .finfield import CompositeModulus, Record, is_prime, make_field, prime_divisors, subfield_degree
 from .groups import (
     BudgetExceeded,
     GroupDescriptor,
@@ -65,30 +64,28 @@ def irregular_fraction(desc: GroupDescriptor, m: int = 1, squeeze: str = "full")
     return 1 - regular_fraction(desc, m, squeeze)
 
 
-@dataclass(frozen=True)
-class ModelEntry:
-    desc: GroupDescriptor
-    squeeze: str = "full"
+class ModelEntry(Record):
+    __slots__ = ("desc", "squeeze")
 
-    def __post_init__(self):
-        if self.squeeze not in _SQUEEZE_PARTS:
-            raise ValueError(f"squeeze must be 'der' or 'full', got {self.squeeze!r}")
+    def __init__(self, desc: GroupDescriptor, squeeze: str = "full"):
+        if squeeze not in _SQUEEZE_PARTS:
+            raise ValueError(f"squeeze must be 'der' or 'full', got {squeeze!r}")
+        self._assign(desc, squeeze)
 
 
-@dataclass(frozen=True)
-class GaloisModel:
+class GaloisModel(Record):
     """A finite set of primes with one group model per prime, plus the
     power level m (the degree of the auxiliary extension)."""
 
-    entries: tuple
-    m: int = 1
+    __slots__ = ("entries", "m")
 
-    def __post_init__(self):
-        ells = [e.desc.ell for e in self.entries]
+    def __init__(self, entries: tuple, m: int = 1):
+        ells = [e.desc.ell for e in entries]
         if len(set(ells)) != len(ells):
             raise ValueError("primes in a model must be distinct")
-        if self.m < 1:
+        if m < 1:
             raise ValueError("m must be at least 1")
+        self._assign(entries, m)
 
     @staticmethod
     def uniform(family: str, r: int, primes, m: int = 1, squeeze: str = "full") -> "GaloisModel":
@@ -98,16 +95,27 @@ class GaloisModel:
         )
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    """Exact per-prime fractions and their product, with the C^|A| bound."""
+class DensityReport(Record):
+    """Exact per-prime fractions and their product, with the C^|A| bound.
 
-    per_ell: tuple  # (ell, irregular Fraction, exceptional flag)
-    product: Fraction
-    bound: Fraction  # C^|A| with C the worst per-prime fraction
-    complement: Fraction  # lower bound for the certified density
-    residue_degree_one_bound: Fraction  # complement scaled by 1/m (model convention)
-    m: int
+    per_ell holds (ell, irregular Fraction, exceptional flag) per prime;
+    bound is C^|A| with C the worst per-prime fraction; complement is the
+    lower bound for the certified density, and residue_degree_one_bound the
+    complement scaled by 1/m (a model convention).
+    """
+
+    __slots__ = ("per_ell", "product", "bound", "complement", "residue_degree_one_bound", "m")
+
+    def __init__(
+        self,
+        per_ell: tuple,
+        product: Fraction,
+        bound: Fraction,
+        complement: Fraction,
+        residue_degree_one_bound: Fraction,
+        m: int,
+    ):
+        self._assign(per_ell, product, bound, complement, residue_degree_one_bound, m)
 
 
 def density_product(model: GaloisModel) -> DensityReport:
@@ -166,16 +174,25 @@ def cm_subfield_fraction_exhaustive(two_g: int, ell: int) -> Fraction:
 # simulation
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    samples: int
-    hits: int  # samples landing in the irregular class at every prime
-    empirical: Fraction
-    expected: Fraction
-    z_score: float | None
-    seed: int
-    streams: int
-    stream_layout: tuple  # (stream_seed, samples, hits) per stream, for replay
+class SimulationResult(Record):
+    """hits counts the samples landing in the irregular class at every
+    prime; stream_layout holds (stream_seed, samples, hits) per stream, for
+    replay."""
+
+    __slots__ = ("samples", "hits", "empirical", "expected", "z_score", "seed", "streams", "stream_layout")
+
+    def __init__(
+        self,
+        samples: int,
+        hits: int,
+        empirical: Fraction,
+        expected: Fraction,
+        z_score: float | None,
+        seed: int,
+        streams: int,
+        stream_layout: tuple,
+    ):
+        self._assign(samples, hits, empirical, expected, z_score, seed, streams, stream_layout)
 
 
 def _stream_seed(seed: int, index: int) -> int:
@@ -199,19 +216,24 @@ def chebotarev_simulate(
     probs = [
         irregular_fraction(e.desc, model.m, e.squeeze) for e in model.entries
     ]
-    pairs = [(p.numerator, p.denominator) for p in probs]
+    # r < den uniform is CPython's randrange(den) (Random._randbelow_with_getrandbits):
+    # den.bit_length() random bits, redrawn while r >= den; so a seed gives the same draws
+    draws = [(p.numerator, p.denominator, p.denominator.bit_length()) for p in probs]
     layout = []
     total_hits = 0
     base, extra = divmod(samples, streams)
     for i in range(streams):
         n_i = base + (1 if i < extra else 0)
         s_i = _stream_seed(seed, i)
-        rng = random.Random(s_i)
+        getrandbits = random.Random(s_i).getrandbits
         hits = 0
         for _ in range(n_i):
             ok = True
-            for num, den in pairs:
-                if rng.randrange(den) >= num:
+            for num, den, k in draws:  # one draw per prime, none skipped
+                r = getrandbits(k)
+                while r >= den:
+                    r = getrandbits(k)
+                if r >= num:
                     ok = False
             if ok:
                 hits += 1
@@ -240,15 +262,30 @@ def chebotarev_simulate(
 # product surjectivity
 
 
-@dataclass(frozen=True)
-class GoursatReport:
-    factor_orders: tuple
-    projections_surjective: tuple
-    closure_order: int
-    product_order: int
-    full_product: bool
-    in_hypothesis: bool
-    note: str
+class GoursatReport(Record):
+    __slots__ = (
+        "factor_orders",
+        "projections_surjective",
+        "closure_order",
+        "product_order",
+        "full_product",
+        "in_hypothesis",
+        "note",
+    )
+
+    def __init__(
+        self,
+        factor_orders: tuple,
+        projections_surjective: tuple,
+        closure_order: int,
+        product_order: int,
+        full_product: bool,
+        in_hypothesis: bool,
+        note: str,
+    ):
+        self._assign(
+            factor_orders, projections_surjective, closure_order, product_order, full_product, in_hypothesis, note
+        )
 
 
 def _surjections(tuples, groups_packed, pgs):
@@ -269,6 +306,18 @@ def _hypothesis_note(factors) -> str:
         if d.family == "A" and d.r < 2:
             return f"{d} has rank < 2 and no nonabelian simple quotient"
     return ""
+
+
+def _factor_orders(factors) -> list:
+    """The derived-group orders of the factors, each checked against
+    MAX_FACTOR_ORDER before anything is listed."""
+    orders = [group_order(d, "derived") for d in factors]
+    for d, o in zip(factors, orders):
+        if o > MAX_FACTOR_ORDER:
+            raise BudgetExceeded(
+                f"factor {d} has derived order {o} over the cap MAX_FACTOR_ORDER = {MAX_FACTOR_ORDER}"
+            )
+    return orders
 
 
 def _chain_orbits(tuples, pgs, orders):
@@ -390,10 +439,7 @@ def goursat_verify(factors, generators) -> GoursatReport:
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one factor")
-    orders = [group_order(d, "derived") for d in factors]
-    for d, o in zip(factors, orders):
-        if o > MAX_FACTOR_ORDER:
-            raise BudgetExceeded(f"factor {d} has derived order {o} over the cap")
+    orders = _factor_orders(factors)
     product_order = prod(orders)
     if not generators:
         raise ValueError("need at least one generator tuple")
@@ -440,6 +486,7 @@ def random_generator_tuples(factors, rng: random.Random, count: int = 2, max_tri
     factors = list(factors)
     if count == 1 and any(group_order(d, "derived") > 1 for d in factors):
         raise ValueError("one element never generates a non-abelian derived group: draw at least 2 tuples")
+    _factor_orders(factors)
     groups_packed = [enumerate_group_packed(d, "derived") for d in factors]
     pgs = [_packed_group(d) for d in factors]
     for _ in range(max_tries):

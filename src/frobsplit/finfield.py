@@ -20,12 +20,17 @@ tuples are the package's one polynomial type over GF(p): ``factor_mod`` and
 kernel reduces lazily: a product reduces each coefficient once, a division
 reduces a coefficient when it reads it, and callers that drop the quotient
 (field multiply, modular powers, gcds) take the remainder-only division.
+
+``Record`` is the base of the package's immutable value types, here and in
+the modules above: plain classes with ``__slots__`` and an explicit
+``__init__``.  They are not dataclasses, because importing ``dataclasses``
+(which loads ``inspect``, ``ast``, ``dis`` and ``tokenize``) and running
+its decorators cost every command about 30 ms of start-up.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -239,13 +244,70 @@ def _canonical_modulus(p: int, k: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteField:
-    """GF(p^k) presented as GF(p)[t] modulo the canonical irreducible."""
+class Record:
+    """Base of the package's immutable value types.
 
-    p: int
-    k: int
-    modulus: tuple  # length k+1, monic, ascending coefficients
+    A subclass names its fields in ``__slots__`` and sets each once, in its
+    own ``__init__``, through ``object.__setattr__`` (``_assign`` sets them
+    all in slot order); assigning to a field afterwards raises
+    AttributeError.  Equality and hash are by value over
+    the fields, in slot order, and only against the same class, and the
+    repr lists the fields.  The hot types (FiniteField, FFElement, IntPoly,
+    GroupDescriptor, GroupElement) define their own ``__eq__`` and
+    ``__hash__`` over a literal field tuple, which is faster than the
+    generic ones here.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _assign(self, *values) -> None:
+        """Set the fields, in slot order; __init__ calls it once."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):  # copy and pickle through __init__, not setattr
+        return self.__class__, self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FiniteField(Record):
+    """GF(p^k) presented as GF(p)[t] modulo the canonical irreducible;
+    modulus is the monic ascending coefficient tuple, of length k + 1."""
+
+    __slots__ = ("p", "k", "modulus")
+
+    def __init__(self, p: int, k: int, modulus: tuple):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "modulus", modulus)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.k, self.modulus))
 
     @property
     def q(self) -> int:
@@ -306,12 +368,22 @@ def _frobenius_rows(field: FiniteField) -> tuple:
     return tuple(zip(*cols))
 
 
-@dataclass(frozen=True)
-class FFElement:
+class FFElement(Record):
     """An element of a FiniteField in the polynomial basis (ascending)."""
 
-    field: FiniteField
-    coeffs: tuple
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FiniteField, coeffs: tuple):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.coeffs) == (other.field, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

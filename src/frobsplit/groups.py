@@ -80,7 +80,6 @@ path builds a characteristic polynomial.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -89,6 +88,7 @@ from .finfield import (
     FFElement,
     FieldMismatch,
     FiniteField,
+    Record,
     is_prime,
     make_field,
     minimal_polynomial,
@@ -111,25 +111,33 @@ class DimensionMismatch(ValueError):
     """Matrix dimensions do not match the group descriptor."""
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Record):
     """Which finite similitude group a computation lives in.
 
     family 'C': GSp_{2r} over GF(ell); family 'A': unitary similitudes of
     rank r over GF(ell^2).
     """
 
-    family: str
-    r: int
-    ell: int
+    __slots__ = ("family", "r", "ell")
 
-    def __post_init__(self):
-        if self.family not in ("A", "C"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.r < 1:
+    def __init__(self, family: str, r: int, ell: int):
+        if family not in ("A", "C"):
+            raise ValueError(f"unknown family {family!r}")
+        if r < 1:
             raise ValueError("rank must be at least 1")
-        if not is_prime(self.ell):
-            raise ValueError(f"{self.ell} is not prime")
+        if not is_prime(ell):
+            raise ValueError(f"{ell} is not prime")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "ell", ell)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.r, self.ell) == (other.family, other.r, other.ell)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.r, self.ell))
 
     @property
     def matrix_field(self) -> FiniteField:
@@ -299,13 +307,23 @@ def standard_gram(desc: GroupDescriptor):
     )
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """A similitude with its multiplier (an integer mod ell)."""
 
-    desc: GroupDescriptor
-    matrix: tuple
-    similitude: int
+    __slots__ = ("desc", "matrix", "similitude")
+
+    def __init__(self, desc: GroupDescriptor, matrix: tuple, similitude: int):
+        object.__setattr__(self, "desc", desc)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "similitude", similitude)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.desc, self.matrix, self.similitude) == (other.desc, other.matrix, other.similitude)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.desc, self.matrix, self.similitude))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if other.desc != self.desc:
@@ -555,8 +573,7 @@ def _anti_fixed_element(big: FiniteField, e: int) -> FFElement:
     return big.element([x.lift() for x in reversed(least)])
 
 
-@dataclass(frozen=True)
-class AnisotropicTorus:
+class AnisotropicTorus(Record):
     """Matrix model of the maximally anisotropic maximal torus.
 
     generators[0] is the multiplication-by-primitive-element generator; the
@@ -565,10 +582,10 @@ class AnisotropicTorus:
     generators is the torus.
     """
 
-    desc: GroupDescriptor
-    generators: tuple
-    order: int
-    embedding_field: FiniteField
+    __slots__ = ("desc", "generators", "order", "embedding_field")
+
+    def __init__(self, desc: GroupDescriptor, generators: tuple, order: int, embedding_field: FiniteField):
+        self._assign(desc, generators, order, embedding_field)
 
     @property
     def generator(self) -> GroupElement:
@@ -1079,10 +1096,11 @@ def exhaustive_classification(desc: GroupDescriptor, m: int = 1, part: str = "fu
 # censuses
 
 
-@dataclass(frozen=True)
-class NormalizerCensus:
-    normalizer_order: int
-    weyl_order: int
+class NormalizerCensus(Record):
+    __slots__ = ("normalizer_order", "weyl_order")
+
+    def __init__(self, normalizer_order: int, weyl_order: int):
+        self._assign(normalizer_order, weyl_order)
 
 
 def normalizer_census(desc: GroupDescriptor) -> NormalizerCensus:
@@ -1112,20 +1130,49 @@ def normalizer_census(desc: GroupDescriptor) -> NormalizerCensus:
     return NormalizerCensus(w * torus_order(desc), w)
 
 
-@dataclass(frozen=True)
-class TorusCensus:
-    """Exact torus counts at one prime."""
+class TorusCensus(Record):
+    """Exact torus counts at one prime: regular_count counts the elements
+    whose m-th power is regular, regular_count_base is the m = 1 count, and
+    b_estimate is ell * (1 - regular_count_base / torus_order)."""
 
-    desc: GroupDescriptor
-    m: int
-    torus_order: int
-    regular_count: int  # elements whose m-th power is regular
-    regular_count_base: int  # the m = 1 count
-    b_estimate: Fraction  # ell * (1 - regular_base/torus_order)
-    subgroup_orders: dict
-    normalizer_order: int
-    weyl_order: int
-    exceptional_field: bool
+    __slots__ = (
+        "desc",
+        "m",
+        "torus_order",
+        "regular_count",
+        "regular_count_base",
+        "b_estimate",
+        "subgroup_orders",
+        "normalizer_order",
+        "weyl_order",
+        "exceptional_field",
+    )
+
+    def __init__(
+        self,
+        desc: GroupDescriptor,
+        m: int,
+        torus_order: int,
+        regular_count: int,
+        regular_count_base: int,
+        b_estimate: Fraction,
+        subgroup_orders: dict,
+        normalizer_order: int,
+        weyl_order: int,
+        exceptional_field: bool,
+    ):
+        self._assign(
+            desc,
+            m,
+            torus_order,
+            regular_count,
+            regular_count_base,
+            b_estimate,
+            subgroup_orders,
+            normalizer_order,
+            weyl_order,
+            exceptional_field,
+        )
 
 
 def _lattice(alpha: int, beta: int, n: int):

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt
 
 from .finfield import (
     CompositeModulus,
+    Record,
     _int_add_mod,
     _int_divmod_monic_mod,
     _int_ext_gcd,
@@ -72,11 +72,21 @@ class ZeroConstantTerm(ValueError):
 # integer polynomials
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Record):
     """Integer polynomial; coeffs ascending, no trailing zeros, () is zero."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @staticmethod
     def make(coeffs) -> "IntPoly":

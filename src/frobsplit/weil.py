@@ -28,11 +28,10 @@ source, which is the setting the whole analysis lives in.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
-from .finfield import IS_PRIME_LIMIT, is_prime
+from .finfield import IS_PRIME_LIMIT, Record, is_prime
 from .intpoly import (
     IntPoly,
     NotMonic,
@@ -99,14 +98,13 @@ def _prime_power(q: int):
     return p, a
 
 
-@dataclass(frozen=True)
-class WeilPoly:
+class WeilPoly(Record):
     """A validated Frobenius characteristic polynomial over GF(q)."""
 
-    f: IntPoly
-    q: int
-    p: int
-    a: int
+    __slots__ = ("f", "q", "p", "a")
+
+    def __init__(self, f: IntPoly, q: int, p: int, a: int):
+        self._assign(f, q, p, a)
 
     @property
     def g(self) -> int:
@@ -300,8 +298,7 @@ def simplicity_certificate(w: WeilPoly, ell: int) -> Certificate:
 # -- the full splitting report -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorConstraint:
+class FactorConstraint(Record):
     """One isogeny factor of the decomposition, with its exponent data.
 
     The relation e * d_Y = multiplicity * power_d always holds; e and d_Y
@@ -309,37 +306,83 @@ class FactorConstraint:
     otherwise `candidates` lists the admissible (e, d_Y) pairs.
     """
 
-    poly: IntPoly
-    multiplicity: int
-    e: int | None
-    d_y: int | None
-    resolved_by: str | None
-    candidates: tuple
+    __slots__ = ("poly", "multiplicity", "e", "d_y", "resolved_by", "candidates")
+
+    def __init__(
+        self,
+        poly: IntPoly,
+        multiplicity: int,
+        e: int | None,
+        d_y: int | None,
+        resolved_by: str | None,
+        candidates: tuple,
+    ):
+        self._assign(poly, multiplicity, e, d_y, resolved_by, candidates)
 
 
-@dataclass(frozen=True)
-class CertificateRecord:
-    ell: int | None  # None for global (factorisation-level) certificates
-    status: Certificate
-    detail: str
+class CertificateRecord(Record):
+    """One certificate; ell is None for the global (factorisation-level) ones."""
+
+    __slots__ = ("ell", "status", "detail")
+
+    def __init__(self, ell: int | None, status: Certificate, detail: str):
+        self._assign(ell, status, detail)
 
 
-@dataclass(frozen=True)
-class SplitReport:
-    """Isogeny-decomposition data for one Weil polynomial."""
+class SplitReport(Record):
+    """Isogeny-decomposition data for one Weil polynomial.
 
-    weil: WeilPoly
-    d: int
-    root: IntPoly  # the d-th root g with g^d = f
-    factors: tuple  # FactorConstraint, canonical order
-    dual_pairs: tuple  # (i, j) indices of factors exchanged by duality
-    self_dual: tuple  # indices of self-dual factors
-    certificates: tuple  # CertificateRecord per consulted prime + global ones
-    conclusion: Certificate
-    isogeny_shape: str
-    endomorphism_note: str
-    ordinary: bool
-    prime_field: bool
+    root is the d-th root g with g^d = f; factors are FactorConstraints in
+    canonical order; dual_pairs holds the (i, j) indices of the factors
+    exchanged by duality and self_dual the indices of the self-dual ones;
+    certificates holds a CertificateRecord per consulted prime plus the
+    global ones.
+    """
+
+    __slots__ = (
+        "weil",
+        "d",
+        "root",
+        "factors",
+        "dual_pairs",
+        "self_dual",
+        "certificates",
+        "conclusion",
+        "isogeny_shape",
+        "endomorphism_note",
+        "ordinary",
+        "prime_field",
+    )
+
+    def __init__(
+        self,
+        weil: WeilPoly,
+        d: int,
+        root: IntPoly,
+        factors: tuple,
+        dual_pairs: tuple,
+        self_dual: tuple,
+        certificates: tuple,
+        conclusion: Certificate,
+        isogeny_shape: str,
+        endomorphism_note: str,
+        ordinary: bool,
+        prime_field: bool,
+    ):
+        self._assign(
+            weil,
+            d,
+            root,
+            factors,
+            dual_pairs,
+            self_dual,
+            certificates,
+            conclusion,
+            isogeny_shape,
+            endomorphism_note,
+            ordinary,
+            prime_field,
+        )
 
 
 def analyze(w: WeilPoly, aux_primes=()) -> SplitReport:
@@ -440,20 +483,19 @@ def analyze(w: WeilPoly, aux_primes=()) -> SplitReport:
 # -- CM signatures -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CMSignature:
+class CMSignature(Record):
     """Rank r with the multiset of conjugate-pair multiplicities."""
 
-    r: int
-    pairs: tuple
+    __slots__ = ("r", "pairs")
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, r: int, pairs: tuple):
+        if r < 1:
             raise ValueError("rank must be at least 1")
-        for pair in self.pairs:
+        for pair in pairs:
             a, b = pair
-            if a < 0 or b < 0 or a + b != self.r:
-                raise InconsistentSignature(f"pair {pair} does not sum to r = {self.r}")
+            if a < 0 or b < 0 or a + b != r:
+                raise InconsistentSignature(f"pair {pair} does not sum to r = {r}")
+        self._assign(r, pairs)
 
 
 def _is_binomial_pair(a: int, b: int) -> bool:

@@ -5,9 +5,11 @@ from math import prod
 import pytest
 
 from frobsplit.density import (
+    MAX_FACTOR_ORDER,
     GaloisModel,
     GoursatContradiction,
     ModelEntry,
+    _stream_seed,
     chebotarev_simulate,
     cm_subfield_fraction,
     cm_subfield_fraction_exhaustive,
@@ -161,6 +163,48 @@ def test_simulation_degenerate_sizes():
     assert one.hits in (0, 1)
 
 
+def _randrange_layout(probs, samples, seed, streams):
+    """The stream layout drawn with rng.randrange: the oracle for the
+    getrandbits sampler of chebotarev_simulate, one draw per prime."""
+    layout = []
+    base, extra = divmod(samples, streams)
+    for i in range(streams):
+        n_i = base + (1 if i < extra else 0)
+        rng = random.Random(_stream_seed(seed, i))
+        hits = sum(all([rng.randrange(p.denominator) < p.numerator for p in probs]) for _ in range(n_i))
+        layout.append((_stream_seed(seed, i), n_i, hits))
+    return tuple(layout)
+
+
+# denominators 1, powers of two, 2^k + 1, and one beyond a machine word
+_PROBS = [
+    Fraction(0),
+    Fraction(1),
+    Fraction(1, 2),
+    Fraction(3, 8),
+    Fraction(1023, 1024),
+    Fraction(2, 3),
+    Fraction(4, 5),
+    Fraction(16, 17),
+    Fraction(200, 257),
+    Fraction(40000, 65537),
+    Fraction(10**20 + 7, 2**70 + 1),
+]
+
+
+@pytest.mark.parametrize("key", range(12))
+def test_the_getrandbits_sampler_draws_what_randrange_draws(key, monkeypatch):
+    rng = random.Random(key)
+    seed, samples = rng.randrange(2**64), rng.randint(1, 10**4)
+    streams = rng.randint(1, min(4, samples))
+    primes = [2, 3, 5, 7][: rng.randint(1, 4)]
+    probs = dict(zip(primes, (rng.choice(_PROBS) for _ in primes)))
+    monkeypatch.setattr("frobsplit.density.irregular_fraction", lambda desc, m, squeeze: probs[desc.ell])
+    res = chebotarev_simulate(GaloisModel.uniform("C", 1, primes), samples, seed, streams)
+    assert res.stream_layout == _randrange_layout(list(probs.values()), samples, seed, streams)
+    assert res.hits == sum(h for _, _, h in res.stream_layout)
+
+
 def test_goursat_full_product():
     f5, f7 = C_AT(5), C_AT(7)
     rng = random.Random(99)
@@ -228,6 +272,19 @@ def test_goursat_budget():
     # SL_2(F_101) has order 1030200, over MAX_FACTOR_ORDER
     with pytest.raises(BudgetExceeded, match="1030200"):
         goursat_verify([C_AT(5), C_AT(101)], [])
+
+
+def test_the_factor_cap_is_checked_before_any_group_is_listed(monkeypatch):
+    def unlisted(desc, part="full"):
+        raise AssertionError(f"{desc} listed")
+
+    monkeypatch.setattr("frobsplit.density.enumerate_group_packed", unlisted)
+    factors = [C_AT(5), A_AT(3, 5)]  # SU_3(F_5) has order 378000
+    cap = f"378000 over the cap MAX_FACTOR_ORDER = {MAX_FACTOR_ORDER}"
+    with pytest.raises(BudgetExceeded, match=cap):
+        random_generator_tuples(factors, random.Random(1), count=2)
+    with pytest.raises(BudgetExceeded, match=cap):
+        goursat_verify(factors, [])
 
 
 def _draw_tuples(factors, rng, count):

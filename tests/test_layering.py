@@ -12,10 +12,16 @@ reads an exponent's bits with bin().  groups._mulclose is the one closure
 loop, and groups imports no itertools.product, so no group is listed by a
 scan of the matrix space.  The Goursat check closes no product of groups:
 no module defines MAX_CLOSURE, and density hands _mulclose only a packed
-group's own product.
+group's own product.  The record types are plain slotted classes: no
+module imports dataclasses, and importing the CLI loads none of the
+introspection modules (inspect, ast, dis, tokenize) that dataclasses pulls
+in, which would add to the start-up of every command.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,14 +82,44 @@ def test_finfield_imports_nothing_from_the_package():
     assert internal == []
 
 
-def test_intpoly_imports_nothing_from_fractions():
-    imports = [
+def _imports_of(path, module):
+    """The statements of the file at path that import from module."""
+    return [
         ast.unparse(node)
-        for node in ast.walk(_tree(PACKAGE / "intpoly.py"))
-        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
-        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.ImportFrom) and node.module == module)
+        or (isinstance(node, ast.Import) and any(a.name == module for a in node.names))
     ]
-    assert imports == []
+
+
+def test_intpoly_imports_nothing_from_fractions():
+    assert _imports_of(PACKAGE / "intpoly.py", "fractions") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert _imports_of(path, "dataclasses") == []
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # only the modules this import adds count, whatever the interpreter's start-up loads
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import frobsplit.cli\n"
+        "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}\n"
+        "print(' '.join(sorted(heavy & (set(sys.modules) - before))))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert run.stdout.split() == []
 
 
 def test_intpoly_defines_one_polynomial_class():
