@@ -53,13 +53,13 @@ off the int factors of t^2 - b^2 that factor_mod returns.
 All linear algebra over field elements (determinant, inverse, independent
 subsets, the change of basis to the standard form, the anti-fixed element of
 the symplectic torus) reads its answer off _echelon, the one row reduction.
-The packed layer keeps only multiplication, conjugate transpose, the
-similitude test and the inverse it gives, which the enumeration, the
-oracles and the Goursat chain run; its field tables are built on integers,
-sums digit by digit and products through one table of logarithms.  A group
-is listed as the closure of its simple root elements (_part_generators)
-under _mulclose, the one closure loop, which the Goursat check runs on each
-factor too.
+The packed layer keeps only multiplication, the commutation test,
+conjugate transpose, the similitude test and the inverse it gives, which
+the enumeration, the oracles and the Goursat chain run; its field tables
+are built on integers, sums digit by digit and products through one table
+of logarithms.  A group is listed as the closure of its simple root
+elements (_part_generators) under _mulclose, the one closure loop, which
+the Goursat check runs on each factor too.
 
 Classification of a group element x at level m asks whether x^m is regular
 with maximally anisotropic connected centralizer.  The fast path is one
@@ -67,14 +67,17 @@ Frobenius-power test for all three tori: Rabin's test read on the matrix of
 x^m over GF(ell), with the entries of GF(ell^2) written as 2x2 blocks, in
 integer arithmetic alone.  It builds no characteristic polynomial and runs
 no polynomial Euclid; the tori differ only in the degree D, the primes and
-the twist factors it tests.  The definitional oracle enumerates the
-centralizer and certifies the fast path wherever enumeration fits the
-budget.  Exact operations never fall back to sampling: over-budget requests
-raise BudgetExceeded, before any table of the field is built: the group
-order and the q^2 entries of each packed field table against
-MAX_GROUP_SIZE.  mat_charpoly, Berkowitz's division-free recursion on field
-elements, is kept for the charpoly references of the tests; no production
-path builds a characteristic polynomial.
+the twist factors it tests.  The definitional oracle walks the listed
+full group for the centralizer of x^m, stopping each commutation test at
+the first entry where the two products differ, and tests that it is
+abelian on a generating set; it certifies the fast path wherever
+enumeration fits the budget.  Exact operations never fall back to
+sampling: over-budget requests raise BudgetExceeded, before any table of
+the field is built: the group order and the q^2 entries of each packed
+field table against MAX_GROUP_SIZE.  mat_charpoly, Berkowitz's
+division-free recursion on field elements, is kept for the charpoly
+references of the tests; no production path builds a characteristic
+polynomial.
 """
 
 from __future__ import annotations
@@ -790,6 +793,27 @@ def _pmat_mul(pf: _PackedField, n: int):
     return mm
 
 
+def _pmat_commute(pf: _PackedField, n: int):
+    """commute(a, b) is ab == ba, compared cell by cell: False at the first
+    (i, j) where (ab)_ij and (ba)_ij differ, without the rest of either
+    product."""
+    add, mul = pf.add, pf.mul
+    # row-major, each cell (i, j) as the index pairs (ik, kj) of its sum
+    cells = [tuple((i * n + k, k * n + j) for k in range(n)) for i in range(n) for j in range(n)]
+
+    def commute(a, b):
+        for cell in cells:
+            ab = ba = 0
+            for ik, kj in cell:
+                ab = add[ab][mul[a[ik]][b[kj]]]
+                ba = add[ba][mul[b[ik]][a[kj]]]
+            if ab != ba:
+                return False
+        return True
+
+    return commute
+
+
 def _pmat_conj_transpose(pf: _PackedField, n: int, conjugate: bool):
     conj = pf.conj
 
@@ -809,6 +833,7 @@ class _PackedGroup:
         self.n = desc.matrix_dim
         self.pf = _packed_field(desc.matrix_field)
         self.mm = _pmat_mul(self.pf, self.n)
+        self.commute = _pmat_commute(self.pf, self.n)
         self.ct = _pmat_conj_transpose(self.pf, self.n, desc.family == "A")
         gram = standard_gram(desc)
         self.gram = pack_matrix(gram)
@@ -1024,8 +1049,12 @@ def classify_element(x: GroupElement, m: int = 1) -> bool:
 
 
 def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:
-    """Definitional answer: enumerate the centralizer of x^m in the full
-    group and test that it is abelian of the anisotropic-torus order."""
+    """Definitional answer: enumerate the centralizer C of x^m in the full
+    group and test that it is abelian of the anisotropic-torus order.  Each
+    commutation test stops at the first entry where the two products
+    differ.  C is abelian iff a generating set of it commutes pairwise; the
+    generators are taken greedily, each element of C not yet in the span of
+    those before it."""
     if m < 1:
         raise ValueError("m must be at least 1")
     desc = x.desc
@@ -1033,20 +1062,21 @@ def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:
     pg = _packed_group(desc)
     y = power(pack_matrix(x.matrix), m, pg.mm, pg.identity)
     target = torus_order(desc)
-    mm = pg.mm
+    commute = pg.commute
     cent = []
     for g in elements:
-        if mm(g, y) == mm(y, g):
+        if commute(g, y):
             cent.append(g)
             if len(cent) > target:
                 return False
     if len(cent) != target:
         return False
-    for i, a in enumerate(cent):
-        for b in cent[i + 1 :]:
-            if mm(a, b) != mm(b, a):
-                return False
-    return True
+    gens, span = [], set()
+    for c in cent:
+        if c not in span:
+            gens.append(c)
+            span = _mulclose(gens, pg.mm, target)
+    return all(commute(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :])
 
 
 def normalizer_census_oracle(desc: GroupDescriptor) -> NormalizerCensus:

@@ -93,7 +93,7 @@ def test_criterion_3_fast_path_equals_oracle_everywhere():
             assert classify_element(x, 1) == classify_element_oracle(x, 1)
             checked += 1
     elapsed = time.perf_counter() - started
-    assert elapsed < 120.0
+    assert elapsed < 30.0
     _ok(3, f"fast path == centralizer oracle on all {checked} elements", started)
 
 
