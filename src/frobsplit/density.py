@@ -291,7 +291,7 @@ class GoursatReport(Record):
 def _surjections(tuples, groups_packed, pgs):
     """Per factor, lazily, whether the tuples' components generate it."""
     return (
-        len(_mulclose([t[i] for t in tuples], pg.mm, len(grp))) == len(grp)
+        len(_mulclose([t[i] for t in tuples], pg.left, len(grp))) == len(grp)
         for i, (grp, pg) in enumerate(zip(groups_packed, pgs))
     )
 
@@ -498,7 +498,7 @@ def random_generator_tuples(factors, rng: random.Random, count: int = 2, max_tri
             for t in tuples:
                 elems = []
                 for d, comp, pg in zip(factors, t, pgs):
-                    elems.append(GroupElement(d, unpack_matrix(d, comp), pg.similitude(comp)))
+                    elems.append(GroupElement(d, unpack_matrix(d, comp), pg.multiplier(comp)))
                 out.append(tuple(elems))
             return out
     raise BudgetExceeded(

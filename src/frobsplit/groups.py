@@ -55,11 +55,18 @@ subsets, the change of basis to the standard form, the anti-fixed element of
 the symplectic torus) reads its answer off _echelon, the one row reduction.
 The packed layer keeps only multiplication, the commutation test,
 conjugate transpose, the similitude test and the inverse it gives, which
-the enumeration, the oracles and the Goursat chain run; its field tables
-are built on integers, sums digit by digit and products through one table
-of logarithms.  A group is listed as the closure of its simple root
-elements (_part_generators) under _mulclose, the one closure loop, which
-the Goursat check runs on each factor too.
+the enumeration, the oracles and the Goursat chain run, plus two shortcuts
+for the listing.  left(g), the map b -> g b, finds the nonzero entries of
+g once, so a closure product by a root element of GSp, one or two nonzero
+entries a row, costs about n^2 table lookups and not n^3.  multiplier(a)
+reads the similitude of a known member off one entry of ct(a) J a, summed
+over the n nonzero entries of J, where the similitude test forms the
+product and checks every entry.  The field tables are built on integers, sums digit by
+digit and products through one table of logarithms, and unpacking indexes
+one shared tuple of the field's elements.  A group is listed as the closure
+of its simple root elements (_part_generators) under _mulclose, the one
+closure loop, which multiplies through left and which the Goursat check
+runs on each factor too.
 
 Classification of a group element x at level m asks whether x^m is regular
 with maximally anisotropic connected centralizer.  The fast path is one
@@ -731,7 +738,8 @@ class _PackedField:
     """Index-coded field arithmetic with dense lookup tables, built on ints.
     The element c0 + c1 t + ... has index c0 + c1 p + ... (from_index), so
     a sum adds the base-p digits mod p, and a product of units adds their
-    logarithms to the base of _multiplicative_generator."""
+    logarithms to the base of _multiplicative_generator.  elements holds
+    the FFElement of each index, for unpack_matrix."""
 
     def __init__(self, field: FiniteField):
         p, q = field.p, field.q
@@ -757,6 +765,7 @@ class _PackedField:
         self.mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         self.inv = [0] + [exp[-la % (q - 1)] for la in logs]
         self.conj = [0] + [exp[la * p % (q - 1)] for la in logs]
+        self.elements = tuple(field.elements())  # immutable, so every unpacked matrix shares them
 
 
 @lru_cache(maxsize=None)
@@ -770,10 +779,8 @@ def pack_matrix(matrix) -> tuple:
 
 def unpack_matrix(desc: GroupDescriptor, packed) -> tuple:
     n = desc.matrix_dim
-    field = desc.matrix_field
-    return tuple(
-        tuple(field.from_index(packed[i * n + j]) for j in range(n)) for i in range(n)
-    )
+    element = _packed_field(desc.matrix_field).elements.__getitem__
+    return tuple(tuple(map(element, packed[i : i + n])) for i in range(0, n * n, n))
 
 
 def _pmat_mul(pf: _PackedField, n: int):
@@ -825,6 +832,15 @@ def _pmat_conj_transpose(pf: _PackedField, n: int, conjugate: bool):
     return ct
 
 
+def _gram_terms(pf: _PackedField, n: int, gram, j0: int):
+    """The terms of (ct(a) J a)_(0, j0) / J_(0, j0), one per nonzero J_kl:
+    the indices k0 and l j0 of a, and the product row of J_kl / J_(0, j0)."""
+    scale = pf.mul[pf.inv[gram[j0]]]
+    return tuple(
+        (k * n, l * n + j0, pf.mul[scale[gram[k * n + l]]]) for k in range(n) for l in range(n) if gram[k * n + l]
+    )
+
+
 class _PackedGroup:
     """Per-descriptor packed matrix toolkit."""
 
@@ -840,6 +856,43 @@ class _PackedGroup:
         self.jinv = pack_matrix(mat_inverse(gram))
         self.identity = pack_matrix(mat_identity(desc.matrix_field, self.n))
         self._gram_anchor = next(j for j in range(self.n) if self.gram[j])
+        self._gram_terms = _gram_terms(self.pf, self.n, self.gram, self._gram_anchor)
+        self._conj = self.pf.conj if desc.family == "A" else range(self.pf.q)
+
+    def left(self, g):
+        """b -> g b, with the nonzero entries of g, their indices in b and
+        their rows of the product table found once per g.  A root element
+        of GSp has one or two nonzero entries a row, so a product by it
+        costs about n^2 lookups, not n^3; a dense g still saves the index
+        arithmetic of mm."""
+        n, add, mul = self.n, self.pf.add, self.pf.mul
+        # cell (i, j) of g b: the pairs (index of b_kj, row of g_ik) over the nonzero g_ik
+        cells = [
+            tuple((k * n + j, mul[g[i + k]]) for k in range(n) if g[i + k])
+            for i in range(0, n * n, n)
+            for j in range(n)
+        ]
+
+        def times(b):
+            out = []
+            for cell in cells:
+                acc = 0
+                for kj, row in cell:
+                    acc = add[acc][row[b[kj]]]
+                out.append(acc)
+            return tuple(out)
+
+        return times
+
+    def multiplier(self, a) -> int:
+        """The similitude of a, which must be a member of the group: the
+        anchor entry of ct(a) J a over J's anchor, summed over the nonzero
+        entries of J alone, with no product formed and nothing checked."""
+        add, mul, conj = self.pf.add, self.pf.mul, self._conj
+        lam = 0
+        for k0, lj, row in self._gram_terms:
+            lam = add[lam][mul[conj[a[k0]]][row[a[lj]]]]
+        return lam
 
     def similitude(self, a) -> int | None:
         """Prime-field similitude index, or None if a is not in the group."""
@@ -871,16 +924,18 @@ def _packed_group(desc: GroupDescriptor) -> _PackedGroup:
 _ENUM_CACHE: dict = {}
 
 
-def _mulclose(generators, multiply, cap: int):
-    """The closure of the generators under multiply, which for elements of
-    a finite group is the subgroup they generate; BudgetExceeded past cap."""
+def _mulclose(generators, left, cap: int):
+    """The closure of the generators under multiplication, which for
+    elements of a finite group is the subgroup they generate; BudgetExceeded
+    past cap.  left(g) is the map b -> g b, built once per generator."""
     els = set(generators)
     frontier = list(els)
+    lefts = [left(g) for g in generators]
     while frontier:
         new = []
-        for g in generators:
+        for times in lefts:
             for b in frontier:
-                c = multiply(g, b)
+                c = times(b)
                 if c not in els:
                     els.add(c)
                     new.append(c)
@@ -899,7 +954,8 @@ def _part_generators(desc: GroupDescriptor, part: str):
     long root of even n is 1 on GSp and theta, theta^ell = -theta != 0, on
     GU.  'unitary' adds a diagonal of determinant gamma^(ell - 1), which
     generates the norm-1 group, and 'full' a similitude whose multiplier
-    generates GF(ell)*."""
+    generates GF(ell)*, unless that is trivial.  No generator is the
+    identity."""
     field, n, ell = desc.matrix_field, desc.matrix_dim, desc.ell
     s, one, zero, unitary = n // 2, field.one(), field.zero(), desc.family == "A"
 
@@ -919,7 +975,9 @@ def _part_generators(desc: GroupDescriptor, part: str):
     roots += [tuple(zip(*g)) for g in roots]
     gamma = _multiplicative_generator(field)
     if not unitary:
-        return roots + ([elementary(diagonal=(one,) * s + (gamma,) * s)] if part == "full" else [])
+        # over GF(2) gamma is 1 and GSp is Sp: that diagonal would be the identity
+        full = part == "full" and gamma != one
+        return roots + ([elementary(diagonal=(one,) * s + (gamma,) * s)] if full else [])
     p_mat = _hermitian_change_of_basis(elementary(*[(i, n - 1 - i, one) for i in range(n)], diagonal=(zero,) * n), field)
     inv_p = mat_inverse(p_mat)
     gens = [mat_mul(mat_mul(inv_p, g), p_mat) for g in roots]
@@ -951,7 +1009,7 @@ def enumerate_group_packed(desc: GroupDescriptor, part: str = "full"):
         assert lam is not None and (part == "full" or lam == 1), f"generator outside the {part} group"
         assert part != "derived" or mat_det(g) == desc.matrix_field.one(), "derived generator of det != 1"
         gens.append(pack_matrix(g))
-    out = sorted(_mulclose(gens or [pg.identity], pg.mm, expected))
+    out = sorted(_mulclose(gens or [pg.identity], pg.left, expected))
     assert len(out) == expected, f"enumeration found {len(out)}, formula says {expected}"
     _ENUM_CACHE[key] = out
     return out
@@ -960,12 +1018,8 @@ def enumerate_group_packed(desc: GroupDescriptor, part: str = "full"):
 def enumerate_group(desc: GroupDescriptor, part: str = "full"):
     """All GroupElements of the requested subgroup (budget-capped)."""
     elements = enumerate_group_packed(desc, part)
-    pg = _packed_group(desc)
-    out = []
-    for m in elements:
-        lam = pg.similitude(m)
-        out.append(GroupElement(desc, unpack_matrix(desc, m), lam))
-    return out
+    multiplier = _packed_group(desc).multiplier
+    return [GroupElement(desc, unpack_matrix(desc, m), multiplier(m)) for m in elements]
 
 
 # ---------------------------------------------------------------------------
@@ -1075,7 +1129,7 @@ def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:
     for c in cent:
         if c not in span:
             gens.append(c)
-            span = _mulclose(gens, pg.mm, target)
+            span = _mulclose(gens, pg.left, target)
     return all(commute(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :])
 
 

@@ -41,11 +41,11 @@ def _product_closure_order(factors, gens):
     oracle for the projection chain of goursat_verify."""
     pgs = [_packed_group(d) for d in factors]
 
-    def multiply(a, b):
-        return tuple(pg.mm(x, y) for pg, x, y in zip(pgs, a, b))
+    def left(a):
+        return lambda b: tuple(pg.mm(x, y) for pg, x, y in zip(pgs, a, b))
 
     tuples = [tuple(pack_matrix(g.matrix) for g in gen) for gen in gens]
-    return len(_mulclose(tuples, multiply, prod(group_order(d, "derived") for d in factors)))
+    return len(_mulclose(tuples, left, prod(group_order(d, "derived") for d in factors)))
 
 
 def _verified(factors, gens):
@@ -225,7 +225,7 @@ def test_goursat_diagonal_flagged_out_of_hypothesis():
     while gens is None:
         picks = [rng.choice(group) for _ in range(2)]
         pg = _packed_group(f5)
-        if len(_mulclose([pack_matrix(p.matrix) for p in picks], pg.mm, 120)) == 120:
+        if len(_mulclose([pack_matrix(p.matrix) for p in picks], pg.left, 120)) == 120:
             gens = [(p, p) for p in picks]
     rep = _verified([f5, f5], gens)
     assert not rep.in_hypothesis

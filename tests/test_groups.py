@@ -99,19 +99,24 @@ def _listable_parts(max_order=MAX_GROUP_SIZE):
 
 def _assert_lists_the_part(desc, part):
     """The listing is sorted, has the part's order, and each generator lies
-    in the part: multiplier 1 below 'full' (and determinant 1 in SU), and
-    in 'full' multipliers that generate GF(ell)*."""
+    in the part and is not the identity: multiplier 1 below 'full' (and
+    determinant 1 in SU), and in 'full' multipliers that generate GF(ell)*.
+    The multiplier read off one entry is the similitude of every listed
+    element."""
     ell, one = desc.ell, desc.matrix_field.one()
     listing = enumerate_group_packed(desc, part)
     assert listing == sorted(set(listing)) and len(listing) == group_order(desc, part)
+    pg = _packed_group(desc)
+    assert all(pg.multiplier(m) == pg.similitude(m) for m in listing), (desc, part)
     multipliers = []
     for g in _part_generators(desc, part):
         x = contains(desc, g)
         assert x is not None and (part == "full" or x.similitude == 1), (desc, part)
         assert part != "derived" or mat_det(g) == one, (desc, part)
+        assert pack_matrix(g) != pg.identity, (desc, part)
         multipliers.append(x.similitude)
     if part == "full":
-        assert len(_mulclose(multipliers, lambda a, b: a * b % ell, ell)) == ell - 1
+        assert len(_mulclose(multipliers, lambda a: lambda b: a * b % ell, ell)) == ell - 1
     _ENUM_CACHE.pop((desc, part))  # the sweep would hold every listing
 
 
@@ -146,7 +151,7 @@ def test_a_root_element_basis_of_one_value_generates_too_little():
         ]
         assert 0 < len(ones) < len(_part_generators(desc, "derived"))
         pg = _packed_group(desc)
-        assert len(_mulclose(ones, pg.mm, group_order(desc, "derived"))) == closed
+        assert len(_mulclose(ones, pg.left, group_order(desc, "derived"))) == closed
 
 
 def test_contains_identity_and_diagonal():
@@ -843,6 +848,33 @@ def test_packed_inverse_rejects_a_matrix_outside_the_group():
     pg = _packed_group(C5)
     with pytest.raises(ValueError, match="outside the group"):
         pg.inverse((1, 1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [GroupDescriptor("C", 2, 2), GroupDescriptor("A", 3, 2), A2, GroupDescriptor("C", 1, 31)],
+    ids=repr,
+)
+def test_left_multiplier_is_the_packed_product(desc):
+    """left(g)(b) == mm(g, b) over GF(2), GF(4), GF(9) and F_31, with g and
+    b each the identity, a generator of the full group (the GSp root
+    elements have rows of one or two nonzero entries) or a dense matrix."""
+    pg = _packed_group(desc)
+    rng = random.Random(20)
+    dense = [tuple(rng.randrange(pg.pf.q) for _ in range(pg.n**2)) for _ in range(12)]
+    roots = [pack_matrix(g) for g in _part_generators(desc, "full")]
+    for g in [pg.identity] + roots + dense:
+        times = pg.left(g)
+        for b in [pg.identity] + roots + dense:
+            assert times(b) == pg.mm(g, b), (desc, g, b)
+
+
+@pytest.mark.parametrize("desc", [C5, A2], ids=repr)
+def test_unpack_matrix_equals_the_from_index_construction(desc):
+    field, n = desc.matrix_field, desc.matrix_dim
+    for m in enumerate_group_packed(desc):
+        by_index = tuple(tuple(field.from_index(m[i * n + j]) for j in range(n)) for i in range(n))
+        assert unpack_matrix(desc, m) == by_index
 
 
 def test_element_power_and_inverse():

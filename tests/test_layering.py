@@ -12,7 +12,7 @@ reads an exponent's bits with bin().  groups._mulclose is the one closure
 loop, and groups imports no itertools.product, so no group is listed by a
 scan of the matrix space.  The Goursat check closes no product of groups:
 no module defines MAX_CLOSURE, and density hands _mulclose only a packed
-group's own product.  The record types are plain slotted classes: no
+group's own left multipliers.  The record types are plain slotted classes: no
 module imports dataclasses, and importing the CLI loads none of the
 introspection modules (inspect, ast, dis, tokenize) that dataclasses pulls
 in, which would add to the start-up of every command.
@@ -192,4 +192,4 @@ def test_no_product_closure_in_the_goursat_check():
         for node in ast.walk(_tree(PACKAGE / "density.py"))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_mulclose"
     ]
-    assert multiplies and all(m.endswith(".mm") for m in multiplies)
+    assert multiplies and all(m.endswith(".left") for m in multiplies)
