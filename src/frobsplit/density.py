@@ -16,28 +16,30 @@ the product formula, reproducible from its seed.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
+from functools import partial
 from math import prod, sqrt
 
-from .finfield import CompositeModulus, Record, is_prime, make_field, prime_divisors, subfield_degree
+from .finfield import CompositeModulus, Record, is_prime, make_field, power, prime_divisors, subfield_degree
 from .groups import (
+    MAX_GROUP_SIZE,
     BudgetExceeded,
     GroupDescriptor,
     GroupElement,
     _count_avoiding,
+    _field_matrix,
+    _imat_mul,
     _lattice,
-    _mulclose,
-    _packed_group,
-    enumerate_group_packed,
+    _natural_matrix,
+    _part_generators,
+    contains,
     group_order,
+    mat_det,
     normalizer_census,
-    pack_matrix,
     regular_torus_count,
-    unpack_matrix,
 )
-
-MAX_FACTOR_ORDER = 10**5
 
 _SQUEEZE_PARTS = {"der": "derived", "full": "full"}
 
@@ -288,14 +290,6 @@ class GoursatReport(Record):
         )
 
 
-def _surjections(tuples, groups_packed, pgs):
-    """Per factor, lazily, whether the tuples' components generate it."""
-    return (
-        len(_mulclose([t[i] for t in tuples], pg.left, len(grp))) == len(grp)
-        for i, (grp, pg) in enumerate(zip(groups_packed, pgs))
-    )
-
-
 def _hypothesis_note(factors) -> str:
     ells = [d.ell for d in factors]
     if len(set(ells)) != len(ells):
@@ -308,157 +302,159 @@ def _hypothesis_note(factors) -> str:
     return ""
 
 
-def _factor_orders(factors) -> list:
-    """The derived-group orders of the factors, each checked against
-    MAX_FACTOR_ORDER before anything is listed."""
-    orders = [group_order(d, "derived") for d in factors]
-    for d, o in zip(factors, orders):
-        if o > MAX_FACTOR_ORDER:
+def _check_points(factors) -> None:
+    """Each factor's projective points, which bound its orbits, against MAX_GROUP_SIZE."""
+    for d in factors:
+        points = (d.ell ** (2 * d.r) - 1) // (d.ell - 1)
+        if points > MAX_GROUP_SIZE:
             raise BudgetExceeded(
-                f"factor {d} has derived order {o} over the cap MAX_FACTOR_ORDER = {MAX_FACTOR_ORDER}"
+                f"factor {d} acts on {points} projective points, over the cap MAX_GROUP_SIZE = {MAX_GROUP_SIZE}"
             )
-    return orders
 
 
-def _chain_orbits(tuples, pgs, orders):
-    """The orbits of a Schreier-Sims chain (Sims 1970; Seress 2003, ch. 4)
-    of the group the tuples generate in the product of the factor groups,
-    along the chain of projections: their sizes multiply to its order.
+def _chain_orbits(factors, tuples, target: int):
+    """The orbits of a stabilizer chain (Sims 1970; Seress 2003, ch. 4) of
+    the group the tuples generate in the product of the factor groups,
+    whose sizes multiply to its order, and draw(rng), a uniform random
+    element of that group.
 
-    Level k holds the generated elements trivial on factors 0..k-1, stored
-    as their components k..; its orbit is their image in factor k, a dict
-    from each point to its parent and generator in the search tree (a
-    Schreier vector, Seress 2003, 4.1).  The tree path of a point gives its
-    transversal element and the inverse when a pair or a sift first needs
-    them.  The pairs (orbit point, generator) of level k give its Schreier
-    generators, which generate level k + 1; one that does not sift through
-    the levels below joins their generators, down to the level where the
-    sift stopped (SCHREIERSIMS in Holt, Eick and O'Brien 2005, 4.4).
-    Deeper generators are trivial on factor k, so level k's orbit moves
-    under its own generators alone; its Schreier pairs take them all.  Once
-    the orbits below level k fill their factors every element trivial on
-    factors 0..k sifts, so level k tests no more pairs."""
-    n = len(pgs)
-    tails = [[pg.mm for pg in pgs[k:]] for k in range(n + 1)]
-    ident = tuple(pg.identity for pg in pgs)
+    Elements are tuples of _natural_matrix matrices acting on row vectors
+    from the right.  Per factor, the base is a projective frame, the lines
+    of e_1..e_N and of their sum, which only the scalars fix pointwise,
+    then the vector e_1.  Level k holds the elements fixing base points
+    0..k-1; its orbit maps each point to its parent and generator in the
+    search tree (a Schreier vector, Seress 2003, 4.1), whose paths give the
+    transversal elements.  A Schreier generator of level k that does not
+    sift through the levels below joins their generators, down to where
+    the sift stopped (Holt, Eick and O'Brien 2005, 4.4).  It joins only
+    lower levels, so a level is final once the levels above it are
+    complete: the levels are completed from the top, each pair tested
+    once.  The product of the orbit sizes bounds the order from below at
+    every step, so the run stops once it reaches target, a known multiple
+    of the order."""
+    primes = [d.ell for d in factors]
+    muls = [partial(_imat_mul, p=p) for p in primes]
+    ident = tuple(tuple(tuple(int(i == j) for j in range(2 * d.r)) for i in range(2 * d.r)) for d in factors)
+    base = []  # (factor, point, whether the point is a line)
+    for f, eye in enumerate(ident):
+        base += [(f, e, True) for e in eye] + [(f, (1,) * len(eye), True), (f, eye[0], False)]
+    n = len(base)
 
-    def mul(a, b, k):  # the product of two elements given by components k..
-        return tuple(mm(x, y) for mm, x, y in zip(tails[k], a, b))
+    def mul(a, b):  # the levels below a factor's base are the identity on it
+        return tuple(x if y == e else y if x == e else m(x, y) for x, y, m, e in zip(a, b, muls, ident))
 
-    orbits = [{ident[k]: None} for k in range(n)]  # point -> (parent, own generator)
-    known = [{ident[k]: (ident[k:], ident[k:])} for k in range(n)]  # point -> (u, u^-1)
-    own = [[] for _ in range(n)]  # (generator, inverse) moving factor k
-    gens = [[] for _ in range(n)]  # every generator of level k, from component k
-    done = [[] for _ in range(n)]  # per generator of level k: orbit points paired
+    def inverse(g):  # g^(|G| - 1) on each factor, G its full similitude group
+        return tuple(x if x == e else power(x, group_order(d) - 1, m, e) for x, d, m, e in zip(g, factors, muls, ident))
+
+    def act(k, x, g):
+        """x g on the factor of base point k, scaled to lead with 1 if that point is a line."""
+        f, _, line = base[k]
+        p = primes[f]
+        y = [sum(map(operator.mul, x, col)) % p for col in zip(*g[f])]
+        if line:
+            lead = pow(next(filter(None, y)), -1, p)
+            y = [c * lead % p for c in y]
+        return tuple(y)
+
+    orbits = [{v: None} for _, v, _ in base]  # point -> (parent, index of its generator)
+    known = [{v: (ident, ident)} for _, v, _ in base]  # point -> (u, u^-1)
+    gens = [[] for _ in range(n)]  # (s, s^-1) per generator of level k
 
     def transversal(k, y):
-        """(u, u^-1) with u in level k and component y, along the orbit's
-        tree of parents, kept once built."""
+        """(u, u^-1), u in level k moving base point k to y, along the tree; kept once built."""
         path = []
         while y not in known[k]:
             path.append(y)
             y = orbits[k][y][0]
         u, ui = known[k][y]
         for y in reversed(path):
-            s, si = own[k][orbits[k][y][1]]
-            u, ui = mul(u, s, k), mul(si, ui, k)
+            s, si = gens[k][orbits[k][y][1]]
+            u, ui = mul(u, s), mul(si, ui)
             known[k][y] = (u, ui)
         return u, ui
 
     def add(g, first, k):
-        """g, trivial on factors < k, joins levels first..k and moves factor k."""
+        """g, fixing base points < k, joins levels first..k."""
+        pair = (g, inverse(g))
         for level in range(first, k + 1):
-            gens[level].append(ident[level:k] + g)
-            done[level].append(0)
-        own[k].append((g, tuple(pg.inverse(x) for pg, x in zip(pgs[k:], g))))
-        orbit, mm = orbits[k], tails[k][0]
-        frontier, fresh = list(orbit), len(own[k]) - 1  # old points need only the new generator
-        while frontier:
-            new = []
-            for x in frontier:
-                for index in range(fresh, len(own[k])):
-                    y = mm(x, own[k][index][0][0])
+            gens[level].append(pair)
+            orbit, last = orbits[level], len(gens[level]) - 1
+            queue, old = list(orbit), len(orbit)
+            for j, x in enumerate(queue):  # old points need only the new generator
+                for index in range(last if j < old else 0, last + 1):
+                    y = act(level, x, gens[level][index][0])
                     if y not in orbit:
                         orbit[y] = (x, index)
-                        new.append(y)
-            frontier, fresh = new, 0
+                        queue.append(y)
 
     def sift(h, k):
-        """Strip h, given by components k.., down the levels; the level
-        where it leaves an orbit with its residue, or None at the identity."""
-        while k < n:
-            if h[0] not in orbits[k]:
-                return k, h
-            h = mul(h[1:], transversal(k, h[0])[1][1:], k + 1)
-            k += 1
-        return None
-
-    def residue(i):
-        """The first untested pair of level i whose Schreier generator does
-        not sift, as sift reports it; None once every pair sifts."""
-        points, mm = list(orbits[i]), tails[i][0]
-        for g, s in enumerate(gens[i]):
-            while done[i][g] < len(points):
-                x = points[done[i][g]]
-                done[i][g] += 1
-                u, vi = transversal(i, x)[0], transversal(i, mm(x, s[0]))[1]  # u s v^-1 is 1 on factor i
-                stripped = sift(mul(mul(u[1:], s[1:], i + 1), vi[1:], i + 1), i + 1)
-                if stripped is not None:
-                    return stripped
-        return None
+        """Strip h, which fixes base points < k, down the levels; add what is left where it leaves an orbit."""
+        for level in range(k, n):
+            y = act(level, base[level][1], h)
+            if y not in orbits[level]:
+                add(h, k, level)
+                return
+            h = mul(h, transversal(level, y)[1])
 
     for t in tuples:
-        k = next((k for k in range(n) if t[k] != ident[k]), n)
-        if k < n:
-            add(t[k:], 0, k)
-    i = n - 1
-    while i >= 0:
-        full_below = all(len(orbits[j]) == orders[j] for j in range(i + 1, n))
-        stripped = None if full_below else residue(i)
-        if stripped is None:
-            i -= 1
-        else:
-            k, h = stripped
-            add(h, i + 1, k)
-            i = k
-    return [len(orbit) for orbit in orbits]
+        sift(t, 0)
+    for i, x, s in ((i, x, s) for i in range(n) for x in orbits[i] for s, _ in gens[i]):
+        if prod(map(len, orbits)) >= target:
+            break
+        u, vi = transversal(i, x)[0], transversal(i, act(i, x, s))[1]
+        sift(mul(mul(u, s), vi), i + 1)  # u s v^-1 fixes base points 0..i
+    points = [list(orbit) for orbit in orbits]
+
+    def draw(rng):  # every element is one product of transversal elements, deepest level first
+        g = ident
+        for k in reversed(range(n)):
+            g = mul(g, transversal(k, rng.choice(points[k]))[0])
+        return g
+
+    return [len(orbit) for orbit in orbits], draw
+
+
+def _derived_chain(d: GroupDescriptor, matrices):
+    """Whether the natural matrices generate the derived group of d, and draw for the group they generate."""
+    order = group_order(d, "derived")
+    sizes, draw = _chain_orbits([d], [(m,) for m in matrices], order)
+    return prod(sizes) == order, draw
 
 
 def goursat_verify(factors, generators) -> GoursatReport:
     """Check whether generator tuples span the full product of derived groups.
 
     factors: GroupDescriptors (their derived subgroups are the factor
-    groups); generators: tuples of GroupElements, one per factor.  Reports
-    per-factor surjectivity of the projections and whether the generated
-    subgroup is the whole product, whose order is read off the projection
-    chain (_chain_orbits) in work about the sum, not the product, of the
-    factor orders.  When the distinct-simple-quotient hypothesis holds,
-    surjective projections with a proper closure are an implementation
-    contradiction and raise.
+    groups); generators: tuples of GroupElements, one per factor, each of
+    similitude 1 and determinant 1.  The order of the subgroup they
+    generate is read off one stabilizer chain on the natural action
+    (_chain_orbits), whose orbits are bounded by the projective points of
+    the factors, not by their orders.  A full closure makes every
+    projection surjective; only a proper one runs a chain per factor.
+    When the distinct-simple-quotient hypothesis holds, surjective
+    projections with a proper closure are an implementation contradiction
+    and raise.
     """
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one factor")
-    orders = _factor_orders(factors)
-    product_order = prod(orders)
+    _check_points(factors)
     if not generators:
         raise ValueError("need at least one generator tuple")
-
-    groups_packed = [frozenset(enumerate_group_packed(d, "derived")) for d in factors]
-    pgs = [_packed_group(d) for d in factors]
+    orders = [group_order(d, "derived") for d in factors]
+    product_order = prod(orders)
     tuples = []
     for gen in generators:
         if len(gen) != len(factors):
             raise ValueError("generator tuple length must match the factor count")
-        packed = tuple(pack_matrix(g.matrix) for g in gen)
-        for comp, grp in zip(packed, groups_packed):
-            if comp not in grp:
-                raise ValueError("generator component outside its derived group")
-        tuples.append(packed)
+        members = [contains(d, g.matrix) for d, g in zip(factors, gen)]
+        if any(m is None or m.similitude != 1 or mat_det(m.matrix) != m.desc.matrix_field.one() for m in members):
+            raise ValueError("generator component outside its derived group")
+        tuples.append(tuple(map(_natural_matrix, members)))
 
-    surjective = list(_surjections(tuples, groups_packed, pgs))
-    closure_order = prod(_chain_orbits(tuples, pgs, orders))
+    closure_order = prod(_chain_orbits(factors, tuples, product_order)[0])
     full = closure_order == product_order
+    surjective = [full or _derived_chain(d, [t[i] for t in tuples])[0] for i, d in enumerate(factors)]
     note = _hypothesis_note(factors)
     in_hyp = note == ""
     if in_hyp and all(surjective) and not full:
@@ -478,29 +474,26 @@ def goursat_verify(factors, generators) -> GoursatReport:
 
 def random_generator_tuples(factors, rng: random.Random, count: int = 2, max_tries: int = 200):
     """Draw `count` random generator tuples, retrying until every projection
-    is surjective; returns GroupElement tuples.  Every nontrivial derived
-    group here (Sp_2r, and SU_r with r >= 2) is non-abelian, so a single
-    tuple can only generate trivial factors."""
+    is surjective; returns GroupElement tuples.  Each component is uniform
+    in its derived group, drawn from one stabilizer chain per factor
+    (_chain_orbits), built once from _part_generators.  Every nontrivial
+    derived group here (Sp_2r, and SU_r with r >= 2) is non-abelian, so a
+    single tuple can only generate trivial factors."""
     if count < 1:
         raise ValueError("need at least one generator tuple")
     factors = list(factors)
     if count == 1 and any(group_order(d, "derived") > 1 for d in factors):
         raise ValueError("one element never generates a non-abelian derived group: draw at least 2 tuples")
-    _factor_orders(factors)
-    groups_packed = [enumerate_group_packed(d, "derived") for d in factors]
-    pgs = [_packed_group(d) for d in factors]
+    _check_points(factors)
+    draws = []
+    for d in factors:
+        whole, draw = _derived_chain(d, [_natural_matrix(GroupElement(d, g, 1)) for g in _part_generators(d, "derived")])
+        assert whole, f"the generators of {d} span a proper subgroup"
+        draws.append(draw)
     for _ in range(max_tries):
-        tuples = [
-            tuple(rng.choice(grp) for grp in groups_packed) for _ in range(count)
-        ]
-        if all(_surjections(tuples, groups_packed, pgs)):
-            out = []
-            for t in tuples:
-                elems = []
-                for d, comp, pg in zip(factors, t, pgs):
-                    elems.append(GroupElement(d, unpack_matrix(d, comp), pg.multiplier(comp)))
-                out.append(tuple(elems))
-            return out
+        tuples = [tuple(draw(rng)[0] for draw in draws) for _ in range(count)]
+        if all(_derived_chain(d, [t[i] for t in tuples])[0] for i, d in enumerate(factors)):
+            return [tuple(GroupElement(d, _field_matrix(d, m), 1) for d, m in zip(factors, t)) for t in tuples]
     raise BudgetExceeded(
         f"no {count} generator tuples with surjective projections within the retry cap of {max_tries} draws"
     )

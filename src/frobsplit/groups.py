@@ -55,18 +55,17 @@ subsets, the change of basis to the standard form, the anti-fixed element of
 the symplectic torus) reads its answer off _echelon, the one row reduction.
 The packed layer keeps only multiplication, the commutation test,
 conjugate transpose, the similitude test and the inverse it gives, which
-the enumeration, the oracles and the Goursat chain run, plus two shortcuts
-for the listing.  left(g), the map b -> g b, finds the nonzero entries of
-g once, so a closure product by a root element of GSp, one or two nonzero
-entries a row, costs about n^2 table lookups and not n^3.  multiplier(a)
+the enumeration and the oracles run, plus two shortcuts for the listing.
+left(g), the map b -> g b, finds the nonzero entries of g once, so a
+closure product by a root element of GSp, one or two nonzero entries a
+row, costs about n^2 table lookups and not n^3.  multiplier(a)
 reads the similitude of a known member off one entry of ct(a) J a, summed
 over the n nonzero entries of J, where the similitude test forms the
 product and checks every entry.  The field tables are built on integers, sums digit by
 digit and products through one table of logarithms, and unpacking indexes
 one shared tuple of the field's elements.  A group is listed as the closure
 of its simple root elements (_part_generators) under _mulclose, the one
-closure loop, which multiplies through left and which the Goursat check
-runs on each factor too.
+closure loop, which multiplies through left.
 
 Classification of a group element x at level m asks whether x^m is regular
 with maximally anisotropic connected centralizer.  The fast path is one
@@ -114,7 +113,7 @@ _EXCEPTIONAL_PRIMES = (2, 3)  # base or quadratic extension lands in F2/F4/F3/F9
 
 
 class BudgetExceeded(RuntimeError):
-    """An exact enumeration would exceed its hard cap."""
+    """An exact computation would exceed its hard cap."""
 
 
 class DimensionMismatch(ValueError):
@@ -1040,6 +1039,12 @@ def _natural_matrix(x: GroupElement) -> tuple:
         out.append(tuple(v for a, b in pairs for v in (a, -a0 * b % ell)))
         out.append(tuple(v for a, b in pairs for v in (b, (a - a1 * b) % ell)))
     return tuple(out)
+
+
+def _field_matrix(desc: GroupDescriptor, nat) -> tuple:
+    """The matrix whose _natural_matrix is nat, each entry read off the first column of its block."""
+    element, k, n = desc.matrix_field.element, desc.matrix_field.k, len(nat)
+    return tuple(tuple(element([nat[i + c][j] for c in range(k)]) for j in range(0, n, k)) for i in range(0, n, k))
 
 
 def _imat_mul(a, b, p: int) -> tuple:

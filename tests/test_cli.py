@@ -143,13 +143,29 @@ def test_goursat_answers_on_su3_f3():
     assert res["full_product"] and res["closure_order"] == res["product_order"] == "6048"
 
 
-@pytest.mark.slow
 def test_goursat_answers_on_sp4_f3():
     # 3^16 matrices over GF(3), of which Sp_4(F_3) holds 51840
     report, status = run(["goursat", "--family", "C", "--r", "2", "--ells", "3", "--seed", "1"])
     assert status == 0
     res = report["result"]
     assert res["full_product"] and res["closure_order"] == res["product_order"] == "51840"
+
+
+@pytest.mark.parametrize(
+    "ells,family,r,order",
+    [
+        ("1009", "C", 1, "1027242720"),  # SL_2(F_1009)
+        ("1009,1013", "C", 1, "1067827214394420480"),
+        ("5,7", "C", 2, "2588931072000000"),  # Sp_4(F_5) x Sp_4(F_7)
+        ("41", "A", 1, "1"),  # SU_1 is trivial
+    ],
+)
+def test_goursat_answers_on_the_natural_action(ells, family, r, order):
+    report, status = run(["goursat", "--family", family, "--r", str(r), "--ells", ells, "--seed", "1"])
+    assert status == 0
+    res = report["result"]
+    assert res["full_product"] and all(res["projections_surjective"])
+    assert res["closure_order"] == res["product_order"] == order
 
 
 def test_nonspecial_cli():
@@ -217,7 +233,8 @@ def test_density_answers_at_paper_ranks(argv):
     [
         (["goursat", "--family", "C", "--r", "1", "--ells", "5,7", "--seed", "1", "--samples", "0"], 4, "ValueError"),
         (["goursat", "--family", "C", "--r", "1", "--ells", "5,7", "--seed", "1", "--samples", "1"], 4, "ValueError"),
-        (["goursat", "--family", "C", "--r", "1", "--ells", "1009", "--seed", "1"], 3, "BudgetExceeded"),
+        # GSp_4(F_101) acts on (101^4 - 1)/100 lines, over MAX_GROUP_SIZE
+        (["goursat", "--family", "C", "--r", "2", "--ells", "101", "--seed", "1"], 3, "BudgetExceeded"),
         (["torus", "--family", "C", "--r", "1", "--ell", "3", "--m", "0"], 4, "ValueError"),
         (["nonspecial", "--r", "0", "--sig", "0:0"], 4, "ValueError"),
         (["cm-fraction", "--degree", "4", "--ell", "4"], 4, "CompositeModulus"),
@@ -228,8 +245,8 @@ def test_density_answers_at_paper_ranks(argv):
         (["goursat", "--family", "C", "--r", "1", "--ells", ",", "--seed", "1"], 4, "ValueError"),
         (["cm-fraction", "--degree", "4", "--ells", ","], 4, "ValueError"),
         (["weil", "--q", "998244359987710471", "--poly", "998244359987710471,0,1"], 4, "ValueError"),
-        # GU_1(F_41): the group is small, the q^2 = 41^4 entry field tables are not
-        (["goursat", "--family", "A", "--r", "1", "--ells", "41", "--seed", "1"], 3, "BudgetExceeded"),
+        # GU_2(F_101) acts on GF(101)^4 as well
+        (["goursat", "--family", "A", "--r", "2", "--ells", "101", "--seed", "1"], 3, "BudgetExceeded"),
     ],
 )
 def test_rejections_exit_with_a_json_error(argv, status, error, capsys):

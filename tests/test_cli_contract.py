@@ -6,9 +6,8 @@ from the small primes and a few non-primes and negatives, --samples <= 1000,
 and Weil polynomials that are random or products of Weil quadratics.  Each
 valid value is drawn three times as often as each invalid one, so most argv
 get past the first domain check.  Flags are written --flag=value, so a
-negative value parses as a value.  Primes for goursat stay at most 3 when
-r = 2, because GU_2(F_5) and GU_2(F_7) take seconds to enumerate.  The
-search is derandomized, so every run draws the same argv.
+negative value parses as a value.  The search is derandomized, so every
+run draws the same argv.
 """
 
 import contextlib
@@ -36,13 +35,7 @@ level = _mostly([1, 2, 3], [0, -1])
 squeeze = st.sampled_from(["der", "full"])
 seed = st.integers(0, 3)
 ell = _mostly(PRIMES, NOT_PRIMES)
-
-
-def _ells(primes):
-    return st.lists(_mostly(primes, NOT_PRIMES), min_size=1, max_size=2).map(lambda xs: ",".join(map(str, xs)))
-
-
-ells = _ells(PRIMES)
+ells = st.lists(ell, min_size=1, max_size=2).map(lambda xs: ",".join(map(str, xs)))
 
 
 def _flags(**values):
@@ -80,12 +73,10 @@ def simulate(draw):
 
 @st.composite
 def goursat(draw):
-    r = draw(rank)
-    primes = [2, 3] if r == 2 else PRIMES
     return ["goursat"] + _flags(
         family=draw(family),
-        r=r,
-        ells=draw(_ells(primes)),
+        r=draw(rank),
+        ells=draw(ells),
         samples=draw(_mostly([1, 2, 3], [0, -1])),
         seed=draw(seed),
     )

@@ -1,14 +1,14 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import prod, sqrt
 
 import pytest
 
 from frobsplit.density import (
-    MAX_FACTOR_ORDER,
     GaloisModel,
     GoursatContradiction,
     ModelEntry,
+    _chain_orbits,
     _stream_seed,
     chebotarev_simulate,
     cm_subfield_fraction,
@@ -20,10 +20,16 @@ from frobsplit.density import (
     regular_fraction,
 )
 from frobsplit.groups import (
+    MAX_GROUP_SIZE,
     BudgetExceeded,
     GroupDescriptor,
+    _field_matrix,
     _mulclose,
+    _natural_matrix,
     _packed_group,
+    _part_generators,
+    classify_element,
+    contains,
     enumerate_group,
     exhaustive_classification,
     group_order,
@@ -269,18 +275,22 @@ def test_goursat_rejects_an_empty_generator_list():
 
 
 def test_goursat_budget():
-    # SL_2(F_101) has order 1030200, over MAX_FACTOR_ORDER
-    with pytest.raises(BudgetExceeded, match="1030200"):
+    # the cap is on projective points, not on orders: SL_2(F_101), of
+    # order 1030200, passes it and reaches the generator check, while
+    # GSp_4(F_101) acts on (101^4 - 1)/100 = 1040604 lines
+    with pytest.raises(ValueError, match="need at least one generator tuple"):
         goursat_verify([C_AT(5), C_AT(101)], [])
+    with pytest.raises(BudgetExceeded, match="1040604"):
+        goursat_verify([C_AT(5), GroupDescriptor("C", 2, 101)], [])
 
 
 def test_the_factor_cap_is_checked_before_any_group_is_listed(monkeypatch):
-    def unlisted(desc, part="full"):
-        raise AssertionError(f"{desc} listed")
+    def unbuilt(factors, tuples, target):
+        raise AssertionError(f"a chain of {factors} built")
 
-    monkeypatch.setattr("frobsplit.density.enumerate_group_packed", unlisted)
-    factors = [C_AT(5), A_AT(3, 5)]  # SU_3(F_5) has order 378000
-    cap = f"378000 over the cap MAX_FACTOR_ORDER = {MAX_FACTOR_ORDER}"
+    monkeypatch.setattr("frobsplit.density._chain_orbits", unbuilt)
+    factors = [C_AT(5), GroupDescriptor("C", 2, 101)]  # GSp_4(F_101) acts on (101^4 - 1)/100 lines
+    cap = f"1040604 projective points, over the cap MAX_GROUP_SIZE = {MAX_GROUP_SIZE}"
     with pytest.raises(BudgetExceeded, match=cap):
         random_generator_tuples(factors, random.Random(1), count=2)
     with pytest.raises(BudgetExceeded, match=cap):
@@ -351,6 +361,21 @@ def test_goursat_rejects_foreign_generators():
     gens = random_generator_tuples([f5, f7], rng, count=2)
     with pytest.raises(ValueError):
         goursat_verify([f7, f5], gens)  # components in the wrong groups
+
+
+@pytest.mark.parametrize("desc,draws", [(C_AT(1009), 2000), (GroupDescriptor("C", 2, 11), 500)], ids=repr)
+def test_uniform_draws_of_the_full_group_meet_the_closed_form(desc, draws):
+    """The chain of the full group from its generators draws uniform
+    elements: the fraction that classify_element accepts is
+    regular_fraction's within 5 sigma of the binomial."""
+    order = group_order(desc)
+    gens = [(_natural_matrix(contains(desc, g)),) for g in _part_generators(desc, "full")]
+    sizes, draw = _chain_orbits([desc], gens, order)
+    assert prod(sizes) == order
+    rng = random.Random(20260809)
+    hits = sum(classify_element(contains(desc, _field_matrix(desc, draw(rng)[0]))) for _ in range(draws))
+    p = float(regular_fraction(desc, 1, "full"))
+    assert abs(hits - draws * p) < 5 * sqrt(draws * p * (1 - p))
 
 
 def test_density_product_unitary_family():

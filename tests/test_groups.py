@@ -457,6 +457,26 @@ def test_classification_equals_the_charpoly_references_wide(desc):
     _assert_classification_equals_the_references(desc, 12, seed=2)
 
 
+@pytest.mark.parametrize(
+    "desc", [GroupDescriptor(f, r, ell) for f, r in (("C", 2), ("A", 3)) for ell in (101, 1009, 10007)], ids=repr
+)
+def test_classification_equals_the_charpoly_references_on_random_words(desc):
+    """The charpoly references at primes no listing reaches, on seeded
+    random words of 24 generators of the full group."""
+    rng = random.Random(desc.ell)
+    gens = [contains(desc, g) for g in _part_generators(desc, "full")]
+    answers = []
+    for _ in range(12):
+        x = identity_element(desc)
+        for _ in range(24):
+            x = x * rng.choice(gens)
+        for m in (1, 2):
+            answer = classify_element(x, m)
+            assert answer == _reference(x, m), (x, m)
+            answers.append(answer)
+    assert any(answers) and not all(answers)
+
+
 def test_classification_runs_on_ints_alone(monkeypatch):
     """No field-element arithmetic and no polynomial irreducibility test:
     classify_element reads the answer off an integer matrix."""

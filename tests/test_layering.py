@@ -10,9 +10,10 @@ wrapper class.  finfield.power is the one
 square-and-multiply loop: no other code in the package shifts with >> or
 reads an exponent's bits with bin().  groups._mulclose is the one closure
 loop, and groups imports no itertools.product, so no group is listed by a
-scan of the matrix space.  The Goursat check closes no product of groups:
-no module defines MAX_CLOSURE, and density hands _mulclose only a packed
-group's own left multipliers.  The record types are plain slotted classes: no
+scan of the matrix space.  The Goursat check lists no group: no module
+defines MAX_CLOSURE or MAX_FACTOR_ORDER, and density neither imports nor
+calls _mulclose, _packed_group, enumerate_group*, pack_matrix or
+unpack_matrix.  The record types are plain slotted classes: no
 module imports dataclasses, and importing the CLI loads none of the
 introspection modules (inspect, ast, dis, tokenize) that dataclasses pulls
 in, which would add to the start-up of every command.
@@ -184,12 +185,18 @@ def test_no_product_closure_in_the_goursat_check():
         f"{path.name}:{node.lineno}"
         for path in MODULES
         for node in ast.walk(_tree(path))
-        if isinstance(node, ast.Name) and node.id == "MAX_CLOSURE"
+        if isinstance(node, ast.Name) and node.id in ("MAX_CLOSURE", "MAX_FACTOR_ORDER")
     ]
     assert caps == []
-    multiplies = [
-        ast.unparse(node.args[1])
+
+    def listing(name):
+        return name in ("_mulclose", "_packed_group", "pack_matrix", "unpack_matrix") or name.startswith("enumerate_group")
+
+    uses = [
+        f"density.py:{node.lineno}"
         for node in ast.walk(_tree(PACKAGE / "density.py"))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_mulclose"
+        if (isinstance(node, ast.ImportFrom) and any(listing(a.name) for a in node.names))
+        or (isinstance(node, ast.Name) and listing(node.id))
+        or (isinstance(node, ast.Attribute) and listing(node.attr))
     ]
-    assert multiplies and all(m.endswith(".left") for m in multiplies)
+    assert uses == []
