@@ -22,9 +22,11 @@ long division, the primitive pseudo-remainder sequence (Collins 1967; Brown
 Everything is exact; randomised splitting is driven by an explicit seed and
 the output ordering is canonical, so all results are reproducible.
 
-Scale target is degree <= 32 with moderate coefficients (the largest Weil
-polynomials the package analyses); recombination stays exponential in the
-number of factors mod p, with no knapsack step.
+Scale target is degree <= 16 with moderate coefficients: weil.analyze
+factors the real transform h of a Weil polynomial, of half its degree, so
+the degree-32 Weil polynomials the package analyses come here at degree 16.
+Recombination stays exponential in the number of factors mod p, with no
+knapsack step.
 """
 
 from __future__ import annotations

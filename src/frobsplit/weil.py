@@ -11,10 +11,12 @@ the negated primitive pseudo-remainder sequence, whose entries are positive
 multiples of the Euclidean ones, and p(+-2 sqrt(q)) is A + B sqrt(q) with
 integers A and B.
 
-The splitting analysis extracts the maximal power structure f = g^d,
-factors g over Z, and resolves the isogeny-exponent constraints in the two
-cases where that is possible from f and q alone (prime residue field;
-ordinary reduction).  The general division-algebra invariant is out of
+The splitting analysis factors the real transform h over Z, maps the
+factors back to f, and takes d, with f = g^d, as the gcd of the
+multiplicities; every factor is self-dual, since q/alpha is the complex
+conjugate of a root alpha.  It resolves the isogeny-exponent constraints in
+the two cases where that is possible from f and q alone (prime residue
+field; ordinary reduction).  The general division-algebra invariant is out of
 scope, so unresolved factors carry their constraint set explicitly.
 
 Simplicity certificates are sound but deliberately incomplete: an
@@ -40,7 +42,6 @@ from .intpoly import (
     factor_mod,
     factor_over_Z,
     int_poly_gcd,
-    max_power_structure,
     pseudo_remainder,
     try_divide,
 )
@@ -116,24 +117,36 @@ class WeilPoly(Record):
 
 
 def real_weil_transform(f: IntPoly, q: int) -> IntPoly:
-    """The monic degree-g integer h with f(t) = t^g * h(t + q/t)."""
+    """The monic degree-g integer h with f(t) = t^g * h(t + q/t).
+
+    With y = t + q/t and P_i = t^i + (q/t)^i, t^-g f = a_g + sum_(i>=1)
+    a_(g+i) P_i once a_(g-i) = q^i a_(g+i), and P_i(y) follows P_1 = y,
+    P_2 = y^2 - 2q, P_(i+1) = y P_i - q P_(i-1).  Raises SymmetryViolation
+    at the first index i where a_i != q^(g-i) a_(2g-i).
+    """
     if not f.is_monic():
         raise NotMonic("the transform needs a monic polynomial")
     if f.degree % 2 != 0 or f.degree < 2:
         raise OddDegree(f"degree {f.degree} is not even and positive")
+    a = f.coeffs
     g = f.degree // 2
-    rest = f
+    qi = q**g
+    for i in range(g + 1):
+        if a[i] != qi * a[2 * g - i]:
+            raise SymmetryViolation(i)
+        qi //= q
     out = [0] * (g + 1)
-    base = IntPoly.make([q, 0, 1])  # t^2 + q
-    for j in range(g, -1, -1):
-        coeff = rest.coeffs[g + j] if g + j <= rest.degree else 0
-        out[j] = coeff
-        term = (base**j) * IntPoly.make([0] * (g - j) + [coeff])
-        rest = rest - term
-    if not rest.is_zero():
-        # a symmetric polynomial always reduces; locate the broken index
-        idx = next(i for i, c in enumerate(rest.coeffs) if c)
-        raise SymmetryViolation(idx)
+    out[0] = a[g]
+    prev, cur = [2], [0, 1]  # P_0 and P_1
+    for i in range(1, g + 1):
+        c = a[g + i]
+        for j, x in enumerate(cur):
+            out[j] += c * x
+        # P_(i+1) = y P_i - q P_(i-1)
+        nxt = [0] + cur
+        for j, x in enumerate(prev):
+            nxt[j] -= q * x
+        prev, cur = cur, nxt
     return IntPoly.make(out)
 
 
@@ -194,10 +207,6 @@ def weil_validate(f: IntPoly, q: int) -> WeilPoly:
         raise NotMonic("a Weil polynomial is monic")
     if f.degree % 2 != 0 or f.degree < 2:
         raise OddDegree(f"degree {f.degree} is not even and positive")
-    g = f.degree // 2
-    for i in range(g + 1):
-        if f.coeffs[i] != q ** (g - i) * f.coeffs[2 * g - i]:
-            raise SymmetryViolation(i)
     h = real_weil_transform(f, q)
     # work with the squarefree part; the root condition only sees root sets
     h_red = try_divide(h, int_poly_gcd(h, h.derivative()))
@@ -385,10 +394,56 @@ class SplitReport(Record):
         )
 
 
+def _from_real(k: IntPoly, q: int):
+    """(F, e): the irreducible factor F of f over the irreducible factor k of
+    the real transform h, with F^e = t^m k(t + q/t), m = deg k.
+
+    A root y of k is alpha + q/alpha = alpha + conj(alpha) for a root alpha
+    of f, so Q(y) is totally real.  Unless alpha is real, [Q(alpha):Q(y)] = 2
+    and t^m k(t + q/t) = prod (t^2 - y t + q) is irreducible (e = 1).  A real
+    alpha is +-sqrt(q): k = y -+ 2s gives (t -+ s)^2 when q = s^2, and
+    k = y^2 - 4q gives (t^2 - q)^2 when q is not a square.
+    """
+    c = k.coeffs
+    if k.degree == 1 and c[0] * c[0] == 4 * q:
+        return IntPoly((c[0] // 2, 1)), 2
+    if c == (-4 * q, 0, 1):
+        return IntPoly((-q, 0, 1)), 2
+    # Horner in y = t + q/t: F <- F (t^2 + q) + k_j t^(m - j)
+    m = k.degree
+    out = [0] * (2 * m + 1)
+    out[0] = c[m]
+    for j in range(m - 1, -1, -1):
+        for i in range(2 * m, 1, -1):
+            out[i] = out[i - 2] + q * out[i]
+        out[1] *= q
+        out[0] *= q
+        out[m - j] += c[j]
+    return IntPoly(tuple(out)), 1
+
+
 def analyze(w: WeilPoly, aux_primes=()) -> SplitReport:
-    """Power structure, factorisation, constraints, duality, certificates."""
-    root, d = max_power_structure(w.f)
-    factors = factor_over_Z(root)
+    """Factorisation, power structure, constraints, duality, certificates.
+
+    w must come from weil_validate: the factors of f are read off those of
+    its real transform h (_from_real), which holds only when every root of f
+    has absolute value sqrt(q).  d is the gcd of the multiplicities, and
+    every factor is self-dual, since q/alpha is the complex conjugate of
+    alpha.
+    """
+    mapped = []
+    for k, n in factor_over_Z(real_weil_transform(w.f, w.q)):
+        poly, e = _from_real(k, w.q)
+        mapped.append((poly, e * n))
+    mapped.sort(key=lambda gm: (gm[0].degree, gm[0].coeffs))
+    d = 0
+    for _, n in mapped:
+        d = gcd(d, n)
+    factors = tuple((poly, n // d) for poly, n in mapped)
+    root = IntPoly((1,))
+    for poly, n in factors:
+        root = root * poly**n
+
     ordinary = ordinary_test(w)
     prime_field = w.a == 1
 
@@ -405,18 +460,6 @@ def analyze(w: WeilPoly, aux_primes=()) -> SplitReport:
                 if total % e == 0 and (poly.degree * (total // e)) % 2 == 0
             )
             constraints.append(FactorConstraint(poly, mult, None, None, None, cands))
-
-    dual_pairs = []
-    self_dual = []
-    polys = [c.poly for c in constraints]
-    for i, gi in enumerate(polys):
-        di = dual_polynomial(gi, w.q)
-        if di == gi:
-            self_dual.append(i)
-            continue
-        for j in range(i + 1, len(polys)):
-            if di == polys[j]:
-                dual_pairs.append((i, j))
 
     records = []
     conclusion = Certificate.UNKNOWN
@@ -469,8 +512,8 @@ def analyze(w: WeilPoly, aux_primes=()) -> SplitReport:
         d=d,
         root=root,
         factors=tuple(constraints),
-        dual_pairs=tuple(dual_pairs),
-        self_dual=tuple(self_dual),
+        dual_pairs=(),
+        self_dual=tuple(range(len(constraints))),
         certificates=tuple(records),
         conclusion=conclusion,
         isogeny_shape=isogeny_shape,

@@ -3,7 +3,8 @@
 Covers exact division, the primitive gcd, d-th roots, the power structure,
 factorisation over Z, and factorisation and the Rabin irreducibility test
 over GF(p) in intpoly, the
-Sturm count of roots in (-2 sqrt q, 2 sqrt q) in weil, Berkowitz's
+Sturm count of roots in (-2 sqrt q, 2 sqrt q) and the factorisation of
+Weil polynomials through their real transform in weil, Berkowitz's
 characteristic polynomial in groups, and the minimal polynomial over GF(p)
 in finfield.
 """
@@ -32,7 +33,7 @@ from frobsplit.groups import (
     enumerate_group,
     mat_charpoly,
 )
-from frobsplit.weil import _roots_in_open_interval
+from frobsplit.weil import _roots_in_open_interval, analyze, weil_validate
 from modpoly_split import ModPoly, frobenius_coeffs
 from zassenhaus_oracles import swinnerton_dyer, weil_from_real
 
@@ -184,6 +185,61 @@ def test_roots_in_open_interval_against_sympy():
             f = f * h
         f = try_divide(f, int_poly_gcd(f, f.derivative()))  # squarefree
         assert _roots_in_open_interval(f, q) == roots_in_open_interval_by_sympy(f, q), (f, q)
+
+
+def real_cyclotomic(n: int, s: int) -> IntPoly:
+    """s^m Psi_n(y/s), Psi_n the minimal polynomial of 2 cos(2 pi/n), of
+    degree m: its roots 2 s cos(2 pi k/n) lie in [-2s, 2s]."""
+    psi = sympy.Poly(sympy.minimal_polynomial(2 * sympy.cos(2 * sympy.pi / n), X), X)
+    c = [int(x) for x in reversed(psi.all_coeffs())]
+    return P(x * s ** (len(c) - 1 - j) for j, x in enumerate(c))
+
+
+def random_real_factor(rng, q: int) -> IntPoly:
+    """A factor of a real transform for q: y - a, a real quadratic, the
+    boundary y -+ 2s or y^2 - 4q, or a real-cyclotomic, scaled by s when
+    q = s^2 (roots outside [-2 sqrt q, 2 sqrt q] are screened later)."""
+    s = isqrt(q)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return P([-rng.randint(-2 * s, 2 * s), 1])
+    if kind == 1:
+        return P([rng.randint(-3 * q, 3 * q), rng.randint(-2 * s, 2 * s), 1])
+    if kind == 2:
+        return P([rng.choice([-2 * s, 2 * s]), 1]) if s * s == q else P([-4 * q, 0, 1])
+    n = rng.choice([3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 20, 24])
+    return real_cyclotomic(n, s if s * s == q and rng.random() < 0.5 else 1)
+
+
+@pytest.mark.slow
+def test_analyze_against_sympy_factor_list():
+    """analyze on seeded Weil polynomials t^g h(t + q/t), h a product of
+    powers of random real factors, q prime or a prime power up to 49 and
+    g <= 8: each factor with its multiplicity times d is sympy's."""
+    rng = random.Random(72)
+    qs = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
+    seen = {"d > 1": 0, "boundary": 0, "degree >= 8": 0}
+    done = 0
+    while done < 300:
+        q = rng.choice(qs)
+        h = P([1])
+        for _ in range(rng.randint(1, 4)):
+            h = h * random_real_factor(rng, q) ** rng.choice([1, 1, 2, 3])
+        if h.degree > 8:
+            continue
+        f = weil_from_real(h, q)
+        try:
+            w = weil_validate(f, q)
+        except ValueError:
+            continue
+        rep = analyze(w)
+        got = tuple((c.poly, c.multiplicity * rep.d) for c in rep.factors)
+        assert got == factor_over_Z_by_sympy(f), (h, q)
+        done += 1
+        seen["d > 1"] += rep.d > 1
+        seen["boundary"] += any(c.poly.degree < 2 or c.poly.coeffs == (-q, 0, 1) for c in rep.factors)
+        seen["degree >= 8"] += max(c.poly.degree for c in rep.factors) >= 8
+    assert min(seen.values()) > 20, seen
 
 
 def factor_mod_by_sympy(f, p):

@@ -99,6 +99,11 @@ def test_real_weil_transform_examples():
     assert real_weil_transform(P([3, -1, 1]), 3) == P([-1, 1])
     assert real_weil_transform(P([9, 0, 6, 0, 1]), 3) == P([0, 0, 1])
     assert real_weil_transform(P([7, 0, 1]), 7) == P([0, 1])
+    rng = random.Random(2207)
+    for _ in range(100):
+        q = rng.choice([2, 3, 4, 5, 9, 27])
+        h = P([rng.randint(-50, 50) for _ in range(rng.randint(1, 10))] + [1])
+        assert real_weil_transform(weil_from_real(h, q), q) == h, (h, q)
 
 
 def test_ordinary_test_examples():
@@ -333,6 +338,86 @@ def test_analyze_recovers_powers_of_ordinary_quadratics():
         w = weil_validate(g**d, q)
         rep = analyze(w)
         assert (rep.root, rep.d) == (g, d)
+
+
+def cyclotomic(n: int) -> IntPoly:
+    """Phi_n, by dividing t^n - 1 by Phi_d for the proper divisors d of n."""
+    f = P([-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            f = intpoly.try_divide(f, cyclotomic(d))
+    return f
+
+
+def scaled_cyclotomic(n: int, s: int) -> IntPoly:
+    """s^phi(n) Phi_n(t/s): its roots s*zeta have absolute value sqrt(s^2),
+    and its real transform is the scaled real-cyclotomic s^(phi/2) Psi_n(y/s)."""
+    c = cyclotomic(n).coeffs
+    return P(x * s ** (len(c) - 1 - j) for j, x in enumerate(c))
+
+
+def analyze_batch(rng):
+    """Validated Weil polynomials shaped like the benchmark batch (products of
+    2-6 distinct Weil quadratics, powers g^d, degree-16 and 32 Swinnerton-Dyer
+    types), the boundary factors t -+ s and t^2 - q, and scaled cyclotomics."""
+    sd = [((2, 3, 5), 17), ((2, 3, 5), 19), ((2, 3, 5, 7), 17)]
+    fs = [(weil_from_real(swinnerton_dyer(primes), q), q) for primes, q in sd]
+    fs += [
+        (P([-3, 1]) ** 2 * P([9, 1, 1]), 9),
+        (P([3, 1]) ** 4, 9),
+        (P([-2, 1]) ** 2 * P([2, 1]) ** 2, 4),
+        (P([-3, 0, 1]) ** 2, 3),
+        (P([-2, 0, 1]) ** 2 * P([2, 0, 1]), 2),
+    ]
+    for n in (3, 4, 5, 7, 8, 9, 12, 15, 16, 20):
+        s = rng.choice([2, 3, 5])
+        f = scaled_cyclotomic(n, s) ** rng.choice([1, 1, 2])
+        fs.append((f * rng.choice([P([1]), P([-s, 1]) ** 2, P([s * s, s, 1])]), s * s))
+    for _ in range(60):
+        q = rng.choice([5, 7, 9, 11, 13, 17, 25, 31])
+        amax = isqrt(4 * q - 1)
+        quads = [P([q, -a, 1]) for a in rng.sample(range(-amax, amax + 1), rng.randint(2, 6))]
+        if rng.random() < 0.2:
+            quads, d = quads[: rng.randint(1, 2)], rng.choice([2, 3])
+        else:
+            d = 1
+        f = P([1])
+        for g in quads:
+            f = f * g
+        fs.append((f**d, q))
+    return [weil_validate(f, q) for f, q in fs]
+
+
+def test_analyze_equals_the_power_structure_then_factor_over_Z():
+    """The factors read off the real transform h are those of the d-th root
+    of f found by max_power_structure, and every one of them is self-dual."""
+    seen_d = set()
+    for w in analyze_batch(random.Random(2208)):
+        root, d = intpoly.max_power_structure(w.f)
+        rep = analyze(w)
+        assert (rep.d, rep.root) == (d, root), (w.f, w.q)
+        assert tuple((c.poly, c.multiplicity) for c in rep.factors) == factor_over_Z(root), (w.f, w.q)
+        assert rep.dual_pairs == () and rep.self_dual == tuple(range(len(rep.factors)))
+        assert all(dual_polynomial(c.poly, w.q) == c.poly for c in rep.factors)
+        seen_d.add(d)
+    assert seen_d == {1, 2, 3, 4}
+
+
+def test_analyze_trial_divides_little_on_the_degree_32_swinnerton_dyer_item(monkeypatch):
+    """Factoring the real transform h, not f, keeps the recombination's
+    trial divisions few: 240 when f itself was factored."""
+    w = weil_validate(weil_from_real(swinnerton_dyer((2, 3, 5, 7)), 17), 17)
+    calls = []
+    original = intpoly.try_divide
+
+    def counted(f, g):
+        calls.append(g)
+        return original(f, g)
+
+    monkeypatch.setattr(intpoly, "try_divide", counted)
+    rep = analyze(w, aux_primes=(2, 3, 5, 7, 11))
+    assert rep.d == 1 and len(rep.factors) == 1 and rep.factors[0].poly == w.f
+    assert 0 < len(calls) <= 24
 
 
 def test_non_special_examples():
