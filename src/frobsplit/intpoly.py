@@ -3,10 +3,9 @@
 Covers the coefficient-level machinery the rest of the package leans on:
 irreducibility over a prime field (Rabin test), complete factorisation over
 a prime field GF(p) (squarefree split, distinct-degree split,
-Cantor-Zassenhaus equal-degree split) and the factor-degree shape from the
-first two splits alone, factorisation over Z by the classical mod-p /
-Hensel / recombination route with a Landau-Mignotte coefficient bound, and
-exact d-th roots of monic integer polynomials.  The Hensel lift is
+Cantor-Zassenhaus equal-degree split), factorisation over Z by the classical
+mod-p / Hensel / recombination route with a Landau-Mignotte coefficient
+bound, and exact d-th roots of monic integer polynomials.  The Hensel lift is
 quadratic (von zur Gathen-Gerhard, Alg. 15.10), and recombination runs the
 constant-term d-test (Abbott-Shoup-Zimmermann 2000) on every subset before
 it multiplies the subset out and trial-divides over Z.
@@ -341,22 +340,6 @@ def factor_mod(f, p: int, seed: int = 0):
     """
     unit, g = _monic_mod(f, p)
     return unit, _int_factor(g, p, seed)
-
-
-def degree_shape_mod(f, p: int):
-    """The factor-degree shape of the int sequence f (ascending) mod the prime
-    p: the sorted [(degree, multiplicity)], one entry per monic irreducible
-    factor, as factor_mod would give it.  It is read off the squarefree and
-    distinct-degree splits alone, with no equal-degree split."""
-    _, g = _monic_mod(f, p)
-    if len(g) < 2:
-        return []
-    return sorted(
-        (d, mult)
-        for part, mult in _int_squarefree_parts(g, p)
-        for h, d in _int_distinct_degree(part, p)
-        for _ in range((len(h) - 1) // d)
-    )
 
 
 def is_irreducible_mod(f, p: int) -> bool:

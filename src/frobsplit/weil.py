@@ -22,9 +22,14 @@ scope, so unresolved factors carry their constraint set explicitly.
 Simplicity certificates are sound but deliberately incomplete: an
 irreducible reduction mod ell, or the two-factor dual-exchange pattern of
 the even-rank unitary case, certifies simplicity; anything else reports
-Unknown.  The factor-degree shape mod ell decides all but the dual-exchange
-pattern, which alone needs the factors.  The dual-exchange certificate presumes a principally polarized
-source, which is the setting the whole analysis lives in.
+Unknown.  Both patterns are read in closed form off the real transform h:
+f mod ell shows one of them only when h mod ell is irreducible (one Rabin
+test of degree g), and which one it shows is the square class of the norm
+h(2 sqrt q) h(-2 sqrt q) (one Legendre symbol), so nothing is factored mod
+ell.  A reducible f over Z has only self-dual factors, so neither pattern
+can occur and analyze runs no mod-ell work for it.  The dual-exchange
+certificate presumes a principally polarized source, which is the setting
+the whole analysis lives in.
 """
 
 from __future__ import annotations
@@ -38,10 +43,9 @@ from .intpoly import (
     IntPoly,
     NotMonic,
     ZeroConstantTerm,
-    degree_shape_mod,
-    factor_mod,
     factor_over_Z,
     int_poly_gcd,
+    is_irreducible_mod,
     pseudo_remainder,
     try_divide,
 )
@@ -275,33 +279,61 @@ class Certificate(enum.Enum):
     UNKNOWN = "unknown"
 
 
+def _check_aux_prime(ell: int, q: int) -> None:
+    if not is_prime(ell):
+        raise BadAuxPrime(f"{ell} is not prime")
+    if q % ell == 0:
+        raise BadAuxPrime(f"{ell} divides q = {q}")
+
+
 def simplicity_certificate(w: WeilPoly, ell: int) -> Certificate:
-    """Certify simplicity of the reduction from the mod-ell factor shape.
+    """Certify simplicity of the reduction from f mod ell, read off h mod ell.
 
     SIMPLE when f mod ell is irreducible, or when it splits into exactly two
     distinct irreducible factors of equal degree exchanged by the mod-ell
-    duality (the even-rank unitary pattern, sound for principally polarized
-    input).  Anything else is UNKNOWN; never a false certificate.  The
-    factor-degree shape decides every case but the second, so f is factored
-    mod ell only when its shape is two simple factors of degree n/2.
+    duality t -> q/t (the even-rank unitary pattern, sound for principally
+    polarized input).  Anything else is UNKNOWN; never a false certificate.
+
+    Both patterns are decided without factoring.  Write f = t^g h(t + q/t)
+    with h monic of degree g.  A root t of f solves t^2 - beta t + q = 0 for
+    a root beta of h.  Let k be an irreducible factor of h mod ell, of degree
+    m, with the root beta in GF(ell^m); then GF(ell)(t) contains beta, and
+    t -> t + q/t maps the Frobenius orbit of t onto that of beta.
+      * If beta^2 - 4q is a nonzero square in GF(ell^m), then t lies in
+        GF(ell^m), so its orbit has m elements, one over each conjugate of
+        beta, and q/t lies outside it: k gives two distinct factors of f
+        of degree m, which t -> q/t exchanges.
+      * If it is a nonsquare, k gives one irreducible factor of degree 2m.
+      * If beta^2 = 4q, f has the repeated root beta/2.
+    So f mod ell has shape (2g) or (g, g) only when h mod ell is
+    irreducible (a reducible or repeated h gives more factors), and then a
+    (g, g) split is the dual pair.  The pair needs even rank, so g even.
+    With h irreducible, beta^2 - 4q is a square in GF(ell^g) iff its norm
+    to GF(ell) is a square, and that norm is
+      prod (beta_i^2 - 4q) = h(2 sqrt q) h(-2 sqrt q) = A^2 - q B^2,
+    an identity in the coefficients of h, with A + B sqrt q = h(2 sqrt q).
+    For ell = 2, q is odd and the equation is t^2 + beta t + 1 = 0: beta = 0
+    (h_0 even) is a repeated root, and otherwise t = beta u with
+    u^2 + u = 1/beta^2, solvable in GF(2^g) iff the trace
+    Tr(1/beta^2) = Tr(1/beta) = h_1/h_0 is 0 (Artin-Schreier).
+    Hence SIMPLE iff h mod ell is irreducible and
+      * ell odd: N = A^2 - q B^2 is nonzero mod ell, and (N/ell) = -1
+        (f irreducible) or g is even (the dual pair);
+      * ell = 2: h_0 is odd, and h_1 is odd (f irreducible) or g is even.
     """
-    if not is_prime(ell):
-        raise BadAuxPrime(f"{ell} is not prime")
-    if w.q % ell == 0:
-        raise BadAuxPrime(f"{ell} divides q = {w.q}")
-    n = w.f.degree
-    shape = degree_shape_mod(w.f.coeffs, ell)
-    if shape == [(n, 1)]:
-        return Certificate.SIMPLE
-    # the dual-pair pattern needs even rank, so n/2 even; an irreducible g1 of
-    # degree >= 2 has g1(0) a unit mod ell, and g1(0) is the denominator of
-    # its rational dual, which therefore reduces mod ell
-    if n % 4 == 0 and shape == [(n // 2, 1)] * 2:
-        (g1, _), (g2, _) = factor_mod(w.f.coeffs, ell)[1]
-        dual = tuple(c.numerator * pow(c.denominator, -1, ell) % ell for c in dual_rational(g1, w.q))
-        if dual == g2:
-            return Certificate.SIMPLE
-    return Certificate.UNKNOWN
+    _check_aux_prime(ell, w.q)
+    h = real_weil_transform(w.f, w.q)
+    if not is_irreducible_mod(h.coeffs, ell):
+        return Certificate.UNKNOWN
+    even_rank = h.degree % 2 == 0
+    if ell == 2:
+        h0, h1 = h.coeffs[:2]
+        simple = h0 % 2 == 1 and (h1 % 2 == 1 or even_rank)
+    else:
+        a, b = _eval_at_2sqrtq(h, w.q, +1)
+        norm = (a * a - w.q * b * b) % ell
+        simple = norm != 0 and (even_rank or pow(norm, (ell - 1) // 2, ell) == ell - 1)
+    return Certificate.SIMPLE if simple else Certificate.UNKNOWN
 
 
 # -- the full splitting report -------------------------------------------------
@@ -429,7 +461,10 @@ def analyze(w: WeilPoly, aux_primes=()) -> SplitReport:
     its real transform h (_from_real), which holds only when every root of f
     has absolute value sqrt(q).  d is the gcd of the multiplicities, and
     every factor is self-dual, since q/alpha is the complex conjugate of
-    alpha.
+    alpha.  A reducible f therefore reduces mod ell to a product of
+    self-dual pieces, which is neither irreducible nor a dual pair, so
+    simplicity_certificate runs only for an irreducible f; for any other f
+    each ell is checked and recorded UNKNOWN.
     """
     mapped = []
     for k, n in factor_over_Z(real_weil_transform(w.f, w.q)):
@@ -461,10 +496,15 @@ def analyze(w: WeilPoly, aux_primes=()) -> SplitReport:
             )
             constraints.append(FactorConstraint(poly, mult, None, None, None, cands))
 
+    irreducible = d == 1 and len(factors) == 1
     records = []
     conclusion = Certificate.UNKNOWN
     for ell in aux_primes:
-        status = simplicity_certificate(w, ell)
+        if irreducible:
+            status = simplicity_certificate(w, ell)
+        else:
+            _check_aux_prime(ell, w.q)
+            status = Certificate.UNKNOWN
         records.append(CertificateRecord(ell, status, f"f mod {ell}"))
         if status is not Certificate.UNKNOWN and conclusion is Certificate.UNKNOWN:
             conclusion = status

@@ -6,10 +6,19 @@ ran before it stopped each commutation test at the first differing entry
 and tested abelianness on generators: two full products per group element
 for g y == y g, and two more for each pair of the centralizer.  It is the
 reference for that oracle.
+
+simplicity_certificate_by_shape is the mod-ell certificate that
+weil.simplicity_certificate gave before it read both certifying patterns
+off the real transform h: it reads the factor-degree shape of f mod ell
+(degree_shape_mod, the squarefree and distinct-degree splits with no
+equal-degree split) and factors f mod ell only when the shape is two simple
+factors of degree n/2.
 """
 
 from frobsplit.finfield import power
 from frobsplit.groups import GroupElement, _packed_group, enumerate_group_packed, pack_matrix, torus_order
+from frobsplit.intpoly import _int_distinct_degree, _int_squarefree_parts, _monic_mod, factor_mod
+from frobsplit.weil import Certificate, WeilPoly, _check_aux_prime, dual_rational
 
 
 def classify_element_pairwise(x: GroupElement, m: int = 1) -> bool:
@@ -36,3 +45,39 @@ def classify_element_pairwise(x: GroupElement, m: int = 1) -> bool:
             if mm(a, b) != mm(b, a):
                 return False
     return True
+
+
+def degree_shape_mod(f, p: int):
+    """The factor-degree shape of the int sequence f (ascending) mod the prime
+    p: the sorted [(degree, multiplicity)], one entry per monic irreducible
+    factor, as factor_mod would give it.  It is read off the squarefree and
+    distinct-degree splits alone, with no equal-degree split."""
+    _, g = _monic_mod(f, p)
+    if len(g) < 2:
+        return []
+    return sorted(
+        (d, mult)
+        for part, mult in _int_squarefree_parts(g, p)
+        for h, d in _int_distinct_degree(part, p)
+        for _ in range((len(h) - 1) // d)
+    )
+
+
+def simplicity_certificate_by_shape(w: WeilPoly, ell: int) -> Certificate:
+    """SIMPLE when f mod ell is irreducible, or splits into two distinct
+    irreducible factors of degree n/2 exchanged by the mod-ell duality, with
+    n/2 even; UNKNOWN otherwise.  The shape decides every case but the
+    second, which alone factors f mod ell."""
+    _check_aux_prime(ell, w.q)
+    n = w.f.degree
+    shape = degree_shape_mod(w.f.coeffs, ell)
+    if shape == [(n, 1)]:
+        return Certificate.SIMPLE
+    # an irreducible g1 of degree >= 2 has g1(0) a unit mod ell, and g1(0) is
+    # the denominator of its rational dual, which therefore reduces mod ell
+    if n % 4 == 0 and shape == [(n // 2, 1)] * 2:
+        (g1, _), (g2, _) = factor_mod(w.f.coeffs, ell)[1]
+        dual = tuple(c.numerator * pow(c.denominator, -1, ell) % ell for c in dual_rational(g1, w.q))
+        if dual == g2:
+            return Certificate.SIMPLE
+    return Certificate.UNKNOWN

@@ -10,7 +10,6 @@ from frobsplit.intpoly import (
     IntPoly,
     NotMonic,
     ZeroPolynomial,
-    degree_shape_mod,
     dth_root,
     factor_mod,
     factor_over_Z,
@@ -19,6 +18,7 @@ from frobsplit.intpoly import (
     poly_from_string,
 )
 from modpoly_split import ModPoly, factor_mod_reference, poly_div, poly_divmod, poly_eval, poly_one
+from oracles import degree_shape_mod
 from zassenhaus_oracles import hensel_pair_linear, swinnerton_dyer, weil_from_real
 
 P = IntPoly.make

@@ -4,7 +4,9 @@ Every import sits at module level, every name a module imports is used, and
 finfield, which holds the int-tuple polynomial kernel, imports nothing from
 the package, so it stays at the bottom of the import graph.  intpoly does its
 arithmetic over Z on integers alone, so it imports nothing from fractions, and
-no module reaches into intpoly's private helpers.  IntPoly is intpoly's one
+no module reaches into intpoly's private helpers.  The weil certificate
+factors nothing mod ell: weil imports neither degree_shape_mod nor
+factor_mod, and no module defines degree_shape_mod.  IntPoly is intpoly's one
 polynomial class: over GF(p) a polynomial is finfield's int tuple, with no
 wrapper class.  finfield.power is the one
 square-and-multiply loop: no other code in the package shifts with >> or
@@ -143,6 +145,23 @@ def test_no_private_name_is_imported_from_intpoly(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_the_weil_certificate_factors_nothing_mod_ell():
+    imported = [
+        alias.name
+        for node in ast.walk(_tree(PACKAGE / "weil.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert "degree_shape_mod" not in imported and "factor_mod" not in imported
+    shape = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef) and node.name == "degree_shape_mod"
+    ]
+    assert shape == []
 
 
 def test_power_is_the_one_exponentiation_loop():

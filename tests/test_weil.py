@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
-from frobsplit import intpoly
+from frobsplit import intpoly, weil
+from frobsplit.cli import _default_aux_primes
 from frobsplit.finfield import IS_PRIME_LIMIT, is_prime, make_field
 from frobsplit.intpoly import IntPoly, NotMonic, factor_mod, factor_over_Z
 from frobsplit.weil import (
@@ -16,6 +18,7 @@ from frobsplit.weil import (
     OddDegree,
     RootBoundViolation,
     SymmetryViolation,
+    WeilPoly,
     ZeroConstantTerm,
     _prime_power,
     analyze,
@@ -27,7 +30,9 @@ from frobsplit.weil import (
     simplicity_certificate,
     weil_validate,
 )
+from curves import frobenius_polynomial, is_good_prime
 from modpoly_split import ModPoly
+from oracles import degree_shape_mod, simplicity_certificate_by_shape
 from zassenhaus_oracles import swinnerton_dyer, weil_from_real
 
 P = IntPoly.make
@@ -285,7 +290,8 @@ def test_simplicity_certificate_equals_the_factor_mod_reference():
 
 def test_swinnerton_dyer_certificate_runs_no_equal_degree_split(monkeypatch):
     """Every factor of this degree-16 polynomial mod a prime has degree at
-    most 4, so the degree shape alone decides each certificate."""
+    most 4, so its real transform h is reducible mod every prime and one
+    Rabin test on h decides each certificate."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("equal-degree split")
@@ -294,6 +300,137 @@ def test_swinnerton_dyer_certificate_runs_no_equal_degree_split(monkeypatch):
     monkeypatch.setattr(intpoly, "_int_equal_degree", refuse)
     for ell in (2, 3, 5, 7, 11, 13, 19, 23):
         assert simplicity_certificate(w, ell) is Certificate.UNKNOWN
+
+
+def _weil_poly(h: IntPoly, q: int) -> WeilPoly:
+    """t^g h(t + q/t) as a WeilPoly, unvalidated: the closed form holds for
+    any monic h, so the sweeps reach shapes that validated inputs rarely show."""
+    return WeilPoly(weil_from_real(h, q), q, *_prime_power(q))
+
+
+def _sweep_closed_form_against_the_shape_oracle(hs, qs, ells):
+    """Assert simplicity_certificate equals the degree-shape oracle on every
+    (h, q, ell) key; return the SIMPLE branches seen, as (ell == 2, shape of
+    f mod ell is irreducible)."""
+    branches = set()
+    for h in hs:
+        for q in qs:
+            w = _weil_poly(h, q)
+            for ell in ells:
+                if q % ell == 0:
+                    continue
+                got = simplicity_certificate(w, ell)
+                assert got is simplicity_certificate_by_shape(w, ell), (h, q, ell)
+                if got is Certificate.SIMPLE:
+                    branches.add((ell == 2, degree_shape_mod(w.f.coeffs, ell) == [(w.f.degree, 1)]))
+    return branches
+
+
+def _small_real_transforms(bound, max_degree):
+    return [
+        P(list(low) + [1])
+        for g in range(1, max_degree + 1)
+        for low in itertools.product(range(-bound, bound + 1), repeat=g)
+    ]
+
+
+def _seeded_real_transforms(rng, count, bound):
+    return [P([rng.randint(-bound, bound) for _ in range(rng.randint(4, 7))] + [1]) for _ in range(count)]
+
+
+SWEEP_QS = (3, 4, 5, 9, 25)
+
+
+def test_closed_form_certificate_equals_the_shape_oracle():
+    """Every monic h of degree <= 3 with coefficients in [-3, 3] and a seeded
+    batch of degree 4-7, at every prime ell <= 13 not dividing q.  The keys
+    include ell = 2 with h_0 even, g = 1, and h = y^2 - 4q, whose f is the
+    square (t^2 - q)^2.  No h of degree <= 3 gives a dual pair mod 2, which
+    needs g even and h_1 even; y^4 + y^3 + 1 is the least one that does."""
+    hs = _small_real_transforms(3, 3) + _seeded_real_transforms(random.Random(2301), 40, 9)
+    hs += [P([-4 * q, 0, 1]) for q in SWEEP_QS] + [P([1, 0, 0, 1, 1])]
+    branches = _sweep_closed_form_against_the_shape_oracle(hs, SWEEP_QS, (2, 3, 5, 7, 11, 13))
+    # both SIMPLE branches, the irreducible f and the dual pair, at ell = 2 and at odd ell
+    assert branches == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.slow
+def test_closed_form_certificate_equals_the_shape_oracle_on_a_wide_sweep():
+    hs = _small_real_transforms(4, 3) + _seeded_real_transforms(random.Random(2302), 300, 30)
+    qs = SWEEP_QS + (2, 7, 8, 11, 16, 27, 49, 121, 1009)
+    ells = tuple(ell for ell in range(2, 38) if is_prime(ell))
+    branches = _sweep_closed_form_against_the_shape_oracle(hs, qs, ells)
+    assert branches == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_closed_form_certificate_edge_cases():
+    # g = 1: f = t^2 - a t + q is irreducible mod ell iff a^2 - 4q is a nonsquare
+    w = _weil_poly(P([-1, 1]), 3)  # f = t^2 - t + 3, discriminant -11
+    assert [simplicity_certificate(w, ell) for ell in (2, 5, 7, 11)] == [
+        Certificate.SIMPLE,  # t^2 + t + 1 is irreducible mod 2
+        Certificate.UNKNOWN,  # -11 = 4 = 2^2 mod 5
+        Certificate.SIMPLE,  # -11 = 3 is a nonsquare mod 7
+        Certificate.UNKNOWN,  # -11 = 0 mod 11: a repeated root
+    ]
+    # ell = 2 with h_0 even: beta = 0 mod 2 and f = (t + 1)^(2g) mod 2
+    assert simplicity_certificate(_weil_poly(P([0, 1]), 3), 2) is Certificate.UNKNOWN
+    assert simplicity_certificate(_weil_poly(P([2, 0, 1]), 5), 2) is Certificate.UNKNOWN
+    # h = y^2 - 4q: the norm A^2 - q B^2 is 0, and f = (t^2 - q)^2
+    for q in (3, 5, 7):
+        w = _weil_poly(P([-4 * q, 0, 1]), q)
+        assert w.f == P([-q, 0, 1]) ** 2
+        for ell in (ell for ell in (2, 3, 5, 7, 11, 13) if q % ell):
+            assert simplicity_certificate(w, ell) is Certificate.UNKNOWN
+
+
+def test_reducible_weil_polynomials_have_no_certificate():
+    """Every factor over Z of a validated f is self-dual, so f mod ell is a
+    product of self-dual pieces: neither irreducible nor a dual pair.  The
+    skip in analyze rests on this."""
+    reducible = 0
+    for w in seeded_weil_batch(random.Random(1616)):
+        factors = factor_over_Z(w.f)
+        if len(factors) == 1 and factors[0][1] == 1:
+            continue
+        reducible += 1
+        for ell in (ell for ell in range(2, 24) if is_prime(ell) and w.q % ell):
+            assert simplicity_certificate_by_shape(w, ell) is Certificate.UNKNOWN, (w.f, w.q, ell)
+    assert reducible > 50
+
+
+def test_analyze_runs_no_certificate_on_a_reducible_f(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simplicity_certificate called")
+
+    monkeypatch.setattr(weil, "simplicity_certificate", refuse)
+    w = weil_validate(P([9, 0, 6, 0, 1]), 3)  # (t^2 + 3)^2
+    rep = analyze(w, aux_primes=(2, 5, 7))
+    assert [(r.ell, r.status, r.detail) for r in rep.certificates if r.ell is not None] == [
+        (ell, Certificate.UNKNOWN, f"f mod {ell}") for ell in (2, 5, 7)
+    ]
+    # the auxiliary primes are still checked, in order
+    for bad in ((5, 4), (5, 3)):
+        with pytest.raises(BadAuxPrime):
+            analyze(w, aux_primes=bad)
+
+
+def test_certificate_runs_no_factorisation_mod_ell(monkeypatch):
+    """The closed form answers with one Rabin test on h and one Legendre
+    symbol: no distinct-degree or equal-degree split, and no factor_mod."""
+    items = [
+        (weil_validate(weil_from_real(swinnerton_dyer((2, 3, 5)), 17), 17), (2, 3, 5, 7, 11)),
+        (weil_validate(weil_from_real(swinnerton_dyer((2, 3, 5, 7)), 17), 17), (2, 3, 5, 7, 11)),
+        (weil_validate(P([9, -6, 1, -2, 1]), 3), (2, 5, 7)),
+    ]
+    expected = [[simplicity_certificate_by_shape(w, ell) for ell in ells] for w, ells in items]
+    assert Certificate.SIMPLE in expected[2]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorisation mod ell")
+
+    for name in ("_int_distinct_degree", "_int_equal_degree", "factor_mod"):
+        monkeypatch.setattr(intpoly, name, refuse)
+    assert [[simplicity_certificate(w, ell) for ell in ells] for w, ells in items] == expected
 
 
 def test_certificate_never_fires_on_power_structures():
@@ -490,3 +627,75 @@ def test_prime_power_is_immediate_on_large_q():
     for q in (IS_PRIME_LIMIT, (2**89 - 1) ** 2):
         with pytest.raises(ValueError, match="IS_PRIME_LIMIT"):
             _prime_power(q)
+
+
+# -- known-answer Jacobians: y^2 = f(x), deg f = 5, by point counts -----------
+
+X5_PLUS_1 = [1, 0, 0, 0, 0, 1]
+X5_PLUS_X_PLUS_1 = [1, 1, 0, 0, 0, 1]
+
+
+def _assert_known_answer_jacobians(bound):
+    """y^2 = x^5 + 1 has CM by Q(zeta_5): at a good prime p its Jacobian is
+    ordinary and simple when p = 1 (mod 5), has f = t^4 + p^2, irreducible,
+    when p = 2 or 3, and has f = (t^2 + p)^2 when p = 4 (mod 5).  At every
+    auxiliary prime the closed form equals the shape oracle, and
+    weil_validate accepts the counts of y^2 = x^5 + x + 1 as well."""
+    seen = set()
+    for p in (p for p in range(3, bound) if is_prime(p)):
+        for curve in (X5_PLUS_1, X5_PLUS_X_PLUS_1):
+            if not is_good_prime(curve, p):
+                continue
+            w = weil_validate(frobenius_polynomial(curve, p), p)
+            aux = _default_aux_primes(p)
+            for ell in aux:
+                assert simplicity_certificate(w, ell) is simplicity_certificate_by_shape(w, ell), (curve, p, ell)
+            if curve is X5_PLUS_1:
+                expected = Certificate.SELF_PRODUCT if p % 5 == 4 else Certificate.SIMPLE
+                assert analyze(w, aux).conclusion is expected, p
+                seen.add(p % 5)
+    assert seen == {1, 2, 3, 4}
+
+
+def _listed_point_counts(curve, p):
+    """(N_1, N_2) of y^2 = curve(x): every affine solution (x, y) over GF(p)
+    and over GF(p^2) listed, plus the one point at infinity."""
+    n = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+
+    def mul(x, y):  # in GF(p)[u]/(u^2 - n), x = (a, b) meaning a + b u
+        return (x[0] * y[0] + n * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p
+
+    def value(x):
+        out = (0, 0)
+        for c in reversed(curve):
+            out = mul(out, x)
+            out = ((out[0] + c) % p, out[1])
+        return out
+
+    counts = []
+    for field in ([(a, 0) for a in range(p)], [(a, b) for a in range(p) for b in range(p)]):
+        squares = [mul(y, y) for y in field]
+        counts.append(1 + sum(squares.count(value(x)) for x in field))
+    return tuple(counts)
+
+
+def test_point_counts_equal_a_listed_count():
+    checked = 0
+    for p in (3, 7, 11, 13):
+        for curve in (X5_PLUS_1, X5_PLUS_X_PLUS_1):
+            if not is_good_prime(curve, p):
+                continue
+            n1, n2 = _listed_point_counts(curve, p)
+            s1, s2 = p + 1 - n1, p * p + 1 - n2
+            assert frobenius_polynomial(curve, p) == P([p * p, -p * s1, (s1 * s1 - s2) // 2, -s1, 1]), (curve, p)
+            checked += 1
+    assert checked == 6
+
+
+def test_known_answer_jacobians():
+    _assert_known_answer_jacobians(100)
+
+
+@pytest.mark.slow
+def test_known_answer_jacobians_to_500():
+    _assert_known_answer_jacobians(500)
