@@ -245,11 +245,11 @@ def test_density_answers_at_paper_ranks(argv):
         (["goursat", "--family", "C", "--r", "1", "--ells", ",", "--seed", "1"], 4, "ValueError"),
         (["cm-fraction", "--degree", "4", "--ells", ","], 4, "ValueError"),
         (["weil", "--q", "998244359987710471", "--poly", "998244359987710471,0,1"], 4, "ValueError"),
+        # GU_2(F_101) acts on GF(101)^4 as well
+        (["goursat", "--family", "A", "--r", "2", "--ells", "101", "--seed", "1"], 3, "BudgetExceeded"),
         # (t^2 + 3)^2 is reducible: analyze checks each ell without a certificate
         (["weil", "--q", "3", "--poly", "9,0,6,0,1", "--ells", "4"], 4, "BadAuxPrime"),
         (["weil", "--q", "3", "--poly", "9,0,6,0,1", "--ells", "3"], 4, "BadAuxPrime"),
-        # GU_2(F_101) acts on GF(101)^4 as well
-        (["goursat", "--family", "A", "--r", "2", "--ells", "101", "--seed", "1"], 3, "BudgetExceeded"),
     ],
 )
 def test_rejections_exit_with_a_json_error(argv, status, error, capsys):
