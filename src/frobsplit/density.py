@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 from math import prod, sqrt
 
-from .finfield import CompositeModulus, Record, is_prime, make_field, power, prime_divisors, subfield_degree
+from .finfield import CompositeModulus, Record, is_prime, make_field, prime_divisors, subfield_degree
 from .groups import (
     MAX_GROUP_SIZE,
     BudgetExceeded,
@@ -30,6 +30,7 @@ from .groups import (
     GroupElement,
     _count_avoiding,
     _field_matrix,
+    _imat_inverse,
     _imat_mul,
     _lattice,
     _natural_matrix,
@@ -343,8 +344,8 @@ def _chain_orbits(factors, tuples, target: int):
     def mul(a, b):  # the levels below a factor's base are the identity on it
         return tuple(x if y == e else y if x == e else m(x, y) for x, y, m, e in zip(a, b, muls, ident))
 
-    def inverse(g):  # g^(|G| - 1) on each factor, G its full similitude group
-        return tuple(x if x == e else power(x, group_order(d) - 1, m, e) for x, d, m, e in zip(g, factors, muls, ident))
+    def inverse(g):
+        return tuple(x if x == e else _imat_inverse(x, p) for x, p, e in zip(g, primes, ident))
 
     def act(k, x, g):
         """x g on the factor of base point k, scaled to lead with 1 if that point is a line."""

@@ -48,11 +48,13 @@ certifies it on small tori.  The one torus cap, MAX_TORUS_SIZE, guards
 building the matrix torus: the search for a generator of GF(ell^(2r))* and
 factoring ell^(2r) - 1 for it.  The root that embeds the quadratic subfield
 is solved over GF(ell) by the quadratic formula, with the square root read
-off the int factors of t^2 - b^2 that factor_mod returns.
+off the int factors of t^2 - b^2 that factor_mod returns, and so is the
+scale that gives a Hermitian basis vector norm 1 (_hermitian_scale).
 
 All linear algebra over field elements (determinant, inverse, independent
 subsets, the change of basis to the standard form, the anti-fixed element of
-the symplectic torus) reads its answer off _echelon, the one row reduction.
+the symplectic torus) reads its answer off _echelon, the row reduction over
+field elements; _imat_inverse is the one over natural int matrices mod ell.
 The packed layer keeps only multiplication, the commutation test,
 conjugate transpose, the similitude test and the inverse it gives, which
 the enumeration and the oracles run, plus two shortcuts for the listing.
@@ -64,7 +66,7 @@ over the n nonzero entries of J, where the similitude test forms the
 product and checks every entry.  The field tables are built on integers, sums digit by
 digit and products through one table of logarithms, and unpacking indexes
 one shared tuple of the field's elements.  A group is listed as the closure
-of its simple root elements (_part_generators) under _mulclose, the one
+of its simple root elements (_part_generators) under _mulclose, the listing's
 closure loop, which multiplies through left.
 
 Classification of a group element x at level m asks whether x^m is regular
@@ -73,10 +75,13 @@ Frobenius-power test for all three tori: Rabin's test read on the matrix of
 x^m over GF(ell), with the entries of GF(ell^2) written as 2x2 blocks, in
 integer arithmetic alone.  It builds no characteristic polynomial and runs
 no polynomial Euclid; the tori differ only in the degree D, the primes and
-the twist factors it tests.  The definitional oracle walks the listed
-full group for the centralizer of x^m, stopping each commutation test at
-the first entry where the two products differ, and tests that it is
-abelian on a generating set; it certifies the fast path wherever
+the twist factors it tests, and each factor is tested invertible by one row
+reduction mod ell.  The definitional oracle scans the listed full group for
+the centralizer of x^m: g y - y g is a set of linear forms in the entries of
+g, built once per y (_commutant_forms), and the scan of g stops at the
+first form that is nonzero.  It tests that the centralizer is abelian on
+greedy generators, each checked against those before it as it joins, with
+the span grown coset by coset; it certifies the fast path wherever
 enumeration fits the budget.  Exact operations never fall back to
 sampling: over-budget requests raise BudgetExceeded, before any table of
 the field is built: the group order and the q^2 entries of each packed
@@ -512,6 +517,22 @@ def _independent_vectors(vectors):
     return [vectors[j] for j in pivots]
 
 
+def _hermitian_scale(field: FiniteField, norm: FFElement) -> FFElement:
+    """The least-index s with N(s) norm = 1, N(s) = s^(ell + 1), for norm in
+    GF(ell)*.  With t^2 + a1 t + a0 = 0, s = a + b t has N(s) = a^2 - a1 a b
+    + a0 b^2, so s is the least root a of a^2 - a1 b a + a0 b^2 - 1/norm at
+    the least b where that has one, the roots read off factor_mod."""
+    p = field.p
+    a0, a1, _ = field.modulus
+    c = pow(norm.lift(), -1, p)
+    for b in range(p):
+        _, factors = factor_mod((a0 * b * b - c, -a1 * b, 1), p)
+        roots = [-g[0] % p for g, _ in factors if len(g) == 2]
+        if roots:
+            return field.element([min(roots), b])
+    raise AssertionError("the norm map is onto GF(ell)*")
+
+
 def _hermitian_change_of_basis(gram, field):
     """P with conj(P)^T * gram * P equal to the identity."""
     n = len(gram)
@@ -542,8 +563,7 @@ def _hermitian_change_of_basis(gram, field):
                     u = cand
                     break
             assert u is not None
-        norm = form(u, u)
-        scale = next(s for s in field.elements() if not s.is_zero() and s.frobenius() * s * norm == field.one())
+        scale = _hermitian_scale(field, form(u, u))
         u = tuple(scale * c for c in u)
         ortho.append(u)
         nxt = []
@@ -763,6 +783,7 @@ class _PackedField:
         logs, exp2 = log[1:], exp + exp
         self.mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         self.inv = [0] + [exp[-la % (q - 1)] for la in logs]
+        self.neg = [row[p - 1] for row in self.mul]  # p - 1 is the index of -1
         self.conj = [0] + [exp[la * p % (q - 1)] for la in logs]
         self.elements = tuple(field.elements())  # immutable, so every unpacked matrix shares them
 
@@ -818,6 +839,26 @@ def _pmat_commute(pf: _PackedField, n: int):
         return True
 
     return commute
+
+
+def _commutant_forms(pg: "_PackedGroup", y) -> list:
+    """The cells of g y - y g as linear forms in the entries of g, for the
+    oracle's scan: cell (i, j) is sum_k g_ik y_kj - sum_k y_ik g_kj, whose
+    two g_ij terms merge into one with coefficient y_jj - y_ii.  A form is
+    its nonzero terms, each (index of the entry of g, product row of its
+    coefficient), and the zero forms are left out: they all vanish at g iff
+    g y = y g."""
+    n, add, mul, neg = pg.n, pg.pf.add, pg.pf.mul, pg.pf.neg
+    forms = []
+    for i in range(n):
+        for j in range(n):
+            coef = {i * n + k: y[k * n + j] for k in range(n)}
+            for k in range(n):
+                coef[k * n + j] = add[coef.get(k * n + j, 0)][neg[y[i * n + k]]]
+            form = tuple((a, mul[c]) for a, c in coef.items() if c)
+            if form:
+                forms.append(form)
+    return forms
 
 
 def _pmat_conj_transpose(pf: _PackedField, n: int, conjugate: bool):
@@ -1056,6 +1097,25 @@ def _imat_sub(a, b, p: int) -> tuple:
     return tuple(tuple((u - v) % p for u, v in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+def _imat_inverse(a, p: int) -> tuple | None:
+    """The inverse of the square int matrix a mod the prime p, by
+    Gauss-Jordan on [a | I], or None when a is singular mod p."""
+    n = len(a)
+    work = [[v % p for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if work[i][col]), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = pow(work[col][col], -1, p)
+        top = work[col] = [v * inv % p for v in work[col]]
+        for i in range(n):
+            c = work[i][col]
+            if c and i != col:
+                work[i] = [(v - c * t) % p for v, t in zip(work[i], top)]
+    return tuple(tuple(row[n:]) for row in work)
+
+
 def _twists(s: int) -> list:
     """The j with 2j = 1 (mod s) for s > 0, none for s = 0 (see
     classify_element): at most one, (s + 1)/2 mod s, for odd s."""
@@ -1072,9 +1132,11 @@ def classify_element(x: GroupElement, m: int = 1) -> bool:
     F_D = y says that y is semisimple with every eigenvalue beta in
     GF(ell^D).  P, the product of F_(D/p) - y over the primes p | D (p | s on
     the dual-pair torus) and of F_(2j) F_1 - lam I for j in _twists(s) (lam
-    the similitude of y), is then a polynomial in a semisimple matrix, so it
-    is invertible iff P^(ell^D - 1) = I.  That says no beta lies in a proper
-    subfield: on the norm-line tori the characteristic polynomial is
+    the similitude of y), is then a polynomial in a semisimple matrix, whose
+    eigenvalues are its values at the beta.  P is invertible iff each factor
+    is, and one row reduction mod ell per factor (_imat_inverse) decides
+    that; neither P nor a power of it is formed.  P invertible says no beta lies in a
+    proper subfield: on the norm-line tori the characteristic polynomial is
     irreducible (Rabin's test), and on the dual-pair torus it is two
     factors of degree s over GF(ell^2).  The unitary Frobenius beta ->
     lam / beta^ell maps them onto themselves, and its square is beta ->
@@ -1101,19 +1163,19 @@ def classify_element(x: GroupElement, m: int = 1) -> bool:
     lam_eye = tuple(tuple(lam * v for v in row) for row in eye)
     factors = [_imat_sub(frob[d // p], y, ell) for p in prime_divisors(s or d)]
     factors += [_imat_sub(mul(frob[2 * j], frob[1]), lam_eye, ell) for j in _twists(s)]
-    prod = eye
-    for f in factors:
-        prod = mul(prod, f)
-    return power(prod, ell**d - 1, mul, eye) == eye
+    return all(_imat_inverse(f, ell) is not None for f in factors)
 
 
 def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:
     """Definitional answer: enumerate the centralizer C of x^m in the full
-    group and test that it is abelian of the anisotropic-torus order.  Each
-    commutation test stops at the first entry where the two products
-    differ.  C is abelian iff a generating set of it commutes pairwise; the
-    generators are taken greedily, each element of C not yet in the span of
-    those before it."""
+    group and test that it is abelian of the anisotropic-torus order.  The
+    scan reads g y - y g as the linear forms of _commutant_forms, built once,
+    and leaves g at the first form that is nonzero.  C is abelian iff a
+    generating set of it commutes pairwise.  The generators are taken
+    greedily, each element c of C not yet in the span H of those before it,
+    and c is tested against each of them as it joins; then c commutes with
+    H, so <H, c> is the union of the cosets c^i H, and the span grows by
+    c-multiples of the cosets until one lands back in H."""
     if m < 1:
         raise ValueError("m must be at least 1")
     desc = x.desc
@@ -1121,21 +1183,32 @@ def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:
     pg = _packed_group(desc)
     y = power(pack_matrix(x.matrix), m, pg.mm, pg.identity)
     target = torus_order(desc)
-    commute = pg.commute
+    add, forms = pg.pf.add, _commutant_forms(pg, y)
     cent = []
     for g in elements:
-        if commute(g, y):
+        for form in forms:
+            acc = 0
+            for k, row in form:
+                acc = add[acc][row[g[k]]]
+            if acc:
+                break
+        else:
             cent.append(g)
             if len(cent) > target:
                 return False
     if len(cent) != target:
         return False
-    gens, span = [], set()
+    gens, span = [], {pg.identity}
     for c in cent:
-        if c not in span:
-            gens.append(c)
-            span = _mulclose(gens, pg.left, target)
-    return all(commute(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :])
+        if c in span:
+            continue
+        if not all(pg.commute(c, a) for a in gens):
+            return False
+        gens.append(c)
+        times, coset = pg.left(c), list(span)
+        while (coset := [times(h) for h in coset])[0] not in span:
+            span.update(coset)
+    return True
 
 
 def normalizer_census_oracle(desc: GroupDescriptor) -> NormalizerCensus:

@@ -2,10 +2,14 @@
 they certify.
 
 classify_element_pairwise is the centralizer walk classify_element_oracle
-ran before it stopped each commutation test at the first differing entry
-and tested abelianness on generators: two full products per group element
-for g y == y g, and two more for each pair of the centralizer.  It is the
-reference for that oracle.
+ran before it scanned the linear forms of g y - y g and tested abelianness
+on generators: two full products per group element for g y == y g, and two
+more for each pair of the centralizer.  It stays the reference for that
+oracle.
+
+hermitian_scales_by_scan is the scan of GF(ell^2) for the least s with
+N(s) norm = 1 that _hermitian_change_of_basis ran before _hermitian_scale
+solved one quadratic over GF(ell) for it.
 
 simplicity_certificate_by_shape is the mod-ell certificate that
 weil.simplicity_certificate gave before it read both certifying patterns
@@ -81,3 +85,18 @@ def simplicity_certificate_by_shape(w: WeilPoly, ell: int) -> Certificate:
         if dual == g2:
             return Certificate.SIMPLE
     return Certificate.UNKNOWN
+
+
+def hermitian_scales_by_scan(field):
+    """{norm: the least-index s with N(s) norm = 1} for every norm in GF(ell)*,
+    keyed by the norm as an int: the scan of GF(ell^2) that _hermitian_change_of_basis ran before
+    _hermitian_scale solved for s, run once for all norms.  It takes the
+    elements in index order and keeps the first s of each norm."""
+    p = field.p
+    scales = {}
+    for s in field.elements():
+        if not s.is_zero():
+            scales.setdefault(pow((s.frobenius() * s).lift(), -1, p), s)
+            if len(scales) == p - 1:
+                return scales
+    raise AssertionError("the norm map is onto GF(ell)*")

@@ -1,10 +1,13 @@
 """The centralizer oracle against its own reference, and the fast path
 against the oracle at rank 2 and 3 over ell = 3.
 
-classify_element_oracle stops each commutation test at the first differing
-entry (_pmat_commute) and tests abelianness on a generating set of the
-centralizer; tests/oracles.py keeps the pairwise walk it replaced, and the
-two must agree wherever they both run.
+classify_element_oracle scans the group with the linear forms of g y - y g
+(_commutant_forms), stopping at the first nonzero form, and tests
+abelianness on greedy generators of the centralizer, each checked as it
+joins the span; tests/oracles.py keeps classify_element_pairwise, the
+pairwise walk, as its reference, and the two must agree wherever they both
+run: on every element of GL_2(F_3), GU_2(F_3) and GL_2(F_5) at m = 1, 2, 3,
+and behind the slow marker on the other three certify-sweep groups whole.
 """
 
 import random
@@ -39,11 +42,27 @@ def _sample(desc, count, seed):
     return [contains(desc, unpack_matrix(desc, packed[i])) for i in picks]
 
 
-@pytest.mark.parametrize("spec", [("C", 1, 3), ("A", 2, 3)])
-def test_oracle_equals_the_pairwise_walk_on_every_element(spec):
+def _assert_oracle_equals_the_pairwise_walk_on_every_element(spec):
+    answers = set()
     for x in enumerate_group(GroupDescriptor(*spec)):
-        for m in (1, 2):
-            assert classify_element_oracle(x, m) == classify_element_pairwise(x, m), (x, m)
+        for m in (1, 2, 3):
+            answer = classify_element_oracle(x, m)
+            assert answer == classify_element_pairwise(x, m), (x, m)
+            answers.add(answer)
+    assert answers == {False, True}
+
+
+@pytest.mark.parametrize("spec", [("C", 1, 3), ("A", 2, 3), ("C", 1, 5)])
+def test_oracle_equals_the_pairwise_walk_on_every_element(spec):
+    _assert_oracle_equals_the_pairwise_walk_on_every_element(spec)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", [("C", 1, 7), ("C", 2, 2), ("A", 3, 2)])
+def test_oracle_equals_the_pairwise_walk_on_every_element_wide(spec):
+    """GSp_2(F_7), GSp_4(F_2) and GU_3(F_2), the rest of the certify-sweep
+    groups, whole."""
+    _assert_oracle_equals_the_pairwise_walk_on_every_element(spec)
 
 
 @pytest.mark.parametrize("spec,seed", [(("C", 2, 2), 1), (("A", 3, 2), 2)])

@@ -18,13 +18,17 @@ from frobsplit.groups import (
     NormalizerCensus,
     _anti_fixed_element,
     _ENUM_CACHE,
+    _commutant_forms,
     _count_avoiding,
     _hermitian_change_of_basis,
+    _hermitian_scale,
+    _imat_inverse,
     _independent_vectors,
     _lattice,
     _meet,
     _mulclose,
     _multiplicative_generator,
+    _natural_matrix,
     _PackedField,
     _packed_group,
     _part_generators,
@@ -55,6 +59,7 @@ from frobsplit.groups import (
     unpack_matrix,
 )
 from modpoly_split import classify_charpoly_reference, classify_dual_pair_reference
+from oracles import hermitian_scales_by_scan
 
 C3 = GroupDescriptor("C", 1, 3)
 C5 = GroupDescriptor("C", 1, 5)
@@ -830,14 +835,15 @@ def test_packed_round_trip():
 
 
 def _packed_field_tables_by_elements(field):
-    """The sum, product, inverse and Frobenius tables of a field by FFElement
-    arithmetic on each pair of indices: the oracle for _PackedField."""
+    """The sum, product, inverse, negation and Frobenius tables of a field by
+    FFElement arithmetic on each pair of indices: the oracle for _PackedField."""
     els = list(field.elements())
     q = field.q
     return (
         [[(els[a] + els[b]).index() for b in range(q)] for a in range(q)],
         [[(els[a] * els[b]).index() for b in range(q)] for a in range(q)],
         [0] + [els[a].inverse().index() for a in range(1, q)],
+        [(-els[a]).index() for a in range(q)],
         [els[a].frobenius().index() for a in range(q)],
     )
 
@@ -846,7 +852,75 @@ def _packed_field_tables_by_elements(field):
 def test_packed_field_tables_equal_the_element_arithmetic(p, k):
     field = make_field(p, k)
     pf = _PackedField(field)
-    assert (pf.add, pf.mul, pf.inv, pf.conj) == _packed_field_tables_by_elements(field)
+    assert (pf.add, pf.mul, pf.inv, pf.neg, pf.conj) == _packed_field_tables_by_elements(field)
+
+
+def _form_value(pf, form, g):
+    acc = 0
+    for k, row in form:
+        acc = pf.add[acc][row[g[k]]]
+    return acc
+
+
+@pytest.mark.parametrize("spec,count", [(("A", 2, 3), None), (("C", 2, 2), 40)], ids=repr)
+def test_commutant_forms_vanish_iff_the_products_commute(spec, count):
+    """Every pair (g, y) of GU_2(F_3), and the seeded y of GSp_4(F_2)
+    against every g: the forms of y all vanish at g iff g y = y g."""
+    desc = GroupDescriptor(*spec)
+    pg = _packed_group(desc)
+    elements = enumerate_group_packed(desc)
+    ys = elements if count is None else random.Random(11).sample(elements, count)
+    outcomes = set()
+    for y in ys:
+        forms = _commutant_forms(pg, y)
+        assert all(forms)
+        for g in elements:
+            commute = pg.mm(g, y) == pg.mm(y, g)
+            assert all(_form_value(pg.pf, form, g) == 0 for form in forms) == commute, (g, y)
+            outcomes.add(commute)
+    assert outcomes == {False, True}
+
+
+def _random_words(desc, count, rng):
+    """count seeded words of 8 generators of the full group."""
+    gens = [contains(desc, g) for g in _part_generators(desc, "full")]
+    words = []
+    for _ in range(count):
+        x = identity_element(desc)
+        for _ in range(8):
+            x = x * rng.choice(gens)
+        words.append(x)
+    return words
+
+
+@pytest.mark.parametrize("p,rank", [(2, 2), (3, 3), (101, 4), (10007, 3)])
+def test_imat_inverse_equals_mat_inverse(p, rank):
+    """Natural matrices of seeded GU_rank elements (2 rank <= 8), uniform
+    matrices of size 1..8, and singular ones: a row that is a combination
+    of the others, shuffled into place."""
+    rng = random.Random(p)
+    field = make_field(p, 1)
+    invertible = [_natural_matrix(x) for x in _random_words(GroupDescriptor("A", rank, p), 6, rng)]
+    uniform = [tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)) for n in range(1, 9) for _ in range(5)]
+    singular = [((0,),)]
+    for n in range(2, 9):
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
+        coefs = [rng.randrange(p) for _ in rows]
+        rows.append([sum(c * row[j] for c, row in zip(coefs, rows)) % p for j in range(n)])
+        rng.shuffle(rows)
+        singular.append(tuple(map(tuple, rows)))
+    counts = {True: 0, False: 0}
+    for a in invertible + uniform + singular:
+        fa = tuple(tuple(field.scalar(v) for v in row) for row in a)
+        inv = _imat_inverse(a, p)
+        if mat_det(fa).is_zero():
+            assert inv is None, a
+        else:
+            assert inv == tuple(tuple(c.lift() for c in row) for row in mat_inverse(fa)), a
+        counts[inv is not None] += 1
+    assert all(_imat_inverse(a, p) is not None for a in invertible)
+    assert all(_imat_inverse(a, p) is None for a in singular)
+    assert min(counts.values()) >= 8
 
 
 @pytest.mark.parametrize(
@@ -1030,6 +1104,15 @@ def test_subfield_quadratic_image_equals_the_scan():
     for ell, k in cases:
         big, small = make_field(ell, k), make_field(ell, 2)
         assert _subfield_quadratic_image(big, small) == _subfield_quadratic_scan(big, small), (ell, k)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 101, 1009])
+def test_hermitian_scale_equals_the_scan(ell):
+    field = make_field(ell, 2)
+    scales = hermitian_scales_by_scan(field)
+    assert sorted(scales) == list(range(1, ell))
+    for c in range(1, ell):
+        assert _hermitian_scale(field, field.scalar(c)) == scales[c], (ell, c)
 
 
 @pytest.mark.parametrize("p,k", [(7, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (2, 6)])
