@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 from math import prod, sqrt
 
-from .finfield import CompositeModulus, Record, is_prime, make_field, prime_divisors, subfield_degree
+from .finfield import CompositeModulus, Record, is_prime, prime_divisors
 from .groups import (
     MAX_GROUP_SIZE,
     BudgetExceeded,
@@ -160,17 +160,6 @@ def cm_subfield_fraction(two_g: int, ell: int) -> Fraction:
     n = ell**two_g - 1
     subfields = [_lattice(ell ** (two_g // p) - 1, 0, n) for p in prime_divisors(two_g)]
     return Fraction(n - _count_avoiding(1, n, (1, 0, 1), subfields), n)
-
-
-def cm_subfield_fraction_exhaustive(two_g: int, ell: int) -> Fraction:
-    """The same fraction by per-element subfield-degree counting."""
-    if ell**two_g > 10**6:
-        raise BudgetExceeded("field too large for exhaustive subfield counting")
-    field = make_field(ell, two_g)
-    hits = sum(
-        1 for x in field.elements() if not x.is_zero() and subfield_degree(x) < two_g
-    )
-    return Fraction(hits, field.q - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ acts simply on the G-conjugates of t inside T; by Lang's theorem these are
 the elements of T with the characteristic polynomial of t, which are its
 Galois conjugates (2r over GF(ell), r over GF(ell^2), or s conjugates times
 the block swap for the dual-pair torus of rank 2s).  Enumeration of N(T)
-is kept only as normalizer_census_oracle, the test oracle that certifies
-the closed form on small groups.
+is kept only as a test oracle (normalizer_census_oracle, in the tests) that
+certifies the closed form on small groups.
 
 The regular torus count |T*_m| is a closed form too.  Index the norm-line
 torus by i mod N = |T|, x = zeta^((ell^r - 1)/(ell - 1) i), and the dual-pair
@@ -43,13 +43,14 @@ block eigenvalues lies in a subfield lattice.  Each subgroup is kept as
 its lattice in Z^2 in Hermite normal form (a, b, d): w = 0 (mod a)
 and i = (w/a) b (mod d), of size (k/a)(n/d).  Lattices meet in lattices, so
 regular_torus_count is one inclusion-exclusion, with no cap and no loop over
-w; regular_torus_count_oracle, which classifies every matrix of the torus,
-certifies it on small tori.  The one torus cap, MAX_TORUS_SIZE, guards
-building the matrix torus: the search for a generator of GF(ell^(2r))* and
-factoring ell^(2r) - 1 for it.  The root that embeds the quadratic subfield
-is solved over GF(ell) by the quadratic formula, with the square root read
-off the int factors of t^2 - b^2 that factor_mod returns, and so is the
-scale that gives a Hermitian basis vector norm 1 (_hermitian_scale).
+w; a test oracle that classifies every matrix of the torus
+(regular_torus_count_oracle, in the tests) certifies it on small tori.
+The one torus cap, MAX_TORUS_SIZE, guards building the matrix torus: the
+search for a generator of GF(ell^(2r))* and factoring ell^(2r) - 1 for it.
+The root that embeds the quadratic subfield is solved over GF(ell) by the
+quadratic formula, with the square root read off the int factors of
+t^2 - b^2 that factor_mod returns, and so is the scale that gives a
+Hermitian basis vector norm 1 (_hermitian_scale).
 
 All linear algebra over field elements (determinant, inverse, independent
 subsets, the change of basis to the standard form, the anti-fixed element of
@@ -76,19 +77,25 @@ x^m over GF(ell), with the entries of GF(ell^2) written as 2x2 blocks, in
 integer arithmetic alone.  It builds no characteristic polynomial and runs
 no polynomial Euclid; the tori differ only in the degree D, the primes and
 the twist factors it tests, and each factor is tested invertible by one row
-reduction mod ell.  The definitional oracle scans the listed full group for
-the centralizer of x^m: g y - y g is a set of linear forms in the entries of
-g, built once per y (_commutant_forms), and the scan of g stops at the
-first form that is nonzero.  It tests that the centralizer is abelian on
-greedy generators, each checked against those before it as it joins, with
-the span grown coset by coset; it certifies the fast path wherever
-enumeration fits the budget.  Exact operations never fall back to
-sampling: over-budget requests raise BudgetExceeded, before any table of
-the field is built: the group order and the q^2 entries of each packed
-field table against MAX_GROUP_SIZE.  mat_charpoly, Berkowitz's
-division-free recursion on field elements, is kept for the charpoly
-references of the tests; no production path builds a characteristic
-polynomial.
+reduction mod ell.  The definitional oracle finds the centralizer of y = x^m
+in the listed full group by one of two enumerations.  When y is cyclic (I,
+y, ..., y^(n-1) independent, one elimination on the packed tables), the
+matrices commuting with y are the polynomials in y (Horn-Johnson, Matrix
+Analysis, Thm 3.2.4.2), so the centralizer is the span GF(q)[y] met with the
+group: q^n candidates, each looked up in the group's set, and abelian
+because GF(q)[y] is commutative.  Otherwise (the scalars, and y with a
+repeated eigenvalue block) it scans the listing: the cells of g y - y g are
+linear forms in the entries of g, built once per y (_commutant_forms), and
+the scan of g stops at the first form that is nonzero; it then tests that
+the centralizer is abelian on greedy generators, each checked against those
+before it as it joins, with the span grown coset by coset.  The oracle
+certifies the fast path wherever enumeration fits the budget.  Exact
+operations never fall back to sampling: over-budget requests raise
+BudgetExceeded, before any table of the field is built: the group order and
+the q^2 entries of each packed field table against MAX_GROUP_SIZE.
+mat_charpoly, Berkowitz's division-free recursion on field elements, is kept
+for the charpoly references of the tests; no production path builds a
+characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -732,23 +739,6 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
     return AnisotropicTorus(desc, tuple(elts), order, big)
 
 
-def torus_element_matrices(desc: GroupDescriptor):
-    """All torus elements g1^i g2^w as GroupElements, in the order of the
-    exponents (i, w); the construction is budget-capped."""
-    torus = build_anisotropic_torus(desc)
-    q = desc.ell
-    orders = (torus.order,) if len(torus.generators) == 1 else (torus.order // (q - 1), q - 1)
-    out = [identity_element(desc)]
-    for g, k in zip(torus.generators, orders):
-        powers = []
-        for x in out:
-            for _ in range(k):
-                powers.append(x)
-                x = x * g
-        out = powers
-    return out
-
-
 # ---------------------------------------------------------------------------
 # packed fast layer
 
@@ -961,6 +951,13 @@ def _packed_group(desc: GroupDescriptor) -> _PackedGroup:
     return _PackedGroup(desc)
 
 
+@lru_cache(maxsize=None)
+def _group_set(desc: GroupDescriptor) -> frozenset:
+    """The packed full group as a set, for the oracle's membership test;
+    built on the oracle's first call, not with the listing."""
+    return frozenset(enumerate_group_packed(desc, "full"))
+
+
 _ENUM_CACHE: dict = {}
 
 
@@ -1166,16 +1163,62 @@ def classify_element(x: GroupElement, m: int = 1) -> bool:
     return all(_imat_inverse(f, ell) is not None for f in factors)
 
 
+def _cyclic_powers(pg: _PackedGroup, y) -> list | None:
+    """[I, y, ..., y^(n-1)] when they are linearly independent over the
+    matrix field, that is when y is cyclic (nonderogatory); else None.  One
+    forward elimination on the packed tables: each power is reduced by the
+    rows kept so far, each scaled to 1 at its pivot, and a power that
+    reduces to zero makes them dependent."""
+    add, mul, inv, neg, getitem = pg.pf.add, pg.pf.mul, pg.pf.inv, pg.pf.neg, operator.getitem
+    powers, rows = [pg.identity], []
+    for k in range(pg.n):
+        if k:
+            powers.append(pg.mm(powers[-1], y))
+        v = powers[-1]
+        for col, row in rows:
+            if v[col]:  # v - v[col] row
+                v = tuple(map(getitem, map(add.__getitem__, v), map(mul[neg[v[col]]].__getitem__, row)))
+        col = next((i for i, a in enumerate(v) if a), None)
+        if col is None:
+            return None
+        rows.append((col, tuple(map(mul[inv[v[col]]].__getitem__, v))))
+    return powers
+
+
+def _span(pf: _PackedField, vectors) -> list:
+    """Every linear combination of the vectors over the field, q^len of
+    them, each once when the vectors are independent.  The span grows one
+    vector b at a time: each v already in it adds v + c b for every c != 0,
+    read off the sum-table rows of v."""
+    add, getitem = pf.add, operator.getitem
+    span = [(0,) * len(vectors[0])]
+    for b in vectors:
+        multiples = [tuple(map(row.__getitem__, b)) for row in pf.mul[1:]]
+        sums = [list(map(add.__getitem__, v)) for v in span]
+        span += [tuple(map(getitem, rows, cb)) for rows in sums for cb in multiples]
+    return span
+
+
 def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:
-    """Definitional answer: enumerate the centralizer C of x^m in the full
-    group and test that it is abelian of the anisotropic-torus order.  The
-    scan reads g y - y g as the linear forms of _commutant_forms, built once,
-    and leaves g at the first form that is nonzero.  C is abelian iff a
-    generating set of it commutes pairwise.  The generators are taken
-    greedily, each element c of C not yet in the span H of those before it,
-    and c is tested against each of them as it joins; then c commutes with
-    H, so <H, c> is the union of the cosets c^i H, and the span grows by
-    c-multiples of the cosets until one lands back in H."""
+    """Definitional answer: the centralizer C of y = x^m in the full group
+    is abelian of the anisotropic-torus order.  It is found by one of two
+    enumerations.
+
+    When y is cyclic (I, y, ..., y^(n-1) independent, _cyclic_powers), the
+    matrices commuting with y are exactly the polynomials in y, the span
+    GF(q)[y] of those powers (Horn-Johnson, Matrix Analysis, Thm 3.2.4.2).
+    C is then GF(q)[y] meet G, counted over the q^n elements of the span by
+    membership in the listed group, and it is abelian because GF(q)[y] is
+    commutative: the answer is |C| = |T|.
+
+    Otherwise the listed group is scanned.  The scan reads g y - y g as the
+    linear forms of _commutant_forms, built once, and leaves g at the first
+    form that is nonzero.  C is abelian iff a generating set of it commutes
+    pairwise.  The generators are taken greedily, each element c of C not
+    yet in the span H of those before it, and c is tested against each of
+    them as it joins; then c commutes with H, so <H, c> is the union of the
+    cosets c^i H, and the span grows by c-multiples of the cosets until one
+    lands back in H."""
     if m < 1:
         raise ValueError("m must be at least 1")
     desc = x.desc
@@ -1183,6 +1226,10 @@ def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:
     pg = _packed_group(desc)
     y = power(pack_matrix(x.matrix), m, pg.mm, pg.identity)
     target = torus_order(desc)
+    powers = _cyclic_powers(pg, y)
+    if powers is not None:
+        members = _group_set(desc)
+        return sum(v in members for v in _span(pg.pf, powers)) == target
     add, forms = pg.pf.add, _commutant_forms(pg, y)
     cent = []
     for g in elements:
@@ -1209,49 +1256,6 @@ def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:
         while (coset := [times(h) for h in coset])[0] not in span:
             span.update(coset)
     return True
-
-
-def normalizer_census_oracle(desc: GroupDescriptor) -> NormalizerCensus:
-    """Definitional answer: count the elements of the enumerated full group
-    that conjugate every torus generator back into the torus.  A test
-    oracle for normalizer_census, budget-capped like the enumeration."""
-    elements = enumerate_group_packed(desc, "full")
-    pg = _packed_group(desc)
-    torus = build_anisotropic_torus(desc)
-    tset = frozenset(pack_matrix(t.matrix) for t in torus_element_matrices(desc))
-    gens = [pack_matrix(g.matrix) for g in torus.generators]
-    mm = pg.mm
-    count = 0
-    for g in elements:
-        gi = pg.inverse(g)
-        if all(mm(mm(g, t), gi) in tset for t in gens):
-            count += 1
-    return NormalizerCensus(count, count // torus.order)
-
-
-def regular_torus_count_oracle(desc: GroupDescriptor, m: int = 1, part: str = "full") -> int:
-    """Definitional answer: classify every element of the matrix torus, with
-    part membership read off the similitude (and, for SU, the determinant).
-    A test oracle for regular_torus_count, budget-capped like the torus."""
-    if part not in ("full", "derived", "unitary") or part == "unitary" and desc.family == "C":
-        raise ValueError(f"unknown part {part!r}")
-    one = desc.matrix_field.one()
-    count = 0
-    for t in torus_element_matrices(desc):
-        if part != "full" and t.similitude != 1:
-            continue
-        if part == "derived" and desc.family == "A" and mat_det(t.matrix) != one:
-            continue
-        count += classify_element(t, m)
-    return count
-
-
-def exhaustive_classification(desc: GroupDescriptor, m: int = 1, part: str = "full"):
-    """(count in the regular-anisotropic class, subgroup order) by direct
-    classification of every element; the independent check on the census
-    count identity."""
-    elements = enumerate_group(desc, part)
-    return sum(classify_element(x, m) for x in elements), len(elements)
 
 
 # ---------------------------------------------------------------------------
@@ -1283,7 +1287,7 @@ def normalizer_census(desc: GroupDescriptor) -> NormalizerCensus:
 
     N(T) here is the normalizer of the algebraic torus, which is what the
     count identity |J| = (|G|/|N|) |T*| needs.  It agrees with the normalizer
-    of the finite group T(F_ell) (normalizer_census_oracle) whenever T(F_ell)
+    of the finite group T(F_ell) (the tests' oracle) whenever T(F_ell)
     holds a regular element.  The one torus here without one is GU_2 over
     GF(4), where T(F_2) is the centre of order 3: there the oracle finds all
     of G, and the count identity holds either way since T* is empty.

@@ -17,10 +17,35 @@ off the real transform h: it reads the factor-degree shape of f mod ell
 (degree_shape_mod, the squarefree and distinct-degree splits with no
 equal-degree split) and factors f mod ell only when the shape is two simple
 factors of degree n/2.
+
+The rest are the definitional counts that the closed forms of groups and
+density replaced, each kept here as the oracle of its closed form:
+torus_element_matrices lists the matrix torus, regular_torus_count_oracle
+classifies each of its elements (regular_torus_count),
+normalizer_census_oracle counts the listed group elements that normalize
+the torus (normalizer_census), exhaustive_classification classifies every
+element of the listed group (the census count identity), and
+cm_subfield_fraction_exhaustive finds the subfield degree of every unit of
+GF(ell^2g) (cm_subfield_fraction).
 """
 
-from frobsplit.finfield import power
-from frobsplit.groups import GroupElement, _packed_group, enumerate_group_packed, pack_matrix, torus_order
+from fractions import Fraction
+
+from frobsplit.finfield import make_field, power, subfield_degree
+from frobsplit.groups import (
+    BudgetExceeded,
+    GroupElement,
+    NormalizerCensus,
+    _packed_group,
+    build_anisotropic_torus,
+    classify_element,
+    enumerate_group,
+    enumerate_group_packed,
+    identity_element,
+    mat_det,
+    pack_matrix,
+    torus_order,
+)
 from frobsplit.intpoly import _int_distinct_degree, _int_squarefree_parts, _monic_mod, factor_mod
 from frobsplit.weil import Certificate, WeilPoly, _check_aux_prime, dual_rational
 
@@ -100,3 +125,72 @@ def hermitian_scales_by_scan(field):
             if len(scales) == p - 1:
                 return scales
     raise AssertionError("the norm map is onto GF(ell)*")
+
+
+def torus_element_matrices(desc):
+    """All torus elements g1^i g2^w as GroupElements, in the order of the
+    exponents (i, w); the construction is budget-capped."""
+    torus = build_anisotropic_torus(desc)
+    q = desc.ell
+    orders = (torus.order,) if len(torus.generators) == 1 else (torus.order // (q - 1), q - 1)
+    out = [identity_element(desc)]
+    for g, k in zip(torus.generators, orders):
+        powers = []
+        for x in out:
+            for _ in range(k):
+                powers.append(x)
+                x = x * g
+        out = powers
+    return out
+
+
+def normalizer_census_oracle(desc) -> NormalizerCensus:
+    """Definitional answer: count the elements of the enumerated full group
+    that conjugate every torus generator back into the torus.  A test
+    oracle for normalizer_census, budget-capped like the enumeration."""
+    elements = enumerate_group_packed(desc, "full")
+    pg = _packed_group(desc)
+    torus = build_anisotropic_torus(desc)
+    tset = frozenset(pack_matrix(t.matrix) for t in torus_element_matrices(desc))
+    gens = [pack_matrix(g.matrix) for g in torus.generators]
+    mm = pg.mm
+    count = 0
+    for g in elements:
+        gi = pg.inverse(g)
+        if all(mm(mm(g, t), gi) in tset for t in gens):
+            count += 1
+    return NormalizerCensus(count, count // torus.order)
+
+
+def regular_torus_count_oracle(desc, m: int = 1, part: str = "full") -> int:
+    """Definitional answer: classify every element of the matrix torus, with
+    part membership read off the similitude (and, for SU, the determinant).
+    A test oracle for regular_torus_count, budget-capped like the torus."""
+    if part not in ("full", "derived", "unitary") or part == "unitary" and desc.family == "C":
+        raise ValueError(f"unknown part {part!r}")
+    one = desc.matrix_field.one()
+    count = 0
+    for t in torus_element_matrices(desc):
+        if part != "full" and t.similitude != 1:
+            continue
+        if part == "derived" and desc.family == "A" and mat_det(t.matrix) != one:
+            continue
+        count += classify_element(t, m)
+    return count
+
+
+def exhaustive_classification(desc, m: int = 1, part: str = "full"):
+    """(count in the regular-anisotropic class, subgroup order) by direct
+    classification of every element; the independent check on the census
+    count identity."""
+    elements = enumerate_group(desc, part)
+    return sum(classify_element(x, m) for x in elements), len(elements)
+
+
+def cm_subfield_fraction_exhaustive(two_g: int, ell: int) -> Fraction:
+    """cm_subfield_fraction by per-element subfield-degree counting."""
+    if ell**two_g > 10**6:
+        raise BudgetExceeded("field too large for exhaustive subfield counting")
+    field = make_field(ell, two_g)
+    hits = sum(1 for x in field.elements() if not x.is_zero() and subfield_degree(x) < two_g)
+    return Fraction(hits, field.q - 1)

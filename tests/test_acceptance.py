@@ -13,7 +13,6 @@ from frobsplit.density import (
     GaloisModel,
     chebotarev_simulate,
     cm_subfield_fraction,
-    cm_subfield_fraction_exhaustive,
     density_product,
     goursat_verify,
     random_generator_tuples,
@@ -39,6 +38,7 @@ from frobsplit.weil import (
     simplicity_certificate,
     weil_validate,
 )
+from oracles import cm_subfield_fraction_exhaustive
 
 P = IntPoly.make
 

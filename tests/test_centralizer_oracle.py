@@ -1,13 +1,22 @@
-"""The centralizer oracle against its own reference, and the fast path
-against the oracle at rank 2 and 3 over ell = 3.
+"""The centralizer oracle against its own reference, its span path against
+the scan, and the fast path against the oracle at rank 2 and 3 over ell = 3.
 
-classify_element_oracle scans the group with the linear forms of g y - y g
+classify_element_oracle finds the centralizer of y = x^m by one of two
+enumerations.  When I, y, ..., y^(n-1) are independent (y cyclic), the
+matrices commuting with y are the polynomials in y, so it counts the span
+of those powers met with the listed group; the span path must return the
+very set the scan finds, on every element of GL_2(F_5) and GU_2(F_3) and
+on seeded elements of GSp_4(F_2) and GU_3(F_2), where both paths occur.
+Otherwise it scans the group with the linear forms of g y - y g
 (_commutant_forms), stopping at the first nonzero form, and tests
 abelianness on greedy generators of the centralizer, each checked as it
-joins the span; tests/oracles.py keeps classify_element_pairwise, the
-pairwise walk, as its reference, and the two must agree wherever they both
-run: on every element of GL_2(F_3), GU_2(F_3) and GL_2(F_5) at m = 1, 2, 3,
-and behind the slow marker on the other three certify-sweep groups whole.
+joins the span.  tests/oracles.py keeps classify_element_pairwise, the
+pairwise walk, as the reference of the whole oracle, and the two must agree
+wherever they both run: on every element of GL_2(F_3), GU_2(F_3) and
+GL_2(F_5) at m = 1, 2, 3, and behind the slow marker on the other three
+certify-sweep groups whole.  Behind the slow marker too, the fast path
+equals the oracle on every element of GU_3(F_3) and GSp_4(F_3) at m = 1
+and 2.
 """
 
 import random
@@ -19,10 +28,14 @@ from frobsplit import groups
 from frobsplit.finfield import power
 from frobsplit.groups import (
     GroupDescriptor,
+    _commutant_forms,
+    _cyclic_powers,
+    _group_set,
     _packed_field,
     _packed_group,
     _pmat_commute,
     _pmat_mul,
+    _span,
     build_anisotropic_torus,
     classify_element,
     classify_element_oracle,
@@ -75,6 +88,45 @@ def test_oracle_equals_the_pairwise_walk_on_a_sample(spec, seed):
             assert answer == classify_element_pairwise(x, m), (x, m)
             answers.add(answer)
     assert answers == {False, True}
+
+
+def _commutes_by_forms(forms, add, g) -> bool:
+    """Every linear form of _commutant_forms vanishes at g: g y = y g."""
+    for form in forms:
+        acc = 0
+        for k, row in form:
+            acc = add[acc][row[g[k]]]
+        if acc:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("spec,count", [(("C", 1, 5), None), (("A", 2, 3), None), (("C", 2, 2), 40), (("A", 3, 2), 40)])
+def test_span_path_returns_the_centralizer_the_scan_finds(spec, count):
+    """For each cyclic y = x^m, m = 1, 2, the q^n combinations of I, y,
+    ..., y^(n-1) are distinct, and those in the group are exactly the
+    listed g with g y = y g.  The samples of GSp_4(F_2) and GU_3(F_2) reach
+    both paths."""
+    desc = GroupDescriptor(*spec)
+    pg = _packed_group(desc)
+    n, q, add = pg.n, pg.pf.q, pg.pf.add
+    packed = enumerate_group_packed(desc)
+    elements = enumerate_group(desc) if count is None else _sample(desc, count, seed=6)
+    paths = set()
+    for x in elements:
+        for m in (1, 2):
+            y = power(pack_matrix(x.matrix), m, pg.mm, pg.identity)
+            powers = _cyclic_powers(pg, y)
+            paths.add(powers is not None)
+            if powers is None:
+                continue
+            span = set(_span(pg.pf, powers))
+            assert len(span) == q**n, (x, m)
+            forms = _commutant_forms(pg, y)
+            assert span & _group_set(desc) == {g for g in packed if _commutes_by_forms(forms, add, g)}, (x, m)
+    assert True in paths
+    if count is not None:
+        assert paths == {False, True}
 
 
 @pytest.mark.parametrize("spec,count", [(("A", 2, 3), None), (("C", 2, 2), 40)])
@@ -182,3 +234,25 @@ def test_fast_path_equals_the_oracle_on_gsp4_f3():
     """Rank 2 over ell = 3: 49 seeded elements of GSp_4(F_3) (order
     103,680) and the torus generator, at m = 1 and 2."""
     _assert_fast_path_equals_the_oracle(GroupDescriptor("C", 2, 3), 50, seed=4)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "spec,m,scanned",
+    [(("A", 3, 3), 1, 1968), (("A", 3, 3), 2, 21120), (("C", 2, 3), 1, 6984), (("C", 2, 3), 2, 62784)],
+    ids=["GU3(F3)-m1", "GU3(F3)-m2", "GSp4(F3)-m1", "GSp4(F3)-m2"],
+)
+def test_fast_path_equals_the_oracle_on_every_element_at_rank_2_and_3(spec, m, scanned):
+    """GU_3(F_3) (order 48,384) and GSp_4(F_3) (order 103,680) whole, at
+    m = 1 and 2.  scanned counts the elements whose y = x^m is not cyclic
+    and so goes through the scan; the rest take the span path."""
+    desc = GroupDescriptor(*spec)
+    pg = _packed_group(desc)
+    answers, count = set(), 0
+    for x in enumerate_group(desc):
+        answer = classify_element(x, m)
+        assert answer == classify_element_oracle(x, m), (x, m)
+        answers.add(answer)
+        count += _cyclic_powers(pg, power(pack_matrix(x.matrix), m, pg.mm, pg.identity)) is None
+    assert answers == {False, True}
+    assert count == scanned

@@ -12,7 +12,6 @@ from frobsplit.density import (
     _stream_seed,
     chebotarev_simulate,
     cm_subfield_fraction,
-    cm_subfield_fraction_exhaustive,
     density_product,
     goursat_verify,
     irregular_fraction,
@@ -31,11 +30,11 @@ from frobsplit.groups import (
     classify_element,
     contains,
     enumerate_group,
-    exhaustive_classification,
     group_order,
     identity_element,
     pack_matrix,
 )
+from oracles import cm_subfield_fraction_exhaustive, exhaustive_classification
 
 C_AT = lambda ell: GroupDescriptor("C", 1, ell)  # noqa: E731
 A_AT = lambda r, ell: GroupDescriptor("A", r, ell)  # noqa: E731

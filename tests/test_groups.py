@@ -41,7 +41,6 @@ from frobsplit.groups import (
     contains,
     enumerate_group,
     enumerate_group_packed,
-    exhaustive_classification,
     group_order,
     identity_element,
     mat_det,
@@ -49,17 +48,20 @@ from frobsplit.groups import (
     mat_inverse,
     mat_mul,
     normalizer_census,
-    normalizer_census_oracle,
     pack_matrix,
     regular_torus_count,
-    regular_torus_count_oracle,
     torus_census,
-    torus_element_matrices,
     torus_order,
     unpack_matrix,
 )
 from modpoly_split import classify_charpoly_reference, classify_dual_pair_reference
-from oracles import hermitian_scales_by_scan
+from oracles import (
+    exhaustive_classification,
+    hermitian_scales_by_scan,
+    normalizer_census_oracle,
+    regular_torus_count_oracle,
+    torus_element_matrices,
+)
 
 C3 = GroupDescriptor("C", 1, 3)
 C5 = GroupDescriptor("C", 1, 5)

@@ -19,9 +19,18 @@ unpack_matrix.  The record types are plain slotted classes: no
 module imports dataclasses, and importing the CLI loads none of the
 introspection modules (inspect, ast, dis, tokenize) that dataclasses pulls
 in, which would add to the start-up of every command.
+
+src holds the production paths only: the definitional oracles that the
+closed forms replaced live in tests/oracles.py, and no src module defines a
+*_oracle or *_exhaustive function other than classify_element_oracle, which
+the benchmark binds by name.  Every (module, name) that perfbench/spans.py
+traces and every groups attribute that perfbench/certify.py calls resolves
+in the package, so moving a function out of src cannot silently leave a
+traced bench run without its layer; these files are read, not imported.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -30,6 +39,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "frobsplit"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -219,3 +229,52 @@ def test_no_product_closure_in_the_goursat_check():
         or (isinstance(node, ast.Attribute) and listing(node.attr))
     ]
     assert uses == []
+
+
+# the oracles that left src for tests/oracles.py, and the one that stays
+MOVED_ORACLES = {
+    "normalizer_census_oracle",
+    "regular_torus_count_oracle",
+    "torus_element_matrices",
+    "exhaustive_classification",
+    "cm_subfield_fraction_exhaustive",
+}
+BENCH_BOUND_ORACLES = {"classify_element_oracle"}
+
+
+def test_src_defines_no_definitional_oracle():
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef)
+        and (node.name in MOVED_ORACLES or node.name.endswith(("_oracle", "_exhaustive")))
+        and node.name not in BENCH_BOUND_ORACLES
+    ]
+    assert defined == []
+
+
+def _layer_functions():
+    """perfbench/spans.py's LAYER_FUNCTIONS, read off its source."""
+    for node in _tree(PERFBENCH / "spans.py").body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["LAYER_FUNCTIONS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no LAYER_FUNCTIONS")
+
+
+def _certify_groups_names():
+    """The attributes perfbench/certify.py reads off groups or self.groups."""
+    return {
+        node.attr
+        for node in ast.walk(_tree(PERFBENCH / "certify.py"))
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("groups", "self.groups")
+    }
+
+
+def test_every_name_the_benchmark_binds_resolves_in_the_package():
+    bound = [(module, name) for module, names in _layer_functions().items() for name in names]
+    certify = _certify_groups_names()
+    assert {"enumerate_group", "classify_element_oracle"} <= certify
+    bound += [("frobsplit.groups", name) for name in sorted(certify)]
+    missing = [f"{module}.{name}" for module, name in bound if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
