@@ -177,6 +177,8 @@ def _run_cm_fraction(ns):
         ells.extend(_ells(ns.ells))
     if not ells:
         raise ValueError("cm-fraction needs --ell or --ells")
+    if len(set(ells)) != len(ells):
+        raise ValueError("primes in a model must be distinct")
     per = [(ell, cm_subfield_fraction(ns.degree, ell)) for ell in ells]
     product = Fraction(1)
     for _, f in per:

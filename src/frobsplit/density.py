@@ -73,7 +73,7 @@ class ModelEntry(Record):
     def __init__(self, desc: GroupDescriptor, squeeze: str = "full"):
         if squeeze not in _SQUEEZE_PARTS:
             raise ValueError(f"squeeze must be 'der' or 'full', got {squeeze!r}")
-        self._assign(desc, squeeze)
+        super().__init__(desc, squeeze)
 
 
 class GaloisModel(Record):
@@ -88,7 +88,7 @@ class GaloisModel(Record):
             raise ValueError("primes in a model must be distinct")
         if m < 1:
             raise ValueError("m must be at least 1")
-        self._assign(entries, m)
+        super().__init__(entries, m)
 
     @staticmethod
     def uniform(family: str, r: int, primes, m: int = 1, squeeze: str = "full") -> "GaloisModel":
@@ -108,17 +108,6 @@ class DensityReport(Record):
     """
 
     __slots__ = ("per_ell", "product", "bound", "complement", "residue_degree_one_bound", "m")
-
-    def __init__(
-        self,
-        per_ell: tuple,
-        product: Fraction,
-        bound: Fraction,
-        complement: Fraction,
-        residue_degree_one_bound: Fraction,
-        m: int,
-    ):
-        self._assign(per_ell, product, bound, complement, residue_degree_one_bound, m)
 
 
 def density_product(model: GaloisModel) -> DensityReport:
@@ -172,19 +161,6 @@ class SimulationResult(Record):
     replay."""
 
     __slots__ = ("samples", "hits", "empirical", "expected", "z_score", "seed", "streams", "stream_layout")
-
-    def __init__(
-        self,
-        samples: int,
-        hits: int,
-        empirical: Fraction,
-        expected: Fraction,
-        z_score: float | None,
-        seed: int,
-        streams: int,
-        stream_layout: tuple,
-    ):
-        self._assign(samples, hits, empirical, expected, z_score, seed, streams, stream_layout)
 
 
 def _stream_seed(seed: int, index: int) -> int:
@@ -264,20 +240,6 @@ class GoursatReport(Record):
         "in_hypothesis",
         "note",
     )
-
-    def __init__(
-        self,
-        factor_orders: tuple,
-        projections_surjective: tuple,
-        closure_order: int,
-        product_order: int,
-        full_product: bool,
-        in_hypothesis: bool,
-        note: str,
-    ):
-        self._assign(
-            factor_orders, projections_surjective, closure_order, product_order, full_product, in_hypothesis, note
-        )
 
 
 def _hypothesis_note(factors) -> str:

@@ -22,8 +22,8 @@ reduces a coefficient when it reads it, and callers that drop the quotient
 (field multiply, modular powers, gcds) take the remainder-only division.
 
 ``Record`` is the base of the package's immutable value types, here and in
-the modules above: plain classes with ``__slots__`` and an explicit
-``__init__``.  They are not dataclasses, because importing ``dataclasses``
+the modules above: plain classes whose ``__slots__`` list the constructor's
+fields.  They are not dataclasses, because importing ``dataclasses``
 (which loads ``inspect``, ``ast``, ``dis`` and ``tokenize``) and running
 its decorators cost every command about 30 ms of start-up.
 """
@@ -247,26 +247,35 @@ def _canonical_modulus(p: int, k: int):
 class Record:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__`` and sets each once, in its
-    own ``__init__``, through ``object.__setattr__`` (``_assign`` sets them
-    all in slot order); assigning to a field afterwards raises
-    AttributeError.  Equality and hash are by value over
-    the fields, in slot order, and only against the same class, and the
-    repr lists the fields.  The hot types (FiniteField, FFElement, IntPoly,
-    GroupDescriptor, GroupElement) define their own ``__eq__`` and
-    ``__hash__`` over a literal field tuple, which is faster than the
-    generic ones here.
+    A subclass lists its fields in ``__slots__``, and the one constructor
+    here takes them in that order, by position or keyword; a missing,
+    unknown, repeated or surplus field raises TypeError.  A record that
+    checks its fields or defaults one (ModelEntry, GaloisModel, CMSignature)
+    checks them in its own ``__init__`` and then calls this one.  Assigning
+    to a field afterwards raises AttributeError.  Equality and hash are by
+    value over the fields, in slot order, and only against the same class,
+    and the repr lists the fields.  The hot types (FiniteField, FFElement,
+    IntPoly, GroupDescriptor, GroupElement), built on every field operation,
+    keep a hand-written ``__init__``, ``__eq__`` and ``__hash__`` over a
+    literal field tuple, which is faster than the generic ones here.
     """
 
     __slots__ = ()
 
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            values = dict(zip(names, args))
+            values.update(kwargs)
+            if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+                fields = f"{self.__class__.__qualname__}({', '.join(names)})"
+                raise TypeError(f"{fields} got {len(args)} positional and the keywords {sorted(kwargs)}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
-
-    def _assign(self, *values) -> None:
-        """Set the fields, in slot order; __init__ calls it once."""
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -620,9 +620,6 @@ class AnisotropicTorus(Record):
 
     __slots__ = ("desc", "generators", "order", "embedding_field")
 
-    def __init__(self, desc: GroupDescriptor, generators: tuple, order: int, embedding_field: FiniteField):
-        self._assign(desc, generators, order, embedding_field)
-
     @property
     def generator(self) -> GroupElement:
         return self.generators[0]
@@ -1265,9 +1262,6 @@ def classify_element_oracle(x: GroupElement, m: int = 1) -> bool:
 class NormalizerCensus(Record):
     __slots__ = ("normalizer_order", "weyl_order")
 
-    def __init__(self, normalizer_order: int, weyl_order: int):
-        self._assign(normalizer_order, weyl_order)
-
 
 def normalizer_census(desc: GroupDescriptor) -> NormalizerCensus:
     """|N(T)| = |W| * |T| with the closed form |W| = 2r (family C) or r
@@ -1313,32 +1307,6 @@ class TorusCensus(Record):
         "weyl_order",
         "exceptional_field",
     )
-
-    def __init__(
-        self,
-        desc: GroupDescriptor,
-        m: int,
-        torus_order: int,
-        regular_count: int,
-        regular_count_base: int,
-        b_estimate: Fraction,
-        subgroup_orders: dict,
-        normalizer_order: int,
-        weyl_order: int,
-        exceptional_field: bool,
-    ):
-        self._assign(
-            desc,
-            m,
-            torus_order,
-            regular_count,
-            regular_count_base,
-            b_estimate,
-            subgroup_orders,
-            normalizer_order,
-            weyl_order,
-            exceptional_field,
-        )
 
 
 def _lattice(alpha: int, beta: int, n: int):

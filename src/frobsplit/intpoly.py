@@ -65,10 +65,6 @@ class DegreeNotDivisible(ValueError):
     """d does not divide the degree of the input."""
 
 
-class ZeroConstantTerm(ValueError):
-    """The dual is undefined when 0 is a root."""
-
-
 # ---------------------------------------------------------------------------
 # integer polynomials
 

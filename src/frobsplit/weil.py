@@ -35,14 +35,12 @@ the whole analysis lives in.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from math import comb, gcd, isqrt
 
 from .finfield import IS_PRIME_LIMIT, Record, is_prime
 from .intpoly import (
     IntPoly,
     NotMonic,
-    ZeroConstantTerm,
     factor_over_Z,
     int_poly_gcd,
     is_irreducible_mod,
@@ -63,10 +61,6 @@ class SymmetryViolation(ValueError):
 
 class RootBoundViolation(ValueError):
     """Some root does not have absolute value sqrt(q)."""
-
-
-class NonIntegralDual(ValueError):
-    """The monic dual has a non-integer coefficient."""
 
 
 class BadAuxPrime(ValueError):
@@ -104,12 +98,10 @@ def _prime_power(q: int):
 
 
 class WeilPoly(Record):
-    """A validated Frobenius characteristic polynomial over GF(q)."""
+    """A validated Frobenius characteristic polynomial f over GF(q) = GF(p^a),
+    with its real transform h (real_weil_transform)."""
 
-    __slots__ = ("f", "q", "p", "a")
-
-    def __init__(self, f: IntPoly, q: int, p: int, a: int):
-        self._assign(f, q, p, a)
+    __slots__ = ("f", "q", "p", "a", "h")
 
     @property
     def g(self) -> int:
@@ -234,40 +226,12 @@ def weil_validate(f: IntPoly, q: int) -> WeilPoly:
             f"{h_red.degree - boundary - interior} root(s) of the real transform "
             f"fall outside [-2*sqrt({q}), 2*sqrt({q})]"
         )
-    return WeilPoly(f, q, p, a)
+    return WeilPoly(f, q, p, a, h)
 
 
 def ordinary_test(w: WeilPoly) -> bool:
     """Middle coefficient coprime to the residue characteristic."""
     return gcd(w.middle_coefficient, w.p) == 1
-
-
-# -- duality -----------------------------------------------------------------
-
-
-def dual_rational(coeffs, q: int):
-    """Monic polynomial with root multiset {q/alpha}; exact Fractions.
-
-    An involution on monic polynomials with nonzero constant term.
-    """
-    cs = tuple(Fraction(c) for c in coeffs)
-    if not cs or cs[0] == 0:
-        raise ZeroConstantTerm("0 is a root; the dual is undefined")
-    n = len(cs) - 1
-    rev = [cs[n - j] * Fraction(q) ** (n - j) for j in range(n + 1)]
-    lead = rev[-1]
-    return tuple(c / lead for c in rev)
-
-
-def dual_polynomial(g: IntPoly, q: int) -> IntPoly:
-    """Integer dual of a monic g; raises NonIntegralDual when it is not
-    integral (that never happens for factors of a Weil polynomial)."""
-    if not g.is_monic():
-        raise NotMonic("the dual is defined for monic polynomials")
-    out = dual_rational(g.coeffs, q)
-    if any(c.denominator != 1 for c in out):
-        raise NonIntegralDual(f"dual of {g} over q={q} is not integral")
-    return IntPoly.make(int(c) for c in out)
 
 
 # -- certificates ------------------------------------------------------------
@@ -322,7 +286,7 @@ def simplicity_certificate(w: WeilPoly, ell: int) -> Certificate:
       * ell = 2: h_0 is odd, and h_1 is odd (f irreducible) or g is even.
     """
     _check_aux_prime(ell, w.q)
-    h = real_weil_transform(w.f, w.q)
+    h = w.h
     if not is_irreducible_mod(h.coeffs, ell):
         return Certificate.UNKNOWN
     even_rank = h.degree % 2 == 0
@@ -349,25 +313,11 @@ class FactorConstraint(Record):
 
     __slots__ = ("poly", "multiplicity", "e", "d_y", "resolved_by", "candidates")
 
-    def __init__(
-        self,
-        poly: IntPoly,
-        multiplicity: int,
-        e: int | None,
-        d_y: int | None,
-        resolved_by: str | None,
-        candidates: tuple,
-    ):
-        self._assign(poly, multiplicity, e, d_y, resolved_by, candidates)
-
 
 class CertificateRecord(Record):
     """One certificate; ell is None for the global (factorisation-level) ones."""
 
     __slots__ = ("ell", "status", "detail")
-
-    def __init__(self, ell: int | None, status: Certificate, detail: str):
-        self._assign(ell, status, detail)
 
 
 class SplitReport(Record):
@@ -394,36 +344,6 @@ class SplitReport(Record):
         "ordinary",
         "prime_field",
     )
-
-    def __init__(
-        self,
-        weil: WeilPoly,
-        d: int,
-        root: IntPoly,
-        factors: tuple,
-        dual_pairs: tuple,
-        self_dual: tuple,
-        certificates: tuple,
-        conclusion: Certificate,
-        isogeny_shape: str,
-        endomorphism_note: str,
-        ordinary: bool,
-        prime_field: bool,
-    ):
-        self._assign(
-            weil,
-            d,
-            root,
-            factors,
-            dual_pairs,
-            self_dual,
-            certificates,
-            conclusion,
-            isogeny_shape,
-            endomorphism_note,
-            ordinary,
-            prime_field,
-        )
 
 
 def _from_real(k: IntPoly, q: int):
@@ -458,8 +378,8 @@ def analyze(w: WeilPoly, aux_primes=()) -> SplitReport:
     """Factorisation, power structure, constraints, duality, certificates.
 
     w must come from weil_validate: the factors of f are read off those of
-    its real transform h (_from_real), which holds only when every root of f
-    has absolute value sqrt(q).  d is the gcd of the multiplicities, and
+    its real transform w.h (_from_real), which holds only when every root of
+    f has absolute value sqrt(q).  d is the gcd of the multiplicities, and
     every factor is self-dual, since q/alpha is the complex conjugate of
     alpha.  A reducible f therefore reduces mod ell to a product of
     self-dual pieces, which is neither irreducible nor a dual pair, so
@@ -467,7 +387,7 @@ def analyze(w: WeilPoly, aux_primes=()) -> SplitReport:
     each ell is checked and recorded UNKNOWN.
     """
     mapped = []
-    for k, n in factor_over_Z(real_weil_transform(w.f, w.q)):
+    for k, n in factor_over_Z(w.h):
         poly, e = _from_real(k, w.q)
         mapped.append((poly, e * n))
     mapped.sort(key=lambda gm: (gm[0].degree, gm[0].coeffs))
@@ -578,7 +498,7 @@ class CMSignature(Record):
             a, b = pair
             if a < 0 or b < 0 or a + b != r:
                 raise InconsistentSignature(f"pair {pair} does not sum to r = {r}")
-        self._assign(r, pairs)
+        super().__init__(r, pairs)
 
 
 def _is_binomial_pair(a: int, b: int) -> bool:

@@ -16,7 +16,11 @@ from dataclasses import dataclass
 
 from frobsplit.finfield import FFElement, FiniteField
 from frobsplit.groups import mat_charpoly
-from frobsplit.intpoly import ZeroConstantTerm, ZeroPolynomial, is_irreducible_mod
+from frobsplit.intpoly import ZeroPolynomial, is_irreducible_mod
+
+
+class ZeroConstantTerm(ValueError):
+    """The dual is undefined when 0 is a root."""
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,10 @@ weil.simplicity_certificate gave before it read both certifying patterns
 off the real transform h: it reads the factor-degree shape of f mod ell
 (degree_shape_mod, the squarefree and distinct-degree splits with no
 equal-degree split) and factors f mod ell only when the shape is two simple
-factors of degree n/2.
+factors of degree n/2.  It compares the two factors through
+dual_rational, the monic polynomial with the roots q/alpha in exact
+Fractions; dual_polynomial is its integer form over Z, which the tests use
+to check that every factor analyze reports is self-dual.
 
 The rest are the definitional counts that the closed forms of groups and
 density replaced, each kept here as the oracle of its closed form:
@@ -46,8 +49,9 @@ from frobsplit.groups import (
     pack_matrix,
     torus_order,
 )
-from frobsplit.intpoly import _int_distinct_degree, _int_squarefree_parts, _monic_mod, factor_mod
-from frobsplit.weil import Certificate, WeilPoly, _check_aux_prime, dual_rational
+from frobsplit.intpoly import IntPoly, NotMonic, _int_distinct_degree, _int_squarefree_parts, _monic_mod, factor_mod
+from frobsplit.weil import Certificate, WeilPoly, _check_aux_prime
+from modpoly_split import ZeroConstantTerm
 
 
 def classify_element_pairwise(x: GroupElement, m: int = 1) -> bool:
@@ -90,6 +94,35 @@ def degree_shape_mod(f, p: int):
         for h, d in _int_distinct_degree(part, p)
         for _ in range((len(h) - 1) // d)
     )
+
+
+class NonIntegralDual(ValueError):
+    """The monic dual has a non-integer coefficient."""
+
+
+def dual_rational(coeffs, q: int):
+    """Monic polynomial with root multiset {q/alpha}; exact Fractions.
+
+    An involution on monic polynomials with nonzero constant term.
+    """
+    cs = tuple(Fraction(c) for c in coeffs)
+    if not cs or cs[0] == 0:
+        raise ZeroConstantTerm("0 is a root; the dual is undefined")
+    n = len(cs) - 1
+    rev = [cs[n - j] * Fraction(q) ** (n - j) for j in range(n + 1)]
+    lead = rev[-1]
+    return tuple(c / lead for c in rev)
+
+
+def dual_polynomial(g: IntPoly, q: int) -> IntPoly:
+    """Integer dual of a monic g; raises NonIntegralDual when it is not
+    integral (that never happens for factors of a Weil polynomial)."""
+    if not g.is_monic():
+        raise NotMonic("the dual is defined for monic polynomials")
+    out = dual_rational(g.coeffs, q)
+    if any(c.denominator != 1 for c in out):
+        raise NonIntegralDual(f"dual of {g} over q={q} is not integral")
+    return IntPoly.make(int(c) for c in out)
 
 
 def simplicity_certificate_by_shape(w: WeilPoly, ell: int) -> Certificate:

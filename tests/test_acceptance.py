@@ -33,12 +33,11 @@ from frobsplit.weil import (
     Certificate,
     CMSignature,
     analyze,
-    dual_rational,
     non_special,
     simplicity_certificate,
     weil_validate,
 )
-from oracles import cm_subfield_fraction_exhaustive
+from oracles import cm_subfield_fraction_exhaustive, dual_rational
 
 P = IntPoly.make
 

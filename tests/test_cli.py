@@ -250,6 +250,9 @@ def test_density_answers_at_paper_ranks(argv):
         # (t^2 + 3)^2 is reducible: analyze checks each ell without a certificate
         (["weil", "--q", "3", "--poly", "9,0,6,0,1", "--ells", "4"], 4, "BadAuxPrime"),
         (["weil", "--q", "3", "--poly", "9,0,6,0,1", "--ells", "3"], 4, "BadAuxPrime"),
+        # the prime set is {3}: a repeated prime would be counted twice
+        (["cm-fraction", "--degree", "4", "--ells", "3,3"], 4, "ValueError"),
+        (["cm-fraction", "--degree", "4", "--ell", "3", "--ells", "3"], 4, "ValueError"),
     ],
 )
 def test_rejections_exit_with_a_json_error(argv, status, error, capsys):

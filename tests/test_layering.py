@@ -3,8 +3,9 @@
 Every import sits at module level, every name a module imports is used, and
 finfield, which holds the int-tuple polynomial kernel, imports nothing from
 the package, so it stays at the bottom of the import graph.  intpoly does its
-arithmetic over Z on integers alone, so it imports nothing from fractions, and
-no module reaches into intpoly's private helpers.  The weil certificate
+arithmetic over Z on integers alone, and weil's Sturm check and certificates
+are integer arithmetic too, so neither imports anything from fractions; no
+module reaches into intpoly's private helpers.  The weil certificate
 factors nothing mod ell: weil imports neither degree_shape_mod nor
 factor_mod, and no module defines degree_shape_mod.  IntPoly is intpoly's one
 polynomial class: over GF(p) a polynomial is finfield's int tuple, with no
@@ -27,6 +28,12 @@ the benchmark binds by name.  Every (module, name) that perfbench/spans.py
 traces and every groups attribute that perfbench/certify.py calls resolves
 in the package, so moving a function out of src cannot silently leave a
 traced bench run without its layer; these files are read, not imported.
+
+Every top-level function and class in src is reached from what the package
+serves: cli.main, the module-level statements, the library API the README
+documents, and the names the benchmark binds.  Reach is the closure over
+the names each reached definition uses, resolved in its module through the
+package's own imports; a definition outside it is code nothing runs.
 """
 
 import ast
@@ -107,6 +114,10 @@ def _imports_of(path, module):
 
 def test_intpoly_imports_nothing_from_fractions():
     assert _imports_of(PACKAGE / "intpoly.py", "fractions") == []
+
+
+def test_weil_imports_nothing_from_fractions():
+    assert _imports_of(PACKAGE / "weil.py", "fractions") == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -278,3 +289,93 @@ def test_every_name_the_benchmark_binds_resolves_in_the_package():
     bound += [("frobsplit.groups", name) for name in sorted(certify)]
     missing = [f"{module}.{name}" for module, name in bound if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def _weilbatch_names():
+    """The (module, name) pairs perfbench/weilbatch.py reads off the package:
+    its imports from it, and the attributes of the modules it imports."""
+    tree = _tree(PERFBENCH / "weilbatch.py")
+    names, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("frobsplit"):
+            for alias in node.names:
+                if (PACKAGE / f"{alias.name}.py").is_file():
+                    modules[alias.asname or alias.name] = f"frobsplit.{alias.name}"
+                else:
+                    names.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = ast.unparse(node.value).removeprefix("self.")
+            if base in modules:
+                names.add((modules[base], node.attr))
+    return names
+
+
+# the library API the README documents, beyond what cli.main reaches
+README_API = {
+    "frobsplit.finfield": ("make_field", "power", "frobenius_orbit", "minimal_polynomial", "subfield_degree"),
+    "frobsplit.intpoly": ("IntPoly", "factor_mod", "is_irreducible_mod", "factor_over_Z", "dth_root"),
+    "frobsplit.groups": ("GroupDescriptor", "torus_census", "normalizer_census", "classify_element"),
+    "frobsplit.density": ("GaloisModel", "density_product", "cm_subfield_fraction", "goursat_verify"),
+    "frobsplit.weil": ("weil_validate", "analyze", "simplicity_certificate", "CMSignature", "non_special"),
+}
+
+
+def _package_scopes():
+    """{module: (top-level definitions by name, {local name: (module, name)}
+    for each name it imports from the package, the other top-level statements)}."""
+    scopes = {}
+    for path in MODULES:
+        module = f"frobsplit.{path.stem}"
+        defs, imported, rest = {}, {}, []
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = (f"frobsplit.{node.module or '__init__'}", alias.name)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                rest.append(node)
+        scopes[module] = (defs, imported, rest)
+    return scopes
+
+
+def test_every_src_definition_is_reached_from_the_cli_the_api_or_the_benchmark():
+    scopes = _package_scopes()
+    bench = {(module, name) for module, names in _layer_functions().items() for name in names}
+    bench |= {("frobsplit.groups", name) for name in _certify_groups_names()}
+    weilbatch = _weilbatch_names()
+    assert {
+        ("frobsplit.intpoly", "IntPoly"),
+        ("frobsplit.weil", "weil_validate"),
+        ("frobsplit.weil", "analyze"),
+        ("frobsplit.cli", "_default_aux_primes"),
+    } <= weilbatch
+    roots = [("frobsplit.cli", "main")] + sorted(bench | weilbatch)
+    roots += [(module, name) for module, names in README_API.items() for name in names]
+    reached, todo = set(), []
+
+    def use(module, nodes):
+        defs, imported, _ = scopes[module]
+        for node in nodes:
+            for name in (n.id for n in ast.walk(node) if isinstance(n, ast.Name)):
+                target = (module, name) if name in defs else imported.get(name)
+                if target is not None and target not in reached:
+                    reached.add(target)
+                    todo.append(target)
+
+    for module, (_, _, rest) in scopes.items():
+        use(module, rest)
+    for root in roots:
+        assert root[1] in scopes[root[0]][0], root  # every root is a definition
+        reached.add(root)
+        todo.append(root)
+    while todo:
+        module, name = todo.pop()
+        node = scopes[module][0].get(name)
+        if node is not None:
+            use(module, [node])
+    unreached = [
+        f"{module}.{name}" for module, (defs, _, _) in scopes.items() for name in defs if (module, name) not in reached
+    ]
+    assert unreached == []

@@ -1,7 +1,13 @@
 """The package's 18 record types keep the semantics of frozen value records:
 construction by position or keyword with the same defaults, equality and
 hash by value over the fields (only against the same class), no assignment
-after construction, no instance __dict__, and their reprs."""
+after construction, no instance __dict__, and their reprs.
+
+Each record's slot order is its constructor: a missing, unknown, repeated
+or surplus field raises TypeError, whether the record has the one
+Record.__init__, a validating __init__ that calls it, or the hand-written
+__init__ of a hot type.  The plain records define no __init__ of their own,
+so their field list is written once, in __slots__."""
 
 import copy
 import pickle
@@ -39,7 +45,8 @@ F25 = make_field(5, 2)
 GSP4 = GroupDescriptor("C", 2, 5)
 ONE = identity_element(GSP4)
 F = IntPoly((9, 0, 6, 0, 1))
-W = WeilPoly(F, 3, 3, 1)
+H = IntPoly((0, 0, 1))  # the real transform of F at q = 3
+W = WeilPoly(F, 3, 3, 1, H)
 FACTOR = FactorConstraint(IntPoly((3, 0, 1)), 2, 1, 2, "prime field", ())
 CERT = CertificateRecord(5, Certificate.SIMPLE, "irreducible mod 5")
 ENTRY = ModelEntry(GroupDescriptor("C", 1, 3))
@@ -58,7 +65,7 @@ CASES = [
         (GSP4, 2, 26, 20, 20, Fraction(15, 13), {"full": 26}, 208, 8, False),
     ),
     (IntPoly, ((1, 2, 1),), ((1, 2, 2),)),
-    (WeilPoly, (F, 3, 3, 1), (F, 9, 3, 2)),
+    (WeilPoly, (F, 3, 3, 1, H), (F, 9, 3, 2, H)),
     (FactorConstraint, (F, 1, None, None, None, ((1, 2),)), (F, 1, None, None, None, ((2, 1),))),
     (CertificateRecord, (None, Certificate.UNKNOWN, "x"), (None, Certificate.SIMPLE, "x")),
     (
@@ -96,6 +103,15 @@ def test_record_semantics(cls, args, other):
     a, b, c = cls(*args), cls(*args), cls(*other)
     assert a == b and not a != b
     assert a == cls(**dict(zip(cls.__slots__, args)))
+    first, rest = cls.__slots__[0], dict(zip(cls.__slots__[1:], args[1:]))
+    with pytest.raises(TypeError):  # the first field is missing
+        cls(**rest)
+    with pytest.raises(TypeError):
+        cls(*args, no_such_field=1)
+    with pytest.raises(TypeError):  # the first field by position and by keyword
+        cls(*args, **{first: args[0]})
+    with pytest.raises(TypeError):
+        cls(*args, None)
     assert a != c and not a == c
     assert a.__eq__(args) is NotImplemented and a != args
     if any(isinstance(x, dict) for x in args):
@@ -114,6 +130,32 @@ def test_record_semantics(cls, args, other):
     assert not hasattr(a, "__dict__")
     assert copy.copy(a) == a and copy.deepcopy(a) == a
     assert pickle.loads(pickle.dumps(a)) == a
+
+
+# the records whose constructor is Record.__init__ itself
+PLAIN_RECORDS = (
+    DensityReport,
+    SimulationResult,
+    GoursatReport,
+    AnisotropicTorus,
+    NormalizerCensus,
+    TorusCensus,
+    WeilPoly,
+    FactorConstraint,
+    CertificateRecord,
+    SplitReport,
+)
+
+
+def test_the_plain_records_define_no_constructor():
+    assert [cls.__name__ for cls in PLAIN_RECORDS if "__init__" in vars(cls)] == []
+
+
+def test_a_plain_record_binds_mixed_arguments_in_slot_order():
+    mixed = CertificateRecord(5, detail="irreducible mod 5", status=Certificate.SIMPLE)
+    assert mixed == CERT and mixed.detail == "irreducible mod 5"
+    with pytest.raises(TypeError):  # a surplus positional beside a full set of keywords
+        CertificateRecord(5, Certificate.SIMPLE, "x", "y", ell=5, status=Certificate.SIMPLE, detail="x")
 
 
 def test_defaults():

@@ -14,16 +14,12 @@ from frobsplit.weil import (
     Certificate,
     CMSignature,
     InconsistentSignature,
-    NonIntegralDual,
     OddDegree,
     RootBoundViolation,
     SymmetryViolation,
     WeilPoly,
-    ZeroConstantTerm,
     _prime_power,
     analyze,
-    dual_polynomial,
-    dual_rational,
     non_special,
     ordinary_test,
     real_weil_transform,
@@ -31,8 +27,14 @@ from frobsplit.weil import (
     weil_validate,
 )
 from curves import frobenius_polynomial, is_good_prime
-from modpoly_split import ModPoly
-from oracles import degree_shape_mod, simplicity_certificate_by_shape
+from modpoly_split import ModPoly, ZeroConstantTerm
+from oracles import (
+    NonIntegralDual,
+    degree_shape_mod,
+    dual_polynomial,
+    dual_rational,
+    simplicity_certificate_by_shape,
+)
 from zassenhaus_oracles import swinnerton_dyer, weil_from_real
 
 P = IntPoly.make
@@ -151,6 +153,24 @@ def test_dual_rational_reduces_to_the_dual_over_gf_ell():
         expected = ModPoly.from_ints(field, g).dual(field.scalar(q))
         got = tuple(c.numerator * pow(c.denominator, -1, ell) % ell for c in dual_rational(g, q))
         assert got == tuple(c.lift() for c in expected.coeffs), (g, q, ell)
+
+
+def test_validate_and_analyze_build_the_real_transform_once(monkeypatch):
+    """weil_validate keeps h on the WeilPoly; analyze and every certificate
+    read it there instead of rebuilding it from f."""
+    calls = []
+
+    def counted(f, q):
+        calls.append((f, q))
+        return real_weil_transform(f, q)
+
+    monkeypatch.setattr(weil, "real_weil_transform", counted)
+    f = P([25, 5, 3, 1, 1])
+    w = weil_validate(f, 5)
+    aux = _default_aux_primes(5)
+    rep = analyze(w, aux_primes=aux)
+    assert len(aux) == 5 and len(rep.certificates) > len(aux)
+    assert w.h == real_weil_transform(f, 5) and calls == [(f, 5)]
 
 
 def test_analyze_square_prime_field():
@@ -305,7 +325,7 @@ def test_swinnerton_dyer_certificate_runs_no_equal_degree_split(monkeypatch):
 def _weil_poly(h: IntPoly, q: int) -> WeilPoly:
     """t^g h(t + q/t) as a WeilPoly, unvalidated: the closed form holds for
     any monic h, so the sweeps reach shapes that validated inputs rarely show."""
-    return WeilPoly(weil_from_real(h, q), q, *_prime_power(q))
+    return WeilPoly(weil_from_real(h, q), q, *_prime_power(q), h)
 
 
 def _sweep_closed_form_against_the_shape_oracle(hs, qs, ells):
