@@ -43,6 +43,7 @@ from .groups import (
 )
 
 _SQUEEZE_PARTS = {"der": "derived", "full": "full"}
+MAX_GENERATOR_DRAWS = 200  # random_generator_tuples' retry cap
 
 
 class GoursatContradiction(AssertionError):
@@ -157,72 +158,53 @@ def cm_subfield_fraction(two_g: int, ell: int) -> Fraction:
 
 class SimulationResult(Record):
     """hits counts the samples landing in the irregular class at every
-    prime; stream_layout holds (stream_seed, samples, hits) per stream, for
-    replay."""
+    prime; the draws come from one stream, so streams is 1 and stream_layout
+    the one row (stream_seed, samples, hits), for replay."""
 
     __slots__ = ("samples", "hits", "empirical", "expected", "z_score", "seed", "streams", "stream_layout")
 
 
-def _stream_seed(seed: int, index: int) -> int:
-    return (seed ^ ((index + 1) * 0x9E3779B97F4A7C15)) % 2**63
-
-
-def chebotarev_simulate(
-    model: GaloisModel, samples: int, seed: int, streams: int = 1
-) -> SimulationResult:
+def chebotarev_simulate(model: GaloisModel, samples: int, seed: int) -> SimulationResult:
     """Seeded Bernoulli simulation of the product density.
 
     Each sample draws one exact Bernoulli indicator per prime (probability =
-    the exact irregular fraction) and scores a hit when every indicator
-    fires.  Streams split the sample count and merge hit counts by addition;
-    fixed (seed, samples, streams) reproduces the result bit for bit.
+    the exact irregular fraction of density_product) and scores a hit when
+    every indicator fires.  The draws come from one random.Random seeded
+    with (seed ^ 0x9E3779B97F4A7C15) mod 2^63, so a fixed (seed, samples)
+    reproduces the result bit for bit.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if streams < 1 or streams > samples:
-        raise ValueError("stream count must be in [1, samples]")
-    probs = [
-        irregular_fraction(e.desc, model.m, e.squeeze) for e in model.entries
-    ]
+    report = density_product(model)
     # r < den uniform is CPython's randrange(den) (Random._randbelow_with_getrandbits):
     # den.bit_length() random bits, redrawn while r >= den; so a seed gives the same draws
-    draws = [(p.numerator, p.denominator, p.denominator.bit_length()) for p in probs]
-    layout = []
-    total_hits = 0
-    base, extra = divmod(samples, streams)
-    for i in range(streams):
-        n_i = base + (1 if i < extra else 0)
-        s_i = _stream_seed(seed, i)
-        getrandbits = random.Random(s_i).getrandbits
-        hits = 0
-        for _ in range(n_i):
-            ok = True
-            for num, den, k in draws:  # one draw per prime, none skipped
+    draws = [(p.numerator, p.denominator, p.denominator.bit_length()) for _, p, _ in report.per_ell]
+    stream_seed = (seed ^ 0x9E3779B97F4A7C15) % 2**63
+    getrandbits = random.Random(stream_seed).getrandbits
+    hits = 0
+    for _ in range(samples):
+        ok = True
+        for num, den, k in draws:  # one draw per prime, none skipped
+            r = getrandbits(k)
+            while r >= den:
                 r = getrandbits(k)
-                while r >= den:
-                    r = getrandbits(k)
-                if r >= num:
-                    ok = False
-            if ok:
-                hits += 1
-        layout.append((s_i, n_i, hits))
-        total_hits += hits
-    expected = Fraction(1)
-    for p in probs:
-        expected *= p
+            if r >= num:
+                ok = False
+        if ok:
+            hits += 1
     z = None
-    if 0 < expected < 1:
-        mean = float(expected)
-        z = (total_hits - samples * mean) / sqrt(samples * mean * (1 - mean))
+    if 0 < report.product < 1:
+        mean = float(report.product)
+        z = (hits - samples * mean) / sqrt(samples * mean * (1 - mean))
     return SimulationResult(
         samples=samples,
-        hits=total_hits,
-        empirical=Fraction(total_hits, samples),
-        expected=expected,
+        hits=hits,
+        empirical=Fraction(hits, samples),
+        expected=report.product,
         z_score=z,
         seed=seed,
-        streams=streams,
-        stream_layout=tuple(layout),
+        streams=1,
+        stream_layout=((stream_seed, samples, hits),),
     )
 
 
@@ -424,7 +406,7 @@ def goursat_verify(factors, generators) -> GoursatReport:
     )
 
 
-def random_generator_tuples(factors, rng: random.Random, count: int = 2, max_tries: int = 200):
+def random_generator_tuples(factors, rng: random.Random, count: int = 2):
     """Draw `count` random generator tuples, retrying until every projection
     is surjective; returns GroupElement tuples.  Each component is uniform
     in its derived group, drawn from one stabilizer chain per factor
@@ -442,10 +424,10 @@ def random_generator_tuples(factors, rng: random.Random, count: int = 2, max_tri
         whole, draw = _derived_chain(d, [_natural_matrix(GroupElement(d, g, 1)) for g in _part_generators(d, "derived")])
         assert whole, f"the generators of {d} span a proper subgroup"
         draws.append(draw)
-    for _ in range(max_tries):
+    for _ in range(MAX_GENERATOR_DRAWS):
         tuples = [tuple(draw(rng)[0] for draw in draws) for _ in range(count)]
         if all(_derived_chain(d, [t[i] for t in tuples])[0] for i, d in enumerate(factors)):
             return [tuple(GroupElement(d, _field_matrix(d, m), 1) for d, m in zip(factors, t)) for t in tuples]
     raise BudgetExceeded(
-        f"no {count} generator tuples with surjective projections within the retry cap of {max_tries} draws"
+        f"no {count} generator tuples with surjective projections within the retry cap of {MAX_GENERATOR_DRAWS} draws"
     )

@@ -22,8 +22,10 @@ reduces a coefficient when it reads it, and callers that drop the quotient
 (field multiply, modular powers, gcds) take the remainder-only division.
 
 ``Record`` is the base of the package's immutable value types, here and in
-the modules above: plain classes whose ``__slots__`` list the constructor's
-fields.  They are not dataclasses, because importing ``dataclasses``
+the modules above: plain classes whose ``__slots__`` give ``Record`` the
+fields of its constructor, equality, hash and pickling (FFElement and
+IntPoly, built on every field or polynomial operation, keep a constructor
+of their own).  They are not dataclasses, because importing ``dataclasses``
 (which loads ``inspect``, ``ast``, ``dis`` and ``tokenize``) and running
 its decorators cost every command about 30 ms of start-up.
 """
@@ -250,14 +252,13 @@ class Record:
     A subclass lists its fields in ``__slots__``, and the one constructor
     here takes them in that order, by position or keyword; a missing,
     unknown, repeated or surplus field raises TypeError.  A record that
-    checks its fields or defaults one (ModelEntry, GaloisModel, CMSignature)
-    checks them in its own ``__init__`` and then calls this one.  Assigning
-    to a field afterwards raises AttributeError.  Equality and hash are by
-    value over the fields, in slot order, and only against the same class,
-    and the repr lists the fields.  The hot types (FiniteField, FFElement,
-    IntPoly, GroupDescriptor, GroupElement), built on every field operation,
-    keep a hand-written ``__init__``, ``__eq__`` and ``__hash__`` over a
-    literal field tuple, which is faster than the generic ones here.
+    checks its fields or defaults one (ModelEntry, GaloisModel, CMSignature,
+    GroupDescriptor) checks them in its own ``__init__`` and then calls this
+    one.  Assigning to a field afterwards raises AttributeError.  Equality
+    and hash are by value over the tuple of the fields, in slot order, and
+    only against the same class, and the repr lists the fields.  FFElement
+    and IntPoly, built on every field or polynomial operation, keep a faster
+    hand-written ``__init__``.
     """
 
     __slots__ = ()
@@ -274,8 +275,10 @@ class Record:
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls):
+        get = operator.attrgetter(*cls.__slots__)
+        # the slot values as a tuple: attrgetter returns a bare value for one name
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda record: (get(record),))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -285,14 +288,14 @@ class Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == other._values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __reduce__(self):  # copy and pickle through __init__, not setattr
-        return self.__class__, self._values()
+        return self.__class__, self._values(self)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -304,19 +307,6 @@ class FiniteField(Record):
     modulus is the monic ascending coefficient tuple, of length k + 1."""
 
     __slots__ = ("p", "k", "modulus")
-
-    def __init__(self, p: int, k: int, modulus: tuple):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
 
     @property
     def q(self) -> int:
@@ -385,14 +375,6 @@ class FFElement(Record):
     def __init__(self, field: FiniteField, coeffs: tuple):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.coeffs) == (other.field, other.coeffs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

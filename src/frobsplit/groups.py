@@ -148,17 +148,7 @@ class GroupDescriptor(Record):
             raise ValueError("rank must be at least 1")
         if not is_prime(ell):
             raise ValueError(f"{ell} is not prime")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "ell", ell)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.r, self.ell) == (other.family, other.r, other.ell)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.family, self.r, self.ell))
+        super().__init__(family, r, ell)
 
     @property
     def matrix_field(self) -> FiniteField:
@@ -332,19 +322,6 @@ class GroupElement(Record):
     """A similitude with its multiplier (an integer mod ell)."""
 
     __slots__ = ("desc", "matrix", "similitude")
-
-    def __init__(self, desc: GroupDescriptor, matrix: tuple, similitude: int):
-        object.__setattr__(self, "desc", desc)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "similitude", similitude)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.desc, self.matrix, self.similitude) == (other.desc, other.matrix, other.similitude)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.desc, self.matrix, self.similitude))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if other.desc != self.desc:

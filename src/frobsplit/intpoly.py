@@ -77,14 +77,6 @@ class IntPoly(Record):
     def __init__(self, coeffs: tuple):
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coeffs,))
-
     @staticmethod
     def make(coeffs) -> "IntPoly":
         c = list(coeffs)

@@ -121,7 +121,7 @@ def real_weil_transform(f: IntPoly, q: int) -> IntPoly:
     at the first index i where a_i != q^(g-i) a_(2g-i).
     """
     if not f.is_monic():
-        raise NotMonic("the transform needs a monic polynomial")
+        raise NotMonic("a Weil polynomial is monic")
     if f.degree % 2 != 0 or f.degree < 2:
         raise OddDegree(f"degree {f.degree} is not even and positive")
     a = f.coeffs
@@ -199,11 +199,7 @@ def _roots_in_open_interval(p: IntPoly, q: int) -> int:
 def weil_validate(f: IntPoly, q: int) -> WeilPoly:
     """Accept f as a Weil polynomial for q or raise a diagnostic."""
     p, a = _prime_power(q)
-    if f.is_zero() or not f.is_monic():
-        raise NotMonic("a Weil polynomial is monic")
-    if f.degree % 2 != 0 or f.degree < 2:
-        raise OddDegree(f"degree {f.degree} is not even and positive")
-    h = real_weil_transform(f, q)
+    h = real_weil_transform(f, q)  # raises NotMonic, OddDegree or SymmetryViolation
     # work with the squarefree part; the root condition only sees root sets
     h_red = try_divide(h, int_poly_gcd(h, h.derivative()))
     assert h_red is not None

@@ -9,7 +9,6 @@ from frobsplit.density import (
     GoursatContradiction,
     ModelEntry,
     _chain_orbits,
-    _stream_seed,
     chebotarev_simulate,
     cm_subfield_fraction,
     density_product,
@@ -22,6 +21,7 @@ from frobsplit.groups import (
     MAX_GROUP_SIZE,
     BudgetExceeded,
     GroupDescriptor,
+    GroupElement,
     _field_matrix,
     _mulclose,
     _natural_matrix,
@@ -149,36 +149,23 @@ def test_simulation_reproducible_and_within_tolerance():
     assert res.z_score is not None and abs(res.z_score) < 4
 
 
-def test_simulation_streams_merge_deterministically():
-    model = GaloisModel.uniform("C", 1, [3, 5])
-    merged = chebotarev_simulate(model, 9999, seed=7, streams=3)
-    assert sum(n for _, n, _ in merged.stream_layout) == 9999
-    assert sum(h for _, _, h in merged.stream_layout) == merged.hits
-    assert merged == chebotarev_simulate(model, 9999, seed=7, streams=3)
-    # different stream count gives a different (but still valid) draw
-    other = chebotarev_simulate(model, 9999, seed=7, streams=9)
-    assert other.samples == merged.samples
-
-
 def test_simulation_degenerate_sizes():
     model = GaloisModel.uniform("C", 1, [3])
     with pytest.raises(ValueError):
         chebotarev_simulate(model, 0, seed=1)
     one = chebotarev_simulate(model, 1, seed=1)
     assert one.hits in (0, 1)
+    assert one.stream_layout[0][0] == 2177342782468422676  # the README simulate example's stream seed
 
 
-def _randrange_layout(probs, samples, seed, streams):
+def _randrange_layout(probs, samples, seed):
     """The stream layout drawn with rng.randrange: the oracle for the
-    getrandbits sampler of chebotarev_simulate, one draw per prime."""
-    layout = []
-    base, extra = divmod(samples, streams)
-    for i in range(streams):
-        n_i = base + (1 if i < extra else 0)
-        rng = random.Random(_stream_seed(seed, i))
-        hits = sum(all([rng.randrange(p.denominator) < p.numerator for p in probs]) for _ in range(n_i))
-        layout.append((_stream_seed(seed, i), n_i, hits))
-    return tuple(layout)
+    getrandbits sampler of chebotarev_simulate, one draw per prime, from
+    one stream seeded with (seed ^ 0x9E3779B97F4A7C15) mod 2^63."""
+    stream_seed = (seed ^ 0x9E3779B97F4A7C15) % 2**63
+    rng = random.Random(stream_seed)
+    hits = sum(all([rng.randrange(p.denominator) < p.numerator for p in probs]) for _ in range(samples))
+    return ((stream_seed, samples, hits),)
 
 
 # denominators 1, powers of two, 2^k + 1, and one beyond a machine word
@@ -201,13 +188,12 @@ _PROBS = [
 def test_the_getrandbits_sampler_draws_what_randrange_draws(key, monkeypatch):
     rng = random.Random(key)
     seed, samples = rng.randrange(2**64), rng.randint(1, 10**4)
-    streams = rng.randint(1, min(4, samples))
     primes = [2, 3, 5, 7][: rng.randint(1, 4)]
     probs = dict(zip(primes, (rng.choice(_PROBS) for _ in primes)))
     monkeypatch.setattr("frobsplit.density.irregular_fraction", lambda desc, m, squeeze: probs[desc.ell])
-    res = chebotarev_simulate(GaloisModel.uniform("C", 1, primes), samples, seed, streams)
-    assert res.stream_layout == _randrange_layout(list(probs.values()), samples, seed, streams)
-    assert res.hits == sum(h for _, _, h in res.stream_layout)
+    res = chebotarev_simulate(GaloisModel.uniform("C", 1, primes), samples, seed)
+    assert res.stream_layout == _randrange_layout(list(probs.values()), samples, seed)
+    assert res.streams == 1 and res.hits == res.stream_layout[0][2]
 
 
 def test_goursat_full_product():
@@ -238,6 +224,40 @@ def test_goursat_diagonal_flagged_out_of_hypothesis():
     assert all(rep.projections_surjective)
     assert not rep.full_product
     assert rep.closure_order == 120
+
+
+def _sl2(ell, rows):
+    return GroupElement(C_AT(ell), _field_matrix(C_AT(ell), rows), 1)
+
+
+UPPER, LOWER = ((1, 1), (0, 1)), ((1, 0), (1, 1))
+
+
+def test_goursat_hand_built_diagonal_of_sl2_f5_squared():
+    """{(g, g)} from (u, u) and (l, l): both projections surject onto
+    SL_2(F_5), the closure is the diagonal of order 120, and the repeated
+    prime puts it out of hypothesis without a contradiction."""
+    f5 = C_AT(5)
+    u, l = _sl2(5, UPPER), _sl2(5, LOWER)
+    rep = _verified([f5, f5], [(u, u), (l, l)])
+    assert (rep.closure_order, rep.product_order) == (120, 120 * 120)
+    assert rep.projections_surjective == (True, True)
+    assert not rep.full_product and not rep.in_hypothesis
+    assert rep.note.startswith("repeated primes")
+
+
+def test_goursat_hand_built_borel_subgroups():
+    """The Borel subgroup of SL_2(F_7), from diag(3, 5) and u, has order
+    6 * 7 = 42; beside a unipotent component in SL_2(F_11) the closure is
+    the product 42 * 11 = 462, since 11 does not divide 42."""
+    f7, f11 = C_AT(7), C_AT(11)
+    torus, u7, u11 = _sl2(7, ((3, 0), (0, 5))), _sl2(7, UPPER), _sl2(11, UPPER)
+    borel = _verified([f7], [(torus,), (u7,)])
+    assert (borel.closure_order, borel.product_order) == (42, 336)
+    assert borel.projections_surjective == (False,) and borel.in_hypothesis
+    rep = _verified([f7, f11], [(torus, u11), (u7, u11)])
+    assert (rep.closure_order, rep.product_order) == (462, 336 * 1320)
+    assert rep.projections_surjective == (False, False) and not rep.full_product
 
 
 def test_goursat_single_factor_trivially_full():
