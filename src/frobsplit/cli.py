@@ -6,8 +6,9 @@ resolved command echoed so any run can be replayed.  Exact rationals are
 serialized as {"num": ..., "den": ...} decimal strings; the only floating
 point numbers in payloads are simulation z-scores.
 
-Exit codes: 0 success, 2 usage error, 3 enumeration budget exceeded,
-4 domain rejection (diagnostics in the payload).
+Exit codes: 0 success, 2 usage error, 3 budget exceeded (an enumeration
+cap, or IS_PRIME_LIMIT in the torus build), 4 domain rejection
+(diagnostics in the payload).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .density import (
     cm_subfield_fraction,
     density_product,
     goursat_verify,
+    product_and_bound,
     random_generator_tuples,
 )
 from .groups import BudgetExceeded, GroupDescriptor, build_anisotropic_torus, torus_census
@@ -179,15 +181,13 @@ def _run_cm_fraction(ns):
         raise ValueError("cm-fraction needs --ell or --ells")
     if len(set(ells)) != len(ells):
         raise ValueError("primes in a model must be distinct")
-    per = [(ell, cm_subfield_fraction(ns.degree, ell)) for ell in ells]
-    product = Fraction(1)
-    for _, f in per:
-        product *= f
+    fractions = [cm_subfield_fraction(ns.degree, ell) for ell in ells]
+    product, bound = product_and_bound(fractions)
     return {
         "degree": ns.degree,
-        "per_ell": [{"ell": ell, "fraction": _frac(f)} for ell, f in per],
+        "per_ell": [{"ell": ell, "fraction": _frac(f)} for ell, f in zip(ells, fractions)],
         "product": _frac(product),
-        "bound": _frac(max(f for _, f in per) ** len(per)),
+        "bound": _frac(bound),
     }
 
 

@@ -111,6 +111,11 @@ class DensityReport(Record):
     __slots__ = ("per_ell", "product", "bound", "complement", "residue_degree_one_bound", "m")
 
 
+def product_and_bound(fractions) -> tuple:
+    """The per-prime fractions' product and C^|A| bound, C the worst of them."""
+    return prod(fractions, start=Fraction(1)), max(fractions, default=Fraction(1)) ** len(fractions)
+
+
 def density_product(model: GaloisModel) -> DensityReport:
     """Exact product of the per-prime irregular fractions.
 
@@ -122,15 +127,11 @@ def density_product(model: GaloisModel) -> DensityReport:
     for entry in model.entries:
         frac = irregular_fraction(entry.desc, model.m, entry.squeeze)
         per.append((entry.desc.ell, frac, entry.desc.exceptional_field))
-    prod = Fraction(1)
-    for _, frac, _ in per:
-        prod *= frac
-    worst = max((frac for _, frac, _ in per), default=Fraction(1))
-    bound = worst ** len(per)
-    complement = 1 - prod
+    product, bound = product_and_bound([frac for _, frac, _ in per])
+    complement = 1 - product
     return DensityReport(
         per_ell=tuple(per),
-        product=prod,
+        product=product,
         bound=bound,
         complement=complement,
         residue_degree_one_bound=complement / model.m,

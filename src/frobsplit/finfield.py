@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import product
+from math import gcd
 
 
 class CompositeModulus(ValueError):
@@ -47,6 +47,10 @@ class DivisionByZero(ZeroDivisionError):
 
 class FieldMismatch(ValueError):
     """Operands belong to different fields (coercion is never attempted)."""
+
+
+class BudgetExceeded(RuntimeError):
+    """An exact computation would exceed its hard cap."""
 
 
 IS_PRIME_LIMIT = 3317044064679887385961981  # least strong pseudoprime to bases 2..41
@@ -77,9 +81,18 @@ def is_prime(n: int) -> bool:
 
 
 def prime_divisors(n: int):
-    """The distinct primes dividing n, ascending, by trial division."""
+    """The distinct primes dividing n, ascending: trial division up to 1000,
+    then is_prime proves the cofactor prime or _rho_factor splits it.  A
+    cofactor at or above IS_PRIME_LIMIT raises BudgetExceeded."""
     out, d = [], 2
     while d * d <= n:
+        if d > 1000:
+            if n >= IS_PRIME_LIMIT:
+                raise BudgetExceeded(f"cofactor {n} is at or above IS_PRIME_LIMIT = {IS_PRIME_LIMIT}, where is_prime stops being exact")
+            if is_prime(n):
+                break
+            f = _rho_factor(n)
+            return out + sorted(set(prime_divisors(f) + prime_divisors(n // f)))
         if n % d == 0:
             out.append(d)
             while n % d == 0:
@@ -88,6 +101,35 @@ def prime_divisors(n: int):
     if n > 1:
         out.append(n)
     return out
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the composite n: Pollard's rho on y -> y^2 + c with
+    Brent's cycle search and gcds batched over 128 steps (Brent 1980).  The
+    least prime factor of an n below IS_PRIME_LIMIT is below 1.83*10^12, so
+    the expected walk is at most about 1.7*10^6 steps."""
+    for c in range(1, n):
+        y, g, q, span = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(span):
+                y = (y * y + c) % n
+            for done in range(0, span, 128):
+                saved = y
+                for _ in range(min(128, span - done)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                if (g := gcd(q, n)) != 1:
+                    break
+            span *= 2
+        if g == n:  # the batch overshot: step through it again, one gcd a step
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(x - saved, n)
+        if g != n:
+            return g
+    raise AssertionError(f"{n} is prime")  # unreachable for composite n
 
 
 def power(x, e: int, mul, one):
@@ -232,12 +274,14 @@ def _int_is_irreducible(f, p) -> bool:
 
 
 def _canonical_modulus(p: int, k: int):
-    """Lexicographically least monic irreducible of degree k over GF(p).
-    For k >= 2 a zero constant term means a factor x, so c0 starts at 1."""
+    """Lexicographically least monic irreducible of degree k over GF(p): the
+    candidates c0 + c1 x + ... are counted as the base-p numbers c0 c1 ...,
+    c0 the most significant digit, from c0 = 1 (for k >= 2 a zero constant
+    term means a factor x)."""
     if k == 1:
         return (0, 1)
-    for low in product(range(1, p), *[range(p)] * (k - 1)):
-        f = low + (1,)
+    for i in range(p ** (k - 1), p**k):
+        f = (*(i // p ** (k - 1 - j) % p for j in range(k)), 1)
         if _int_is_irreducible(f, p):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable

@@ -45,8 +45,10 @@ and i = (w/a) b (mod d), of size (k/a)(n/d).  Lattices meet in lattices, so
 regular_torus_count is one inclusion-exclusion, with no cap and no loop over
 w; a test oracle that classifies every matrix of the torus
 (regular_torus_count_oracle, in the tests) certifies it on small tori.
-The one torus cap, MAX_TORUS_SIZE, guards building the matrix torus: the
-search for a generator of GF(ell^(2r))* and factoring ell^(2r) - 1 for it.
+Building the matrix torus has no cap: it refuses only when a cyclotomic
+cofactor of ell^N - 1, factored for the generator search of GF(ell^N)*
+(N = 2r, or r for the dual-pair torus), reaches IS_PRIME_LIMIT
+(finfield.prime_divisors).
 The root that embeds the quadratic subfield is solved over GF(ell) by the
 quadratic formula, with the square root read off the int factors of
 t^2 - b^2 that factor_mod returns, and so is the scale that gives a
@@ -103,9 +105,10 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .finfield import (
+    BudgetExceeded,
     FFElement,
     FieldMismatch,
     FiniteField,
@@ -119,13 +122,8 @@ from .finfield import (
 from .intpoly import factor_mod
 
 MAX_GROUP_SIZE = 10**6
-MAX_TORUS_SIZE = 10**7
 
 _EXCEPTIONAL_PRIMES = (2, 3)  # base or quadratic extension lands in F2/F4/F3/F9
-
-
-class BudgetExceeded(RuntimeError):
-    """An exact computation would exceed its hard cap."""
 
 
 class DimensionMismatch(ValueError):
@@ -379,12 +377,17 @@ def contains(desc: GroupDescriptor, matrix) -> GroupElement | None:
 def _multiplicative_generator(field: FiniteField) -> FFElement:
     """Least-index generator of the multiplicative group; deterministic.
     For k >= 2 the search starts at index p: the elements below it lie in
-    GF(p)*, which generates nothing larger."""
-    n = field.q - 1
-    divisors = prime_divisors(n)
-    for i in range(field.p if field.k > 1 else 1, field.q):
+    GF(p)*, which generates nothing larger.  p^k - 1 is factored as the
+    product of the cyclotomic values Phi_d(p), d | k, each far smaller."""
+    p, n = field.p, field.q - 1
+    phi = {}
+    for d in range(1, field.k + 1):
+        if field.k % d == 0:
+            phi[d] = (p**d - 1) // prod(v for e, v in phi.items() if d % e == 0)
+    divisors = sorted({prime for v in phi.values() for prime in prime_divisors(v)})
+    for i in range(p if field.k > 1 else 1, field.q):
         x = field.from_index(i)
-        if all(x ** (n // p) != field.one() for p in divisors):
+        if all(x ** (n // prime) != field.one() for prime in divisors):
             return x
     raise AssertionError("no multiplicative generator found")
 
@@ -413,25 +416,22 @@ def _subfield_quadratic_image(big: FiniteField, element_maps_to: FiniteField):
     return zeta, w, min(roots, key=FFElement.index)
 
 
-def _power_traces(big: FiniteField):
-    """Tr(t^i) down to GF(p) for i < k: the power sums of the roots of the
-    modulus, by Newton's identities.  Tr(x) is then sum x_i Tr(t^i)."""
-    k, p, a = big.k, big.p, big.modulus
-    s = [k % p]
-    for j in range(1, k):
-        s.append(-(j * a[k - j] + sum(a[k - i] * s[j - i] for i in range(1, j))) % p)
-    return s
+def _trace(x: FFElement, j: int, count: int) -> FFElement:
+    """x + x^(p^j) + ... + x^(p^(j (count - 1))): for x in GF(p^(j count)),
+    its trace down to GF(p^j), on the field's cached Frobenius."""
+    acc = x
+    for _ in range(count - 1):
+        x = x.frobenius(j)
+        acc = acc + x
+    return acc
 
 
 def _k_basis(big: FiniteField, w: FFElement):
-    """The powers t^i, i < dim/2, and the inverse over GF(ell) of the basis
-    {t^i} + {w*t^i} of `big`, lifted to ints; its rows give the coordinates
-    in that basis."""
-    prime = make_field(big.p, 1)
+    """The powers t^i, i < dim/2, and the inverse mod ell of the basis
+    {t^i} + {w*t^i} of `big`; its rows give the coordinates in that basis."""
     tpows = [big.element([0] * i + [1]) for i in range(big.k // 2)]
     basis = tpows + [w * t for t in tpows]
-    binv = mat_inverse(tuple(tuple(prime.scalar(b.coeffs[i]) for b in basis) for i in range(big.k)))
-    return tpows, [[c.lift() for c in row] for row in binv]
+    return tpows, _imat_inverse(tuple(tuple(b.coeffs[i] for b in basis) for i in range(big.k)), big.p)
 
 
 def _k_coords(binv, x: FFElement):
@@ -443,12 +443,20 @@ def _k_linear_matrix(small: FiniteField, w_std: FFElement, tpows, binv, x: FFEle
     """Matrix of multiplication by x on the big field viewed over its degree-2
     subfield, in the basis of _k_basis, with entries mapped into `small`."""
     half = len(tpows)
-    out = [[None] * half for _ in range(half)]
-    for j in range(half):
-        coords = _k_coords(binv, x * tpows[j])
-        for i in range(half):
-            out[i][j] = small.scalar(coords[i]) + small.scalar(coords[half + i]) * w_std
-    return tuple(tuple(row) for row in out)
+    cols = [_k_coords(binv, x * t) for t in tpows]
+    return tuple(tuple(small.scalar(c[i]) + small.scalar(c[half + i]) * w_std for c in cols) for i in range(half))
+
+
+def _form(gram, u, v, conjugate: bool) -> FFElement:
+    """u^T gram v, with the entries of u conjugated (x -> x^ell) when the
+    form is Hermitian; zero entries of u are skipped."""
+    acc = v[0].field.zero()
+    for ui, row in zip(u, gram):
+        if not ui.is_zero():
+            ui = ui.frobenius() if conjugate else ui
+            for g, vj in zip(row, v):
+                acc = acc + ui * g * vj
+    return acc
 
 
 def _symplectic_change_of_basis(gram, field):
@@ -458,15 +466,7 @@ def _symplectic_change_of_basis(gram, field):
     basis = [tuple(field.one() if i == j else field.zero() for i in range(n)) for j in range(n)]
     pairs = []
     remaining = list(basis)
-
-    def form(u, v):
-        acc = field.zero()
-        for i in range(n):
-            if u[i].is_zero():
-                continue
-            for j in range(n):
-                acc = acc + u[i] * gram[i][j] * v[j]
-        return acc
+    form = lambda u, v: _form(gram, u, v, False)  # noqa: E731
 
     while remaining:
         u = remaining[0]
@@ -520,17 +520,7 @@ def _hermitian_scale(field: FiniteField, norm: FFElement) -> FFElement:
 def _hermitian_change_of_basis(gram, field):
     """P with conj(P)^T * gram * P equal to the identity."""
     n = len(gram)
-
-    def form(u, v):
-        acc = field.zero()
-        for i in range(n):
-            if u[i].is_zero():
-                continue
-            ui = u[i].frobenius()
-            for j in range(n):
-                acc = acc + ui * gram[i][j] * v[j]
-        return acc
-
+    form = lambda u, v: _form(gram, u, v, True)  # noqa: E731
     basis = [tuple(field.one() if i == j else field.zero() for i in range(n)) for j in range(n)]
     ortho = []
     remaining = list(basis)
@@ -540,13 +530,8 @@ def _hermitian_change_of_basis(gram, field):
             # isotropic throughout: mix two vectors pairing nontrivially
             a = remaining[0]
             b = next(x for x in remaining[1:] if not form(a, x).is_zero())
-            u = None
-            for t in field.elements():
-                cand = tuple(ai + t * bi for ai, bi in zip(a, b))
-                if not form(cand, cand).is_zero():
-                    u = cand
-                    break
-            assert u is not None
+            mixes = (tuple(ai + t * bi for ai, bi in zip(a, b)) for t in field.elements())
+            u = next(x for x in mixes if not form(x, x).is_zero())
         scale = _hermitian_scale(field, form(u, u))
         u = tuple(scale * c for c in u)
         ortho.append(u)
@@ -602,14 +587,20 @@ class AnisotropicTorus(Record):
         return self.generators[0]
 
 
+def _torus_in_standard_form(desc: GroupDescriptor, p_mat, generators, big: FiniteField):
+    """The torus of the generator matrices, conjugated by p_mat into the
+    standard form, which each must then preserve."""
+    inv_p = mat_inverse(p_mat)
+    elts = tuple(contains(desc, mat_mul(mat_mul(inv_p, g), p_mat)) for g in generators)
+    assert all(elts), "torus generator must preserve the standard form"
+    return AnisotropicTorus(desc, elts, torus_order(desc), big)
+
+
 @lru_cache(maxsize=None)
 def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
-    """The matrix torus; its construction searches GF(ell^(2r)) for a
-    generator, so the torus order is checked against MAX_TORUS_SIZE before
-    anything is built."""
-    order = torus_order(desc)
-    if order > MAX_TORUS_SIZE:
-        raise BudgetExceeded(f"torus of order {order} exceeds MAX_TORUS_SIZE = {MAX_TORUS_SIZE}")
+    """The matrix torus.  Its one refusal is the generator search's: a
+    cofactor of ell^N - 1 at or above IS_PRIME_LIMIT raises BudgetExceeded
+    (_multiplicative_generator)."""
     q, r = desc.ell, desc.r
     field = desc.matrix_field
     if desc.family == "C":
@@ -621,23 +612,10 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         n = 2 * r
         tpows = [big.element([0] * i + [1]) for i in range(n)]
         conj = [t.frobenius(r) for t in tpows]
-        traces = _power_traces(big)
-        gram = tuple(
-            tuple(
-                field.scalar(sum(a * b for a, b in zip((c * tpows[i] * y).coeffs, traces)))
-                for y in conj
-            )
-            for i in range(n)
-        )
-        mult = tuple(
-            tuple(field.scalar((gen * tpows[j]).coeffs[i]) for j in range(n))
-            for i in range(n)
-        )
-        p_mat = _symplectic_change_of_basis(gram, field)
-        std = mat_mul(mat_mul(mat_inverse(p_mat), mult), p_mat)
-        elt = contains(desc, std)
-        assert elt is not None, "torus generator must preserve the standard form"
-        return AnisotropicTorus(desc, (elt,), order, big)
+        traces = [_trace(t, 1, n).lift() for t in tpows]  # Tr is linear: Tr(x) = sum x_i Tr(t^i)
+        gram = tuple(tuple(field.scalar(sum(map(operator.mul, (c * t * y).coeffs, traces))) for y in conj) for t in tpows)
+        mult = tuple(zip(*[[field.scalar(x) for x in (gen * t).coeffs] for t in tpows]))
+        return _torus_in_standard_form(desc, _symplectic_change_of_basis(gram, field), [mult], big)
 
     if r % 2 == 1:
         big = make_field(q, 2 * r)
@@ -645,15 +623,6 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         gen = zeta ** ((q**r - 1) // (q - 1))
         half = r
         tpows, binv = _k_basis(big, w)
-
-        def k_trace(x):
-            # trace from the big field to the quadratic subfield
-            acc = big.zero()
-            y = x
-            for _ in range(r):
-                acc = acc + y
-                y = y.frobenius(2)
-            return acc
 
         def to_std(x):
             # x = a + b*w in the quadratic subfield: coordinates (a, 0.., b, 0..)
@@ -664,34 +633,20 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
             return field.scalar(a) + field.scalar(b) * w_std
 
         gram = tuple(
-            tuple(to_std(k_trace(tpows[i].frobenius(r) * tpows[j])) for j in range(half))
+            tuple(to_std(_trace(tpows[i].frobenius(r) * tpows[j], 2, r)) for j in range(half))
             for i in range(half)
         )
         mult = _k_linear_matrix(field, w_std, tpows, binv, gen)
-        p_mat = _hermitian_change_of_basis(gram, field)
-        std = mat_mul(mat_mul(mat_inverse(p_mat), mult), p_mat)
-        elt = contains(desc, std)
-        assert elt is not None, "torus generator must preserve the standard form"
-        return AnisotropicTorus(desc, (elt,), order, big)
+        return _torus_in_standard_form(desc, _hermitian_change_of_basis(gram, field), [mult], big)
 
     # family A, r even: dual-pair torus on two isotropic blocks
     s = r // 2
     big = make_field(q, r)
-    if r == 2:
-        gamma_std = _multiplicative_generator(field)
-        a_block = ((gamma_std,),)
-    else:
-        gamma, w, w_std = _subfield_quadratic_image(big, field)
-        a_block = _k_linear_matrix(field, w_std, *_k_basis(big, w), gamma)
+    gamma, w, w_std = _subfield_quadratic_image(big, field)
+    a_block = _k_linear_matrix(field, w_std, *_k_basis(big, w), gamma)
     dual = mat_inverse(mat_conj_transpose(a_block, True))
     zero = field.zero()
-    gen1 = tuple(
-        tuple(
-            a_block[i][j] if i < s and j < s else (dual[i - s][j - s] if i >= s and j >= s else zero)
-            for j in range(r)
-        )
-        for i in range(r)
-    )
+    gen1 = tuple(row + (zero,) * s for row in a_block) + tuple((zero,) * s + row for row in dual)
     lam0 = field.scalar(_multiplicative_generator(make_field(q, 1)).lift())
     gen2 = tuple(
         tuple(
@@ -702,15 +657,7 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
     hyper = tuple(
         tuple(field.one() if abs(i - j) == s else zero for j in range(r)) for i in range(r)
     )
-    p_mat = _hermitian_change_of_basis(hyper, field)
-    inv_p = mat_inverse(p_mat)
-    elts = []
-    for g in (gen1, gen2):
-        std = mat_mul(mat_mul(inv_p, g), p_mat)
-        elt = contains(desc, std)
-        assert elt is not None, "torus generator must preserve the standard form"
-        elts.append(elt)
-    return AnisotropicTorus(desc, tuple(elts), order, big)
+    return _torus_in_standard_form(desc, _hermitian_change_of_basis(hyper, field), [gen1, gen2], big)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ the whole analysis lives in.
 from __future__ import annotations
 
 import enum
-from math import comb, gcd, isqrt
+from math import gcd, isqrt
 
 from .finfield import IS_PRIME_LIMIT, Record, is_prime
 from .intpoly import (
@@ -498,12 +498,18 @@ class CMSignature(Record):
 
 
 def _is_binomial_pair(a: int, b: int) -> bool:
-    """(a, b) = (C(i, j-1), C(i, j)) for some naturals i, j."""
+    """(a, b) = (C(i, j-1), C(i, j)) for some naturals i, j.  A row, walked by
+    C(i, j) = C(i, j-1)(i-j+1)/j, is symmetric and unimodal: a pair past its
+    peak mirrors (b, a) before it, so the walk stops past max(a, b)."""
     top = max(a, b, 1)
-    for i in range(0, top + 2):
+    for i in range(top + 2):
+        c = 1
         for j in range(1, i + 2):
-            if comb(i, j - 1) == a and comb(i, j) == b:
+            prev, c = c, c * (i - j + 1) // j
+            if (prev, c) == (a, b) or j <= i and (c, prev) == (a, b):
                 return True
+            if c > top:
+                break
     return False
 
 

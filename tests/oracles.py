@@ -36,6 +36,7 @@ from fractions import Fraction
 
 from frobsplit.finfield import make_field, power, subfield_degree
 from frobsplit.groups import (
+    MAX_GROUP_SIZE,
     BudgetExceeded,
     GroupElement,
     NormalizerCensus,
@@ -162,7 +163,10 @@ def hermitian_scales_by_scan(field):
 
 def torus_element_matrices(desc):
     """All torus elements g1^i g2^w as GroupElements, in the order of the
-    exponents (i, w); the construction is budget-capped."""
+    exponents (i, w); a torus of more than MAX_GROUP_SIZE elements raises
+    BudgetExceeded before it is built."""
+    if torus_order(desc) > MAX_GROUP_SIZE:
+        raise BudgetExceeded(f"listing a torus of order {torus_order(desc)} exceeds MAX_GROUP_SIZE = {MAX_GROUP_SIZE}")
     torus = build_anisotropic_torus(desc)
     q = desc.ell
     orders = (torus.order,) if len(torus.generators) == 1 else (torus.order // (q - 1), q - 1)
@@ -198,7 +202,7 @@ def normalizer_census_oracle(desc) -> NormalizerCensus:
 def regular_torus_count_oracle(desc, m: int = 1, part: str = "full") -> int:
     """Definitional answer: classify every element of the matrix torus, with
     part membership read off the similitude (and, for SU, the determinant).
-    A test oracle for regular_torus_count, budget-capped like the torus."""
+    A test oracle for regular_torus_count, budget-capped like the listing."""
     if part not in ("full", "derived", "unitary") or part == "unitary" and desc.family == "C":
         raise ValueError(f"unknown part {part!r}")
     one = desc.matrix_field.one()

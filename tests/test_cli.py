@@ -83,7 +83,8 @@ def test_weil_analysis_payload():
 
 
 def test_budget_exceeded_exit_3():
-    report, status = run(["torus", "--family", "C", "--r", "9", "--ell", "11"])
+    # the cofactor of Phi_8(ell) = ell^4 + 1 is past finfield.IS_PRIME_LIMIT
+    report, status = run(["torus", "--family", "C", "--r", "4", "--ell", "10000019"])
     assert status == 3
     assert report["error"]["type"] == "BudgetExceeded"
 
@@ -240,7 +241,7 @@ def test_density_answers_at_paper_ranks(argv):
         (["cm-fraction", "--degree", "4", "--ell", "4"], 4, "CompositeModulus"),
         (["density", "--family", "C", "--r", "1", "--ells", ","], 4, "ValueError"),
         (["simulate", "--family", "C", "--r", "1", "--ells", ",", "--samples", "10", "--seed", "1"], 4, "ValueError"),
-        (["torus", "--family", "C", "--r", "9", "--ell", "11"], 3, "BudgetExceeded"),
+        (["torus", "--family", "C", "--r", "4", "--ell", "10000019"], 3, "BudgetExceeded"),
         (["weil", "--q", "3", "--poly", "9,0,6,0,1", "--ells", ","], 4, "ValueError"),
         (["goursat", "--family", "C", "--r", "1", "--ells", ",", "--seed", "1"], 4, "ValueError"),
         (["cm-fraction", "--degree", "4", "--ells", ","], 4, "ValueError"),

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
 
 from frobsplit.finfield import (
     IS_PRIME_LIMIT,
+    BudgetExceeded,
     CompositeModulus,
     DivisionByZero,
     FFElement,
@@ -16,6 +18,7 @@ from frobsplit.finfield import (
     make_field,
     minimal_polynomial,
     power,
+    prime_divisors,
     subfield_degree,
 )
 
@@ -81,6 +84,24 @@ def test_rabin_test_on_the_int_kernel(p):
 def test_canonical_modulus_pinned(p, k, modulus):
     # values from the search that also scanned every zero constant term
     assert make_field(p, k).modulus == modulus
+
+
+def test_canonical_modulus_is_the_first_irreducible_in_product_order():
+    """The candidates are counted lazily, c0 the most significant digit: the
+    order in which itertools.product lists (c0, ..., c(k-1))."""
+    for p, k in [(p, k) for p in (2, 3, 5, 7) for k in range(2, 6)] + [(11, 3), (13, 4), (101, 2)]:
+        first = next(low for low in product(range(1, p), *[range(p)] * (k - 1)) if _int_is_irreducible((*low, 1), p))
+        assert make_field(p, k).modulus == (*first, 1)
+
+
+def test_canonical_modulus_search_allocates_no_pool_of_ell_ints():
+    tracemalloc.start()
+    try:
+        field = make_field.__wrapped__(10**7 + 19, 2)  # uncached: run the search itself
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.modulus == (1, 0, 1) and peak < 10**5
 
 
 def test_make_field_is_deterministic():
@@ -228,6 +249,54 @@ def test_is_prime_equals_trial_division_below_ten_thousand():
     assert [n for n in range(10**4) if is_prime(n)] == [
         n for n in range(2, 10**4) if all(n % d for d in range(2, int(n**0.5) + 1))
     ]
+
+
+def _primes_below(n):
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for d in range(2, int(n**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, n, d)))
+    return [d for d in range(n) if sieve[d]]
+
+
+def _prime_divisors_by_trial_division(n, primes):
+    out = []
+    for d in primes:
+        if d * d > n:
+            break
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+    return out + [n] * (n > 1)
+
+
+def test_prime_divisors_equals_trial_division_below_ten_to_the_twelve():
+    """Seeded n < 10^12, and products of primes between 1000 and 10^6, which
+    leave trial division a composite cofactor for rho to split."""
+    primes = _primes_below(10**6)
+    rng = random.Random(28)
+    big = [d for d in primes if d > 1000]
+    ns = [rng.randrange(2, 10**12) for _ in range(40)]
+    ns += [rng.choice(big) ** rng.randrange(1, 3) * rng.choice(big) * rng.choice((1, 2, 999)) for _ in range(40)]
+    for n in ns:
+        assert prime_divisors(n) == _prime_divisors_by_trial_division(n, primes), n
+
+
+def test_prime_divisors_splits_two_primes_near_ten_to_the_eleven():
+    starts = (10**11, 10**11 + 10**4, 10**11 + 2 * 10**4)
+    p, q, s = (next(n for n in range(start, start + 10**4) if is_prime(n)) for start in starts)
+    assert prime_divisors(p * q) == [p, q] and prime_divisors(6 * q * s) == [2, 3, q, s]
+
+
+def test_prime_divisors_refuses_a_cofactor_at_the_is_prime_limit():
+    """Past trial division, a cofactor at or above IS_PRIME_LIMIT raises;
+    one just below is proved prime."""
+    with pytest.raises(BudgetExceeded, match="IS_PRIME_LIMIT"):
+        prime_divisors(IS_PRIME_LIMIT)
+    q = next(n for n in range(IS_PRIME_LIMIT - 2, 0, -2) if is_prime(n))
+    assert prime_divisors(2 * q) == [2, q]
 
 
 def _fields_and_elements():

@@ -6,10 +6,17 @@ from math import gcd
 import pytest
 
 from frobsplit import intpoly
-from frobsplit.finfield import FFElement, FieldMismatch, is_prime, make_field, minimal_polynomial, prime_divisors
+from frobsplit.finfield import (
+    IS_PRIME_LIMIT,
+    FFElement,
+    FieldMismatch,
+    is_prime,
+    make_field,
+    minimal_polynomial,
+    prime_divisors,
+)
 from frobsplit.groups import (
     MAX_GROUP_SIZE,
-    MAX_TORUS_SIZE,
     AnisotropicTorus,
     BudgetExceeded,
     DimensionMismatch,
@@ -635,15 +642,49 @@ def test_budget_exceeded_paths():
     with pytest.raises(BudgetExceeded):
         enumerate_group_packed(sp4)
     huge_torus = GroupDescriptor("C", 9, 11)
-    # the census is a closed form and answers; building the matrix torus,
-    # which scans GF(11^18), is what stays capped
+    # the census is a closed form and the matrix torus has no cap: both
+    # answer, and only listing the torus's 2.4*10^10 elements stays capped
     census = torus_census(huge_torus)
-    assert census.torus_order == torus_order(huge_torus) > MAX_TORUS_SIZE
+    assert census.torus_order == torus_order(huge_torus) > 10**10
     assert 0 < census.regular_count < census.torus_order
-    with pytest.raises(BudgetExceeded, match="MAX_TORUS_SIZE"):
-        build_anisotropic_torus(huge_torus)
-    with pytest.raises(BudgetExceeded):
+    torus = build_anisotropic_torus(huge_torus)
+    assert contains(huge_torus, torus.generator.matrix) == torus.generator
+    with pytest.raises(BudgetExceeded, match="MAX_GROUP_SIZE"):
         torus_element_matrices(huge_torus)
+
+
+# paper-scale descriptors whose tori have more than 10^7 elements
+PAPER_SCALE_TORI = [
+    GroupDescriptor(*key)
+    for key in [
+        ("C", 3, 101),
+        ("A", 3, 101),
+        ("A", 4, 101),
+        ("A", 1, 10007),
+        ("C", 3, 10007),
+        ("C", 4, 1009),
+        ("C", 2, 10**6 + 3),
+        ("A", 3, 10007),
+        ("A", 4, 10007),
+        ("C", 4, 10357),
+    ]
+]
+
+
+@pytest.mark.parametrize("desc", PAPER_SCALE_TORI, ids=repr)
+def test_paper_scale_tori_build_with_generators_in_the_group(desc):
+    torus = build_anisotropic_torus(desc)
+    assert torus.order == torus_order(desc) > 10**7
+    for g in torus.generators:
+        assert contains(desc, g.matrix) == g
+
+
+def test_the_torus_build_refuses_only_at_the_is_prime_limit():
+    """GSp_8(F_(10^7+19)) needs the primes of Phi_8(ell) = ell^4 + 1, whose
+    cofactor 1.2*10^25 left by trial division is past IS_PRIME_LIMIT."""
+    with pytest.raises(BudgetExceeded, match="IS_PRIME_LIMIT") as refusal:
+        build_anisotropic_torus(GroupDescriptor("C", 4, 10**7 + 19))
+    assert str(IS_PRIME_LIMIT) in str(refusal.value)
 
 
 def test_interpolation_of_torus_polynomials():

@@ -1,7 +1,8 @@
 import itertools
 import random
+import time
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 
@@ -18,6 +19,7 @@ from frobsplit.weil import (
     RootBoundViolation,
     SymmetryViolation,
     WeilPoly,
+    _is_binomial_pair,
     _prime_power,
     analyze,
     non_special,
@@ -608,6 +610,25 @@ def test_non_special_condition_iv_binomial_exclusion():
     # (1, 5) = (C(5,0), C(5,1)) and (5, 1) = (C(5,4), C(5,5)): excluded both ways
     sig2 = CMSignature(6, ((1, 5),))
     assert "iv" not in non_special(sig2)
+
+
+def test_binomial_pair_walk_equals_the_search_over_every_row_and_column():
+    """The old definition tried every (i, j) with i <= max(a, b, 1) + 1; its
+    answer for all a, b <= 60 is read off one pass over those rows, keeping
+    the first row of each pair."""
+    first_row = {}
+    for i in range(62):
+        for j in range(1, i + 2):
+            first_row.setdefault((comb(i, j - 1), comb(i, j)), i)
+    for a in range(61):
+        for b in range(61):
+            assert _is_binomial_pair(a, b) == (first_row.get((a, b), 99) <= max(a, b, 1) + 1), (a, b)
+
+
+def test_condition_iv_answers_at_rank_ten_thousand():
+    started = time.perf_counter()
+    assert non_special(CMSignature(10**4, ((4999, 5001),))) == ("iv",)
+    assert time.perf_counter() - started < 0.1
 
 
 def test_signature_validation():
