@@ -6,9 +6,10 @@ resolved command echoed so any run can be replayed.  Exact rationals are
 serialized as {"num": ..., "den": ...} decimal strings; the only floating
 point numbers in payloads are simulation z-scores.
 
-Exit codes: 0 success, 2 usage error, 3 budget exceeded (an enumeration
-cap, or IS_PRIME_LIMIT in the torus build), 4 domain rejection
-(diagnostics in the payload).
+Exit codes: 0 success, 2 usage error (or an unwritable --output path), 3
+budget exceeded (an enumeration cap, or IS_PRIME_LIMIT in the torus
+build), 4 domain rejection (diagnostics in the payload; a prime argument
+at or above IS_PRIME_LIMIT is one).
 """
 
 from __future__ import annotations
@@ -333,13 +334,16 @@ def render(report: dict, fmt: str) -> str:
 
 def main(argv=None) -> int:
     ns = parse(sys.argv[1:] if argv is None else argv)
+    try:  # opened before the run, so an unwritable path costs no computation
+        out = open(ns.output, "w") if ns.output else sys.stdout
+    except OSError as exc:
+        sys.stderr.write(f"frobsplit: error: cannot write --output {ns.output}: {exc.strerror}\n")
+        return 2
     report, status = execute(ns)
     text = render(report, ns.format)
-    if ns.output:
-        with open(ns.output, "w") as fh:
-            fh.write(text + ("\n" if not text.endswith("\n") else ""))
-    else:
-        sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
+    out.write(text + ("\n" if not text.endswith("\n") else ""))
+    if out is not sys.stdout:
+        out.close()
     return status
 
 

@@ -53,11 +53,18 @@ class BudgetExceeded(RuntimeError):
     """An exact computation would exceed its hard cap."""
 
 
+class PrimalityUndecided(ValueError):
+    """is_prime cannot decide a number at or above IS_PRIME_LIMIT."""
+
+
 IS_PRIME_LIMIT = 3317044064679887385961981  # least strong pseudoprime to bases 2..41
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < IS_PRIME_LIMIT."""
+    """Deterministic Miller-Rabin, exact below IS_PRIME_LIMIT; at or above
+    it, where a composite passes every base, it raises PrimalityUndecided."""
+    if n >= IS_PRIME_LIMIT:
+        raise PrimalityUndecided(f"cannot decide whether {n} is prime: it is at or above IS_PRIME_LIMIT = {IS_PRIME_LIMIT}")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):

@@ -54,10 +54,11 @@ quadratic formula, with the square root read off the int factors of
 t^2 - b^2 that factor_mod returns, and so is the scale that gives a
 Hermitian basis vector norm 1 (_hermitian_scale).
 
-All linear algebra over field elements (determinant, inverse, independent
-subsets, the change of basis to the standard form, the anti-fixed element of
-the symplectic torus) reads its answer off _echelon, the row reduction over
-field elements; _imat_inverse is the one over natural int matrices mod ell.
+The changes of basis to the standard form are Gram-Schmidt loops whose
+working basis stays independent by construction, with no row reduction.
+The rest of the linear algebra over field elements (determinant, inverse,
+the anti-fixed element of the symplectic torus) reads its answer off
+_echelon; _imat_inverse is the row reduction over int matrices mod ell.
 The packed layer keeps only multiplication, the commutation test,
 conjugate transpose, the similitude test and the inverse it gives, which
 the enumeration and the oracles run, plus two shortcuts for the listing.
@@ -447,58 +448,48 @@ def _k_linear_matrix(small: FiniteField, w_std: FFElement, tpows, binv, x: FFEle
     return tuple(tuple(small.scalar(c[i]) + small.scalar(c[half + i]) * w_std for c in cols) for i in range(half))
 
 
-def _form(gram, u, v, conjugate: bool) -> FFElement:
-    """u^T gram v, with the entries of u conjugated (x -> x^ell) when the
-    form is Hermitian; zero entries of u are skipped."""
-    acc = v[0].field.zero()
+def _covector(gram, u, conjugate: bool):
+    """The row u^T gram, u conjugated (x -> x^ell) when the form is
+    Hermitian: the form (u, x) is its dot product with x."""
+    acc = [g.field.zero() for g in gram[0]]
     for ui, row in zip(u, gram):
         if not ui.is_zero():
             ui = ui.frobenius() if conjugate else ui
-            for g, vj in zip(row, v):
-                acc = acc + ui * g * vj
+            acc = [a + ui * g for a, g in zip(acc, row)]
     return acc
 
 
-def _symplectic_change_of_basis(gram, field):
-    """P with P^T * gram * P equal to the standard antidiagonal form."""
-    n = len(gram)
-    r = n // 2
-    basis = [tuple(field.one() if i == j else field.zero() for i in range(n)) for j in range(n)]
-    pairs = []
-    remaining = list(basis)
-    form = lambda u, v: _form(gram, u, v, False)  # noqa: E731
+def _dot(c, x) -> FFElement:
+    return sum(map(operator.mul, c, x), x[0].field.zero())
 
+
+def _symplectic_change_of_basis(gram, field):
+    """P with P^T * gram * P equal to the standard antidiagonal form.
+
+    `remaining` is a basis of the complement of the pairs so far.  Each step
+    pairs its first u with the first w of (u, w) != 0, v = w / (u, w), and
+    projects along <u, v> = <u, w>: the other projections stay independent,
+    so dropping u and w keeps `remaining` a basis with no re-reduction."""
+    n = len(gram)
+    if any(not (gram[i][j] + gram[j][i] if i != j else gram[i][i]).is_zero() for i in range(n) for j in range(i + 1)):
+        raise AssertionError("the Gram matrix is not alternating")
+    remaining, pairs = list(mat_identity(field, n)), []
     while remaining:
         u = remaining[0]
-        # on a non-alternating form the projection need not shrink
-        # `remaining`, so stop instead of looping without end
-        if len(pairs) == r or not form(u, u).is_zero():
-            raise AssertionError("the Gram matrix is not alternating")
-        v = next((x for x in remaining[1:] if not form(u, x).is_zero()), None)
-        if v is None:
+        cu = _covector(gram, u, False)
+        w = next((x for x in remaining[1:] if not _dot(cu, x).is_zero()), None)
+        if w is None:
             raise AssertionError("the Gram matrix is degenerate")
-        v = tuple(c / form(u, v) for c in v)
+        scale = _dot(cu, w).inverse()
+        v = tuple(scale * c for c in w)
+        cv = _covector(gram, v, False)
         pairs.append((u, v))
-        nxt = []
-        for x in remaining:
-            a, b = form(x, v), form(x, u)
-            y = tuple(xi - a * ui + b * vi for xi, ui, vi in zip(x, u, v))
-            if any(not c.is_zero() for c in y):
-                nxt.append(y)
-        # keep only an independent spanning set of the orthogonal complement
-        remaining = _independent_vectors(nxt)
-    cols = [p[0] for p in pairs] + [p[1] for p in reversed(pairs)]
-    assert len(pairs) == r
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def _independent_vectors(vectors):
-    """The greedy maximal linearly independent subset: the pivot columns of
-    the matrix whose columns are the vectors."""
-    if not vectors:
-        return []
-    _, pivots, _ = _echelon(list(zip(*vectors)))
-    return [vectors[j] for j in pivots]
+        # x - (x, v) u + (x, u) v, as (x, y) = -(y, x) on an alternating form
+        remaining = [
+            tuple(xi + a * ui - b * vi for xi, ui, vi in zip(x, u, v))
+            for x in remaining[1:] if x is not w for a, b in [(_dot(cv, x), _dot(cu, x))]
+        ]
+    return tuple(zip(*([p[0] for p in pairs] + [p[1] for p in reversed(pairs)])))
 
 
 def _hermitian_scale(field: FiniteField, norm: FFElement) -> FFElement:
@@ -518,32 +509,30 @@ def _hermitian_scale(field: FiniteField, norm: FFElement) -> FFElement:
 
 
 def _hermitian_change_of_basis(gram, field):
-    """P with conj(P)^T * gram * P equal to the identity."""
-    n = len(gram)
-    form = lambda u, v: _form(gram, u, v, True)  # noqa: E731
-    basis = [tuple(field.one() if i == j else field.zero() for i in range(n)) for j in range(n)]
-    ortho = []
-    remaining = list(basis)
+    """P with conj(P)^T * gram * P equal to the identity.
+
+    `remaining` is a basis of the complement of the vectors so far.  A step
+    takes its first anisotropic vector, or, if all are isotropic, a + t b
+    for its first a, the first b with (a, b) != 0 and the least t that
+    works; it scales this u to norm 1 and projects along <u>.  The
+    projections stay a basis once the vector u came from is dropped, or b,
+    whose projection is a multiple of a's: no re-reduction."""
+    norm = lambda x: _dot(_covector(gram, x, True), x)  # noqa: E731
+    remaining, ortho = list(mat_identity(field, len(gram))), []
     while remaining:
-        u = next((x for x in remaining if not form(x, x).is_zero()), None)
+        u = drop = next((x for x in remaining if not norm(x).is_zero()), None)
         if u is None:
-            # isotropic throughout: mix two vectors pairing nontrivially
             a = remaining[0]
-            b = next(x for x in remaining[1:] if not form(a, x).is_zero())
-            mixes = (tuple(ai + t * bi for ai, bi in zip(a, b)) for t in field.elements())
-            u = next(x for x in mixes if not form(x, x).is_zero())
-        scale = _hermitian_scale(field, form(u, u))
+            ca = _covector(gram, a, True)
+            drop = next(x for x in remaining[1:] if not _dot(ca, x).is_zero())
+            mixes = (tuple(ai + t * bi for ai, bi in zip(a, drop)) for t in field.elements())
+            u = next(x for x in mixes if not norm(x).is_zero())
+        scale = _hermitian_scale(field, norm(u))
         u = tuple(scale * c for c in u)
+        cu = _covector(gram, u, True)
         ortho.append(u)
-        nxt = []
-        for x in remaining:
-            a = form(u, x)
-            y = tuple(xi - a * ui for xi, ui in zip(x, u))
-            if any(not c.is_zero() for c in y):
-                nxt.append(y)
-        remaining = _independent_vectors(nxt)
-    assert len(ortho) == n
-    return tuple(tuple(ortho[j][i] for j in range(n)) for i in range(n))
+        remaining = [tuple(xi - c * ui for xi, ui in zip(x, u)) for x in remaining if x is not drop for c in [_dot(cu, x)]]
+    return tuple(zip(*ortho))
 
 
 def _anti_fixed_element(big: FiniteField, e: int) -> FFElement:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 from math import gcd, isqrt
 
-from .finfield import IS_PRIME_LIMIT, Record, is_prime
+from .finfield import Record, is_prime
 from .intpoly import (
     IntPoly,
     NotMonic,
@@ -80,18 +80,15 @@ def _integer_root(n: int, a: int) -> int:
 
 
 def _prime_power(q: int):
-    """(p, a) with q = p^a, or raise.  If q = p^a with p prime, the exact
-    roots of q are the p^(a/b) with b | a, so p is the one of largest a."""
+    """(p, a) with q = p^a, or raise (is_prime refuses a p at or above
+    IS_PRIME_LIMIT).  If q = p^a with p prime, the exact roots of q are the
+    p^(a/b) with b | a, so p is the one of largest a."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
     for a in range(q.bit_length(), 0, -1):
         p = _integer_root(q, a)
         if p**a == q:
             break
-    if p >= IS_PRIME_LIMIT:
-        raise ValueError(
-            f"cannot decide whether q is a prime power: {p} is not below IS_PRIME_LIMIT = {IS_PRIME_LIMIT}"
-        )
     if not is_prime(p):
         raise ValueError("q must be a prime power")
     return p, a

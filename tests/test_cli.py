@@ -202,6 +202,14 @@ def test_main_writes_output_file(tmp_path):
     assert data["schema"] == "frobsplit/2"
 
 
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "no" / "such" / "dir.json", tmp_path):
+        argv = ["torus", "--family", "C", "--r", "1", "--ell", "3", "--output", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1 and str(path) in captured.err
+
+
 def test_torus_gu2_f2_answers():
     report, status = run(["torus", "--family", "A", "--r", "2", "--ell", "2"])
     assert status == 0
@@ -254,6 +262,14 @@ def test_density_answers_at_paper_ranks(argv):
         # the prime set is {3}: a repeated prime would be counted twice
         (["cm-fraction", "--degree", "4", "--ells", "3,3"], 4, "ValueError"),
         (["cm-fraction", "--degree", "4", "--ell", "3", "--ells", "3"], 4, "ValueError"),
+        # IS_PRIME_LIMIT is composite but passes Miller-Rabin to every base
+        # is_prime tries, so every prime argument refuses it
+        (["torus", "--family", "C", "--r", "1", "--ell", "3317044064679887385961981"], 4, "PrimalityUndecided"),
+        (["density", "--family", "C", "--r", "1", "--ells", "3317044064679887385961981"], 4, "PrimalityUndecided"),
+        (["simulate", "--family", "C", "--r", "1", "--ells", "3317044064679887385961981", "--samples", "10", "--seed", "1"], 4, "PrimalityUndecided"),
+        (["goursat", "--family", "C", "--r", "1", "--ells", "5,3317044064679887385961981", "--seed", "1"], 4, "PrimalityUndecided"),
+        (["cm-fraction", "--degree", "2", "--ell", "3317044064679887385961981"], 4, "PrimalityUndecided"),
+        (["weil", "--q", "3", "--poly", "9,0,6,0,1", "--ells", "3317044064679887385961981"], 4, "PrimalityUndecided"),
     ],
 )
 def test_rejections_exit_with_a_json_error(argv, status, error, capsys):

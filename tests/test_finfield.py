@@ -12,6 +12,7 @@ from frobsplit.finfield import (
     FFElement,
     FieldMismatch,
     FiniteField,
+    PrimalityUndecided,
     _int_is_irreducible,
     frobenius_orbit,
     is_prime,
@@ -243,6 +244,18 @@ def test_is_prime_on_the_least_strong_pseudoprimes():
     assert psi12 == 399165290221 * 798330580441 and not is_prime(psi12)
     assert psi13 == 1287836182261 * 2575672364521
     assert is_prime(2**61 - 1) and is_prime(1000000007) and not is_prime(998244353 * 1000000007)
+
+
+def test_is_prime_refuses_to_decide_at_and_above_its_limit():
+    """IS_PRIME_LIMIT itself is composite yet passes every base, so is_prime
+    refuses it and everything above, with a ValueError naming the limit;
+    make_field refuses it the same way."""
+    for n in (IS_PRIME_LIMIT, IS_PRIME_LIMIT + 2, 2**89 - 1):
+        with pytest.raises(PrimalityUndecided, match=f"IS_PRIME_LIMIT = {IS_PRIME_LIMIT}"):
+            is_prime(n)
+    with pytest.raises(ValueError, match="IS_PRIME_LIMIT"):
+        make_field(IS_PRIME_LIMIT)
+    assert not is_prime(IS_PRIME_LIMIT - 1)
 
 
 def test_is_prime_equals_trial_division_below_ten_thousand():

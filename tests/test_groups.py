@@ -30,7 +30,6 @@ from frobsplit.groups import (
     _hermitian_change_of_basis,
     _hermitian_scale,
     _imat_inverse,
-    _independent_vectors,
     _lattice,
     _meet,
     _mulclose,
@@ -50,6 +49,7 @@ from frobsplit.groups import (
     enumerate_group_packed,
     group_order,
     identity_element,
+    mat_conj_transpose,
     mat_det,
     mat_identity,
     mat_inverse,
@@ -57,6 +57,7 @@ from frobsplit.groups import (
     normalizer_census,
     pack_matrix,
     regular_torus_count,
+    standard_gram,
     torus_census,
     torus_order,
     unpack_matrix,
@@ -1072,40 +1073,76 @@ def test_det_and_inverse_on_random_4x4_matrices(p, k):
     _check_det_and_inverse(tuple(tuple(row) for row in rows))
 
 
-def _span(vectors, field):
-    zero = tuple(field.zero() for _ in range(3))
-    out = {zero}
-    for v in vectors:
-        out = {tuple(x + c * y for x, y in zip(u, v)) for u in out for c in field.elements()}
-    return out
+def _random_gram(field, n, rng, mirror):
+    """A seeded nondegenerate n x n Gram matrix, random above the diagonal:
+    mirror(x) is the entry below it opposite x, mirror(None) a diagonal one."""
+    while True:
+        g = [[None] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = mirror(None)
+            for j in range(i + 1, n):
+                g[i][j] = field.from_index(rng.randrange(field.q))
+                g[j][i] = mirror(g[i][j])
+        gram = tuple(map(tuple, g))
+        if not mat_det(gram).is_zero():
+            return gram
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (2, 2)])
-def test_independent_vectors_is_the_greedy_subset(p, k):
-    field = make_field(p, k)
-    rng = random.Random(p + k)
-    for _ in range(40):
-        vectors = [
-            tuple(field.from_index(rng.randrange(field.q)) for _ in range(3)) for _ in range(rng.randrange(1, 6))
-        ]
-        keep = _independent_vectors(vectors)
-        # v_i is kept exactly when it lies outside the span of the earlier vectors
-        expected = [v for i, v in enumerate(vectors) if v not in _span(vectors[:i], field)]
-        assert keep == expected
-        span = _span(keep, field)
-        assert len(span) == field.q ** len(keep) and span == _span(vectors, field)
-    assert _independent_vectors([]) == []
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_symplectic_change_of_basis_on_random_alternating_forms(p):
+    field = make_field(p)
+    rng = random.Random(p)
+    for n in range(2, 11, 2):
+        standard = standard_gram(GroupDescriptor("C", n // 2, p))
+        for _ in range(4):
+            gram = _random_gram(field, n, rng, lambda above: field.zero() if above is None else -above)
+            p_mat = _symplectic_change_of_basis(gram, field)
+            assert mat_mul(mat_mul(mat_conj_transpose(p_mat, False), gram), p_mat) == standard, (n, gram)
+
+
+def _hyperbolic_gram(field, n, rng):
+    """A sum of hyperbolic planes on a random pairing of the basis, each
+    pair with a random nonzero entry: every basis vector is isotropic and
+    pairs with one partner, so each plane takes a mixing step."""
+    order = list(range(n))
+    rng.shuffle(order)
+    g = [[field.zero()] * n for _ in range(n)]
+    for i, j in zip(order[::2], order[1::2]):
+        g[i][j] = field.from_index(rng.randrange(1, field.q))
+        g[j][i] = g[i][j].frobenius()
+    return tuple(map(tuple, g))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hermitian_change_of_basis_on_random_hermitian_forms(p):
+    field = make_field(p, 2)
+    rng = random.Random(p)
+    hermitian = lambda above: field.scalar(rng.randrange(p)) if above is None else above.frobenius()  # noqa: E731
+    isotropic = lambda above: field.zero() if above is None else above.frobenius()  # noqa: E731
+    for n in range(1, 7):
+        grams = [_random_gram(field, n, rng, hermitian) for _ in range(3)]
+        if n > 1:
+            grams.append(_random_gram(field, n, rng, isotropic))
+        if n % 2 == 0:
+            grams += [_hyperbolic_gram(field, n, rng) for _ in range(2)]
+        for gram in grams:
+            p_mat = _hermitian_change_of_basis(gram, field)
+            assert mat_mul(mat_mul(mat_conj_transpose(p_mat, True), gram), p_mat) == mat_identity(field, n), (n, gram)
 
 
 def test_symplectic_change_of_basis_stops_on_a_non_alternating_gram_matrix():
     field = make_field(3, 1)
     one, zero = field.one(), field.zero()
-    # on the first two the pairing loop never shrinks its spanning set, so
-    # without the check it runs without end; the last is alternating but
-    # degenerate
-    for rows in ([[1, 1], [1, 1]], [[1, 2], [0, 1]], [[0, 0], [0, 0]]):
+    # the first three are not alternating (the third is symmetric with a zero
+    # diagonal); the last is alternating but degenerate
+    for rows, error in (
+        ([[1, 1], [1, 1]], "alternating"),
+        ([[1, 2], [0, 1]], "alternating"),
+        ([[0, 1], [1, 0]], "alternating"),
+        ([[0, 0], [0, 0]], "degenerate"),
+    ):
         gram = [[field.scalar(c) for c in row] for row in rows]
-        with pytest.raises(AssertionError, match="alternating|degenerate"):
+        with pytest.raises(AssertionError, match=error):
             _symplectic_change_of_basis(gram, field)
     p_mat = _symplectic_change_of_basis([[zero, one], [-one, zero]], field)
     assert p_mat == ((one, zero), (zero, one))

@@ -661,11 +661,11 @@ def test_prime_power_is_immediate_on_large_q():
     assert _prime_power(998244353**3) == (998244353, 3)
     assert _prime_power(2**61 - 1) == (2**61 - 1, 1)
     assert _prime_power(2**100) == (2, 100)
-    for q in (998244353 * 1000000007, 998244353**2 * 1000000007, 10**30, 1):
+    for q in (998244353 * 1000000007, 10**30, 1):
         with pytest.raises(ValueError, match="prime power"):
             _prime_power(q)
     # bases at or above the exact range of is_prime are refused, not guessed
-    for q in (IS_PRIME_LIMIT, (2**89 - 1) ** 2):
+    for q in (IS_PRIME_LIMIT, (2**89 - 1) ** 2, 998244353**2 * 1000000007):
         with pytest.raises(ValueError, match="IS_PRIME_LIMIT"):
             _prime_power(q)
 
