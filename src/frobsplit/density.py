@@ -30,6 +30,7 @@ from .groups import (
     GroupElement,
     _count_avoiding,
     _field_matrix,
+    _imat_identity,
     _imat_inverse,
     _imat_mul,
     _lattice,
@@ -269,7 +270,7 @@ def _chain_orbits(factors, tuples, target: int):
     of the order."""
     primes = [d.ell for d in factors]
     muls = [partial(_imat_mul, p=p) for p in primes]
-    ident = tuple(tuple(tuple(int(i == j) for j in range(2 * d.r)) for i in range(2 * d.r)) for d in factors)
+    ident = tuple(_imat_identity(2 * d.r) for d in factors)
     base = []  # (factor, point, whether the point is a line)
     for f, eye in enumerate(ident):
         base += [(f, e, True) for e in eye] + [(f, (1,) * len(eye), True), (f, eye[0], False)]

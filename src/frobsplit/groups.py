@@ -58,7 +58,11 @@ The changes of basis to the standard form are Gram-Schmidt loops whose
 working basis stays independent by construction, with no row reduction.
 The rest of the linear algebra over field elements (determinant, inverse,
 the anti-fixed element of the symplectic torus) reads its answer off
-_echelon; _imat_inverse is the row reduction over int matrices mod ell.
+_echelon.  Over int matrices mod ell the one row reduction is
+_imat_forward, forward elimination that stops at the first missing pivot:
+the classification's invertibility test, and, with back substitution on
+[a | I], _imat_inverse, with which the torus build conjugates its
+generators into the standard form.
 The packed layer keeps only multiplication, the commutation test,
 conjugate transpose, the similitude test and the inverse it gives, which
 the enumeration and the oracles run, plus two shortcuts for the listing.
@@ -79,8 +83,9 @@ Frobenius-power test for all three tori: Rabin's test read on the matrix of
 x^m over GF(ell), with the entries of GF(ell^2) written as 2x2 blocks, in
 integer arithmetic alone.  It builds no characteristic polynomial and runs
 no polynomial Euclid; the tori differ only in the degree D, the primes and
-the twist factors it tests, and each factor is tested invertible by one row
-reduction mod ell.  The definitional oracle finds the centralizer of y = x^m
+the twist factors it tests.  It builds the Frobenius powers one at a time
+and stops at the first factor that forward elimination mod ell finds
+singular.  The definitional oracle finds the centralizer of y = x^m
 in the listed full group by one of two enumerations.  When y is cyclic (I,
 y, ..., y^(n-1) independent, one elimination on the packed tables), the
 matrices commuting with y are the polynomials in y (Horn-Johnson, Matrix
@@ -237,7 +242,7 @@ def mat_conj_transpose(a, conjugate: bool):
 
 
 def _echelon(rows):
-    """Gauss-Jordan elimination, the one row reduction in this module:
+    """Gauss-Jordan elimination, the one row reduction over field elements:
     (reduced rows, pivot columns, det), det being the determinant of the
     leading square block (zero when that block is singular)."""
     work = [list(row) for row in rows]
@@ -578,9 +583,13 @@ class AnisotropicTorus(Record):
 
 def _torus_in_standard_form(desc: GroupDescriptor, p_mat, generators, big: FiniteField):
     """The torus of the generator matrices, conjugated by p_mat into the
-    standard form, which each must then preserve."""
-    inv_p = mat_inverse(p_mat)
-    elts = tuple(contains(desc, mat_mul(mat_mul(inv_p, g), p_mat)) for g in generators)
+    standard form, which each must then preserve.  The conjugation runs on
+    the natural int matrices mod ell."""
+    ell = desc.ell
+    p_nat = _natural_matrix(GroupElement(desc, p_mat, 1))
+    inv_p = _imat_inverse(p_nat, ell)
+    conj = [_imat_mul(_imat_mul(inv_p, _natural_matrix(GroupElement(desc, g, 1)), ell), p_nat, ell) for g in generators]
+    elts = tuple(contains(desc, _field_matrix(desc, g)) for g in conj)
     assert all(elts), "torus generator must preserve the standard form"
     return AnisotropicTorus(desc, elts, torus_order(desc), big)
 
@@ -995,31 +1004,55 @@ def _field_matrix(desc: GroupDescriptor, nat) -> tuple:
     return tuple(tuple(element([nat[i + c][j] for c in range(k)]) for j in range(0, n, k)) for i in range(0, n, k))
 
 
+@lru_cache(maxsize=None)
+def _imat_identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def _imat_mul(a, b, p: int) -> tuple:
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(operator.mul, row, col)) % p for col in cols) for row in a)
+    return tuple([tuple([sum(map(operator.mul, row, col)) % p for col in cols]) for row in a])
 
 
 def _imat_sub(a, b, p: int) -> tuple:
     return tuple(tuple((u - v) % p for u, v in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _imat_inverse(a, p: int) -> tuple | None:
-    """The inverse of the square int matrix a mod the prime p, by
-    Gauss-Jordan on [a | I], or None when a is singular mod p."""
-    n = len(a)
-    work = [[v % p for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+def _imat_forward(rows, p: int) -> list | None:
+    """Forward elimination mod the prime p, the one int row reduction in this
+    module: the rows, reduced so that the leading square block is upper
+    triangular with unit diagonal, or None at the first column of that block
+    with no pivot, that is when the block is singular mod p."""
+    n = len(rows)
+    work = [[v % p for v in row] for row in rows]
     for col in range(n):
-        pivot = next((i for i in range(col, n) if work[i][col]), None)
-        if pivot is None:
+        for pivot in range(col, n):
+            if work[pivot][col]:
+                break
+        else:
             return None
         work[col], work[pivot] = work[pivot], work[col]
         inv = pow(work[col][col], -1, p)
         top = work[col] = [v * inv % p for v in work[col]]
-        for i in range(n):
+        for i in range(col + 1, n):
             c = work[i][col]
-            if c and i != col:
+            if c:
                 work[i] = [(v - c * t) % p for v, t in zip(work[i], top)]
+    return work
+
+
+def _imat_inverse(a, p: int) -> tuple | None:
+    """The inverse of the square int matrix a mod the prime p: _imat_forward
+    on [a | I], then back substitution; None when a is singular mod p."""
+    n = len(a)
+    work = _imat_forward([tuple(row) + e for row, e in zip(a, _imat_identity(n))], p)
+    if work is None:
+        return None
+    for col in range(n - 1, 0, -1):
+        for i in range(col):
+            c = work[i][col]
+            if c:
+                work[i] = [(v - c * t) % p for v, t in zip(work[i], work[col])]
     return tuple(tuple(row[n:]) for row in work)
 
 
@@ -1041,36 +1074,43 @@ def classify_element(x: GroupElement, m: int = 1) -> bool:
     the dual-pair torus) and of F_(2j) F_1 - lam I for j in _twists(s) (lam
     the similitude of y), is then a polynomial in a semisimple matrix, whose
     eigenvalues are its values at the beta.  P is invertible iff each factor
-    is, and one row reduction mod ell per factor (_imat_inverse) decides
-    that; neither P nor a power of it is formed.  P invertible says no beta lies in a
-    proper subfield: on the norm-line tori the characteristic polynomial is
+    is, and forward elimination mod ell of the factor alone (_imat_forward)
+    decides that, stopping at its first missing pivot; neither P nor a power of it is formed.  P invertible says no beta
+    lies in a proper subfield: on the norm-line tori the characteristic polynomial is
     irreducible (Rabin's test), and on the dual-pair torus it is two
     factors of degree s over GF(ell^2).  The unitary Frobenius beta ->
     lam / beta^ell maps them onto themselves, and its square is beta ->
     beta^(ell^2); so it fixes a factor only by acting on it as beta ->
     beta^(ell^(2j)) with 2j = 1 (mod s), which the twist factor rules out.
     A repeated factor would be fixed, so squarefreeness needs no test.
+
+    The answer is the conjunction of these tests, so they run in the order
+    that stops soonest: F_1, ..., F_D are built one at a time and each
+    F_(D/p) - y is tested as soon as F_(D/p) exists, the first singular one
+    answering False; then F_D = y; then the twist factor.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     desc = x.desc
     ell = desc.ell
     x_nat = _natural_matrix(x)
-    eye = tuple(tuple(int(i == j) for j in range(len(x_nat))) for i in range(len(x_nat)))
+    eye = _imat_identity(len(x_nat))
     mul = lambda a, b: _imat_mul(a, b, ell)  # noqa: E731
     y = power(x_nat, m, mul, eye)
     lam = pow(x.similitude, m, ell)
     s = desc.r // 2 if desc.family == "A" and desc.r % 2 == 0 else 0  # 0: norm-line torus
     d = 2 * s or 2 * desc.r
+    tested = {d // p for p in prime_divisors(s or d)}
     frob = [y]
-    for _ in range(d):
+    for i in range(1, d + 1):
         frob.append(power(frob[-1], ell, mul, eye))
+        if i in tested and _imat_forward(_imat_sub(frob[i], y, ell), ell) is None:
+            return False
     if frob[d] != y:
         return False
     lam_eye = tuple(tuple(lam * v for v in row) for row in eye)
-    factors = [_imat_sub(frob[d // p], y, ell) for p in prime_divisors(s or d)]
-    factors += [_imat_sub(mul(frob[2 * j], frob[1]), lam_eye, ell) for j in _twists(s)]
-    return all(_imat_inverse(f, ell) is not None for f in factors)
+    twists = [_imat_sub(mul(frob[2 * j], frob[1]), lam_eye, ell) for j in _twists(s)]
+    return all(_imat_forward(f, ell) is not None for f in twists)
 
 
 def _cyclic_powers(pg: _PackedGroup, y) -> list | None:

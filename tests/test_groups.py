@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from frobsplit import intpoly
+from frobsplit import groups, intpoly
 from frobsplit.finfield import (
     IS_PRIME_LIMIT,
     FFElement,
@@ -13,6 +13,7 @@ from frobsplit.finfield import (
     is_prime,
     make_field,
     minimal_polynomial,
+    power,
     prime_divisors,
 )
 from frobsplit.groups import (
@@ -29,6 +30,7 @@ from frobsplit.groups import (
     _count_avoiding,
     _hermitian_change_of_basis,
     _hermitian_scale,
+    _imat_forward,
     _imat_inverse,
     _lattice,
     _meet,
@@ -473,11 +475,15 @@ def test_classification_equals_the_charpoly_references_wide(desc):
 
 
 @pytest.mark.parametrize(
-    "desc", [GroupDescriptor(f, r, ell) for f, r in (("C", 2), ("A", 3)) for ell in (101, 1009, 10007)], ids=repr
+    "desc",
+    [GroupDescriptor(f, r, ell) for f, r in (("C", 2), ("A", 3)) for ell in (101, 1009, 10007)]
+    + [GroupDescriptor("A", r, ell) for r, ell in ((2, 10007), (4, 1009), (6, 11))],
+    ids=repr,
 )
 def test_classification_equals_the_charpoly_references_on_random_words(desc):
     """The charpoly references at primes no listing reaches, on seeded
-    random words of 24 generators of the full group."""
+    random words of 24 generators of the full group.  The dual-pair torus
+    is checked at s = 1, 2 and 3; at s = 3 (GU_6) the twist factor decides."""
     rng = random.Random(desc.ell)
     gens = [contains(desc, g) for g in _part_generators(desc, "full")]
     answers = []
@@ -490,6 +496,29 @@ def test_classification_equals_the_charpoly_references_on_random_words(desc):
             assert answer == _reference(x, m), (x, m)
             answers.append(answer)
     assert any(answers) and not all(answers)
+
+
+def test_classification_stops_at_the_first_singular_factor(monkeypatch):
+    """GSp_4(F_1009) has D = 4 and one factor, F_2 - y.  The Frobenius
+    powers F_i = y^(ell^i) are built one at a time, so an element with every
+    eigenvalue in GF(ell^2) stops after F_2, while a regular anisotropic
+    torus element builds F_1, ..., F_4."""
+    desc = GroupDescriptor("C", 2, 1009)
+    ell = desc.ell
+    gen = build_anisotropic_torus(desc).generator
+    cases = [(identity_element(desc), False, 2), (gen ** (ell**2 + 1), False, 2), (gen, True, 4)]
+    frobenius_powers = []
+
+    def counting_power(x, e, mul, one):
+        if e == ell:
+            frobenius_powers.append(x)
+        return power(x, e, mul, one)
+
+    monkeypatch.setattr(groups, "power", counting_power)
+    for x, expected, built in cases:
+        frobenius_powers.clear()
+        assert classify_element(x) == expected
+        assert len(frobenius_powers) == built
 
 
 def test_classification_runs_on_ints_alone(monkeypatch):
@@ -939,9 +968,10 @@ def _random_words(desc, count, rng):
 
 @pytest.mark.parametrize("p,rank", [(2, 2), (3, 3), (101, 4), (10007, 3)])
 def test_imat_inverse_equals_mat_inverse(p, rank):
-    """Natural matrices of seeded GU_rank elements (2 rank <= 8), uniform
-    matrices of size 1..8, and singular ones: a row that is a combination
-    of the others, shuffled into place."""
+    """_imat_inverse, and the singularity that _imat_forward finds, against
+    the field-element inverse.  Natural matrices of seeded GU_rank elements
+    (2 rank <= 8), uniform matrices of size 1..8, and singular ones: a row
+    that is a combination of the others, shuffled into place."""
     rng = random.Random(p)
     field = make_field(p, 1)
     invertible = [_natural_matrix(x) for x in _random_words(GroupDescriptor("A", rank, p), 6, rng)]
@@ -957,6 +987,7 @@ def test_imat_inverse_equals_mat_inverse(p, rank):
     for a in invertible + uniform + singular:
         fa = tuple(tuple(field.scalar(v) for v in row) for row in a)
         inv = _imat_inverse(a, p)
+        assert (_imat_forward(a, p) is None) == (inv is None), a
         if mat_det(fa).is_zero():
             assert inv is None, a
         else:
