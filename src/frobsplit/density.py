@@ -386,7 +386,7 @@ def goursat_verify(factors, generators) -> GoursatReport:
         members = [contains(d, g.matrix) for d, g in zip(factors, gen)]
         if any(m is None or m.similitude != 1 or mat_det(m.matrix) != m.desc.matrix_field.one() for m in members):
             raise ValueError("generator component outside its derived group")
-        tuples.append(tuple(map(_natural_matrix, members)))
+        tuples.append(tuple(_natural_matrix(m.desc, m.matrix) for m in members))
 
     closure_order = prod(_chain_orbits(factors, tuples, product_order)[0])
     full = closure_order == product_order
@@ -423,7 +423,7 @@ def random_generator_tuples(factors, rng: random.Random, count: int = 2):
     _check_points(factors)
     draws = []
     for d in factors:
-        whole, draw = _derived_chain(d, [_natural_matrix(GroupElement(d, g, 1)) for g in _part_generators(d, "derived")])
+        whole, draw = _derived_chain(d, [_natural_matrix(d, g) for g in _part_generators(d, "derived")])
         assert whole, f"the generators of {d} span a proper subgroup"
         draws.append(draw)
     for _ in range(MAX_GENERATOR_DRAWS):

@@ -54,15 +54,19 @@ quadratic formula, with the square root read off the int factors of
 t^2 - b^2 that factor_mod returns, and so is the scale that gives a
 Hermitian basis vector norm 1 (_hermitian_scale).
 
-The changes of basis to the standard form are Gram-Schmidt loops whose
-working basis stays independent by construction, with no row reduction.
-The rest of the linear algebra over field elements (determinant, inverse,
-the anti-fixed element of the symplectic torus) reads its answer off
-_echelon.  Over int matrices mod ell the one row reduction is
-_imat_forward, forward elimination that stops at the first missing pivot:
-the classification's invertibility test, and, with back substitution on
-[a | I], _imat_inverse, with which the torus build conjugates its
-generators into the standard form.
+Outside the packed layer of the listing below, every matrix product and
+inverse runs on natural matrices: a matrix's action on the 2r-dimensional
+GF(ell)-space as ints mod ell (_natural_matrix, and _field_matrix back),
+multiplied by _imat_mul.  Their one row reduction is _imat_forward,
+forward elimination that stops at the first missing pivot: the
+classification's invertibility test, and, with back substitution on
+[a | I], _imat_inverse.  The group law, the conjugations into the standard
+form (_conjugates) and contains, which tests an int form, run there.  Over
+field elements remain the Gram-Schmidt loops of the changes of basis,
+whose working basis stays independent by construction, and _echelon, which
+gives the anti-fixed element of the symplectic torus and the determinant.
+The determinant cannot come from the natural matrix: in family A that
+determinant is the norm of det M, 1 for every unitary M.
 The packed layer keeps only multiplication, the commutation test,
 conjugate transpose, the similitude test and the inverse it gives, which
 the enumeration and the oracles run, plus two shortcuts for the listing.
@@ -218,22 +222,6 @@ def mat_identity(field: FiniteField, n: int):
     )
 
 
-def mat_mul(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def mat_conj_transpose(a, conjugate: bool):
     n, m = len(a), len(a[0])
     if conjugate:
@@ -277,17 +265,6 @@ def mat_det(a):
     return _echelon(a)[2]
 
 
-def mat_inverse(a):
-    n = len(a)
-    field = a[0][0].field
-    work, _, det = _echelon(
-        [list(row) + [field.one() if i == j else field.zero() for j in range(n)] for i, row in enumerate(a)]
-    )
-    if det.is_zero():
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in work)
-
-
 def mat_charpoly(a) -> tuple:
     """det(t*I - a), ascending, by Berkowitz's division-free recursion
     (Berkowitz 1984): the charpoly of each leading principal block comes
@@ -322,6 +299,111 @@ def standard_gram(desc: GroupDescriptor):
     )
 
 
+# ---------------------------------------------------------------------------
+# natural int matrices mod ell: the one layer of products and inverses
+
+
+def _natural_matrix(desc: GroupDescriptor, matrix) -> tuple:
+    """A matrix over the matrix field of desc on its natural GF(ell)-space,
+    as ints mod ell.  In family A the entry a + b t of GF(ell^2),
+    t^2 + A1 t + A0 = 0, acts on the basis (1, t) by the block
+    [[a, -A0 b], [b, a - A1 b]]."""
+    if desc.family == "C":
+        return tuple(tuple(e.coeffs[0] for e in row) for row in matrix)
+    ell = desc.ell
+    a0, a1, _ = desc.matrix_field.modulus
+    out = []
+    for row in matrix:
+        pairs = [e.coeffs for e in row]
+        out.append(tuple(v for a, b in pairs for v in (a, -a0 * b % ell)))
+        out.append(tuple(v for a, b in pairs for v in (b, (a - a1 * b) % ell)))
+    return tuple(out)
+
+
+def _field_matrix(desc: GroupDescriptor, nat) -> tuple:
+    """The matrix whose _natural_matrix is nat, each entry read off the first column of its block."""
+    element, k, n = desc.matrix_field.element, desc.matrix_field.k, len(nat)
+    return tuple(tuple(element([nat[i + c][j] for c in range(k)]) for j in range(0, n, k)) for i in range(0, n, k))
+
+
+@lru_cache(maxsize=None)
+def _imat_identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _imat_mul(a, b, p: int) -> tuple:
+    cols = tuple(zip(*b))
+    return tuple([tuple([sum(map(operator.mul, row, col)) % p for col in cols]) for row in a])
+
+
+def _imat_sub(a, b, p: int) -> tuple:
+    return tuple(tuple((u - v) % p for u, v in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _imat_forward(rows, p: int) -> list | None:
+    """Forward elimination mod the prime p, the one int row reduction in this
+    module: the rows, reduced so that the leading square block is upper
+    triangular with unit diagonal, or None at the first column of that block
+    with no pivot, that is when the block is singular mod p."""
+    n = len(rows)
+    work = [[v % p for v in row] for row in rows]
+    for col in range(n):
+        for pivot in range(col, n):
+            if work[pivot][col]:
+                break
+        else:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = pow(work[col][col], -1, p)
+        top = work[col] = [v * inv % p for v in work[col]]
+        for i in range(col + 1, n):
+            c = work[i][col]
+            if c:
+                work[i] = [(v - c * t) % p for v, t in zip(work[i], top)]
+    return work
+
+
+def _imat_inverse(a, p: int) -> tuple | None:
+    """The inverse of the square int matrix a mod the prime p: _imat_forward
+    on [a | I], then back substitution; None when a is singular mod p."""
+    n = len(a)
+    work = _imat_forward([tuple(row) + e for row, e in zip(a, _imat_identity(n))], p)
+    if work is None:
+        return None
+    for col in range(n - 1, 0, -1):
+        for i in range(col):
+            c = work[i][col]
+            if c:
+                work[i] = [(v - c * t) % p for v, t in zip(work[i], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def _field_inverse(desc: GroupDescriptor, matrix) -> tuple:
+    """The inverse of an invertible matrix over the matrix field of desc."""
+    return _field_matrix(desc, _imat_inverse(_natural_matrix(desc, matrix), desc.ell))
+
+
+def _conjugates(desc: GroupDescriptor, p_mat, matrices) -> list:
+    """p_mat^-1 g p_mat for each matrix g over the matrix field of desc."""
+    ell = desc.ell
+    p_nat = _natural_matrix(desc, p_mat)
+    inv_p = _imat_inverse(p_nat, ell)
+    return [_field_matrix(desc, _imat_mul(_imat_mul(inv_p, _natural_matrix(desc, g), ell), p_nat, ell)) for g in matrices]
+
+
+@lru_cache(maxsize=None)
+def _natural_form(desc: GroupDescriptor) -> tuple:
+    """The int Gram matrix B of contains: family C's standard Gram matrix;
+    in family A the trace form Tr H(x, y) of H(x, y) = sum x_i^ell y_i,
+    block diagonal with the Gram matrix [[2, -A1], [-A1, 2 A0]] of
+    (u, v) -> Tr(u^ell v) on the basis (1, t), t^2 + A1 t + A0 = 0."""
+    if desc.family == "C":
+        return _natural_matrix(desc, standard_gram(desc))
+    a0, a1, _ = desc.matrix_field.modulus
+    block, n = ((2, -a1), (-a1, 2 * a0)), desc.matrix_dim * 2
+    return tuple(tuple(block[i % 2][j % 2] % desc.ell if i // 2 == j // 2 else 0 for j in range(n)) for i in range(n))
+
+
 class GroupElement(Record):
     """A similitude with its multiplier (an integer mod ell)."""
 
@@ -330,18 +412,12 @@ class GroupElement(Record):
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if other.desc != self.desc:
             raise ValueError("elements of different groups")
-        return GroupElement(
-            self.desc,
-            mat_mul(self.matrix, other.matrix),
-            self.similitude * other.similitude % self.desc.ell,
-        )
+        desc = self.desc
+        nat = _imat_mul(_natural_matrix(desc, self.matrix), _natural_matrix(desc, other.matrix), desc.ell)
+        return GroupElement(desc, _field_matrix(desc, nat), self.similitude * other.similitude % desc.ell)
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(
-            self.desc,
-            mat_inverse(self.matrix),
-            pow(self.similitude, -1, self.desc.ell),
-        )
+        return GroupElement(self.desc, _field_inverse(self.desc, self.matrix), pow(self.similitude, -1, self.desc.ell))
 
     def __pow__(self, e: int) -> "GroupElement":
         base = self.inverse() if e < 0 else self
@@ -353,7 +429,13 @@ def identity_element(desc: GroupDescriptor) -> GroupElement:
 
 
 def contains(desc: GroupDescriptor, matrix) -> GroupElement | None:
-    """The element with its similitude factor, or None if the form breaks."""
+    """The element with its similitude factor, or None if the form breaks:
+    M^T B M = lam B mod ell, lam != 0, for the natural int matrix M and the
+    int form B of _natural_form.  In family C that is the definition.  In
+    family A it is ct(M) J M = lam J, lam in GF(ell)*, read through the
+    trace: M scales H by lam iff it scales Tr(c H(x, y)) = Tr H(x, c y) by
+    lam for every c in GF(ell^2), the trace form being nondegenerate; and a
+    multiplier lies in GF(ell) anyway, ct(M) J M being Hermitian."""
     n = desc.matrix_dim
     field = desc.matrix_field
     if len(matrix) != n or any(len(row) != n for row in matrix):
@@ -362,18 +444,15 @@ def contains(desc: GroupDescriptor, matrix) -> GroupElement | None:
         for x in row:
             if not isinstance(x, FFElement) or x.field != field:
                 raise FieldMismatch(f"entries must lie in {field}")
-    gram = standard_gram(desc)
-    s = mat_mul(mat_mul(mat_conj_transpose(matrix, desc.family == "A"), gram), matrix)
-    # the standard grams have a nonzero entry in row 0
-    j0 = next(j for j in range(n) if not gram[0][j].is_zero())
-    lam = s[0][j0] / gram[0][j0]
-    if lam.is_zero() or not lam.in_prime_field():
+    ell, form = desc.ell, _natural_form(desc)
+    nat = _natural_matrix(desc, matrix)
+    s = _imat_mul(tuple(zip(*nat)), _imat_mul(form, nat, ell), ell)
+    # the forms have a nonzero entry in row 0
+    j0 = next(j for j, b in enumerate(form[0]) if b)
+    lam = s[0][j0] * pow(form[0][j0], -1, ell) % ell
+    if lam == 0 or s != tuple(tuple(lam * b % ell for b in row) for row in form):
         return None
-    for i in range(n):
-        for j in range(n):
-            if s[i][j] != lam * gram[i][j]:
-                return None
-    return GroupElement(desc, tuple(tuple(row) for row in matrix), lam.lift())
+    return GroupElement(desc, tuple(tuple(row) for row in matrix), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +662,8 @@ class AnisotropicTorus(Record):
 
 def _torus_in_standard_form(desc: GroupDescriptor, p_mat, generators, big: FiniteField):
     """The torus of the generator matrices, conjugated by p_mat into the
-    standard form, which each must then preserve.  The conjugation runs on
-    the natural int matrices mod ell."""
-    ell = desc.ell
-    p_nat = _natural_matrix(GroupElement(desc, p_mat, 1))
-    inv_p = _imat_inverse(p_nat, ell)
-    conj = [_imat_mul(_imat_mul(inv_p, _natural_matrix(GroupElement(desc, g, 1)), ell), p_nat, ell) for g in generators]
-    elts = tuple(contains(desc, _field_matrix(desc, g)) for g in conj)
+    standard form, which each must then preserve."""
+    elts = tuple(contains(desc, g) for g in _conjugates(desc, p_mat, generators))
     assert all(elts), "torus generator must preserve the standard form"
     return AnisotropicTorus(desc, elts, torus_order(desc), big)
 
@@ -642,7 +716,7 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
     big = make_field(q, r)
     gamma, w, w_std = _subfield_quadratic_image(big, field)
     a_block = _k_linear_matrix(field, w_std, *_k_basis(big, w), gamma)
-    dual = mat_inverse(mat_conj_transpose(a_block, True))
+    dual = mat_conj_transpose(_field_inverse(desc, a_block), True)
     zero = field.zero()
     gen1 = tuple(row + (zero,) * s for row in a_block) + tuple((zero,) * s + row for row in dual)
     lam0 = field.scalar(_multiplicative_generator(make_field(q, 1)).lift())
@@ -802,7 +876,7 @@ class _PackedGroup:
         self.ct = _pmat_conj_transpose(self.pf, self.n, desc.family == "A")
         gram = standard_gram(desc)
         self.gram = pack_matrix(gram)
-        self.jinv = pack_matrix(mat_inverse(gram))
+        self.jinv = pack_matrix(_field_inverse(desc, gram))
         self.identity = pack_matrix(mat_identity(desc.matrix_field, self.n))
         self._gram_anchor = next(j for j in range(self.n) if self.gram[j])
         self._gram_terms = _gram_terms(self.pf, self.n, self.gram, self._gram_anchor)
@@ -935,8 +1009,7 @@ def _part_generators(desc: GroupDescriptor, part: str):
         full = part == "full" and gamma != one
         return roots + ([elementary(diagonal=(one,) * s + (gamma,) * s)] if full else [])
     p_mat = _hermitian_change_of_basis(elementary(*[(i, n - 1 - i, one) for i in range(n)], diagonal=(zero,) * n), field)
-    inv_p = mat_inverse(p_mat)
-    gens = [mat_mul(mat_mul(inv_p, g), p_mat) for g in roots]
+    gens = _conjugates(desc, p_mat, roots)
     if part != "derived":
         gens.append(elementary(diagonal=(gamma ** (ell - 1),) + (one,) * (n - 1)))
     if part == "full":
@@ -982,80 +1055,6 @@ def enumerate_group(desc: GroupDescriptor, part: str = "full"):
 # classification
 
 
-def _natural_matrix(x: GroupElement) -> tuple:
-    """x on its natural 2r-dimensional GF(ell)-space, as ints mod ell.  In
-    family A the entry a + b t of GF(ell^2), t^2 + A1 t + A0 = 0, acts on the
-    basis (1, t) by the block [[a, -A0 b], [b, a - A1 b]]."""
-    if x.desc.family == "C":
-        return tuple(tuple(e.coeffs[0] for e in row) for row in x.matrix)
-    ell = x.desc.ell
-    a0, a1, _ = x.desc.matrix_field.modulus
-    out = []
-    for row in x.matrix:
-        pairs = [e.coeffs for e in row]
-        out.append(tuple(v for a, b in pairs for v in (a, -a0 * b % ell)))
-        out.append(tuple(v for a, b in pairs for v in (b, (a - a1 * b) % ell)))
-    return tuple(out)
-
-
-def _field_matrix(desc: GroupDescriptor, nat) -> tuple:
-    """The matrix whose _natural_matrix is nat, each entry read off the first column of its block."""
-    element, k, n = desc.matrix_field.element, desc.matrix_field.k, len(nat)
-    return tuple(tuple(element([nat[i + c][j] for c in range(k)]) for j in range(0, n, k)) for i in range(0, n, k))
-
-
-@lru_cache(maxsize=None)
-def _imat_identity(n: int) -> tuple:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _imat_mul(a, b, p: int) -> tuple:
-    cols = tuple(zip(*b))
-    return tuple([tuple([sum(map(operator.mul, row, col)) % p for col in cols]) for row in a])
-
-
-def _imat_sub(a, b, p: int) -> tuple:
-    return tuple(tuple((u - v) % p for u, v in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _imat_forward(rows, p: int) -> list | None:
-    """Forward elimination mod the prime p, the one int row reduction in this
-    module: the rows, reduced so that the leading square block is upper
-    triangular with unit diagonal, or None at the first column of that block
-    with no pivot, that is when the block is singular mod p."""
-    n = len(rows)
-    work = [[v % p for v in row] for row in rows]
-    for col in range(n):
-        for pivot in range(col, n):
-            if work[pivot][col]:
-                break
-        else:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = pow(work[col][col], -1, p)
-        top = work[col] = [v * inv % p for v in work[col]]
-        for i in range(col + 1, n):
-            c = work[i][col]
-            if c:
-                work[i] = [(v - c * t) % p for v, t in zip(work[i], top)]
-    return work
-
-
-def _imat_inverse(a, p: int) -> tuple | None:
-    """The inverse of the square int matrix a mod the prime p: _imat_forward
-    on [a | I], then back substitution; None when a is singular mod p."""
-    n = len(a)
-    work = _imat_forward([tuple(row) + e for row, e in zip(a, _imat_identity(n))], p)
-    if work is None:
-        return None
-    for col in range(n - 1, 0, -1):
-        for i in range(col):
-            c = work[i][col]
-            if c:
-                work[i] = [(v - c * t) % p for v, t in zip(work[i], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
 def _twists(s: int) -> list:
     """The j with 2j = 1 (mod s) for s > 0, none for s = 0 (see
     classify_element): at most one, (s + 1)/2 mod s, for odd s."""
@@ -1093,7 +1092,7 @@ def classify_element(x: GroupElement, m: int = 1) -> bool:
         raise ValueError("m must be at least 1")
     desc = x.desc
     ell = desc.ell
-    x_nat = _natural_matrix(x)
+    x_nat = _natural_matrix(desc, x.matrix)
     eye = _imat_identity(len(x_nat))
     mul = lambda a, b: _imat_mul(a, b, ell)  # noqa: E731
     y = power(x_nat, m, mul, eye)

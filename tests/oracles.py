@@ -21,6 +21,13 @@ dual_rational, the monic polynomial with the roots q/alpha in exact
 Fractions; dual_polynomial is its integer form over Z, which the tests use
 to check that every factor analyze reports is self-dual.
 
+mat_mul and mat_inverse are the products and the Gauss-Jordan inverse over
+field elements that groups ran before every product and inverse moved onto
+the natural int matrices (_imat_mul, _imat_inverse); they stay the
+references of that layer.  contains_by_gram is the membership test
+groups.contains ran before it tested the int trace form: ct(M) J M = lam J
+over field elements, lam in GF(ell)*.
+
 The rest are the definitional counts that the closed forms of groups and
 density replaced, each kept here as the oracle of its closed form:
 torus_element_matrices lists the matrix torus, regular_torus_count_oracle
@@ -34,25 +41,82 @@ GF(ell^2g) (cm_subfield_fraction).
 
 from fractions import Fraction
 
-from frobsplit.finfield import make_field, power, subfield_degree
+from frobsplit.finfield import FFElement, FieldMismatch, make_field, power, subfield_degree
 from frobsplit.groups import (
     MAX_GROUP_SIZE,
     BudgetExceeded,
+    DimensionMismatch,
     GroupElement,
     NormalizerCensus,
+    _echelon,
     _packed_group,
     build_anisotropic_torus,
     classify_element,
     enumerate_group,
     enumerate_group_packed,
     identity_element,
+    mat_conj_transpose,
     mat_det,
     pack_matrix,
+    standard_gram,
     torus_order,
 )
 from frobsplit.intpoly import IntPoly, NotMonic, _int_distinct_degree, _int_squarefree_parts, _monic_mod, factor_mod
 from frobsplit.weil import Certificate, WeilPoly, _check_aux_prime
 from modpoly_split import ZeroConstantTerm
+
+
+def mat_mul(a, b):
+    n = len(a)
+    m = len(b[0])
+    k = len(b)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = a[i][0] * b[0][j]
+            for t in range(1, k):
+                acc = acc + a[i][t] * b[t][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def mat_inverse(a):
+    n = len(a)
+    field = a[0][0].field
+    work, _, det = _echelon(
+        [list(row) + [field.one() if i == j else field.zero() for j in range(n)] for i, row in enumerate(a)]
+    )
+    if det.is_zero():
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def contains_by_gram(desc, matrix) -> GroupElement | None:
+    """Definitional membership: ct(M) J M = lam J over field elements, for
+    the standard Gram matrix J and some lam in GF(ell)*; the element with
+    lam as its similitude, or None."""
+    n = desc.matrix_dim
+    field = desc.matrix_field
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise DimensionMismatch(f"expected a {n}x{n} matrix")
+    for row in matrix:
+        for x in row:
+            if not isinstance(x, FFElement) or x.field != field:
+                raise FieldMismatch(f"entries must lie in {field}")
+    gram = standard_gram(desc)
+    s = mat_mul(mat_mul(mat_conj_transpose(matrix, desc.family == "A"), gram), matrix)
+    # the standard grams have a nonzero entry in row 0
+    j0 = next(j for j in range(n) if not gram[0][j].is_zero())
+    lam = s[0][j0] / gram[0][j0]
+    if lam.is_zero() or not lam.in_prime_field():
+        return None
+    for i in range(n):
+        for j in range(n):
+            if s[i][j] != lam * gram[i][j]:
+                return None
+    return GroupElement(desc, tuple(tuple(row) for row in matrix), lam.lift())
 
 
 def classify_element_pairwise(x: GroupElement, m: int = 1) -> bool:

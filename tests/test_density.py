@@ -17,6 +17,7 @@ from frobsplit.density import (
     random_generator_tuples,
     regular_fraction,
 )
+from frobsplit.finfield import make_field
 from frobsplit.groups import (
     MAX_GROUP_SIZE,
     BudgetExceeded,
@@ -32,6 +33,7 @@ from frobsplit.groups import (
     enumerate_group,
     group_order,
     identity_element,
+    mat_det,
     pack_matrix,
 )
 from oracles import cm_subfield_fraction_exhaustive, exhaustive_classification
@@ -382,13 +384,33 @@ def test_goursat_rejects_foreign_generators():
         goursat_verify([f7, f5], gens)  # components in the wrong groups
 
 
+def test_goursat_rejects_a_unitary_component_of_determinant_not_one():
+    """diag(zeta, 1, 1) in GU_3(F_5), N(zeta) = 1 and zeta != 1, is unitary
+    but not in SU_3, and goursat_verify rejects it by its determinant over
+    GF(25).  Its natural matrix over GF(5) has determinant N(zeta) = 1, so
+    that determinant would wrongly accept it."""
+    desc = A_AT(3, 5)
+    field, prime = desc.matrix_field, make_field(5)
+    one, zero = field.one(), field.zero()
+    zeta = next(z for z in field.elements() if z != one and z.frobenius() * z == one)
+    m = tuple(tuple((zeta if i == 0 else one) if i == j else zero for j in range(3)) for i in range(3))
+    unitary = contains(desc, m)
+    assert unitary is not None and unitary.similitude == 1 and mat_det(m) == zeta
+    natural = tuple(tuple(prime.scalar(v) for v in row) for row in _natural_matrix(desc, m))
+    assert mat_det(natural) == prime.one()
+    draws = random_generator_tuples([desc], random.Random(7), count=2)
+    with pytest.raises(ValueError, match="outside its derived group"):
+        goursat_verify([desc], draws + [(unitary,)])
+    assert goursat_verify([desc], draws).full_product
+
+
 @pytest.mark.parametrize("desc,draws", [(C_AT(1009), 2000), (GroupDescriptor("C", 2, 11), 500)], ids=repr)
 def test_uniform_draws_of_the_full_group_meet_the_closed_form(desc, draws):
     """The chain of the full group from its generators draws uniform
     elements: the fraction that classify_element accepts is
     regular_fraction's within 5 sigma of the binomial."""
     order = group_order(desc)
-    gens = [(_natural_matrix(contains(desc, g)),) for g in _part_generators(desc, "full")]
+    gens = [(_natural_matrix(desc, g),) for g in _part_generators(desc, "full")]
     sizes, draw = _chain_orbits([desc], gens, order)
     assert prod(sizes) == order
     rng = random.Random(20260809)

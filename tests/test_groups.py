@@ -36,6 +36,7 @@ from frobsplit.groups import (
     _meet,
     _mulclose,
     _multiplicative_generator,
+    _natural_form,
     _natural_matrix,
     _PackedField,
     _packed_group,
@@ -54,8 +55,6 @@ from frobsplit.groups import (
     mat_conj_transpose,
     mat_det,
     mat_identity,
-    mat_inverse,
-    mat_mul,
     normalizer_census,
     pack_matrix,
     regular_torus_count,
@@ -66,8 +65,11 @@ from frobsplit.groups import (
 )
 from modpoly_split import classify_charpoly_reference, classify_dual_pair_reference
 from oracles import (
+    contains_by_gram,
     exhaustive_classification,
     hermitian_scales_by_scan,
+    mat_inverse,
+    mat_mul,
     normalizer_census_oracle,
     regular_torus_count_oracle,
     torus_element_matrices,
@@ -206,6 +208,86 @@ def test_contains_errors():
     wrong = ((f9.one(), f9.zero()), (f9.zero(), f9.one()))
     with pytest.raises(FieldMismatch):
         contains(C3, wrong)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 1009])
+def test_natural_form_is_the_trace_form_or_the_gram_matrix(ell):
+    """Family A's int form at (2i + a, 2j + b) is Tr(e_a^ell e_b) for the
+    basis e = (1, t) when i = j, and 0 otherwise; Tr(z) = z + z^ell.
+    Family C's is the standard Gram matrix, lifted to ints."""
+    desc = GroupDescriptor("A", 2, ell)
+    field = desc.matrix_field
+    basis = (field.one(), field.element([0, 1]))
+    for row_index, row in enumerate(_natural_form(desc)):
+        i, a = divmod(row_index, 2)
+        for col_index, b_ij in enumerate(row):
+            j, b = divmod(col_index, 2)
+            z = basis[a].frobenius() * basis[b]
+            assert b_ij == ((z + z.frobenius()).lift() if i == j else 0)
+    symplectic = GroupDescriptor("C", 2, ell)
+    assert _natural_form(symplectic) == tuple(tuple(x.lift() for x in row) for row in standard_gram(symplectic))
+
+
+def _membership_cases(desc, members, rng, randoms):
+    """Each member, a member with one entry bumped by a random nonzero
+    element, a member times a random nonzero scalar of the matrix field, and
+    `randoms` matrices with uniform entries."""
+    field, n = desc.matrix_field, desc.matrix_dim
+    nonzero = lambda: field.from_index(rng.randrange(1, field.q))  # noqa: E731
+    for m in members:
+        yield m
+        bumped = [list(row) for row in m]
+        i, j = rng.randrange(n), rng.randrange(n)
+        bumped[i][j] = bumped[i][j] + nonzero()
+        yield tuple(map(tuple, bumped))
+        c = nonzero()
+        yield tuple(tuple(c * x for x in row) for row in m)
+    for _ in range(randoms):
+        yield tuple(tuple(field.from_index(rng.randrange(field.q)) for _ in range(n)) for _ in range(n))
+
+
+def _assert_contains_equals_the_gram_definition(desc, members, rng, randoms):
+    verdicts = set()
+    for m in _membership_cases(desc, members, rng, randoms):
+        got = contains(desc, m)
+        assert got == contains_by_gram(desc, m), (desc, m)
+        verdicts.add(got is not None)
+    return verdicts
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [("C", 1, 2), ("C", 1, 3), ("C", 1, 5), ("C", 2, 2), ("C", 2, 3)]
+    + [("A", 1, 2), ("A", 1, 3), ("A", 1, 5), ("A", 2, 2), ("A", 2, 3), ("A", 3, 2)],
+    ids=lambda s: "".join(map(str, s)),
+)
+def test_contains_equals_the_gram_definition_on_small_groups(spec):
+    """The int test of contains (family A: the trace form) against
+    ct(M) J M = lam J over field elements, lam in GF(ell)*, on every element
+    of the listed group (of GSp_4(F_3), 500 seeded words in its generators),
+    each bumped and scaled, and 200 uniform matrices.  GU over GF(4) is the
+    case where the trace form has a zero diagonal."""
+    desc = GroupDescriptor(*spec)
+    rng = random.Random(repr(spec))
+    if group_order(desc) <= 1000:
+        members = [unpack_matrix(desc, m) for m in enumerate_group_packed(desc)]
+    else:
+        members = [x.matrix for x in _random_words(desc, 500, rng)]
+    assert all(contains(desc, m) is not None for m in members)
+    verdicts = _assert_contains_equals_the_gram_definition(desc, members, rng, 200)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [("C", 4, 10357), ("A", 4, 10007), ("A", 3, 1009), ("C", 9, 11), ("A", 6, 101), ("A", 5, 31)],
+    ids=lambda s: "".join(map(str, s)),
+)
+def test_contains_equals_the_gram_definition_on_paper_scale_torus_generators(spec):
+    desc = GroupDescriptor(*spec)
+    members = [g.matrix for g in build_anisotropic_torus(desc).generators]
+    verdicts = _assert_contains_equals_the_gram_definition(desc, members, random.Random(5), 3)
+    assert verdicts == {False, True}
 
 
 def test_torus_c_r1_orders_and_generator():
@@ -974,7 +1056,7 @@ def test_imat_inverse_equals_mat_inverse(p, rank):
     that is a combination of the others, shuffled into place."""
     rng = random.Random(p)
     field = make_field(p, 1)
-    invertible = [_natural_matrix(x) for x in _random_words(GroupDescriptor("A", rank, p), 6, rng)]
+    invertible = [_natural_matrix(x.desc, x.matrix) for x in _random_words(GroupDescriptor("A", rank, p), 6, rng)]
     uniform = [tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)) for n in range(1, 9) for _ in range(5)]
     singular = [((0,),)]
     for n in range(2, 9):
@@ -1052,6 +1134,17 @@ def test_element_power_and_inverse():
     assert (g**3).matrix == (g * g * g).matrix
     assert (g * g.inverse()).matrix == identity_element(C5).matrix
     assert (g**-2).matrix == (g.inverse() * g.inverse()).matrix
+
+
+@pytest.mark.parametrize("spec", [("C", 2, 7), ("A", 3, 5), ("A", 2, 2)], ids=lambda s: "".join(map(str, s)))
+def test_group_law_equals_the_field_element_products(spec):
+    """The product and inverse of GroupElement, on natural int matrices,
+    against mat_mul and mat_inverse over field elements on seeded words."""
+    rng = random.Random(repr(spec))
+    words = _random_words(GroupDescriptor(*spec), 10, rng)
+    for x, y in zip(words, words[1:]):
+        assert (x * y).matrix == mat_mul(x.matrix, y.matrix)
+        assert x.inverse().matrix == mat_inverse(x.matrix)
 
 
 def _leibniz_det(a):

@@ -16,10 +16,13 @@ loop, and groups imports no itertools.product, so no group is listed by a
 scan of the matrix space.  The Goursat check lists no group: no module
 defines MAX_CLOSURE or MAX_FACTOR_ORDER, and density neither imports nor
 calls _mulclose, _packed_group, enumerate_group*, pack_matrix or
-unpack_matrix.  The record types are plain slotted classes: no
-module imports dataclasses, and importing the CLI loads none of the
-introspection modules (inspect, ast, dis, tokenize) that dataclasses pulls
-in, which would add to the start-up of every command.
+unpack_matrix.  groups' natural int matrices (_imat_mul, _imat_inverse) are
+the one layer of matrix products and inverses: no module defines mat_mul or
+mat_inverse, the field-element products and inverse that tests/oracles.py
+keeps as references.  The record types are plain slotted classes: no module
+imports dataclasses, and importing the CLI loads none of the introspection
+modules (inspect, ast, dis, tokenize) that dataclasses pulls in, which
+would add to the start-up of every command.
 
 src holds the production paths only: the definitional oracles that the
 closed forms replaced live in tests/oracles.py, and no src module defines a
@@ -240,6 +243,16 @@ def test_no_product_closure_in_the_goursat_check():
         or (isinstance(node, ast.Attribute) and listing(node.attr))
     ]
     assert uses == []
+
+
+def test_no_module_multiplies_or_inverts_field_element_matrices():
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef) and node.name in ("mat_mul", "mat_inverse")
+    ]
+    assert defined == []
 
 
 # the oracles that left src for tests/oracles.py, and the one that stays

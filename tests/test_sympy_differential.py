@@ -344,7 +344,7 @@ def test_mat_charpoly_against_sympy_charpoly():
             norm = ModPoly.make(x.desc.matrix_field, cp)
             cp = (norm * frobenius_coeffs(norm)).coeffs
         got = tuple(c.lift() for c in cp)
-        expected = sympy.Matrix(_natural_matrix(x)).charpoly(X).all_coeffs()
+        expected = sympy.Matrix(_natural_matrix(x.desc, x.matrix)).charpoly(X).all_coeffs()
         assert got == tuple(int(c) % ell for c in reversed(expected)), x
         degrees.add(len(got) - 1)
     assert degrees == {2, 4, 6, 8}
