@@ -35,7 +35,7 @@ from .groups import (
     _imat_mul,
     _lattice,
     _natural_matrix,
-    _part_generators,
+    _uniform_derived,
     contains,
     group_order,
     mat_det,
@@ -249,10 +249,9 @@ def _check_points(factors) -> None:
 
 
 def _chain_orbits(factors, tuples, target: int):
-    """The orbits of a stabilizer chain (Sims 1970; Seress 2003, ch. 4) of
-    the group the tuples generate in the product of the factor groups,
-    whose sizes multiply to its order, and draw(rng), a uniform random
-    element of that group.
+    """The orbit sizes of a stabilizer chain (Sims 1970; Seress 2003, ch. 4)
+    of the group the tuples generate in the product of the factor groups,
+    which multiply to its order.
 
     Elements are tuples of _natural_matrix matrices acting on row vectors
     from the right.  Per factor, the base is a projective frame, the lines
@@ -339,22 +338,13 @@ def _chain_orbits(factors, tuples, target: int):
             break
         u, vi = transversal(i, x)[0], transversal(i, act(i, x, s))[1]
         sift(mul(mul(u, s), vi), i + 1)  # u s v^-1 fixes base points 0..i
-    points = [list(orbit) for orbit in orbits]
-
-    def draw(rng):  # every element is one product of transversal elements, deepest level first
-        g = ident
-        for k in reversed(range(n)):
-            g = mul(g, transversal(k, rng.choice(points[k]))[0])
-        return g
-
-    return [len(orbit) for orbit in orbits], draw
+    return [len(orbit) for orbit in orbits]
 
 
-def _derived_chain(d: GroupDescriptor, matrices):
-    """Whether the natural matrices generate the derived group of d, and draw for the group they generate."""
+def _derived_chain(d: GroupDescriptor, matrices) -> bool:
+    """Whether the natural matrices generate the derived group of d."""
     order = group_order(d, "derived")
-    sizes, draw = _chain_orbits([d], [(m,) for m in matrices], order)
-    return prod(sizes) == order, draw
+    return prod(_chain_orbits([d], [(m,) for m in matrices], order)) == order
 
 
 def goursat_verify(factors, generators) -> GoursatReport:
@@ -388,9 +378,9 @@ def goursat_verify(factors, generators) -> GoursatReport:
             raise ValueError("generator component outside its derived group")
         tuples.append(tuple(_natural_matrix(m.desc, m.matrix) for m in members))
 
-    closure_order = prod(_chain_orbits(factors, tuples, product_order)[0])
+    closure_order = prod(_chain_orbits(factors, tuples, product_order))
     full = closure_order == product_order
-    surjective = [full or _derived_chain(d, [t[i] for t in tuples])[0] for i, d in enumerate(factors)]
+    surjective = [full or _derived_chain(d, [t[i] for t in tuples]) for i, d in enumerate(factors)]
     note = _hypothesis_note(factors)
     in_hyp = note == ""
     if in_hyp and all(surjective) and not full:
@@ -411,24 +401,19 @@ def goursat_verify(factors, generators) -> GoursatReport:
 def random_generator_tuples(factors, rng: random.Random, count: int = 2):
     """Draw `count` random generator tuples, retrying until every projection
     is surjective; returns GroupElement tuples.  Each component is uniform
-    in its derived group, drawn from one stabilizer chain per factor
-    (_chain_orbits), built once from _part_generators.  Every nontrivial
-    derived group here (Sp_2r, and SU_r with r >= 2) is non-abelian, so a
-    single tuple can only generate trivial factors."""
+    in its derived group (groups._uniform_derived); the chains only test
+    surjectivity.  Every nontrivial derived group here (Sp_2r, and SU_r
+    with r >= 2) is non-abelian, so a single tuple can only generate
+    trivial factors."""
     if count < 1:
         raise ValueError("need at least one generator tuple")
     factors = list(factors)
     if count == 1 and any(group_order(d, "derived") > 1 for d in factors):
         raise ValueError("one element never generates a non-abelian derived group: draw at least 2 tuples")
     _check_points(factors)
-    draws = []
-    for d in factors:
-        whole, draw = _derived_chain(d, [_natural_matrix(d, g) for g in _part_generators(d, "derived")])
-        assert whole, f"the generators of {d} span a proper subgroup"
-        draws.append(draw)
     for _ in range(MAX_GENERATOR_DRAWS):
-        tuples = [tuple(draw(rng)[0] for draw in draws) for _ in range(count)]
-        if all(_derived_chain(d, [t[i] for t in tuples])[0] for i, d in enumerate(factors)):
+        tuples = [tuple(_uniform_derived(d, rng) for d in factors) for _ in range(count)]
+        if all(_derived_chain(d, [t[i] for t in tuples]) for i, d in enumerate(factors)):
             return [tuple(GroupElement(d, _field_matrix(d, m), 1) for d, m in zip(factors, t)) for t in tuples]
     raise BudgetExceeded(
         f"no {count} generator tuples with surjective projections within the retry cap of {MAX_GENERATOR_DRAWS} draws"

@@ -61,10 +61,11 @@ multiplied by _imat_mul.  Their one row reduction is _imat_forward,
 forward elimination that stops at the first missing pivot: the
 classification's invertibility test, and, with back substitution on
 [a | I], _imat_inverse.  The group law, the conjugations into the standard
-form (_conjugates) and contains, which tests an int form, run there.  Over
-field elements remain the Gram-Schmidt loops of the changes of basis,
-whose working basis stays independent by construction, and _echelon, which
-gives the anti-fixed element of the symplectic torus and the determinant.
+form (_conjugates), contains, which tests an int form, and the symplectic
+Gram-Schmidt run there; the changes of basis also draw uniform elements of
+the derived group (_uniform_derived).  Over field elements remain the
+Hermitian Gram-Schmidt and _echelon, which gives the anti-fixed element of
+the symplectic torus and the determinant.
 The determinant cannot come from the natural matrix: in family A that
 determinant is the norm of det M, 1 for every unitary M.
 The packed layer keeps only multiplication, the commutation test,
@@ -222,11 +223,9 @@ def mat_identity(field: FiniteField, n: int):
     )
 
 
-def mat_conj_transpose(a, conjugate: bool):
+def mat_conj_transpose(a):
     n, m = len(a), len(a[0])
-    if conjugate:
-        return tuple(tuple(a[j][i].frobenius() for j in range(n)) for i in range(m))
-    return tuple(tuple(a[j][i] for j in range(n)) for i in range(m))
+    return tuple(tuple(a[j][i].frobenius() for j in range(n)) for i in range(m))
 
 
 def _echelon(rows):
@@ -532,48 +531,49 @@ def _k_linear_matrix(small: FiniteField, w_std: FFElement, tpows, binv, x: FFEle
     return tuple(tuple(small.scalar(c[i]) + small.scalar(c[half + i]) * w_std for c in cols) for i in range(half))
 
 
-def _covector(gram, u, conjugate: bool):
-    """The row u^T gram, u conjugated (x -> x^ell) when the form is
-    Hermitian: the form (u, x) is its dot product with x."""
+def _covector(gram, u):
+    """The row conj(u)^T gram of the Hermitian form: the form (u, x) is its
+    dot product with x."""
     acc = [g.field.zero() for g in gram[0]]
     for ui, row in zip(u, gram):
         if not ui.is_zero():
-            ui = ui.frobenius() if conjugate else ui
+            ui = ui.frobenius()
             acc = [a + ui * g for a, g in zip(acc, row)]
     return acc
 
 
-def _dot(c, x) -> FFElement:
-    return sum(map(operator.mul, c, x), x[0].field.zero())
+def _dot(c, x):
+    """The dot product of two rows of field elements, or of ints."""
+    return sum(map(operator.mul, c[1:], x[1:]), c[0] * x[0])
 
 
-def _symplectic_change_of_basis(gram, field):
-    """P with P^T * gram * P equal to the standard antidiagonal form.
+def _symplectic_change_of_basis(gram, p: int):
+    """P with P^T * gram * P the standard antidiagonal form, all ints mod the prime p.
 
     `remaining` is a basis of the complement of the pairs so far.  Each step
     pairs its first u with the first w of (u, w) != 0, v = w / (u, w), and
     projects along <u, v> = <u, w>: the other projections stay independent,
     so dropping u and w keeps `remaining` a basis with no re-reduction."""
     n = len(gram)
-    if any(not (gram[i][j] + gram[j][i] if i != j else gram[i][i]).is_zero() for i in range(n) for j in range(i + 1)):
+    if any((gram[i][j] + gram[j][i] if i != j else gram[i][i]) % p for i in range(n) for j in range(i + 1)):
         raise AssertionError("the Gram matrix is not alternating")
-    remaining, pairs = list(mat_identity(field, n)), []
+    remaining, pairs = list(_imat_identity(n)), []
     while remaining:
         u = remaining[0]
-        cu = _covector(gram, u, False)
-        w = next((x for x in remaining[1:] if not _dot(cu, x).is_zero()), None)
+        (cu,) = _imat_mul((u,), gram, p)
+        w = next((x for x in remaining[1:] if _dot(cu, x) % p), None)
         if w is None:
             raise AssertionError("the Gram matrix is degenerate")
-        scale = _dot(cu, w).inverse()
-        v = tuple(scale * c for c in w)
-        cv = _covector(gram, v, False)
+        scale = pow(_dot(cu, w), -1, p)
+        v = tuple(scale * c % p for c in w)
+        (cv,) = _imat_mul((v,), gram, p)
         pairs.append((u, v))
         # x - (x, v) u + (x, u) v, as (x, y) = -(y, x) on an alternating form
         remaining = [
-            tuple(xi + a * ui - b * vi for xi, ui, vi in zip(x, u, v))
+            tuple((xi + a * ui - b * vi) % p for xi, ui, vi in zip(x, u, v))
             for x in remaining[1:] if x is not w for a, b in [(_dot(cv, x), _dot(cu, x))]
         ]
-    return tuple(zip(*([p[0] for p in pairs] + [p[1] for p in reversed(pairs)])))
+    return tuple(zip(*([u for u, _ in pairs] + [v for _, v in reversed(pairs)])))
 
 
 def _hermitian_scale(field: FiniteField, norm: FFElement) -> FFElement:
@@ -601,19 +601,19 @@ def _hermitian_change_of_basis(gram, field):
     works; it scales this u to norm 1 and projects along <u>.  The
     projections stay a basis once the vector u came from is dropped, or b,
     whose projection is a multiple of a's: no re-reduction."""
-    norm = lambda x: _dot(_covector(gram, x, True), x)  # noqa: E731
+    norm = lambda x: _dot(_covector(gram, x), x)  # noqa: E731
     remaining, ortho = list(mat_identity(field, len(gram))), []
     while remaining:
         u = drop = next((x for x in remaining if not norm(x).is_zero()), None)
         if u is None:
             a = remaining[0]
-            ca = _covector(gram, a, True)
+            ca = _covector(gram, a)
             drop = next(x for x in remaining[1:] if not _dot(ca, x).is_zero())
             mixes = (tuple(ai + t * bi for ai, bi in zip(a, drop)) for t in field.elements())
             u = next(x for x in mixes if not norm(x).is_zero())
         scale = _hermitian_scale(field, norm(u))
         u = tuple(scale * c for c in u)
-        cu = _covector(gram, u, True)
+        cu = _covector(gram, u)
         ortho.append(u)
         remaining = [tuple(xi - c * ui for xi, ui in zip(x, u)) for x in remaining if x is not drop for c in [_dot(cu, x)]]
     return tuple(zip(*ortho))
@@ -653,19 +653,19 @@ class AnisotropicTorus(Record):
     generators is the torus.
     """
 
-    __slots__ = ("desc", "generators", "order", "embedding_field")
+    __slots__ = ("desc", "generators", "order")
 
     @property
     def generator(self) -> GroupElement:
         return self.generators[0]
 
 
-def _torus_in_standard_form(desc: GroupDescriptor, p_mat, generators, big: FiniteField):
+def _torus_in_standard_form(desc: GroupDescriptor, p_mat, generators):
     """The torus of the generator matrices, conjugated by p_mat into the
     standard form, which each must then preserve."""
     elts = tuple(contains(desc, g) for g in _conjugates(desc, p_mat, generators))
     assert all(elts), "torus generator must preserve the standard form"
-    return AnisotropicTorus(desc, elts, torus_order(desc), big)
+    return AnisotropicTorus(desc, elts, torus_order(desc))
 
 
 @lru_cache(maxsize=None)
@@ -685,9 +685,9 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         tpows = [big.element([0] * i + [1]) for i in range(n)]
         conj = [t.frobenius(r) for t in tpows]
         traces = [_trace(t, 1, n).lift() for t in tpows]  # Tr is linear: Tr(x) = sum x_i Tr(t^i)
-        gram = tuple(tuple(field.scalar(sum(map(operator.mul, (c * t * y).coeffs, traces))) for y in conj) for t in tpows)
-        mult = tuple(zip(*[[field.scalar(x) for x in (gen * t).coeffs] for t in tpows]))
-        return _torus_in_standard_form(desc, _symplectic_change_of_basis(gram, field), [mult], big)
+        gram = tuple(tuple(sum(map(operator.mul, (c * t * y).coeffs, traces)) % q for y in conj) for t in tpows)
+        mult = tuple(zip(*[(gen * t).coeffs for t in tpows]))
+        return _torus_in_standard_form(desc, _field_matrix(desc, _symplectic_change_of_basis(gram, q)), [_field_matrix(desc, mult)])
 
     if r % 2 == 1:
         big = make_field(q, 2 * r)
@@ -709,14 +709,14 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
             for i in range(half)
         )
         mult = _k_linear_matrix(field, w_std, tpows, binv, gen)
-        return _torus_in_standard_form(desc, _hermitian_change_of_basis(gram, field), [mult], big)
+        return _torus_in_standard_form(desc, _hermitian_change_of_basis(gram, field), [mult])
 
     # family A, r even: dual-pair torus on two isotropic blocks
     s = r // 2
     big = make_field(q, r)
     gamma, w, w_std = _subfield_quadratic_image(big, field)
     a_block = _k_linear_matrix(field, w_std, *_k_basis(big, w), gamma)
-    dual = mat_conj_transpose(_field_inverse(desc, a_block), True)
+    dual = mat_conj_transpose(_field_inverse(desc, a_block))
     zero = field.zero()
     gen1 = tuple(row + (zero,) * s for row in a_block) + tuple((zero,) * s + row for row in dual)
     lam0 = field.scalar(_multiplicative_generator(make_field(q, 1)).lift())
@@ -729,7 +729,29 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
     hyper = tuple(
         tuple(field.one() if abs(i - j) == s else zero for j in range(r)) for i in range(r)
     )
-    return _torus_in_standard_form(desc, _hermitian_change_of_basis(hyper, field), [gen1, gen2], big)
+    return _torus_in_standard_form(desc, _hermitian_change_of_basis(hyper, field), [gen1, gen2])
+
+
+def _uniform_derived(desc: GroupDescriptor, rng) -> tuple:
+    """A uniform element of Sp_2r(GF(ell)) or SU_r(GF(ell^2)) as a natural
+    int matrix: M = R P, R uniform invertible and P the change of basis of
+    its Gram matrix ct(R) J R, which g R shares for every isometry g.  So
+    the law of M is invariant under left multiplication by the isometries,
+    and M is uniform among them.  In family A, det M has norm 1: scaling
+    M's first column by det(M)^-1, a mat_det over GF(ell^2) (the natural
+    matrix's is N(det M) = 1), maps each coset of SU onto SU one to one."""
+    field, n, ell = desc.matrix_field, desc.matrix_dim, desc.ell
+    nat = None
+    while nat is None or _imat_forward(nat, ell) is None:
+        r = tuple(tuple(field.from_index(rng.randrange(field.q)) for _ in range(n)) for _ in range(n))
+        nat = _natural_matrix(desc, r)
+    if desc.family == "C":
+        gram = _imat_mul(_imat_mul(tuple(zip(*nat)), _natural_form(desc), ell), nat, ell)
+        return _imat_mul(nat, _symplectic_change_of_basis(gram, ell), ell)
+    gram = _field_matrix(desc, _imat_mul(_natural_matrix(desc, mat_conj_transpose(r)), nat, ell))
+    m = _field_matrix(desc, _imat_mul(nat, _natural_matrix(desc, _hermitian_change_of_basis(gram, field)), ell))
+    scale = mat_det(m).inverse()
+    return _natural_matrix(desc, tuple((row[0] * scale,) + row[1:] for row in m))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,10 @@ field elements that groups ran before every product and inverse moved onto
 the natural int matrices (_imat_mul, _imat_inverse); they stay the
 references of that layer.  contains_by_gram is the membership test
 groups.contains ran before it tested the int trace form: ct(M) J M = lam J
-over field elements, lam in GF(ell)*.
+over field elements, lam in GF(ell)*.  symplectic_change_of_basis_by_field_elements
+is groups._symplectic_change_of_basis as it ran on field elements of
+GF(p), before the same loop moved onto ints mod p; the int routine must
+return the same P.
 
 The rest are the definitional counts that the closed forms of groups and
 density replaced, each kept here as the oracle of its closed form:
@@ -57,6 +60,7 @@ from frobsplit.groups import (
     identity_element,
     mat_conj_transpose,
     mat_det,
+    mat_identity,
     pack_matrix,
     standard_gram,
     torus_order,
@@ -106,7 +110,7 @@ def contains_by_gram(desc, matrix) -> GroupElement | None:
             if not isinstance(x, FFElement) or x.field != field:
                 raise FieldMismatch(f"entries must lie in {field}")
     gram = standard_gram(desc)
-    s = mat_mul(mat_mul(mat_conj_transpose(matrix, desc.family == "A"), gram), matrix)
+    s = mat_mul(mat_mul(mat_conj_transpose(matrix) if desc.family == "A" else tuple(zip(*matrix)), gram), matrix)
     # the standard grams have a nonzero entry in row 0
     j0 = next(j for j in range(n) if not gram[0][j].is_zero())
     lam = s[0][j0] / gram[0][j0]
@@ -117,6 +121,36 @@ def contains_by_gram(desc, matrix) -> GroupElement | None:
             if s[i][j] != lam * gram[i][j]:
                 return None
     return GroupElement(desc, tuple(tuple(row) for row in matrix), lam.lift())
+
+
+def symplectic_change_of_basis_by_field_elements(gram, field):
+    """P with P^T * gram * P equal to the standard antidiagonal form, on
+    field elements: each step pairs the first u of the remaining basis with
+    its first w of (u, w) != 0, v = w / (u, w), and projects along <u, v>."""
+    n = len(gram)
+    if any(not (gram[i][j] + gram[j][i] if i != j else gram[i][i]).is_zero() for i in range(n) for j in range(i + 1)):
+        raise AssertionError("the Gram matrix is not alternating")
+
+    def dot(c, x):
+        return sum((a * b for a, b in zip(c, x)), field.zero())
+
+    remaining, pairs = list(mat_identity(field, n)), []
+    while remaining:
+        u = remaining[0]
+        (cu,) = mat_mul((u,), gram)
+        w = next((x for x in remaining[1:] if not dot(cu, x).is_zero()), None)
+        if w is None:
+            raise AssertionError("the Gram matrix is degenerate")
+        scale = dot(cu, w).inverse()
+        v = tuple(scale * c for c in w)
+        (cv,) = mat_mul((v,), gram)
+        pairs.append((u, v))
+        # x - (x, v) u + (x, u) v, as (x, y) = -(y, x) on an alternating form
+        remaining = [
+            tuple(xi + a * ui - b * vi for xi, ui, vi in zip(x, u, v))
+            for x in remaining[1:] if x is not w for a, b in [(dot(cv, x), dot(cu, x))]
+        ]
+    return tuple(zip(*([u for u, _ in pairs] + [v for _, v in reversed(pairs)])))
 
 
 def classify_element_pairwise(x: GroupElement, m: int = 1) -> bool:

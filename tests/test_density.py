@@ -8,7 +8,6 @@ from frobsplit.density import (
     GaloisModel,
     GoursatContradiction,
     ModelEntry,
-    _chain_orbits,
     chebotarev_simulate,
     cm_subfield_fraction,
     density_product,
@@ -27,7 +26,7 @@ from frobsplit.groups import (
     _mulclose,
     _natural_matrix,
     _packed_group,
-    _part_generators,
+    _uniform_derived,
     classify_element,
     contains,
     enumerate_group,
@@ -406,17 +405,82 @@ def test_goursat_rejects_a_unitary_component_of_determinant_not_one():
 
 @pytest.mark.parametrize("desc,draws", [(C_AT(1009), 2000), (GroupDescriptor("C", 2, 11), 500)], ids=repr)
 def test_uniform_draws_of_the_full_group_meet_the_closed_form(desc, draws):
-    """The chain of the full group from its generators draws uniform
-    elements: the fraction that classify_element accepts is
-    regular_fraction's within 5 sigma of the binomial."""
-    order = group_order(desc)
-    gens = [(_natural_matrix(desc, g),) for g in _part_generators(desc, "full")]
-    sizes, draw = _chain_orbits([desc], gens, order)
-    assert prod(sizes) == order
+    """_uniform_derived draws uniform elements of the derived group: the
+    fraction that classify_element accepts is regular_fraction's for the
+    derived group within 5 sigma of the binomial."""
     rng = random.Random(20260809)
-    hits = sum(classify_element(contains(desc, _field_matrix(desc, draw(rng)[0]))) for _ in range(draws))
-    p = float(regular_fraction(desc, 1, "full"))
+    hits = sum(classify_element(contains(desc, _field_matrix(desc, _uniform_derived(desc, rng)))) for _ in range(draws))
+    p = float(regular_fraction(desc, 1, "der"))
     assert abs(hits - draws * p) < 5 * sqrt(draws * p * (1 - p))
+
+
+SAMPLED_GROUPS = [
+    C_AT(2),
+    C_AT(3),
+    GroupDescriptor("C", 2, 2),
+    GroupDescriptor("C", 2, 5),
+    GroupDescriptor("C", 2, 10007),
+    GroupDescriptor("C", 3, 7),
+    A_AT(1, 2),
+    A_AT(1, 5),
+    A_AT(2, 2),
+    A_AT(2, 3),
+    A_AT(3, 5),
+    A_AT(3, 1009),
+    A_AT(4, 7),
+]
+
+
+@pytest.mark.parametrize("desc", SAMPLED_GROUPS, ids=repr)
+def test_uniform_derived_draws_lie_in_the_derived_group(desc):
+    """Every draw preserves the form with similitude 1 and has determinant
+    1 over the matrix field, GF(ell^2) in family A."""
+    rng = random.Random(desc.ell + desc.r)
+    for _ in range(20):
+        m = _field_matrix(desc, _uniform_derived(desc, rng))
+        x = contains(desc, m)
+        assert x is not None and x.similitude == 1 and mat_det(m) == desc.matrix_field.one(), m
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        C_AT(3),
+        C_AT(5),
+        A_AT(2, 3),
+        pytest.param(GroupDescriptor("C", 2, 2), marks=pytest.mark.slow),
+        pytest.param(A_AT(3, 2), marks=pytest.mark.slow),
+    ],
+    ids=repr,
+)
+def test_uniform_derived_draws_are_uniform_on_the_listed_group(desc):
+    """20 seeded draws per element of the listed derived group reach every
+    element, and their chi-square statistic against uniform, with
+    df = |G| - 1, stays below df + 5 sqrt(2 df), five standard deviations
+    above its mean.  A draw outside the listing fails the count."""
+    counts = dict.fromkeys((_natural_matrix(desc, g.matrix) for g in enumerate_group(desc, "derived")), 0)
+    expected, df = 20, len(counts) - 1
+    rng = random.Random(20261020)
+    for _ in range(expected * len(counts)):
+        counts[_uniform_derived(desc, rng)] += 1
+    assert min(counts.values()) > 0
+    assert sum((c - expected) ** 2 for c in counts.values()) / expected < df + 5 * sqrt(2 * df)
+
+
+@pytest.mark.parametrize(
+    "desc,draws",
+    [(GroupDescriptor("C", 2, 10007), 400), (GroupDescriptor("C", 3, 101), 300), (A_AT(3, 1009), 200)],
+    ids=repr,
+)
+def test_the_regular_share_of_uniform_derived_draws_meets_the_closed_form(desc, draws):
+    """At groups far too large to list, the share of draws whose m-th power
+    is regular, m in {1, 2}, lies within 4 sigma of regular_fraction."""
+    rng = random.Random(20261020)
+    elements = [contains(desc, _field_matrix(desc, _uniform_derived(desc, rng))) for _ in range(draws)]
+    for m in (1, 2):
+        hits = sum(classify_element(x, m) for x in elements)
+        p = float(regular_fraction(desc, m, "der"))
+        assert abs(hits - draws * p) < 4 * sqrt(draws * p * (1 - p)), m
 
 
 def test_density_product_unitary_family():

@@ -72,6 +72,7 @@ from oracles import (
     mat_mul,
     normalizer_census_oracle,
     regular_torus_count_oracle,
+    symplectic_change_of_basis_by_field_elements,
     torus_element_matrices,
 )
 
@@ -1212,6 +1213,11 @@ def _random_gram(field, n, rng, mirror):
             return gram
 
 
+def _lift(matrix):
+    """A matrix over GF(p) as ints."""
+    return tuple(tuple(x.lift() for x in row) for row in matrix)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_symplectic_change_of_basis_on_random_alternating_forms(p):
     field = make_field(p)
@@ -1220,8 +1226,20 @@ def test_symplectic_change_of_basis_on_random_alternating_forms(p):
         standard = standard_gram(GroupDescriptor("C", n // 2, p))
         for _ in range(4):
             gram = _random_gram(field, n, rng, lambda above: field.zero() if above is None else -above)
-            p_mat = _symplectic_change_of_basis(gram, field)
-            assert mat_mul(mat_mul(mat_conj_transpose(p_mat, False), gram), p_mat) == standard, (n, gram)
+            p_mat = tuple(tuple(map(field.scalar, row)) for row in _symplectic_change_of_basis(_lift(gram), p))
+            assert mat_mul(mat_mul(tuple(zip(*p_mat)), gram), p_mat) == standard, (n, gram)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_symplectic_change_of_basis_on_ints_equals_the_field_element_loop(p):
+    """The int loop makes the field-element loop's choices: the same P."""
+    field = make_field(p)
+    rng = random.Random(100 + p)
+    for n in range(2, 11, 2):
+        for _ in range(4):
+            gram = _random_gram(field, n, rng, lambda above: field.zero() if above is None else -above)
+            reference = symplectic_change_of_basis_by_field_elements(gram, field)
+            assert _symplectic_change_of_basis(_lift(gram), p) == _lift(reference), (n, gram)
 
 
 def _hyperbolic_gram(field, n, rng):
@@ -1251,12 +1269,10 @@ def test_hermitian_change_of_basis_on_random_hermitian_forms(p):
             grams += [_hyperbolic_gram(field, n, rng) for _ in range(2)]
         for gram in grams:
             p_mat = _hermitian_change_of_basis(gram, field)
-            assert mat_mul(mat_mul(mat_conj_transpose(p_mat, True), gram), p_mat) == mat_identity(field, n), (n, gram)
+            assert mat_mul(mat_mul(mat_conj_transpose(p_mat), gram), p_mat) == mat_identity(field, n), (n, gram)
 
 
 def test_symplectic_change_of_basis_stops_on_a_non_alternating_gram_matrix():
-    field = make_field(3, 1)
-    one, zero = field.one(), field.zero()
     # the first three are not alternating (the third is symmetric with a zero
     # diagonal); the last is alternating but degenerate
     for rows, error in (
@@ -1265,11 +1281,10 @@ def test_symplectic_change_of_basis_stops_on_a_non_alternating_gram_matrix():
         ([[0, 1], [1, 0]], "alternating"),
         ([[0, 0], [0, 0]], "degenerate"),
     ):
-        gram = [[field.scalar(c) for c in row] for row in rows]
         with pytest.raises(AssertionError, match=error):
-            _symplectic_change_of_basis(gram, field)
-    p_mat = _symplectic_change_of_basis([[zero, one], [-one, zero]], field)
-    assert p_mat == ((one, zero), (zero, one))
+            _symplectic_change_of_basis(rows, 3)
+    p_mat = _symplectic_change_of_basis([[0, 1], [-1, 0]], 3)
+    assert p_mat == ((1, 0), (0, 1))
 
 
 def _anti_fixed_scan(big, e):

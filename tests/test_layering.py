@@ -15,8 +15,9 @@ reads an exponent's bits with bin().  groups._mulclose is the one closure
 loop, and groups imports no itertools.product, so no group is listed by a
 scan of the matrix space.  The Goursat check lists no group: no module
 defines MAX_CLOSURE or MAX_FACTOR_ORDER, and density neither imports nor
-calls _mulclose, _packed_group, enumerate_group*, pack_matrix or
-unpack_matrix.  groups' natural int matrices (_imat_mul, _imat_inverse) are
+calls _mulclose, _packed_group, enumerate_group*, pack_matrix,
+unpack_matrix or _part_generators, the listing's generators: its random
+generators come from groups._uniform_derived.  groups' natural int matrices (_imat_mul, _imat_inverse) are
 the one layer of matrix products and inverses: no module defines mat_mul or
 mat_inverse, the field-element products and inverse that tests/oracles.py
 keeps as references.  The record types are plain slotted classes: no module
@@ -233,7 +234,8 @@ def test_no_product_closure_in_the_goursat_check():
     assert caps == []
 
     def listing(name):
-        return name in ("_mulclose", "_packed_group", "pack_matrix", "unpack_matrix") or name.startswith("enumerate_group")
+        names = ("_mulclose", "_packed_group", "pack_matrix", "unpack_matrix", "_part_generators")
+        return name in names or name.startswith("enumerate_group")
 
     uses = [
         f"density.py:{node.lineno}"
