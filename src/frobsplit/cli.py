@@ -29,7 +29,6 @@ from .density import (
     chebotarev_simulate,
     cm_subfield_fraction,
     density_product,
-    goursat_verify,
     product_and_bound,
     random_generator_tuples,
 )
@@ -208,9 +207,7 @@ def _run_simulate(ns):
 
 def _run_goursat(ns):
     factors = [GroupDescriptor(ns.family, ns.r, ell) for ell in _ells(ns.ells)]
-    rng = random.Random(ns.seed)
-    gens = random_generator_tuples(factors, rng, count=ns.samples)
-    rep = goursat_verify(factors, gens)
+    _, rep = random_generator_tuples(factors, random.Random(ns.seed), count=ns.samples)
     return {
         "factor_orders": [str(o) for o in rep.factor_orders],
         "projections_surjective": list(rep.projections_surjective),

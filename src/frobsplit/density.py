@@ -251,7 +251,8 @@ def _check_points(factors) -> None:
 def _chain_orbits(factors, tuples, target: int):
     """The orbit sizes of a stabilizer chain (Sims 1970; Seress 2003, ch. 4)
     of the group the tuples generate in the product of the factor groups,
-    which multiply to its order.
+    which multiply to its order.  Its one caller is _goursat_report: once
+    on the product, then once per factor if a closure of several is proper.
 
     Elements are tuples of _natural_matrix matrices acting on row vectors
     from the right.  Per factor, the base is a projective frame, the lines
@@ -341,25 +342,13 @@ def _chain_orbits(factors, tuples, target: int):
     return [len(orbit) for orbit in orbits]
 
 
-def _derived_chain(d: GroupDescriptor, matrices) -> bool:
-    """Whether the natural matrices generate the derived group of d."""
-    order = group_order(d, "derived")
-    return prod(_chain_orbits([d], [(m,) for m in matrices], order)) == order
-
-
 def goursat_verify(factors, generators) -> GoursatReport:
     """Check whether generator tuples span the full product of derived groups.
 
     factors: GroupDescriptors (their derived subgroups are the factor
     groups); generators: tuples of GroupElements, one per factor, each of
-    similitude 1 and determinant 1.  The order of the subgroup they
-    generate is read off one stabilizer chain on the natural action
-    (_chain_orbits), whose orbits are bounded by the projective points of
-    the factors, not by their orders.  A full closure makes every
-    projection surjective; only a proper one runs a chain per factor.
-    When the distinct-simple-quotient hypothesis holds, surjective
-    projections with a proper closure are an implementation contradiction
-    and raise.
+    similitude 1 and determinant 1, checked here; _goursat_report answers
+    on their natural matrices.
     """
     factors = list(factors)
     if not factors:
@@ -367,8 +356,6 @@ def goursat_verify(factors, generators) -> GoursatReport:
     _check_points(factors)
     if not generators:
         raise ValueError("need at least one generator tuple")
-    orders = [group_order(d, "derived") for d in factors]
-    product_order = prod(orders)
     tuples = []
     for gen in generators:
         if len(gen) != len(factors):
@@ -377,16 +364,31 @@ def goursat_verify(factors, generators) -> GoursatReport:
         if any(m is None or m.similitude != 1 or mat_det(m.matrix) != m.desc.matrix_field.one() for m in members):
             raise ValueError("generator component outside its derived group")
         tuples.append(tuple(_natural_matrix(m.desc, m.matrix) for m in members))
+    return _goursat_report(factors, tuples)
 
+
+def _goursat_report(factors, tuples) -> GoursatReport:
+    """The GoursatReport of tuples of natural int matrices, one per factor:
+    the order of the subgroup they generate is read off one stabilizer
+    chain on the natural action (_chain_orbits), whose orbits are bounded
+    by the projective points of the factors, not by their orders.  A full
+    closure makes every projection surjective, as does any closure of one
+    factor; only a proper closure of several runs a chain per factor.
+    When the distinct-simple-quotient hypothesis holds, surjective
+    projections with a proper closure are an implementation contradiction
+    and raise."""
+    orders = [group_order(d, "derived") for d in factors]
+    product_order = prod(orders)
     closure_order = prod(_chain_orbits(factors, tuples, product_order))
     full = closure_order == product_order
-    surjective = [full or _derived_chain(d, [t[i] for t in tuples]) for i, d in enumerate(factors)]
+    surjective = [
+        full or len(factors) > 1 and prod(_chain_orbits([d], [(t[i],) for t in tuples], n)) == n
+        for i, (d, n) in enumerate(zip(factors, orders))
+    ]
     note = _hypothesis_note(factors)
     in_hyp = note == ""
     if in_hyp and all(surjective) and not full:
-        raise GoursatContradiction(
-            f"projections surject but the closure has order {closure_order} < {product_order}"
-        )
+        raise GoursatContradiction(f"projections surject but the closure has order {closure_order} < {product_order}")
     return GoursatReport(
         factor_orders=tuple(orders),
         projections_surjective=tuple(surjective),
@@ -400,11 +402,11 @@ def goursat_verify(factors, generators) -> GoursatReport:
 
 def random_generator_tuples(factors, rng: random.Random, count: int = 2):
     """Draw `count` random generator tuples, retrying until every projection
-    is surjective; returns GroupElement tuples.  Each component is uniform
-    in its derived group (groups._uniform_derived); the chains only test
-    surjectivity.  Every nontrivial derived group here (Sp_2r, and SU_r
-    with r >= 2) is non-abelian, so a single tuple can only generate
-    trivial factors."""
+    is surjective; returns the GroupElement tuples and their GoursatReport.
+    Each component is uniform in its derived group (groups._uniform_derived),
+    and _goursat_report, the verifier's own core, accepts the draw.  Every
+    nontrivial derived group here (Sp_2r, and SU_r with r >= 2) is
+    non-abelian, so a single tuple can only generate trivial factors."""
     if count < 1:
         raise ValueError("need at least one generator tuple")
     factors = list(factors)
@@ -413,8 +415,8 @@ def random_generator_tuples(factors, rng: random.Random, count: int = 2):
     _check_points(factors)
     for _ in range(MAX_GENERATOR_DRAWS):
         tuples = [tuple(_uniform_derived(d, rng) for d in factors) for _ in range(count)]
-        if all(_derived_chain(d, [t[i] for t in tuples]) for i, d in enumerate(factors)):
-            return [tuple(GroupElement(d, _field_matrix(d, m), 1) for d, m in zip(factors, t)) for t in tuples]
+        if all((report := _goursat_report(factors, tuples)).projections_surjective):
+            return [tuple(GroupElement(d, _field_matrix(d, m), 1) for d, m in zip(factors, t)) for t in tuples], report
     raise BudgetExceeded(
         f"no {count} generator tuples with surjective projections within the retry cap of {MAX_GENERATOR_DRAWS} draws"
     )

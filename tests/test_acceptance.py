@@ -165,7 +165,7 @@ def test_criterion_8_goursat_random_generators_and_diagonal():
     f7 = GroupDescriptor("C", 1, 7)
     rng = random.Random(20260809)
     for trial in range(20):
-        gens = random_generator_tuples([f5, f7], rng, count=2)
+        gens, _ = random_generator_tuples([f5, f7], rng, count=2)
         rep = goursat_verify([f5, f7], gens)
         assert all(rep.projections_surjective)
         assert rep.full_product, f"trial {trial} generated a proper subgroup"

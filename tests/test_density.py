@@ -4,10 +4,12 @@ from math import prod, sqrt
 
 import pytest
 
+from frobsplit.cli import execute, parse
 from frobsplit.density import (
     GaloisModel,
     GoursatContradiction,
     ModelEntry,
+    _chain_orbits,
     chebotarev_simulate,
     cm_subfield_fraction,
     density_product,
@@ -200,7 +202,7 @@ def test_the_getrandbits_sampler_draws_what_randrange_draws(key, monkeypatch):
 def test_goursat_full_product():
     f5, f7 = C_AT(5), C_AT(7)
     rng = random.Random(99)
-    gens = random_generator_tuples([f5, f7], rng, count=2)
+    gens, _ = random_generator_tuples([f5, f7], rng, count=2)
     rep = _verified([f5, f7], gens)
     assert rep.in_hypothesis
     assert all(rep.projections_surjective)
@@ -264,7 +266,7 @@ def test_goursat_hand_built_borel_subgroups():
 def test_goursat_single_factor_trivially_full():
     f5 = C_AT(5)
     rng = random.Random(123)
-    gens = random_generator_tuples([f5], rng, count=2)
+    gens, _ = random_generator_tuples([f5], rng, count=2)
     rep = _verified([f5], gens)
     assert rep.full_product and all(rep.projections_surjective)
 
@@ -272,7 +274,7 @@ def test_goursat_single_factor_trivially_full():
 def test_goursat_exceptional_field_flagged():
     f3, f5 = C_AT(3), C_AT(5)
     rng = random.Random(17)
-    gens = random_generator_tuples([f3, f5], rng, count=2)
+    gens, _ = random_generator_tuples([f3, f5], rng, count=2)
     rep = _verified([f3, f5], gens)
     # SL2(3) is solvable: out of hypothesis regardless of the outcome
     assert not rep.in_hypothesis
@@ -284,7 +286,7 @@ def test_one_generator_tuple_is_rejected_unless_every_factor_is_trivial():
     with pytest.raises(ValueError, match="non-abelian"):
         random_generator_tuples([GroupDescriptor("A", 1, 5), GroupDescriptor("A", 2, 3)], random.Random(1), count=1)
     su1 = [GroupDescriptor("A", 1, 5), GroupDescriptor("A", 1, 7)]
-    (gens,) = random_generator_tuples(su1, random.Random(1), count=1)
+    (gens,), _ = random_generator_tuples(su1, random.Random(1), count=1)
     assert all(g.matrix == identity_element(d).matrix for g, d in zip(gens, su1))
     assert _verified(su1, [gens]).full_product
 
@@ -315,6 +317,68 @@ def test_the_factor_cap_is_checked_before_any_group_is_listed(monkeypatch):
         random_generator_tuples(factors, random.Random(1), count=2)
     with pytest.raises(BudgetExceeded, match=cap):
         goursat_verify(factors, [])
+
+
+@pytest.mark.parametrize(
+    "command,chains",
+    [
+        ("--family C --r 1 --ells 5,7 --seed 1", [2]),
+        ("--family C --r 2 --ells 11,13 --seed 1", [2]),
+        ("--family A --r 3 --ells 3 --seed 1", [1]),
+        ("--family C --r 1 --ells 5 --seed 3", [1, 1]),  # one draw rejected
+    ],
+)
+def test_an_accepted_goursat_draw_runs_one_chain(monkeypatch, command, chains):
+    """The draw these seeds accept has a full product closure, so its one
+    chain over every factor answers both the draw loop and the report.  A
+    chain per factor on the draw, or the product chain again on the report,
+    would show as more calls; so would a second chain on a rejected draw of
+    one factor, whose closure alone tells that its projection is proper."""
+    calls = []
+
+    def counted(factors, tuples, target):
+        calls.append(len(factors))
+        return _chain_orbits(factors, tuples, target)
+
+    monkeypatch.setattr("frobsplit.density._chain_orbits", counted)
+    report, status = execute(parse(f"goursat {command}".split()))
+    assert status == 0 and report["result"]["full_product"]
+    assert calls == chains
+
+
+def _draws_by_one_chain_per_factor(factors, rng, count):
+    """The reference draw loop: uniform components, and a draw accepted
+    when each factor's own chain reaches its derived order."""
+    orders = [group_order(d, "derived") for d in factors]
+    while True:
+        tuples = [tuple(_uniform_derived(d, rng) for d in factors) for _ in range(count)]
+        if all(prod(_chain_orbits([d], [(t[i],) for t in tuples], n)) == n for i, (d, n) in enumerate(zip(factors, orders))):
+            return [tuple(GroupElement(d, _field_matrix(d, m), 1) for d, m in zip(factors, t)) for t in tuples]
+
+
+@pytest.mark.parametrize(
+    "factors,count",
+    [
+        ([C_AT(5), C_AT(7)], 2),
+        ([C_AT(5), C_AT(5)], 2),  # a repeated prime
+        ([A_AT(3, 3)], 2),
+        ([C_AT(2), C_AT(3)], 2),  # exceptional fields
+        ([A_AT(1, 5), A_AT(1, 7)], 1),  # trivial derived groups
+        ([A_AT(2, 3), C_AT(3)], 2),
+    ],
+    ids=["C5-C7", "C5-C5", "A3_3", "C2-C3", "A1_5-A1_7", "A2_3-C3"],
+)
+def test_the_draws_are_those_of_one_chain_per_factor(factors, count):
+    """random_generator_tuples accepts the draws the per-factor chains
+    accept, leaves the generator where they leave it, and reports what
+    goursat_verify reports on its tuples."""
+    for seed in range(12):
+        reference, rng = random.Random(seed), random.Random(seed)
+        expected = _draws_by_one_chain_per_factor(factors, reference, count)
+        tuples, report = random_generator_tuples(factors, rng, count)
+        assert tuples == expected, seed
+        assert rng.random() == reference.random(), seed
+        assert report == goursat_verify(factors, tuples), seed
 
 
 def _draw_tuples(factors, rng, count):
@@ -362,14 +426,14 @@ def test_chain_order_equals_the_product_closure_on_a_seeded_sweep(seed):
 def test_the_diagonal_of_a_repeated_prime_has_the_factor_order(seed):
     f5 = C_AT(5)
     rng = random.Random(seed)
-    singles = random_generator_tuples([f5], rng, count=2 + seed % 2)
+    singles, _ = random_generator_tuples([f5], rng, count=2 + seed % 2)
     rep = _verified([f5, f5], [(g, g) for (g,) in singles])
     assert rep.closure_order == 120 and not rep.full_product
 
 
 def test_a_partial_diagonal_has_the_order_of_its_distinct_factors():
     f5, f7 = C_AT(5), C_AT(7)
-    pairs = random_generator_tuples([f5, f7], random.Random(11), count=2)
+    pairs, _ = random_generator_tuples([f5, f7], random.Random(11), count=2)
     rep = _verified([f5, f5, f7], [(g, g, h) for g, h in pairs])
     assert all(rep.projections_surjective) and not rep.in_hypothesis
     assert rep.closure_order == 120 * 336
@@ -378,7 +442,7 @@ def test_a_partial_diagonal_has_the_order_of_its_distinct_factors():
 def test_goursat_rejects_foreign_generators():
     f5, f7 = C_AT(5), C_AT(7)
     rng = random.Random(3)
-    gens = random_generator_tuples([f5, f7], rng, count=2)
+    gens, _ = random_generator_tuples([f5, f7], rng, count=2)
     with pytest.raises(ValueError):
         goursat_verify([f7, f5], gens)  # components in the wrong groups
 
@@ -397,7 +461,7 @@ def test_goursat_rejects_a_unitary_component_of_determinant_not_one():
     assert unitary is not None and unitary.similitude == 1 and mat_det(m) == zeta
     natural = tuple(tuple(prime.scalar(v) for v in row) for row in _natural_matrix(desc, m))
     assert mat_det(natural) == prime.one()
-    draws = random_generator_tuples([desc], random.Random(7), count=2)
+    draws, _ = random_generator_tuples([desc], random.Random(7), count=2)
     with pytest.raises(ValueError, match="outside its derived group"):
         goursat_verify([desc], draws + [(unitary,)])
     assert goursat_verify([desc], draws).full_product

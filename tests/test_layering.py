@@ -17,7 +17,11 @@ scan of the matrix space.  The Goursat check lists no group: no module
 defines MAX_CLOSURE or MAX_FACTOR_ORDER, and density neither imports nor
 calls _mulclose, _packed_group, enumerate_group*, pack_matrix,
 unpack_matrix or _part_generators, the listing's generators: its random
-generators come from groups._uniform_derived.  groups' natural int matrices (_imat_mul, _imat_inverse) are
+generators come from groups._uniform_derived.  One chain core decides
+Goursat surjectivity: in src, _chain_orbits has one caller,
+density._goursat_report, which serves both goursat_verify and the draw
+loop of random_generator_tuples, and density defines no _derived_chain.
+groups' natural int matrices (_imat_mul, _imat_inverse) are
 the one layer of matrix products and inverses: no module defines mat_mul or
 mat_inverse, the field-element products and inverse that tests/oracles.py
 keeps as references.  The record types are plain slotted classes: no module
@@ -245,6 +249,18 @@ def test_no_product_closure_in_the_goursat_check():
         or (isinstance(node, ast.Attribute) and listing(node.attr))
     ]
     assert uses == []
+
+
+def test_one_chain_core_decides_goursat_surjectivity():
+    users = [
+        f"{path.stem}.{getattr(node, 'name', node.lineno)}"
+        for path in MODULES
+        for node in _tree(path).body
+        if any(isinstance(n, ast.Name) and n.id == "_chain_orbits" for n in ast.walk(node))
+    ]
+    assert users == ["density._goursat_report"]
+    defined = {node.name for node in _tree(PACKAGE / "density.py").body if isinstance(node, ast.FunctionDef)}
+    assert "_derived_chain" not in defined
 
 
 def test_no_module_multiplies_or_inverts_field_element_matrices():
