@@ -116,6 +116,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, prod
 
 from .finfield import (
@@ -682,11 +683,16 @@ def build_anisotropic_torus(desc: GroupDescriptor) -> AnisotropicTorus:
         # alternating trace form Tr(c * x * y^sigma) with c anti-fixed by sigma
         c = _anti_fixed_element(big, q**r)
         n = 2 * r
-        tpows = [big.element([0] * i + [1]) for i in range(n)]
-        conj = [t.frobenius(r) for t in tpows]
-        traces = [_trace(t, 1, n).lift() for t in tpows]  # Tr is linear: Tr(x) = sum x_i Tr(t^i)
-        gram = tuple(tuple(sum(map(operator.mul, (c * t * y).coeffs, traces)) % q for y in conj) for t in tpows)
-        mult = tuple(zip(*[(gen * t).coeffs for t in tpows]))
+        # Tr(t^m), m < 2n - 1: power sums of the modulus's roots (Newton's identities)
+        a, traces = big.modulus, [n % q]
+        for m in range(1, 2 * n - 1):
+            s = m * a[n - m] if m <= n else 0
+            traces.append(-(s + sum(a[n - i] * traces[m - i] for i in range(1, min(m, n + 1)))) % q)
+        # Tr is linear, so the form is a Hankel product: Tr(t^i z_j) = sum_k z_jk Tr(t^(i+k))
+        t_sigma = big.element([0, 1]).frobenius(r)  # z_j = c * (t^sigma)^j
+        zs = [z.coeffs for z in accumulate([t_sigma] * (n - 1), operator.mul, initial=c)]
+        gram = tuple(tuple(sum(map(operator.mul, z, traces[i:])) % q for z in zs) for i in range(n))
+        mult = tuple(zip(*[(gen * big.element([0] * i + [1])).coeffs for i in range(n)]))
         return _torus_in_standard_form(desc, _field_matrix(desc, _symplectic_change_of_basis(gram, q)), [_field_matrix(desc, mult)])
 
     if r % 2 == 1:

@@ -5,10 +5,14 @@ irreducibility over a prime field (Rabin test), complete factorisation over
 a prime field GF(p) (squarefree split, distinct-degree split,
 Cantor-Zassenhaus equal-degree split), factorisation over Z by the classical
 mod-p / Hensel / recombination route with a Landau-Mignotte coefficient
-bound, and exact d-th roots of monic integer polynomials.  The Hensel lift is
-quadratic (von zur Gathen-Gerhard, Alg. 15.10), and recombination runs the
-constant-term d-test (Abbott-Shoup-Zimmermann 2000) on every subset before
-it multiplies the subset out and trial-divides over Z.
+bound, and exact d-th roots of monic integer polynomials.  Mod the least
+odd prime p that keeps the degree and squarefreeness of f, the roots of f
+are lifted by p-adic Newton iteration and only the root-free cofactor is
+split and lifted by the quadratic Hensel tree (von zur Gathen-Gerhard,
+Alg. 15.10): monic coprime lifts are unique, so a split f gets the same
+factors with no equal-degree split and no Hensel step.  Recombination runs the constant-term d-test
+(Abbott-Shoup-Zimmermann 2000) on every subset before it multiplies the
+subset out and trial-divides over Z.
 
 IntPoly, over Z, is the one polynomial class.  Over GF(p) a polynomial is
 finfield's ascending int tuple: factor_mod and is_irreducible_mod take any
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import operator
 import random
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, isqrt
 
 from .finfield import (
@@ -341,12 +345,6 @@ def is_irreducible_mod(f, p: int) -> bool:
 
 # -- factorisation over Z ----------------------------------------------------
 
-_SMALL_PRIMES = (
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
-    73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-)
-
-
 def _mignotte_bound(f: IntPoly) -> int:
     n = f.degree
     norm = 1 + isqrt(sum(c * c for c in f.coeffs))
@@ -400,26 +398,68 @@ def _centered(coeffs, m):
     return tuple(c - m if c > half else c for c in coeffs)
 
 
-def _zassenhaus(f: IntPoly, prime_offset: int = 0):
-    """Irreducible factors of a squarefree primitive f with positive lc."""
-    if f.degree <= 1:
-        return [f]
-    skipped = 0
-    for p in _SMALL_PRIMES:
-        if f.lc() % p == 0:  # the degree would drop mod p
+def _auxiliary_primes(f: IntPoly):
+    """(p, monic f mod p) for the odd primes p, in increasing order, that divide
+    neither lc(f) nor disc(f); disc(f) != 0 has finitely many prime divisors."""
+    p = 1
+    while True:
+        p += 2
+        if not is_prime(p) or f.lc() % p == 0:
             continue
         inv = pow(f.lc(), -1, p)
         fp = tuple(c * inv % p for c in f.coeffs)
-        if len(_int_gcd(fp, _int_derivative(fp, p), p)) != 1:
-            continue
-        if skipped < prime_offset:
-            skipped += 1
-            continue
-        break
-    else:
-        raise AssertionError("no usable auxiliary prime below the table limit")
-    mods = [g for g, _ in _int_factor(fp, p)]
-    if len(mods) == 1:
+        if len(_int_gcd(fp, _int_derivative(fp, p), p)) == 1:
+            yield p, fp
+
+
+def _eval_mod(f, a, m):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * a + c) % m
+    return acc
+
+
+def _split_mod(fp, p):
+    """(roots, mods) of the monic squarefree fp over GF(p): its roots, by
+    evaluation, and the irreducible factors of the root-free cofactor."""
+    roots = [a for a in range(p) if not _eval_mod(fp, a, p)]
+    rest = fp
+    for a in roots:
+        rest = _int_divmod_monic_mod(rest, (-a % p, 1), p)[0]
+    return roots, [h for g, d in _int_distinct_degree(rest, p) for h in _int_equal_degree(g, d, p, random.Random(0))]
+
+
+def _lift_factors(f_star, roots, mods, p, e):
+    """The monic factors mod p^e of f_star over (roots, mods) of _split_mod.
+    A simple root lifts by p-adic Newton iteration a <- a - f*(a)/f*'(a)
+    mod p^(2k), k doubling up to e; only the cofactor left by the x - a goes
+    through the Hensel tree."""
+    pe = p**e
+    df = _int_derivative(f_star, pe)
+    lifted, rest = [], f_star
+    for a in roots:
+        k = 1
+        while k < e:
+            k = min(2 * k, e)
+            m = p**k
+            a = (a - _eval_mod(f_star, a, m) * pow(_eval_mod(df, a, m), -1, m)) % m
+        lifted.append((-a % pe, 1))
+        rest = _int_divmod_monic_mod(rest, lifted[-1], pe)[0]
+    return lifted + (_hensel_multi(rest, mods, p, e) if mods else [])
+
+
+def _zassenhaus(f: IntPoly, prime_offset: int = 0):
+    """Irreducible factors of a squarefree primitive f with positive lc.
+
+    p is the (prime_offset + 1)-th of _auxiliary_primes.  Roots mod p lift by
+    Newton's iteration, the rest by the Hensel tree (_lift_factors).  Monic
+    coprime lifts are unique mod p^e, so these are the factors the tree lifts
+    from the whole mod-p factor list."""
+    if f.degree <= 1:
+        return [f]
+    p, fp = next(islice(_auxiliary_primes(f), prime_offset, None))
+    roots, mods = _split_mod(fp, p)
+    if len(roots) + len(mods) == 1:
         return [f]
     bound = _mignotte_bound(f)
     e = 1
@@ -428,7 +468,7 @@ def _zassenhaus(f: IntPoly, prime_offset: int = 0):
     pe = p**e
     lc_inv = pow(f.lc() % pe, -1, pe)
     f_star = _int_mod(tuple(c * lc_inv for c in f.coeffs), pe)
-    lifted = _hensel_multi(f_star, mods, p, e)
+    lifted = _lift_factors(f_star, roots, mods, p, e)
 
     # the d-test (Abbott-Shoup-Zimmermann 2000): a true factor's candidate
     # lc(current) * prod lifted_i is (lc(current)/lc(g)) * g exactly, so its

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+from math import prod
 
 import pytest
 
 from frobsplit.cli import execute, flatten, main, parse, render
+from frobsplit.finfield import is_prime
 
 
 def run(argv):
@@ -286,6 +288,16 @@ def test_weil_answers_at_a_prime_above_a_machine_word(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["aux_primes"] == [9223372036854775837]
     assert report["result"]["conclusion"] == "certified-self-product"
+
+
+def test_weil_answers_when_every_small_prime_divides_the_discriminant(capsys):
+    """h = x (x - N) with N = 3 * 5 * ... * 149, so disc(h) = N^2 and the
+    auxiliary prime of the factorisation over Z lies above 149."""
+    q, n = 3**252, prod(p for p in range(3, 150, 2) if is_prime(p))
+    poly = ",".join(map(str, (q * q, -n * q, 2 * q, -n, 1)))
+    assert main(["weil", "--q", str(q), "--poly", poly]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [f["poly"] for f in report["result"]["factors"]] == [f"{q},{-n},1", f"{q},0,1"]
 
 
 @pytest.mark.parametrize(

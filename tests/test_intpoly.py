@@ -318,6 +318,27 @@ def test_quadratic_hensel_tree_equals_the_linear_tree(p, monkeypatch):
         assert prod_ == f
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_root_lifting_equals_the_hensel_tree_on_the_whole_factor_list(p):
+    """Seeded monic f* mod p^e whose squarefree reduction mod p has roots and
+    non-linear factors: _split_mod finds both, and the Newton-lifted roots
+    with the Hensel-lifted cofactor are, as a set, _hensel_multi's lift of
+    the whole mod-p factor list."""
+    rng = random.Random(1800 + p)
+    e_max = mignotte_exponent(SD32, p)
+    for e in [1, 2, e_max] + rng.sample(range(3, e_max), 5):
+        mods = []
+        while not (any(len(g) == 2 for g in mods) and any(len(g) > 2 for g in mods)):
+            mods = sorted({g for g, _ in factor_mod(random_monic_mod(rng, rng.randint(4, 12), p), p)[1]})
+        f = lift_target(rng, mods, p, e)
+        roots, nonlinear = intpoly._split_mod(_int_mod(f, p), p)
+        assert sorted(((-a) % p, 1) for a in roots) == [g for g in mods if len(g) == 2]
+        assert sorted(nonlinear) == [g for g in mods if len(g) > 2]
+        lifted = intpoly._lift_factors(f, roots, nonlinear, p, e)
+        assert len(lifted) == len(mods)
+        assert set(lifted) == set(intpoly._hensel_multi(f, mods, p, e)), (p, e, mods)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 def test_degree_shape_mod_equals_the_shape_of_factor_mod(p):
     """Seeded polynomials, some with repeated factors and some with a part

@@ -14,6 +14,7 @@ from math import isqrt
 
 import pytest
 
+from frobsplit import intpoly
 from frobsplit.finfield import make_field, minimal_polynomial
 from frobsplit.intpoly import (
     IntPoly,
@@ -157,6 +158,53 @@ def test_factor_over_Z_against_sympy_factor_list():
         seen["split"] += len(expected) >= 3
     assert min(seen.values()) > 10, seen
     assert [len(factor_over_Z(f)) for f in batch[:3]] == [1, 1, 2]
+
+
+# irreducible over Z, with roots mod many primes: their lifted roots recombine
+SPLITTING_QUADRATICS = [P([-d, 0, 1]) for d in (2, 3, 5, 6, 7)] + [P([1, 0, 1]), P([-1, 1, 1]), P([1, 1, 1])]
+
+
+def root_lifting_sweep(seed, count, max_factors):
+    """factor_over_Z against sympy on seeded products of factors of degree
+    1-3, some repeated, each batch item times one of SPLITTING_QUADRATICS
+    with probability 1/2; returns how many items had a root mod the
+    auxiliary prime, and how many a factor of degree >= 2 with a root
+    there (lifted roots recombined into a factor irreducible over Z)."""
+    rng = random.Random(seed)
+    with_roots = recombined = 0
+    for _ in range(count):
+        f = rng.choice(SPLITTING_QUADRATICS) if rng.random() < 0.5 else P([1])
+        for _ in range(rng.randint(1, max_factors)):
+            f = f * random_poly(rng, rng.randint(1, 3), 9, monic=rng.random() < 0.7) ** rng.choice([1, 1, 1, 2])
+        f = f.primitive()
+        if f.degree < 1:
+            continue
+        expected = factor_over_Z_by_sympy(f)
+        for offset in (0, 1):
+            assert factor_over_Z(f, prime_offset=offset) == expected, (f, offset)
+        sqf = try_divide(f, int_poly_gcd(f, f.derivative())).primitive()
+        p = next(intpoly._auxiliary_primes(sqf))[0] if sqf.degree >= 2 else None
+        has_root = lambda g: any(g.eval(a) % p == 0 for a in range(p))  # noqa: E731
+        with_roots += p is not None and has_root(sqf)
+        recombined += p is not None and any(g.degree >= 2 and has_root(g) for g, _ in expected)
+    return with_roots, recombined
+
+
+def test_root_lifting_against_sympy_factor_list():
+    """x (x - 15) (x^2 - 2) has disc divisible by 3 and 5, so its auxiliary
+    prime is 7, where x^2 - 2 = (x - 3)(x - 4): the two 7-adic square roots
+    of 2 are lifted by Newton's iteration and recombine over Z."""
+    f = P([0, 1]) * P([-15, 1]) * P([-2, 0, 1])
+    assert next(intpoly._auxiliary_primes(f))[0] == 7
+    assert factor_over_Z(f) == factor_over_Z_by_sympy(f) == ((P([-15, 1]), 1), (P([0, 1]), 1), (P([-2, 0, 1]), 1))
+    with_roots, recombined = root_lifting_sweep(3400, 60, 4)
+    assert with_roots > 40 and recombined > 20, (with_roots, recombined)
+
+
+@pytest.mark.slow
+def test_root_lifting_against_sympy_factor_list_wide():
+    with_roots, recombined = root_lifting_sweep(3401, 1500, 6)
+    assert with_roots > 1200 and recombined > 700, (with_roots, recombined)
 
 
 def roots_in_open_interval_by_sympy(f: IntPoly, q: int) -> int:

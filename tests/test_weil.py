@@ -324,6 +324,29 @@ def test_swinnerton_dyer_certificate_runs_no_equal_degree_split(monkeypatch):
         assert simplicity_certificate(w, ell) is Certificate.UNKNOWN
 
 
+def test_a_product_of_weil_quadratics_runs_no_hensel_step_and_no_equal_degree_split(monkeypatch):
+    """h is a product of four linear factors x - a, so its roots mod the
+    auxiliary prime are lifted by Newton's iteration alone.  Through the
+    Hensel tree these eight items made 24 _hensel_pair and 56
+    _int_equal_degree calls."""
+    calls = {"_hensel_pair": 0, "_int_equal_degree": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(intpoly, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(intpoly, name, counted)
+    rng = random.Random(34)
+    for q in (5, 7, 11, 13, 17, 19, 23, 29):
+        amax = isqrt(4 * q - 1)
+        quadratics = [P([q, -a, 1]) for a in rng.sample(range(-amax, amax + 1), 4)]
+        f = quadratics[0] * quadratics[1] * quadratics[2] * quadratics[3]
+        rep = analyze(weil_validate(f, q), aux_primes=_default_aux_primes(q))
+        assert sorted(c.poly.coeffs for c in rep.factors) == sorted(g.coeffs for g in quadratics), (f, q)
+    assert calls == {"_hensel_pair": 0, "_int_equal_degree": 0}
+
+
 def _weil_poly(h: IntPoly, q: int) -> WeilPoly:
     """t^g h(t + q/t) as a WeilPoly, unvalidated: the closed form holds for
     any monic h, so the sweeps reach shapes that validated inputs rarely show."""
