@@ -12,8 +12,9 @@ Z/m on int tuples (the ``_int_*`` functions).  FFElement runs on it, with
 the Frobenius a cached GF(p)-linear map (Berlekamp's Q-matrix), and
 ``power`` is the package's one exponentiation loop.  The kernel serves the
 canonical-modulus search and all polynomial work over GF(p) in ``intpoly``:
-the Rabin test that ``is_irreducible_mod`` runs, ``factor_mod`` over prime
-fields, and the prime screening, factorisation and Hensel lifting of
+the Ben-Or irreducibility test that ``is_irreducible_mod`` runs (it stops
+at the least degree of an irreducible factor), ``factor_mod`` over
+prime fields, and the prime screening, factorisation and Hensel lifting of
 ``factor_over_Z``.  Nothing factors over GF(p^k) with k >= 2.  These int
 tuples are the package's one polynomial type over GF(p): ``factor_mod`` and
 ``is_irreducible_mod`` take and return them, with no wrapper class.  The
@@ -263,21 +264,20 @@ def _int_powmod(a, e: int, f, m):
 
 
 def _int_is_irreducible(f, p) -> bool:
-    """Rabin test for a monic f of degree k >= 1 over GF(p): f divides
-    x^(p^k) - x and is coprime to x^(p^(k/r)) - x for every prime r | k.
+    """Ben-Or's test for a monic f of degree k >= 1 over GF(p): f is
+    irreducible iff gcd(f, x^(p^j) - x) = 1 for j = 1, ..., k/2, since a
+    reducible f has an irreducible factor of some degree j <= k/2, and
+    x^(p^j) - x is the product of the monic irreducibles of degree dividing j.
 
-    The Frobenius powers x^(p^j) are built one p-th power at a time, so a
-    failed coprimality check stops the test early."""
-    k = len(f) - 1
+    The Frobenius powers x^(p^j) are built one p-th power at a time, and the
+    first nontrivial gcd stops the test."""
     x = _int_rem_monic_mod((0, 1), f, p)
-    checks = {k // r for r in prime_divisors(k)}
     h = x
-    for j in range(1, k + 1):
+    for _ in range((len(f) - 1) // 2):
         h = _int_powmod(h, p, f, p)
-        if j in checks:
-            if len(_int_gcd(f, _int_sub_mod(h, x, p), p)) != 1:
-                return False
-    return h == x
+        if len(_int_gcd(f, _int_sub_mod(h, x, p), p)) != 1:
+            return False
+    return True
 
 
 def _canonical_modulus(p: int, k: int):

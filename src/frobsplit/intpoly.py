@@ -1,16 +1,17 @@
 """Polynomials over Z and over prime fields.
 
 Covers the coefficient-level machinery the rest of the package leans on:
-irreducibility over a prime field (Rabin test), complete factorisation over
+irreducibility over a prime field (Ben-Or test), complete factorisation over
 a prime field GF(p) (squarefree split, distinct-degree split,
 Cantor-Zassenhaus equal-degree split), factorisation over Z by the classical
 mod-p / Hensel / recombination route with a Landau-Mignotte coefficient
 bound, and exact d-th roots of monic integer polynomials.  Mod the least
-odd prime p that keeps the degree and squarefreeness of f, the roots of f
-are lifted by p-adic Newton iteration and only the root-free cofactor is
-split and lifted by the quadratic Hensel tree (von zur Gathen-Gerhard,
-Alg. 15.10): monic coprime lifts are unique, so a split f gets the same
-factors with no equal-degree split and no Hensel step.  Recombination runs the constant-term d-test
+odd prime p that keeps the degree and squarefreeness of f, tested on the
+roots of f found by evaluation, the roots are lifted by p-adic Newton
+iteration and only the root-free cofactor is split and lifted by the
+quadratic Hensel tree (von zur Gathen-Gerhard, Alg. 15.10): monic coprime
+lifts are unique, so a split f gets the same factors with no equal-degree
+split and no Hensel step.  Recombination runs the constant-term d-test
 (Abbott-Shoup-Zimmermann 2000) on every subset before it multiplies the
 subset out and trial-divides over Z.
 
@@ -336,7 +337,8 @@ def factor_mod(f, p: int, seed: int = 0):
 
 def is_irreducible_mod(f, p: int) -> bool:
     """True iff the int sequence f (ascending) is irreducible mod the prime
-    p, by the Rabin test."""
+    p, by Ben-Or's test, which stops at the least degree of an irreducible
+    factor."""
     _, g = _monic_mod(f, p)
     if len(g) < 2:
         raise ValueError("irreducibility needs degree >= 1")
@@ -399,17 +401,17 @@ def _centered(coeffs, m):
 
 
 def _auxiliary_primes(f: IntPoly):
-    """(p, monic f mod p) for the odd primes p, in increasing order, that divide
-    neither lc(f) nor disc(f); disc(f) != 0 has finitely many prime divisors."""
+    """(p, roots, mods) of _split_mod for the odd primes p, in increasing
+    order, that divide neither lc(f) nor disc(f) (finitely many do)."""
     p = 1
     while True:
         p += 2
         if not is_prime(p) or f.lc() % p == 0:
             continue
         inv = pow(f.lc(), -1, p)
-        fp = tuple(c * inv % p for c in f.coeffs)
-        if len(_int_gcd(fp, _int_derivative(fp, p), p)) == 1:
-            yield p, fp
+        split = _split_mod(tuple(c * inv % p for c in f.coeffs), p)
+        if split is not None:
+            yield p, *split
 
 
 def _eval_mod(f, a, m):
@@ -420,12 +422,20 @@ def _eval_mod(f, a, m):
 
 
 def _split_mod(fp, p):
-    """(roots, mods) of the monic squarefree fp over GF(p): its roots, by
-    evaluation, and the irreducible factors of the root-free cofactor."""
-    roots = [a for a in range(p) if not _eval_mod(fp, a, p)]
-    rest = fp
-    for a in roots:
-        rest = _int_divmod_monic_mod(rest, (-a % p, 1), p)[0]
+    """(roots, mods) of the monic fp over GF(p), or None if fp is not
+    squarefree: its roots, by evaluation, and the irreducible factors of the
+    root-free cofactor.  A root a is simple iff the cofactor left by x - a
+    does not vanish at a; a root-free cofactor of degree 2 or 3 is
+    irreducible, so only one of degree >= 4 needs a gcd with its derivative."""
+    roots, rest = [], fp
+    for a in range(p):
+        if not _eval_mod(rest, a, p):
+            rest = _int_divmod_monic_mod(rest, (-a % p, 1), p)[0]
+            if not _eval_mod(rest, a, p):
+                return None
+            roots.append(a)
+    if len(rest) >= 5 and len(_int_gcd(rest, _int_derivative(rest, p), p)) > 1:
+        return None
     return roots, [h for g, d in _int_distinct_degree(rest, p) for h in _int_equal_degree(g, d, p, random.Random(0))]
 
 
@@ -457,8 +467,7 @@ def _zassenhaus(f: IntPoly, prime_offset: int = 0):
     from the whole mod-p factor list."""
     if f.degree <= 1:
         return [f]
-    p, fp = next(islice(_auxiliary_primes(f), prime_offset, None))
-    roots, mods = _split_mod(fp, p)
+    p, roots, mods = next(islice(_auxiliary_primes(f), prime_offset, None))
     if len(roots) + len(mods) == 1:
         return [f]
     bound = _mignotte_bound(f)
@@ -528,14 +537,11 @@ def factor_over_Z(f: IntPoly, prime_offset: int = 0):
     assert sqf is not None
     out = []
     for g in _zassenhaus(sqf.primitive(), prime_offset):
-        mult = 0
-        probe = f
-        while True:
-            nxt = try_divide(probe, g)
-            if nxt is None:
-                break
-            probe = nxt
-            mult += 1
+        mult, probe = 1, f  # every multiplicity of a squarefree f is 1
+        if sqf.degree < f.degree:
+            mult = 0
+            while (probe := try_divide(probe, g)) is not None:
+                mult += 1
         out.append((g, mult))
     out.sort(key=lambda gm: (gm[0].degree, gm[0].coeffs))
     return tuple(out)

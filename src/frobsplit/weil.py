@@ -4,12 +4,13 @@ A Weil polynomial here is a monic integer polynomial of even degree 2g whose
 coefficients satisfy the functional-equation symmetry a_i = q^(g-i) a_(2g-i)
 and whose roots all have absolute value sqrt(q).  The root condition is
 decided exactly: the polynomial is rewritten as t^g h(t + q/t), and h must
-have all of its roots real inside [-2 sqrt(q), 2 sqrt(q)].  Sturm sequences
-with exact sign evaluation at the quadratic-irrational endpoints settle that
-without floating point.  All of it is integer arithmetic: the Sturm chain is
-the negated primitive pseudo-remainder sequence, whose entries are positive
-multiples of the Euclidean ones, and p(+-2 sqrt(q)) is A + B sqrt(q) with
-integers A and B.
+have all of its roots real inside [-2 sqrt(q), 2 sqrt(q)].  One Sturm
+chain of h, its boundary factors divided out, with exact sign evaluation at
+the quadratic-irrational endpoints settles that without floating point: it
+counts both the distinct roots and those inside.  All of it is integer
+arithmetic: the Sturm chain is the negated primitive pseudo-remainder
+sequence, whose entries are positive multiples of the Euclidean ones, and
+p(+-2 sqrt(q)) is A + B sqrt(q) with integers A and B.
 
 The splitting analysis factors the real transform h over Z, maps the
 factors back to f, and takes d, with f = g^d, as the gcd of the
@@ -23,7 +24,7 @@ Simplicity certificates are sound but deliberately incomplete: an
 irreducible reduction mod ell, or the two-factor dual-exchange pattern of
 the even-rank unitary case, certifies simplicity; anything else reports
 Unknown.  Both patterns are read in closed form off the real transform h:
-f mod ell shows one of them only when h mod ell is irreducible (one Rabin
+f mod ell shows one of them only when h mod ell is irreducible (one Ben-Or
 test of degree g), and which one it shows is the square class of the norm
 h(2 sqrt q) h(-2 sqrt q) (one Legendre symbol), so nothing is factored mod
 ell.  A reducible f over Z has only self-dual factors, so neither pattern
@@ -42,7 +43,6 @@ from .intpoly import (
     IntPoly,
     NotMonic,
     factor_over_Z,
-    int_poly_gcd,
     is_irreducible_mod,
     pseudo_remainder,
     try_divide,
@@ -184,41 +184,30 @@ def _variations(signs) -> int:
     return sum(1 for x, y in zip(nz, nz[1:]) if x * y < 0)
 
 
-def _roots_in_open_interval(p: IntPoly, q: int) -> int:
-    """Distinct real roots of the squarefree p in (-2 sqrt q, 2 sqrt q)."""
-    chain = _sturm_chain(p)
-    lo = [_sign_a_plus_b_sqrtq(*_eval_at_2sqrtq(c, q, -1), q) for c in chain]
-    hi = [_sign_a_plus_b_sqrtq(*_eval_at_2sqrtq(c, q, +1), q) for c in chain]
-    # Sturm's theorem counts the roots in (lo, hi]; one at hi is not interior
-    return _variations(lo) - _variations(hi) - (hi[0] == 0)
-
-
 def weil_validate(f: IntPoly, q: int) -> WeilPoly:
-    """Accept f as a Weil polynomial for q or raise a diagnostic."""
+    """Accept f as a Weil polynomial for q or raise a diagnostic.
+
+    Every root of h must be real and in [-2 sqrt q, 2 sqrt q].  The boundary
+    factors (y -+ 2s when q = s^2, else y^2 - 4q) are divided out of h as
+    often as they divide, leaving a rest with no root at +-2 sqrt q.  Its
+    one Sturm chain ends in gcd(rest, rest'), so rest has deg rest - deg gcd
+    distinct roots; and dividing the chain by the gcd, which changes no sign
+    variation where rest is nonzero, gives the Sturm chain of the squarefree
+    part, so the variations lost from -2 sqrt q to 2 sqrt q count the
+    distinct roots inside.  f is accepted iff these counts agree."""
     p, a = _prime_power(q)
     h = real_weil_transform(f, q)  # raises NotMonic, OddDegree or SymmetryViolation
-    # work with the squarefree part; the root condition only sees root sets
-    h_red = try_divide(h, int_poly_gcd(h, h.derivative()))
-    assert h_red is not None
-    boundary = 0
-    rest = h_red
     s = isqrt(q)
-    if s * s == q:
-        for root in (2 * s, -2 * s):
-            if rest.eval(root) == 0:
-                rest = try_divide(rest, IntPoly.make([-root, 1]))
-                boundary += 1
-    else:
-        quo = try_divide(rest, IntPoly.make([-4 * q, 0, 1]))
-        if quo is not None:
+    rest = h
+    for piece in [(-2 * s, 1), (2 * s, 1)] if s * s == q else [(-4 * q, 0, 1)]:
+        while (quo := try_divide(rest, IntPoly(piece))) is not None:
             rest = quo
-            boundary += 2
-    interior = _roots_in_open_interval(rest, q) if rest.degree >= 1 else 0
-    if boundary + interior != h_red.degree:
-        raise RootBoundViolation(
-            f"{h_red.degree - boundary - interior} root(s) of the real transform "
-            f"fall outside [-2*sqrt({q}), 2*sqrt({q})]"
-        )
+    chain = _sturm_chain(rest)
+    lo = [_sign_a_plus_b_sqrtq(*_eval_at_2sqrtq(c, q, -1), q) for c in chain]
+    hi = [_sign_a_plus_b_sqrtq(*_eval_at_2sqrtq(c, q, +1), q) for c in chain]
+    outside = rest.degree - chain[-1].degree - _variations(lo) + _variations(hi)
+    if outside:
+        raise RootBoundViolation(f"{outside} root(s) of the real transform fall outside [-2*sqrt({q}), 2*sqrt({q})]")
     return WeilPoly(f, q, p, a, h)
 
 

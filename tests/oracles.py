@@ -21,6 +21,13 @@ dual_rational, the monic polynomial with the roots q/alpha in exact
 Fractions; dual_polynomial is its integer form over Z, which the tests use
 to check that every factor analyze reports is self-dual.
 
+weil_validate_by_squarefree_gcd is the root-bound check weil_validate ran
+before one Sturm chain gave it both counts: it took the squarefree part
+h_red of the real transform with the primitive pseudo-remainder gcd,
+divided each boundary factor out of h_red once, and ran a second chain
+(roots_in_open_interval) on the rest.  weil_validate must return the same
+WeilPoly or raise the same exception with the same message.
+
 mat_mul and mat_inverse are the products and the Gauss-Jordan inverse over
 field elements that groups ran before every product and inverse moved onto
 the natural int matrices (_imat_mul, _imat_inverse); they stay the
@@ -43,6 +50,7 @@ GF(ell^2g) (cm_subfield_fraction).
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from frobsplit.finfield import FFElement, FieldMismatch, make_field, power, subfield_degree
 from frobsplit.groups import (
@@ -65,8 +73,28 @@ from frobsplit.groups import (
     standard_gram,
     torus_order,
 )
-from frobsplit.intpoly import IntPoly, NotMonic, _int_distinct_degree, _int_squarefree_parts, _monic_mod, factor_mod
-from frobsplit.weil import Certificate, WeilPoly, _check_aux_prime
+from frobsplit.intpoly import (
+    IntPoly,
+    NotMonic,
+    _int_distinct_degree,
+    _int_squarefree_parts,
+    _monic_mod,
+    factor_mod,
+    int_poly_gcd,
+    try_divide,
+)
+from frobsplit.weil import (
+    Certificate,
+    RootBoundViolation,
+    WeilPoly,
+    _check_aux_prime,
+    _eval_at_2sqrtq,
+    _prime_power,
+    _sign_a_plus_b_sqrtq,
+    _sturm_chain,
+    _variations,
+    real_weil_transform,
+)
 from modpoly_split import ZeroConstantTerm
 
 
@@ -242,6 +270,44 @@ def simplicity_certificate_by_shape(w: WeilPoly, ell: int) -> Certificate:
         if dual == g2:
             return Certificate.SIMPLE
     return Certificate.UNKNOWN
+
+
+def roots_in_open_interval(p: IntPoly, q: int) -> int:
+    """Distinct real roots of the squarefree p in (-2 sqrt q, 2 sqrt q)."""
+    chain = _sturm_chain(p)
+    lo = [_sign_a_plus_b_sqrtq(*_eval_at_2sqrtq(c, q, -1), q) for c in chain]
+    hi = [_sign_a_plus_b_sqrtq(*_eval_at_2sqrtq(c, q, +1), q) for c in chain]
+    # Sturm's theorem counts the roots in (lo, hi]; one at hi is not interior
+    return _variations(lo) - _variations(hi) - (hi[0] == 0)
+
+
+def weil_validate_by_squarefree_gcd(f: IntPoly, q: int) -> WeilPoly:
+    """Accept f as a Weil polynomial for q or raise a diagnostic."""
+    p, a = _prime_power(q)
+    h = real_weil_transform(f, q)  # raises NotMonic, OddDegree or SymmetryViolation
+    # work with the squarefree part; the root condition only sees root sets
+    h_red = try_divide(h, int_poly_gcd(h, h.derivative()))
+    assert h_red is not None
+    boundary = 0
+    rest = h_red
+    s = isqrt(q)
+    if s * s == q:
+        for root in (2 * s, -2 * s):
+            if rest.eval(root) == 0:
+                rest = try_divide(rest, IntPoly.make([-root, 1]))
+                boundary += 1
+    else:
+        quo = try_divide(rest, IntPoly.make([-4 * q, 0, 1]))
+        if quo is not None:
+            rest = quo
+            boundary += 2
+    interior = roots_in_open_interval(rest, q) if rest.degree >= 1 else 0
+    if boundary + interior != h_red.degree:
+        raise RootBoundViolation(
+            f"{h_red.degree - boundary - interior} root(s) of the real transform "
+            f"fall outside [-2*sqrt({q}), 2*sqrt({q})]"
+        )
+    return WeilPoly(f, q, p, a, h)
 
 
 def hermitian_scales_by_scan(field):

@@ -80,10 +80,16 @@ def test_rabin_test_on_the_int_kernel(p):
         (13, 4, (1, 0, 0, 1, 1)),
         (31, 4, (1, 0, 0, 1, 1)),
         (1009, 2, (1, 9, 1)),
+        (2, 40, (1,) + (0,) * 34 + (1, 1, 1, 0, 0, 1)),
+        (3, 20, (1,) + (0,) * 16 + (1, 0, 2, 1)),
+        (3, 40, (1,) + (0,) * 35 + (1, 1, 0, 0, 1)),
+        (10007, 4, (1, 0, 0, 4, 1)),
+        (10357, 8, (1, 0, 0, 0, 0, 0, 0, 21, 1)),
     ],
 )
 def test_canonical_modulus_pinned(p, k, modulus):
-    # values from the search that also scanned every zero constant term
+    # values from the search that also scanned every zero constant term, and
+    # (from (2, 40) on) from the search that ran Rabin's irreducibility test
     assert make_field(p, k).modulus == modulus
 
 

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from frobsplit import intpoly
+from frobsplit import finfield, intpoly
 from frobsplit.finfield import CompositeModulus, FFElement, _int_gcd, _int_mod, _int_mul_mod, make_field
 from frobsplit.intpoly import (
     DegreeNotDivisible,
@@ -200,13 +200,49 @@ def test_is_irreducible_examples():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_is_irreducible_mod_equals_factorisation(p):
-    # every monic polynomial of degree 1-4 over GF(p), Rabin test vs factor_mod
+    # every monic polynomial of degree 1-4 over GF(p), Ben-Or test vs factor_mod
     for deg in range(1, 5):
         for low in product(range(p), repeat=deg):
             f = low + (1,)
             _, factors = factor_mod(f, p)
             expected = factors == [(f, 1)]
             assert is_irreducible_mod(f, p) == expected, low
+
+
+def irreducible_count(p: int, n: int) -> int:
+    """Gauss's count of the monic irreducibles of degree n over GF(p):
+    (1/n) sum_(d | n) mu(d) p^(n/d)."""
+
+    def mu(d):
+        out, r = 1, 2
+        while d > 1:
+            if d % r == 0:
+                d //= r
+                if d % r == 0:
+                    return 0
+                out = -out
+            r += 1
+        return out
+
+    return sum(mu(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize("p,top", [(2, 8), (3, 5), (5, 4), (7, 3)])
+def test_is_irreducible_mod_accepts_gauss_count_in_every_degree(p, top):
+    for n in range(1, top + 1):
+        accepted = sum(is_irreducible_mod(low + (1,), p) for low in product(range(p), repeat=n))
+        assert accepted == irreducible_count(p, n), (p, n)
+
+
+def test_irreducibility_test_stops_at_the_least_factor_degree(monkeypatch):
+    """h = swinnerton_dyer((2, 3, 5)) is a product of four quadratics mod 7:
+    the test stops at x^(7^2), where a test that checks gcds only at j = 8/r,
+    r | 8 prime, builds x^7, ..., x^(7^4) first (4 powers)."""
+    powers = []
+    powmod = finfield._int_powmod
+    monkeypatch.setattr(finfield, "_int_powmod", lambda *args: powers.append(args) or powmod(*args))
+    assert not is_irreducible_mod(swinnerton_dyer((2, 3, 5)).coeffs, 7)
+    assert len(powers) == 2
 
 
 def test_is_irreducible_mod_non_monic():

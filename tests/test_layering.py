@@ -280,6 +280,8 @@ MOVED_ORACLES = {
     "torus_element_matrices",
     "exhaustive_classification",
     "cm_subfield_fraction_exhaustive",
+    "weil_validate_by_squarefree_gcd",
+    "_roots_in_open_interval",
 }
 BENCH_BOUND_ORACLES = {"classify_element_oracle"}
 

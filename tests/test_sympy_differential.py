@@ -34,8 +34,9 @@ from frobsplit.groups import (
     enumerate_group,
     mat_charpoly,
 )
-from frobsplit.weil import _roots_in_open_interval, analyze, weil_validate
+from frobsplit.weil import analyze, weil_validate
 from modpoly_split import ModPoly, frobenius_coeffs
+from oracles import roots_in_open_interval
 from zassenhaus_oracles import swinnerton_dyer, weil_from_real
 
 sympy = pytest.importorskip("sympy")
@@ -232,7 +233,7 @@ def test_roots_in_open_interval_against_sympy():
         for h in factors:
             f = f * h
         f = try_divide(f, int_poly_gcd(f, f.derivative()))  # squarefree
-        assert _roots_in_open_interval(f, q) == roots_in_open_interval_by_sympy(f, q), (f, q)
+        assert roots_in_open_interval(f, q) == roots_in_open_interval_by_sympy(f, q), (f, q)
 
 
 def real_cyclotomic(n: int, s: int) -> IntPoly:

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 from math import comb, isqrt
@@ -36,6 +38,7 @@ from oracles import (
     dual_polynomial,
     dual_rational,
     simplicity_certificate_by_shape,
+    weil_validate_by_squarefree_gcd,
 )
 from zassenhaus_oracles import swinnerton_dyer, weil_from_real
 
@@ -84,6 +87,97 @@ def test_validate_never_crashes_on_random_monic_even_inputs():
         for i in range(g + 1):
             assert f.coeffs[i] == q ** (g - i) * f.coeffs[2 * g - i]
     assert accepted > 0
+
+
+def _outcome(validate, f: IntPoly, q: int):
+    try:
+        return validate(f, q)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _differential_case(rng):
+    """A seeded product of powers of Weil quadratics t^2 - a t + q, with a up
+    to 3 past 2 sqrt q on either side (a = +-2s gives the boundary piece
+    (t -+ s)^2 when q = s^2; a past the bound gives real roots off the
+    circle), sometimes with a boundary piece t -+ s or t^2 - q to the power
+    1, 2 or 4, or a factor over a real quadratic with any discriminant."""
+    q = rng.choice([2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 49])
+    s, amax = isqrt(q), isqrt(4 * q)
+    pieces = [P([q, -rng.randint(-amax - 3, amax + 3), 1]) for _ in range(rng.randint(1, 3))]
+    f = P([1])
+    for g in pieces:
+        f = f * g ** rng.randint(1, 3)
+    if rng.random() < 0.5:
+        boundary = [P([-s, 1]), P([s, 1])] if s * s == q else [P([-q, 0, 1])]
+        f = f * rng.choice(boundary) ** rng.choice([1, 2, 4])
+    if rng.random() < 0.3:
+        f = f * weil_from_real(P([rng.randint(-3 * q, 3 * q), rng.randint(-amax - 2, amax + 2), 1]), q)
+    return f, q
+
+
+def _validate_like_the_squarefree_gcd_oracle(rng, cases):
+    kinds = collections.Counter()
+    for _ in range(cases):
+        f, q = _differential_case(rng)
+        got = _outcome(weil_validate, f, q)
+        assert got == _outcome(weil_validate_by_squarefree_gcd, f, q), (f, q)
+        if isinstance(got, tuple):
+            kinds[got[0].__name__] += 1
+        else:
+            a, b = weil._eval_at_2sqrtq(got.h, q, +1)  # h(2 sqrt q) h(-2 sqrt q) = a^2 - q b^2
+            kinds["accepted" if a * a - q * b * b else "accepted on the boundary"] += 1
+    return kinds
+
+
+KINDS = {"accepted", "accepted on the boundary", "RootBoundViolation", "SymmetryViolation", "OddDegree"}
+
+
+def test_validate_equals_the_squarefree_gcd_oracle():
+    kinds = _validate_like_the_squarefree_gcd_oracle(random.Random(3501), 1000)
+    assert set(kinds) == KINDS, kinds
+
+
+@pytest.mark.slow
+def test_validate_equals_the_squarefree_gcd_oracle_on_a_wide_sweep():
+    kinds = _validate_like_the_squarefree_gcd_oracle(random.Random(3502), 20000)
+    assert set(kinds) == KINDS, kinds
+
+
+def test_validate_and_analyze_run_two_remainder_sequences_and_no_multiplicity_search(monkeypatch):
+    """A seeded product of four Weil quadratics over q = 13, through
+    weil_validate and analyze.  h is a product of four linear factors, so
+    it is squarefree, and mod each screened prime it has roots only.  With a
+    squarefree gcd in weil_validate next to its Sturm chain, three sequences
+    ran; trial division for the multiplicities made 8 more try_divide calls
+    in factor_over_Z, and the screen took one gcd for each of the primes
+    3, 5, 7, 11 and 13."""
+    counts = collections.Counter()
+
+    def count(module, name, key, callers=None):
+        original = getattr(module, name)
+
+        def counted(*args):
+            if callers is None or sys._getframe(1).f_code.co_name in callers:
+                counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(weil, "_sturm_chain", "sequences")
+    count(intpoly, "int_poly_gcd", "sequences")
+    count(intpoly, "try_divide", "factor_over_Z divisions", {"factor_over_Z"})
+    count(intpoly, "_int_gcd", "screen gcds", {"_auxiliary_primes", "_split_mod"})
+    q = 13
+    f = P([1])
+    for a in random.Random(1).sample(range(-7, 8), 4):
+        f = f * P([q, -a, 1])
+    rep = analyze(weil_validate(f, q), aux_primes=_default_aux_primes(q))
+    assert rep.d == 1 and len(rep.factors) == 4
+    # the squarefree quotient is factor_over_Z's one division
+    assert counts == {"sequences": 2, "factor_over_Z divisions": 1}
+    assert not hasattr(weil, "int_poly_gcd")
+    assert next(intpoly._auxiliary_primes(rep.weil.h))[0] == 13
 
 
 def test_validate_symmetry_and_shape_errors():
