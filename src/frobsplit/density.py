@@ -47,12 +47,6 @@ _SQUEEZE_PARTS = {"der": "derived", "full": "full"}
 MAX_GENERATOR_DRAWS = 200  # random_generator_tuples' retry cap
 
 
-class GoursatContradiction(AssertionError):
-    """Surjective projections generated a proper subgroup in-hypothesis;
-    that contradicts distinctness of the simple quotients and means the
-    implementation (not the input) is wrong."""
-
-
 def regular_fraction(desc: GroupDescriptor, m: int = 1, squeeze: str = "full") -> Fraction:
     """|J_{l,m}(H)| / |H| via the count identity (|G|/|N|) * |T*_m ∩ H|."""
     if squeeze not in _SQUEEZE_PARTS:
@@ -252,7 +246,7 @@ def _chain_orbits(factors, tuples, target: int):
     """The orbit sizes of a stabilizer chain (Sims 1970; Seress 2003, ch. 4)
     of the group the tuples generate in the product of the factor groups,
     which multiply to its order.  Its one caller is _goursat_report: once
-    on the product, then once per factor if a closure of several is proper.
+    per factor, then once on the product where Goursat's lemma is silent.
 
     Elements are tuples of _natural_matrix matrices acting on row vectors
     from the right.  Per factor, the base is a projective frame, the lines
@@ -368,34 +362,44 @@ def goursat_verify(factors, generators) -> GoursatReport:
 
 
 def _goursat_report(factors, tuples) -> GoursatReport:
-    """The GoursatReport of tuples of natural int matrices, one per factor:
-    the order of the subgroup they generate is read off one stabilizer
-    chain on the natural action (_chain_orbits), whose orbits are bounded
-    by the projective points of the factors, not by their orders.  A full
-    closure makes every projection surjective, as does any closure of one
-    factor; only a proper closure of several runs a chain per factor.
-    When the distinct-simple-quotient hypothesis holds, surjective
-    projections with a proper closure are an implementation contradiction
-    and raise."""
+    """The GoursatReport of tuples of natural int matrices, one per factor.
+
+    Each projection is decided by its factor's own stabilizer chain on the
+    natural action (_chain_orbits), whose orbits are bounded by the
+    projective points of the factor, not by its order.  When every
+    projection surjects and the hypothesis of _hypothesis_note holds
+    (distinct ell, none of them 2 or 3, GU rank >= 2), Goursat's lemma gives
+    the closure with no chain on the product:
+    - Each factor, Sp_2r(ell) or SU_r(ell), is quasisimple, so each of
+      its nontrivial quotients maps onto its one simple quotient, of Lie
+      type in characteristic ell.  Across characteristics such simple
+      groups coincide only over small fields, as in PSL_2(4) = PSL_2(5) and
+      PSU_4(2) = PSp_4(3), and the hypothesis excludes ell = 2 and 3.  So no
+      two factors share a nontrivial quotient, and by Goursat's lemma the
+      closure maps onto each product of two factors.
+    - Each factor is perfect.
+    - A subgroup of a product of perfect groups that maps onto every
+      product of two factors is the whole product (Ribet, Amer. J. Math.
+      98, 1976, section 3).
+    Where the lemma is silent, a projection failing or the input out of
+    hypothesis, one chain on the product gives the closure order; for one
+    factor, its own chain is that chain."""
     orders = [group_order(d, "derived") for d in factors]
     product_order = prod(orders)
-    closure_order = prod(_chain_orbits(factors, tuples, product_order))
-    full = closure_order == product_order
-    surjective = [
-        full or len(factors) > 1 and prod(_chain_orbits([d], [(t[i],) for t in tuples], n)) == n
-        for i, (d, n) in enumerate(zip(factors, orders))
-    ]
+    closures = [prod(_chain_orbits([d], [(t[i],) for t in tuples], n)) for i, (d, n) in enumerate(zip(factors, orders))]
+    surjective = tuple(c == n for c, n in zip(closures, orders))
     note = _hypothesis_note(factors)
-    in_hyp = note == ""
-    if in_hyp and all(surjective) and not full:
-        raise GoursatContradiction(f"projections surject but the closure has order {closure_order} < {product_order}")
+    if len(factors) == 1 or not note and all(surjective):
+        closure_order = prod(closures)
+    else:
+        closure_order = prod(_chain_orbits(factors, tuples, product_order))
     return GoursatReport(
         factor_orders=tuple(orders),
-        projections_surjective=tuple(surjective),
+        projections_surjective=surjective,
         closure_order=closure_order,
         product_order=product_order,
-        full_product=full,
-        in_hypothesis=in_hyp,
+        full_product=closure_order == product_order,
+        in_hypothesis=note == "",
         note=note or "distinct nonabelian simple quotients",
     )
 

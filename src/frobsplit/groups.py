@@ -69,8 +69,8 @@ the symplectic torus and the determinant.
 The determinant cannot come from the natural matrix: in family A that
 determinant is the norm of det M, 1 for every unitary M.
 The packed layer keeps only multiplication, the commutation test,
-conjugate transpose, the similitude test and the inverse it gives, which
-the enumeration and the oracles run, plus two shortcuts for the listing.
+conjugate transpose and the similitude test, which the enumeration and
+the oracles run, plus two shortcuts for the listing.
 left(g), the map b -> g b, finds the nonzero entries of g once, so a
 closure product by a root element of GSp, one or two nonzero entries a
 row, costs about n^2 table lookups and not n^3.  multiplier(a)
@@ -902,9 +902,7 @@ class _PackedGroup:
         self.mm = _pmat_mul(self.pf, self.n)
         self.commute = _pmat_commute(self.pf, self.n)
         self.ct = _pmat_conj_transpose(self.pf, self.n, desc.family == "A")
-        gram = standard_gram(desc)
-        self.gram = pack_matrix(gram)
-        self.jinv = pack_matrix(_field_inverse(desc, gram))
+        self.gram = pack_matrix(standard_gram(desc))
         self.identity = pack_matrix(mat_identity(desc.matrix_field, self.n))
         self._gram_anchor = next(j for j in range(self.n) if self.gram[j])
         self._gram_terms = _gram_terms(self.pf, self.n, self.gram, self._gram_anchor)
@@ -957,14 +955,6 @@ class _PackedGroup:
             if x != pf.mul[lam][g]:
                 return None
         return lam
-
-    def inverse(self, a):
-        """a^-1 = (lam^-1 J^-1) ct(a) J, from ct(a) J a = lam J."""
-        lam = self.similitude(a)
-        if lam is None:
-            raise ValueError("matrix outside the group")
-        scale = self.pf.mul[self.pf.inv[lam]]
-        return self.mm(self.mm(tuple(scale[x] for x in self.jinv), self.ct(a)), self.gram)
 
 
 @lru_cache(maxsize=None)

@@ -38,6 +38,14 @@ is groups._symplectic_change_of_basis as it ran on field elements of
 GF(p), before the same loop moved onto ints mod p; the int routine must
 return the same P.
 
+goursat_report_by_product_chain is density._goursat_report as it ran
+before Goursat's lemma let the projections decide an in-hypothesis
+product: one stabilizer chain on the whole product first, a chain per
+factor only when a closure of several factors is proper, and
+GoursatContradiction when the hypothesis holds, every projection
+surjects and the closure is still proper, which the lemma rules out.
+_goursat_report must return the same GoursatReport.
+
 The rest are the definitional counts that the closed forms of groups and
 density replaced, each kept here as the oracle of its closed form:
 torus_element_matrices lists the matrix torus, regular_torus_count_oracle
@@ -50,8 +58,9 @@ GF(ell^2g) (cm_subfield_fraction).
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
+from frobsplit.density import GoursatReport, _chain_orbits, _hypothesis_note
 from frobsplit.finfield import FFElement, FieldMismatch, make_field, power, subfield_degree
 from frobsplit.groups import (
     MAX_GROUP_SIZE,
@@ -65,6 +74,7 @@ from frobsplit.groups import (
     classify_element,
     enumerate_group,
     enumerate_group_packed,
+    group_order,
     identity_element,
     mat_conj_transpose,
     mat_det,
@@ -354,10 +364,12 @@ def normalizer_census_oracle(desc) -> NormalizerCensus:
     torus = build_anisotropic_torus(desc)
     tset = frozenset(pack_matrix(t.matrix) for t in torus_element_matrices(desc))
     gens = [pack_matrix(g.matrix) for g in torus.generators]
-    mm = pg.mm
+    mm, pf = pg.mm, pg.pf
+    jinv = pack_matrix(mat_inverse(standard_gram(desc)))
     count = 0
     for g in elements:
-        gi = pg.inverse(g)
+        scale = pf.mul[pf.inv[pg.multiplier(g)]]
+        gi = mm(mm(tuple(scale[x] for x in jinv), pg.ct(g)), pg.gram)  # g^-1 = lam^-1 J^-1 ct(g) J
         if all(mm(mm(g, t), gi) in tset for t in gens):
             count += 1
     return NormalizerCensus(count, count // torus.order)
@@ -395,3 +407,37 @@ def cm_subfield_fraction_exhaustive(two_g: int, ell: int) -> Fraction:
     field = make_field(ell, two_g)
     hits = sum(1 for x in field.elements() if not x.is_zero() and subfield_degree(x) < two_g)
     return Fraction(hits, field.q - 1)
+
+
+class GoursatContradiction(AssertionError):
+    """Surjective projections generated a proper subgroup in-hypothesis;
+    that contradicts distinctness of the simple quotients and means the
+    implementation (not the input) is wrong."""
+
+
+def goursat_report_by_product_chain(factors, tuples) -> GoursatReport:
+    """The GoursatReport of tuples of natural int matrices, one per factor,
+    read off one stabilizer chain on the product; only a proper closure of
+    several factors runs a chain per factor to tell which projections
+    surject."""
+    orders = [group_order(d, "derived") for d in factors]
+    product_order = prod(orders)
+    closure_order = prod(_chain_orbits(factors, tuples, product_order))
+    full = closure_order == product_order
+    surjective = [
+        full or len(factors) > 1 and prod(_chain_orbits([d], [(t[i],) for t in tuples], n)) == n
+        for i, (d, n) in enumerate(zip(factors, orders))
+    ]
+    note = _hypothesis_note(factors)
+    in_hyp = note == ""
+    if in_hyp and all(surjective) and not full:
+        raise GoursatContradiction(f"projections surject but the closure has order {closure_order} < {product_order}")
+    return GoursatReport(
+        factor_orders=tuple(orders),
+        projections_surjective=tuple(surjective),
+        closure_order=closure_order,
+        product_order=product_order,
+        full_product=full,
+        in_hypothesis=in_hyp,
+        note=note or "distinct nonabelian simple quotients",
+    )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from math import prod
@@ -169,6 +170,32 @@ def test_goursat_answers_on_the_natural_action(ells, family, r, order):
     res = report["result"]
     assert res["full_product"] and all(res["projections_surjective"])
     assert res["closure_order"] == res["product_order"] == order
+
+
+# The sha256 of each report's canonical JSON, timing_ms removed, as the
+# chain on the whole product answered every draw before Goursat's lemma
+# decided the in-hypothesis ones: the README examples first, then draws
+# with repeated primes, exceptional fields, rank 2 and 3, and three samples.
+GOURSAT = {
+    "goursat --family C --r 1 --ells 5,7 --seed 1": "25e4ab20035d10ad12310ec91614536f4956aba34d1102d5e0938332296f819d",
+    "goursat --family C --r 1 --ells 5,7,11,13 --seed 1": "798571e757ebd9846ff422dada28413017c5dcc3357ee871a0082b52d7f8b8bc",
+    "goursat --family C --r 1 --ells 1009,1013 --seed 1": "269bcc7b039d69b19749c28081e295ea7ff16696df1ed680948b3397e7f4cd69",
+    "goursat --family A --r 3 --ells 3 --seed 1": "233009dcbc98c79d243d43ec10d5a50c5d978f5f1e7f7053a1567688ac910c16",
+    "goursat --family C --r 1 --ells 5,5 --seed 2": "038237b9b4b9244571d58174415f2b7350d3bc1da1d0feff1087be963c007360",
+    "goursat --family C --r 2 --ells 11,13 --seed 1": "11d5c161027b47e1d1f426d41ee13b143a18454e2bb6b0132b472c08857165f7",
+    "goursat --family C --r 1 --ells 3,3,5 --seed 4": "6eafbd66d110ac057935638acd25168f29748c73ad3b266ad76ba0d58a17ed08",
+    "goursat --family A --r 2 --ells 3,3 --seed 1": "79cd97b1cb49263de5f3fdd644b854d98c989b3a49cd35ce142e8cc260b914e0",
+    "goursat --family A --r 3 --ells 5,7 --seed 3": "d6318bf0e0c546f176e68a487d17bec9579cffc5c8f3b685c2954d2a69307c30",
+    "goursat --family A --r 2 --ells 3,5 --seed 0 --samples 3": "3ea105e3e90a02f0669cb3c166e1d018ff3af03969635b0834a868fac728601c",
+}
+
+
+@pytest.mark.parametrize("command", GOURSAT, ids=lambda command: command.replace(" --", "-").replace(" ", ""))
+def test_a_goursat_command_gives_its_recorded_digest(command):
+    report, status = run(command.split())
+    del report["timing_ms"]
+    canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert (status, hashlib.sha256(canonical.encode()).hexdigest()) == (0, GOURSAT[command])
 
 
 def test_nonspecial_cli():

@@ -7,7 +7,6 @@ import pytest
 from frobsplit.cli import execute, parse
 from frobsplit.density import (
     GaloisModel,
-    GoursatContradiction,
     ModelEntry,
     _chain_orbits,
     chebotarev_simulate,
@@ -37,7 +36,7 @@ from frobsplit.groups import (
     mat_det,
     pack_matrix,
 )
-from oracles import cm_subfield_fraction_exhaustive, exhaustive_classification
+from oracles import cm_subfield_fraction_exhaustive, exhaustive_classification, goursat_report_by_product_chain
 
 C_AT = lambda ell: GroupDescriptor("C", 1, ell)  # noqa: E731
 A_AT = lambda r, ell: GroupDescriptor("A", r, ell)  # noqa: E731
@@ -249,10 +248,20 @@ def test_goursat_hand_built_diagonal_of_sl2_f5_squared():
     assert rep.note.startswith("repeated primes")
 
 
+def _beside_sl2_f11(components):
+    """The components, each beside one of seeded generators of SL_2(F_11)."""
+    gens, _ = random_generator_tuples([C_AT(11)], random.Random(1), count=len(components))
+    return [(c, x) for c, (x,) in zip(components, gens)]
+
+
 def test_goursat_hand_built_borel_subgroups():
     """The Borel subgroup of SL_2(F_7), from diag(3, 5) and u, has order
     6 * 7 = 42; beside a unipotent component in SL_2(F_11) the closure is
-    the product 42 * 11 = 462, since 11 does not divide 42."""
+    the product 42 * 11 = 462, since 11 does not divide 42.  Beside
+    generators of all of SL_2(F_11) only the second projection surjects,
+    the lemma is silent, and the product chain finds 42 * 1320: the
+    solvable Borel subgroup and the perfect SL_2(F_11) share no nontrivial
+    quotient."""
     f7, f11 = C_AT(7), C_AT(11)
     torus, u7, u11 = _sl2(7, ((3, 0), (0, 5))), _sl2(7, UPPER), _sl2(11, UPPER)
     borel = _verified([f7], [(torus,), (u7,)])
@@ -261,6 +270,9 @@ def test_goursat_hand_built_borel_subgroups():
     rep = _verified([f7, f11], [(torus, u11), (u7, u11)])
     assert (rep.closure_order, rep.product_order) == (462, 336 * 1320)
     assert rep.projections_surjective == (False, False) and not rep.full_product
+    mixed = _verified([f7, f11], _beside_sl2_f11([torus, u7]))
+    assert (mixed.closure_order, mixed.product_order) == (42 * 1320, 336 * 1320)
+    assert mixed.projections_surjective == (False, True) and mixed.in_hypothesis and not mixed.full_product
 
 
 def test_goursat_single_factor_trivially_full():
@@ -319,21 +331,8 @@ def test_the_factor_cap_is_checked_before_any_group_is_listed(monkeypatch):
         goursat_verify(factors, [])
 
 
-@pytest.mark.parametrize(
-    "command,chains",
-    [
-        ("--family C --r 1 --ells 5,7 --seed 1", [2]),
-        ("--family C --r 2 --ells 11,13 --seed 1", [2]),
-        ("--family A --r 3 --ells 3 --seed 1", [1]),
-        ("--family C --r 1 --ells 5 --seed 3", [1, 1]),  # one draw rejected
-    ],
-)
-def test_an_accepted_goursat_draw_runs_one_chain(monkeypatch, command, chains):
-    """The draw these seeds accept has a full product closure, so its one
-    chain over every factor answers both the draw loop and the report.  A
-    chain per factor on the draw, or the product chain again on the report,
-    would show as more calls; so would a second chain on a rejected draw of
-    one factor, whose closure alone tells that its projection is proper."""
+def _count_chains(monkeypatch):
+    """The factor count of each _chain_orbits call, as it is made."""
     calls = []
 
     def counted(factors, tuples, target):
@@ -341,9 +340,39 @@ def test_an_accepted_goursat_draw_runs_one_chain(monkeypatch, command, chains):
         return _chain_orbits(factors, tuples, target)
 
     monkeypatch.setattr("frobsplit.density._chain_orbits", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command,chains",
+    [
+        ("--family C --r 1 --ells 5,7 --seed 1", [1, 1]),
+        ("--family C --r 2 --ells 11,13 --seed 1", [1, 1]),
+        ("--family A --r 3 --ells 3 --seed 1", [1]),
+        ("--family C --r 1 --ells 5 --seed 3", [1, 1]),  # one draw rejected
+    ],
+)
+def test_an_accepted_goursat_draw_runs_one_chain(monkeypatch, command, chains):
+    """An accepted in-hypothesis draw runs one chain per factor, and
+    Goursat's lemma answers the product from them; a product chain on the
+    draw, or any chain again on the report, would show as more calls.  One
+    factor runs one chain per draw, its own chain being the product chain:
+    seed 3 draws generators that the chain rejects, then ones it accepts."""
+    calls = _count_chains(monkeypatch)
     report, status = execute(parse(f"goursat {command}".split()))
     assert status == 0 and report["result"]["full_product"]
     assert calls == chains
+
+
+def test_a_failed_projection_adds_one_product_chain(monkeypatch):
+    """In hypothesis, a projection that fails leaves the lemma silent: the
+    chains of the two factors, then exactly one chain on the product."""
+    f7 = C_AT(7)
+    gens = _beside_sl2_f11([_sl2(7, ((3, 0), (0, 5))), _sl2(7, UPPER)])
+    calls = _count_chains(monkeypatch)
+    rep = goursat_verify([f7, C_AT(11)], gens)
+    assert rep.in_hypothesis and rep.projections_surjective == (False, True)
+    assert calls == [1, 1, 2]
 
 
 def _draws_by_one_chain_per_factor(factors, rng, count):
@@ -354,6 +383,10 @@ def _draws_by_one_chain_per_factor(factors, rng, count):
         tuples = [tuple(_uniform_derived(d, rng) for d in factors) for _ in range(count)]
         if all(prod(_chain_orbits([d], [(t[i],) for t in tuples], n)) == n for i, (d, n) in enumerate(zip(factors, orders))):
             return [tuple(GroupElement(d, _field_matrix(d, m), 1) for d, m in zip(factors, t)) for t in tuples]
+
+
+def _natural_tuples(factors, tuples):
+    return [tuple(_natural_matrix(d, g.matrix) for d, g in zip(factors, t)) for t in tuples]
 
 
 @pytest.mark.parametrize(
@@ -371,7 +404,7 @@ def _draws_by_one_chain_per_factor(factors, rng, count):
 def test_the_draws_are_those_of_one_chain_per_factor(factors, count):
     """random_generator_tuples accepts the draws the per-factor chains
     accept, leaves the generator where they leave it, and reports what
-    goursat_verify reports on its tuples."""
+    goursat_verify and the product-chain oracle report on its tuples."""
     for seed in range(12):
         reference, rng = random.Random(seed), random.Random(seed)
         expected = _draws_by_one_chain_per_factor(factors, reference, count)
@@ -379,6 +412,17 @@ def test_the_draws_are_those_of_one_chain_per_factor(factors, count):
         assert tuples == expected, seed
         assert rng.random() == reference.random(), seed
         assert report == goursat_verify(factors, tuples), seed
+        assert report == goursat_report_by_product_chain(factors, _natural_tuples(factors, tuples)), seed
+
+
+@pytest.mark.slow
+def test_the_product_chain_oracle_agrees_on_gsp4_f31_by_gsp4_f37():
+    """Seed 1 at paper scale: the lemma's full product, with no product
+    chain, is what the chain on the whole product finds."""
+    factors = [GroupDescriptor("C", 2, 31), GroupDescriptor("C", 2, 37)]
+    tuples, report = random_generator_tuples(factors, random.Random(1), 2)
+    assert report.in_hypothesis and report.full_product
+    assert report == goursat_report_by_product_chain(factors, _natural_tuples(factors, tuples))
 
 
 def _draw_tuples(factors, rng, count):

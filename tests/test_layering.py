@@ -21,6 +21,9 @@ generators come from groups._uniform_derived.  One chain core decides
 Goursat surjectivity: in src, _chain_orbits has one caller,
 density._goursat_report, which serves both goursat_verify and the draw
 loop of random_generator_tuples, and density defines no _derived_chain.
+No src module defines GoursatContradiction: in hypothesis Goursat's lemma
+answers and no product chain runs that could contradict it, so the
+contradiction lives with the product-chain oracle in tests/oracles.py.
 groups' natural int matrices (_imat_mul, _imat_inverse) are
 the one layer of matrix products and inverses: no module defines mat_mul or
 mat_inverse, the field-element products and inverse that tests/oracles.py
@@ -263,6 +266,16 @@ def test_one_chain_core_decides_goursat_surjectivity():
     assert "_derived_chain" not in defined
 
 
+def test_src_defines_no_goursat_contradiction():
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef) and node.name == "GoursatContradiction"
+    ]
+    assert defined == []
+
+
 def test_no_module_multiplies_or_inverts_field_element_matrices():
     defined = [
         f"{path.name}:{node.name}"
@@ -282,6 +295,7 @@ MOVED_ORACLES = {
     "cm_subfield_fraction_exhaustive",
     "weil_validate_by_squarefree_gcd",
     "_roots_in_open_interval",
+    "goursat_report_by_product_chain",
 }
 BENCH_BOUND_ORACLES = {"classify_element_oracle"}
 
