@@ -27,8 +27,9 @@ Everything is exact; randomised splitting is driven by an explicit seed and
 the output ordering is canonical, so all results are reproducible.
 
 Scale target is degree <= 16 with moderate coefficients: weil.analyze
-factors the real transform h of a Weil polynomial, of half its degree, so
-the degree-32 Weil polynomials the package analyses come here at degree 16.
+factors the real transform h of a Weil polynomial, of half its degree, less
+the integer roots it divides out first, so the degree-32 Weil polynomials
+the package analyses come here at degree 16 at most.
 Recombination stays exponential in the number of factors mod p, with no
 knapsack step.
 """

@@ -15,9 +15,16 @@ p(+-2 sqrt(q)) is A + B sqrt(q) with integers A and B.
 The splitting analysis factors the real transform h over Z, maps the
 factors back to f, and takes d, with f = g^d, as the gcd of the
 multiplicities; every factor is self-dual, since q/alpha is the complex
-conjugate of a root alpha.  It resolves the isogeny-exponent constraints in
-the two cases where that is possible from f and q alone (prime residue
-field; ordinary reduction).  The general division-algebra invariant is out of
+conjugate of a root alpha.  The commonest split, into elliptic factors
+t^2 - a t + q, is an integer root a of h, and analyze finds those first by
+evaluation: h is monic, so a rational root is an integer (Gauss's lemma),
+and it lies in [-2 sqrt q, 2 sqrt q] (the Hasse bound).  Only the rest goes
+to factor_over_Z.  The scan costs O(sqrt(q) g) and the Zassenhaus route
+polylog(q), so it runs only while the interval holds at most 16 integers
+per degree of h; past that gate all of h goes to factor_over_Z.  The
+analysis resolves the isogeny-exponent constraints in the two cases where
+that is possible from f and q alone (prime residue field; ordinary
+reduction).  The general division-algebra invariant is out of
 scope, so unresolved factors carry their constraint set explicitly.
 
 Simplicity certificates are sound but deliberately incomplete: an
@@ -356,20 +363,54 @@ def _from_real(k: IntPoly, q: int):
     return IntPoly(tuple(out)), 1
 
 
+def _integer_roots(h: IntPoly, q: int):
+    """(rest, [(y - a, n)]) with h = rest * prod (y - a)^n: each integer root
+    a of h in [-2 sqrt q, 2 sqrt q], found by evaluation, divided out as often
+    as it divides.  Past the gate (more than 16 integers in the interval per
+    degree of h) it scans nothing and returns (h, [])."""
+    s = isqrt(4 * q)
+    if 2 * s + 1 > 16 * h.degree:
+        return h, []
+    rest, out = h, []
+    for a in range(-s, s + 1):
+        if rest.degree < 1:
+            break
+        if rest.eval(a) == 0:
+            lin, n = IntPoly((-a, 1)), 0
+            while (quo := try_divide(rest, lin)) is not None:
+                rest, n = quo, n + 1
+            out.append((lin, n))
+    return rest, out
+
+
 def analyze(w: WeilPoly, aux_primes=()) -> SplitReport:
     """Factorisation, power structure, constraints, duality, certificates.
 
     w must come from weil_validate: the factors of f are read off those of
     its real transform w.h (_from_real), which holds only when every root of
-    f has absolute value sqrt(q).  d is the gcd of the multiplicities, and
+    f has absolute value sqrt(q).  The linear factors y - a of h come first,
+    from _integer_roots: h is monic, so by Gauss's lemma its rational roots
+    are integers, and all its roots lie in [-2 sqrt q, 2 sqrt q], so
+    evaluating h at the integers there finds every one.  factor_over_Z
+    factors only the rest, not at all when h splits.  Factorisation over Z
+    is unique and the factors are sorted canonically, so the answer is that
+    of factor_over_Z on all of h; a root the scan missed, factor_over_Z
+    would still find.  The scan runs only while the interval holds at most
+    16 integers per degree of h.  On root-free h, where it is pure
+    overhead, it took 3-16 % of factor_over_Z's time inside that gate
+    (q = 31..1009, g = 2..8, CPython 3.11 on x86-64) and broke even at
+    about 100 integers per degree.  d is the gcd of the multiplicities, and
     every factor is self-dual, since q/alpha is the complex conjugate of
     alpha.  A reducible f therefore reduces mod ell to a product of
     self-dual pieces, which is neither irreducible nor a dual pair, so
     simplicity_certificate runs only for an irreducible f; for any other f
     each ell is checked and recorded UNKNOWN.
     """
+    rest, real_factors = _integer_roots(w.h, w.q)
+    if rest.degree >= 1:
+        real_factors += factor_over_Z(rest)
     mapped = []
-    for k, n in factor_over_Z(w.h):
+    for k, n in real_factors:
         poly, e = _from_real(k, w.q)
         mapped.append((poly, e * n))
     mapped.sort(key=lambda gm: (gm[0].degree, gm[0].coeffs))

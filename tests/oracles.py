@@ -28,6 +28,12 @@ divided each boundary factor out of h_red once, and ran a second chain
 (roots_in_open_interval) on the rest.  weil_validate must return the same
 WeilPoly or raise the same exception with the same message.
 
+analyze_factors_by_zassenhaus is the factor list weil.analyze read off
+before it divided out the integer roots of h by a scan of the Hasse
+interval: factor_over_Z of the whole real transform w.h, each factor mapped
+to f by _from_real.  analyze's factors, each multiplicity times d, must
+equal it.
+
 mat_mul and mat_inverse are the products and the Gauss-Jordan inverse over
 field elements that groups ran before every product and inverse moved onto
 the natural int matrices (_imat_mul, _imat_inverse); they stay the
@@ -90,6 +96,7 @@ from frobsplit.intpoly import (
     _int_squarefree_parts,
     _monic_mod,
     factor_mod,
+    factor_over_Z,
     int_poly_gcd,
     try_divide,
 )
@@ -99,6 +106,7 @@ from frobsplit.weil import (
     WeilPoly,
     _check_aux_prime,
     _eval_at_2sqrtq,
+    _from_real,
     _prime_power,
     _sign_a_plus_b_sqrtq,
     _sturm_chain,
@@ -318,6 +326,16 @@ def weil_validate_by_squarefree_gcd(f: IntPoly, q: int) -> WeilPoly:
             f"fall outside [-2*sqrt({q}), 2*sqrt({q})]"
         )
     return WeilPoly(f, q, p, a, h)
+
+
+def analyze_factors_by_zassenhaus(w: WeilPoly):
+    """((F, multiplicity in f), ...) in canonical order, from factor_over_Z
+    of the whole real transform w.h."""
+    mapped = []
+    for k, n in factor_over_Z(w.h):
+        poly, e = _from_real(k, w.q)
+        mapped.append((poly, e * n))
+    return tuple(sorted(mapped, key=lambda gm: (gm[0].degree, gm[0].coeffs)))
 
 
 def hermitian_scales_by_scan(field):

@@ -34,13 +34,14 @@ from curves import frobenius_polynomial, is_good_prime
 from modpoly_split import ModPoly, ZeroConstantTerm
 from oracles import (
     NonIntegralDual,
+    analyze_factors_by_zassenhaus,
     degree_shape_mod,
     dual_polynomial,
     dual_rational,
     simplicity_certificate_by_shape,
     weil_validate_by_squarefree_gcd,
 )
-from zassenhaus_oracles import swinnerton_dyer, weil_from_real
+from zassenhaus_oracles import random_real_factor, swinnerton_dyer, weil_from_real
 
 P = IntPoly.make
 
@@ -144,14 +145,15 @@ def test_validate_equals_the_squarefree_gcd_oracle_on_a_wide_sweep():
     assert set(kinds) == KINDS, kinds
 
 
-def test_validate_and_analyze_run_two_remainder_sequences_and_no_multiplicity_search(monkeypatch):
+def test_validate_and_analyze_run_one_remainder_sequence_and_no_factor_over_Z(monkeypatch):
     """A seeded product of four Weil quadratics over q = 13, through
-    weil_validate and analyze.  h is a product of four linear factors, so
-    it is squarefree, and mod each screened prime it has roots only.  With a
-    squarefree gcd in weil_validate next to its Sturm chain, three sequences
-    ran; trial division for the multiplicities made 8 more try_divide calls
-    in factor_over_Z, and the screen took one gcd for each of the primes
-    3, 5, 7, 11 and 13."""
+    weil_validate and analyze.  h is a product of four linear factors y - a
+    with |a| <= 2 sqrt(13), so analyze's Hasse-interval scan divides out all
+    of them and factor_over_Z never runs: the Sturm chain of weil_validate
+    is the one remainder sequence.  Through factor_over_Z the same input
+    ran a second sequence (the squarefree gcd), made one try_divide (the
+    squarefree quotient), and its prime screen walked 3, 5, 7 and 11 before
+    it used 13."""
     counts = collections.Counter()
 
     def count(module, name, key, callers=None):
@@ -168,14 +170,14 @@ def test_validate_and_analyze_run_two_remainder_sequences_and_no_multiplicity_se
     count(intpoly, "int_poly_gcd", "sequences")
     count(intpoly, "try_divide", "factor_over_Z divisions", {"factor_over_Z"})
     count(intpoly, "_int_gcd", "screen gcds", {"_auxiliary_primes", "_split_mod"})
+    count(weil, "factor_over_Z", "factor_over_Z calls")
     q = 13
     f = P([1])
     for a in random.Random(1).sample(range(-7, 8), 4):
         f = f * P([q, -a, 1])
     rep = analyze(weil_validate(f, q), aux_primes=_default_aux_primes(q))
     assert rep.d == 1 and len(rep.factors) == 4
-    # the squarefree quotient is factor_over_Z's one division
-    assert counts == {"sequences": 2, "factor_over_Z divisions": 1}
+    assert counts == {"sequences": 1}
     assert not hasattr(weil, "int_poly_gcd")
     assert next(intpoly._auxiliary_primes(rep.weil.h))[0] == 13
 
@@ -419,18 +421,20 @@ def test_swinnerton_dyer_certificate_runs_no_equal_degree_split(monkeypatch):
 
 
 def test_a_product_of_weil_quadratics_runs_no_hensel_step_and_no_equal_degree_split(monkeypatch):
-    """h is a product of four linear factors x - a, so its roots mod the
-    auxiliary prime are lifted by Newton's iteration alone.  Through the
-    Hensel tree these eight items made 24 _hensel_pair and 56
-    _int_equal_degree calls."""
-    calls = {"_hensel_pair": 0, "_int_equal_degree": 0}
+    """h is a product of four linear factors y - a with |a| <= 2 sqrt(q), so
+    analyze's Hasse-interval scan divides all of them out and factor_over_Z
+    is never called.  Through the Hensel tree these eight items made 24
+    _hensel_pair and 56 _int_equal_degree calls; through factor_over_Z with
+    Newton's iteration, none."""
+    calls = {"_hensel_pair": 0, "_int_equal_degree": 0, "factor_over_Z": 0}
     for name in calls:
+        module = weil if name == "factor_over_Z" else intpoly
 
-        def counted(*args, _name=name, _original=getattr(intpoly, name)):
+        def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(intpoly, name, counted)
+        monkeypatch.setattr(module, name, counted)
     rng = random.Random(34)
     for q in (5, 7, 11, 13, 17, 19, 23, 29):
         amax = isqrt(4 * q - 1)
@@ -438,7 +442,113 @@ def test_a_product_of_weil_quadratics_runs_no_hensel_step_and_no_equal_degree_sp
         f = quadratics[0] * quadratics[1] * quadratics[2] * quadratics[3]
         rep = analyze(weil_validate(f, q), aux_primes=_default_aux_primes(q))
         assert sorted(c.poly.coeffs for c in rep.factors) == sorted(g.coeffs for g in quadratics), (f, q)
-    assert calls == {"_hensel_pair": 0, "_int_equal_degree": 0}
+    assert calls == {"_hensel_pair": 0, "_int_equal_degree": 0, "factor_over_Z": 0}
+
+
+# q on both sides of analyze's scan gate: 2 isqrt(4q) + 1 integers in the
+# Hasse interval against 16 per degree of h (1009 is inside from degree 8)
+GATE_QS = (5, 13, 31, 32, 1009, 10007, 2**31 - 1, 3**40)
+
+
+def _inside_the_gate(h: IntPoly, q: int) -> bool:
+    return 2 * isqrt(4 * q) + 1 <= 16 * h.degree
+
+
+def _linear_factors(rng, q: int, k: int) -> IntPoly:
+    """prod (y - a) over k distinct a in the Hasse interval."""
+    amax = isqrt(4 * q)
+    h = P([1])
+    for a in rng.sample(range(-amax, amax + 1), k):
+        h = h * P([-a, 1])
+    return h
+
+
+def _analyze_oracle_batch(rng):
+    """[(kind, WeilPoly)]: products and powers of Weil quadratics, the
+    boundary factors y -+ 2s, the factor y (a = 0), linear factors times
+    random real factors, and Swinnerton-Dyer types times linear factors."""
+    batch = []
+
+    def add(kind, h, q):
+        batch.append((kind, weil_validate(weil_from_real(h, q), q)))
+
+    for q in GATE_QS:
+        for k, d in ((2, 1), (4, 1), (8, 1), (2, 2), (4, 2), (1, 3)):
+            add("quadratics", _linear_factors(rng, q, k) ** d, q)
+        add("a = 0", P([0, 1]) ** rng.randint(1, 3) * _linear_factors(rng, q, rng.randint(0, 3)), q)
+    for q in (4, 9, 25, 49):
+        s = isqrt(q)
+        for _ in range(3):
+            h = P([-2 * s, 1]) ** rng.randint(0, 2) * P([2 * s, 1]) ** rng.randint(1, 2)
+            add("boundary", h * _linear_factors(rng, q, rng.randint(0, 3)), q)
+    for q in GATE_QS + (4, 9, 25, 49):
+        done = 0
+        while done < 3:
+            h = _linear_factors(rng, q, rng.randint(1, 3))
+            for _ in range(rng.randint(1, 2)):
+                h = h * random_real_factor(rng, q)
+            if h.degree > 8 or all(k.degree == 1 for k, _ in factor_over_Z(h)):
+                continue
+            try:
+                add("real factors", h, q)
+                done += 1
+            except RootBoundViolation:
+                pass
+    for primes, q in itertools.product(((2, 3), (2, 3, 5)), (17, 31, 1009, 2**31 - 1)):
+        add("swinnerton-dyer", swinnerton_dyer(primes) * _linear_factors(rng, q, rng.randint(0, 2)), q)
+    return batch
+
+
+def test_analyze_factors_equal_the_zassenhaus_oracle():
+    """analyze divides out the integer roots of h by a scan of the Hasse
+    interval before factor_over_Z sees the rest; its factors, each
+    multiplicity times d, are those of factor_over_Z on the whole h."""
+    seen = collections.Counter()
+    for kind, w in _analyze_oracle_batch(random.Random(38)):
+        rep = analyze(w)
+        got = tuple((c.poly, c.multiplicity * rep.d) for c in rep.factors)
+        assert got == analyze_factors_by_zassenhaus(w), (kind, w.h, w.q)
+        seen[kind] += 1
+        seen["inside the gate" if _inside_the_gate(w.h, w.q) else "past the gate"] += 1
+        seen["d > 1"] += rep.d > 1
+    assert min(seen.values()) >= 8 and len(seen) == 8, seen
+
+
+def test_analyze_scans_the_hasse_interval_only_inside_the_gate(monkeypatch):
+    """The scan evaluates the rest of h at the 2 isqrt(4q) + 1 integers of
+    [-2 sqrt q, 2 sqrt q], stopping once the rest is constant, and runs only
+    when they are at most 16 per degree of h.  At q = 1009 there are 127: a
+    split h of degree 8 is inside the gate and never reaches factor_over_Z;
+    one of degree 7 is past it, so analyze evaluates nothing and
+    factor_over_Z finds every root.  A root-free h inside the gate is
+    evaluated at every integer of the interval."""
+    calls = collections.Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(IntPoly, "eval")
+    count(weil, "factor_over_Z")
+    rng = random.Random(3801)
+    cases = [(_linear_factors(rng, 1009, 8), 1009), (_linear_factors(rng, 1009, 7), 1009)]
+    cases += [(_linear_factors(rng, q, 4) ** 2, q) for q in (10007, 2**31 - 1, 3**40)]
+    cases += [(swinnerton_dyer((2, 3, 5)), 17)]
+    seen = []
+    for h, q in cases:
+        w = weil_validate(weil_from_real(h, q), q)
+        calls.clear()
+        rep = analyze(w)
+        seen.append((h.degree, _inside_the_gate(h, q), calls["eval"], calls["factor_over_Z"]))
+        assert tuple((c.poly, c.multiplicity * rep.d) for c in rep.factors) == analyze_factors_by_zassenhaus(w)
+    split_scan = seen[0][2]
+    assert 8 <= split_scan <= 127
+    assert seen == [(8, True, split_scan, 0), (7, False, 0, 1)] + [(8, False, 0, 1)] * 3 + [(8, True, 17, 1)]
 
 
 def _weil_poly(h: IntPoly, q: int) -> WeilPoly:

@@ -6,8 +6,12 @@ stays here as the oracle that the quadratic lift must equal.  The
 Swinnerton-Dyer type Weil polynomials t^g h(t + q/t), h the minimal
 polynomial of a sum of square roots of primes, are irreducible over Z while
 every factor modulo a prime has small degree: the worst case for
-recombination.
+recombination.  ``random_real_factor`` draws one factor of a real
+transform h for q, and ``real_cyclotomic`` is the real-cyclotomic factor it
+may draw, computed from the cyclotomic polynomial by the real transform.
 """
+
+from math import isqrt
 
 from frobsplit.finfield import (
     _int_divmod_monic_mod,
@@ -17,7 +21,8 @@ from frobsplit.finfield import (
     _int_mul_mod,
     _int_sub_mod,
 )
-from frobsplit.intpoly import IntPoly
+from frobsplit.intpoly import IntPoly, try_divide
+from frobsplit.weil import real_weil_transform
 
 P = IntPoly.make
 
@@ -70,3 +75,36 @@ def weil_from_real(h: IntPoly, q: int) -> IntPoly:
     for j, c in enumerate(h.coeffs):
         out = out + (P([0] * (g - j) + [1]) * P([q, 0, 1]) ** j).scale(c)
     return out
+
+
+def cyclotomic(n: int) -> IntPoly:
+    """Phi_n = (t^n - 1) / prod_(d | n, d < n) Phi_d, by exact division."""
+    f = P([-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            f = try_divide(f, cyclotomic(d))
+    return f
+
+
+def real_cyclotomic(n: int, s: int) -> IntPoly:
+    """s^m Psi_n(y/s), Psi_n the minimal polynomial of 2 cos(2 pi/n), of
+    degree m, for n >= 3: Phi_n(t) = t^m Psi_n(t + 1/t), the real transform
+    for q = 1.  Its roots 2 s cos(2 pi k/n) lie in [-2s, 2s]."""
+    c = real_weil_transform(cyclotomic(n), 1).coeffs
+    return P(x * s ** (len(c) - 1 - j) for j, x in enumerate(c))
+
+
+def random_real_factor(rng, q: int) -> IntPoly:
+    """A factor of a real transform for q: y - a, a real quadratic, the
+    boundary y -+ 2s or y^2 - 4q, or a real-cyclotomic, scaled by s when
+    q = s^2 (roots outside [-2 sqrt q, 2 sqrt q] are screened later)."""
+    s = isqrt(q)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return P([-rng.randint(-2 * s, 2 * s), 1])
+    if kind == 1:
+        return P([rng.randint(-3 * q, 3 * q), rng.randint(-2 * s, 2 * s), 1])
+    if kind == 2:
+        return P([rng.choice([-2 * s, 2 * s]), 1]) if s * s == q else P([-4 * q, 0, 1])
+    n = rng.choice([3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 20, 24])
+    return real_cyclotomic(n, s if s * s == q and rng.random() < 0.5 else 1)
